@@ -11,9 +11,13 @@
 // slower CI runner) cancels out; one yardstick losing ground relative
 // to the rest of the suite does not.
 //
+// A yardstick may appear on several lines, one per run of `go test
+// -count N`; the gate and -update use the median of its samples, so a
+// single noisy run can neither fail the gate nor set the baseline.
+//
 // Usage:
 //
-//	go test -run '^$' -bench ... ./internal/dist | tee bench-dist.txt
+//	go test -run '^$' -bench ... -count 3 ./internal/dist | tee bench-dist.txt
 //	go run ./cmd/benchgate -baseline BENCH_dist.json bench-dist.txt
 //
 // Refresh the baseline after an intentional perf change:
@@ -41,14 +45,15 @@ var metric = "rounds/sec"
 // comparable across runner core counts.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
-var metricField *regexp.Regexp
-
-func parseBench(path string) (map[string]float64, error) {
+// parseBench returns, per yardstick in the bench output at path, the
+// median of its samples of the named metric.
+func parseBench(path, metric string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64)
+	metricField := regexp.MustCompile(`(\d+(?:\.\d+)?(?:e[+-]?\d+)?) ` + regexp.QuoteMeta(metric))
+	samples := make(map[string][]float64)
 	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(data), -1) {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
@@ -62,7 +67,11 @@ func parseBench(path string) (map[string]float64, error) {
 		if _, err := fmt.Sscanf(f[1], "%g", &v); err != nil || v <= 0 {
 			continue
 		}
-		out[m[1]] = v
+		samples[m[1]] = append(samples[m[1]], v)
+	}
+	out := make(map[string]float64, len(samples))
+	for name, xs := range samples {
+		out[name] = median(xs)
 	}
 	return out, nil
 }
@@ -86,9 +95,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchgate -baseline BENCH_x.json [-update] [-maxregress 0.10] [-metric rounds/sec] bench-output.txt")
 		os.Exit(2)
 	}
-	metricField = regexp.MustCompile(`(\d+(?:\.\d+)?(?:e[+-]?\d+)?) ` + regexp.QuoteMeta(metric))
-
-	current, err := parseBench(flag.Arg(0))
+	current, err := parseBench(flag.Arg(0), metric)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)

@@ -143,7 +143,8 @@ func RandomStarSpanner(g *graph.Graph, seed int64) *graph.EdgeSet {
 	m := g.M()
 	H := graph.NewEdgeSet(m)
 	covered := graph.NewEdgeSet(m)
-	refreshCoverage(g, H, covered)
+	var s graph.Searcher
+	refreshCoverage(&s, g, H, covered)
 	for round := 0; round < 40*g.N(); round++ {
 		// Recompute densities (coarse; this is a comparator, not the
 		// contribution).
@@ -187,7 +188,7 @@ func RandomStarSpanner(g *graph.Graph, seed int64) *graph.EdgeSet {
 			progressed = true
 		}
 		if progressed {
-			refreshCoverage(g, H, covered)
+			refreshCoverage(&s, g, H, covered)
 		}
 	}
 	for i := 0; i < m; i++ {

@@ -26,10 +26,11 @@ func GreedyKSpanner(g *graph.Graph, k int) *graph.EdgeSet {
 			return g.Weight(order[a]) < g.Weight(order[b])
 		})
 	}
+	var s graph.Searcher
 	h := graph.NewEdgeSet(g.M())
 	for _, i := range order {
 		e := g.Edge(i)
-		if g.DistWithin(e.U, e.V, h, k) < 0 {
+		if s.DistWithin(g, e.U, e.V, h, k) < 0 {
 			h.Add(i)
 		}
 	}
@@ -41,6 +42,7 @@ func GreedyKSpanner(g *graph.Graph, k int) *graph.EdgeSet {
 // leaves the endpoints at distance >= limit. Used to validate the greedy
 // spanner's structural guarantee.
 func GirthAbove(g *graph.Graph, h *graph.EdgeSet, limit int) bool {
+	var s graph.Searcher
 	ok := true
 	h.ForEach(func(i int) {
 		if !ok {
@@ -49,7 +51,7 @@ func GirthAbove(g *graph.Graph, h *graph.EdgeSet, limit int) bool {
 		e := g.Edge(i)
 		rest := h.Clone()
 		rest.Remove(i)
-		if d := g.DistWithin(e.U, e.V, rest, limit-1); d >= 0 && d+1 <= limit {
+		if d := s.DistWithin(g, e.U, e.V, rest, limit-1); d >= 0 && d+1 <= limit {
 			ok = false
 		}
 	})

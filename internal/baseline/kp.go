@@ -35,7 +35,8 @@ func KortsarzPeleg(g *graph.Graph) *graph.EdgeSet {
 			}
 		}
 	}
-	refreshCoverage(g, H, covered)
+	var s graph.Searcher
+	refreshCoverage(&s, g, H, covered)
 
 	density := make([]float64, g.N())
 	stars := make([][]int, g.N())
@@ -62,7 +63,7 @@ func KortsarzPeleg(g *graph.Graph) *graph.EdgeSet {
 			idx, _ := g.EdgeIndex(best, u)
 			H.Add(idx)
 		}
-		newlyCovered := refreshCoverage(g, H, covered)
+		newlyCovered := refreshCoverage(&s, g, H, covered)
 		markDirty(g, dirty, newlyCovered)
 	}
 	// Remaining uncovered edges are taken directly.
@@ -147,15 +148,15 @@ func densestStarOf(g *graph.Graph, covered *graph.EdgeSet, v int) (star []int, s
 	return star, prof, d
 }
 
-// refreshCoverage recomputes covered status for all uncovered edges and
-// returns the newly covered edge indices.
-func refreshCoverage(g *graph.Graph, H, covered *graph.EdgeSet) []int {
+// refreshCoverage recomputes covered status for all uncovered edges,
+// searching on the scratch s, and returns the newly covered edge indices.
+func refreshCoverage(s *graph.Searcher, g *graph.Graph, H, covered *graph.EdgeSet) []int {
 	var newly []int
 	for i := 0; i < g.M(); i++ {
 		if covered.Has(i) {
 			continue
 		}
-		if span.Covered(g, H, i, 2) {
+		if span.Covered(s, g, H, i, 2) {
 			covered.Add(i)
 			newly = append(newly, i)
 		}

@@ -20,6 +20,7 @@ func BenchmarkMaxFlowRandom(b *testing.B) {
 			}
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := NewDinic(n)
@@ -31,19 +32,8 @@ func BenchmarkMaxFlowRandom(b *testing.B) {
 }
 
 func BenchmarkDensestSelection(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	const k = 40
-	in := &DensestInstance{NumItems: k, Cost: make([]float64, k), Bonus: make([]float64, k)}
-	for i := 0; i < k; i++ {
-		in.Cost[i] = 1
-	}
-	for a := 0; a < k; a++ {
-		for c := a + 1; c < k; c++ {
-			if rng.Float64() < 0.3 {
-				in.Pairs = append(in.Pairs, [2]int{a, c})
-			}
-		}
-	}
+	in := unitInstance(40, 0.3, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Densest(in); err != nil {

@@ -73,7 +73,9 @@ func (in *DensestInstance) Value(T []bool) (profit, cost float64) {
 
 // Densest solves the densest-selection problem exactly (up to floating
 // precision) via Dinkelbach iteration with a project-selection min-cut at
-// each step. It returns the selected items and the achieved density.
+// each step. It returns the selected items and the achieved density. The
+// flow network is built once per call; a step rewrites only the
+// capacities that depend on the current density and solves it again.
 //
 // Every call runs in polynomial time: each Dinkelbach step strictly
 // increases the density, and for the rational densities arising from
@@ -83,10 +85,17 @@ func Densest(in *DensestInstance) (selected []bool, density float64, err error) 
 	if err := in.Validate(); err != nil {
 		return nil, 0, err
 	}
+	selected, density, _ = in.dinkelbach()
+	return selected, density, nil
+}
+
+// dinkelbach runs Densest's iteration on a valid instance and also returns
+// the number of min-cut solves it took.
+func (in *DensestInstance) dinkelbach() (best []bool, bestDensity float64, solves int) {
 	// Starting point: the best singleton (guaranteed non-empty selection).
-	best := make([]bool, in.NumItems)
+	best = make([]bool, in.NumItems)
 	bestIdx := 0
-	bestDensity := in.Bonus[0] / in.Cost[0]
+	bestDensity = in.Bonus[0] / in.Cost[0]
 	for u := 1; u < in.NumItems; u++ {
 		if d := in.Bonus[u] / in.Cost[u]; d > bestDensity {
 			bestDensity, bestIdx = d, u
@@ -94,9 +103,11 @@ func Densest(in *DensestInstance) (selected []bool, density float64, err error) 
 	}
 	best[bestIdx] = true
 
-	for iter := 0; iter < 200; iter++ {
-		T, gain := in.maxGainSelection(bestDensity)
-		if gain <= eps || T == nil {
+	net, totalProfit := in.selectionNetwork()
+	T := make([]bool, in.NumItems)
+	for solves < 200 {
+		solves++
+		if !in.maxGainSelection(net, totalProfit, bestDensity, T) {
 			break
 		}
 		profit, cost := in.Value(T)
@@ -104,56 +115,68 @@ func Densest(in *DensestInstance) (selected []bool, density float64, err error) 
 		if d <= bestDensity+eps {
 			break
 		}
-		best, bestDensity = T, d
+		best, T = T, best
+		bestDensity = d
 	}
-	return best, bestDensity, nil
+	return best, bestDensity, solves
 }
 
-// maxGainSelection finds T maximizing profit(T) - g*cost(T) via a
-// project-selection min-cut, returning nil if the maximum is not positive.
-func (in *DensestInstance) maxGainSelection(g float64) ([]bool, float64) {
-	// Node layout: 0 = source, 1 = sink, 2..2+NumItems = items,
-	// then one node per pair.
-	s, t := 0, 1
-	itemNode := func(u int) int { return 2 + u }
-	pairNode := func(p int) int { return 2 + in.NumItems + p }
-	d := NewDinic(2 + in.NumItems + len(in.Pairs))
+// Node layout of the project-selection network: source, sink, one node
+// per item, then one node per pair.
+const (
+	source = 0
+	sink   = 1
+)
 
+func itemNode(u int) int { return 2 + u }
+
+// selectionNetwork builds the project-selection network and returns it
+// with the total profit on offer. The network's shape does not depend on
+// the Dinkelbach density g; only the item -> sink capacities g*Cost[u] do,
+// which maxGainSelection writes before each solve.
+func (in *DensestInstance) selectionNetwork() (*Dinic, float64) {
 	totalProfit := 0.0
-	inf := 1.0
 	for _, b := range in.Bonus {
 		totalProfit += b
 	}
 	totalProfit += float64(len(in.Pairs))
-	inf = totalProfit + 1
+	inf := totalProfit + 1
+	pairNode := func(p int) int { return 2 + in.NumItems + p }
+	net := buildDinic(2+in.NumItems+len(in.Pairs), func(add func(u, v int, capacity float64)) {
+		for u := 0; u < in.NumItems; u++ {
+			if in.Bonus[u] > 0 {
+				add(source, itemNode(u), in.Bonus[u])
+			}
+			add(itemNode(u), sink, 0)
+		}
+		for p, pr := range in.Pairs {
+			add(source, pairNode(p), 1)
+			add(pairNode(p), itemNode(pr[0]), inf)
+			add(pairNode(p), itemNode(pr[1]), inf)
+		}
+	})
+	return net, totalProfit
+}
 
-	for u := 0; u < in.NumItems; u++ {
-		if in.Bonus[u] > 0 {
-			d.AddEdge(s, itemNode(u), in.Bonus[u])
-		}
-		d.AddEdge(itemNode(u), t, g*in.Cost[u])
+// maxGainSelection finds T maximizing profit(T) - g*cost(T) via a min cut
+// of net, writing it into T. It reports false if the maximum is not
+// positive or the maximizing selection is empty.
+func (in *DensestInstance) maxGainSelection(net *Dinic, totalProfit, g float64, T []bool) bool {
+	net.resetFlow()
+	for u, c := range in.Cost {
+		// The sink's arcs are the reverses of the item -> sink arcs, in
+		// item order.
+		arc := &net.adj[itemNode(u)][net.adj[sink][u].rev]
+		arc.cap = g * c
+		checkCapacity(arc.cap)
 	}
-	for p, pr := range in.Pairs {
-		d.AddEdge(s, pairNode(p), 1)
-		d.AddEdge(pairNode(p), itemNode(pr[0]), inf)
-		d.AddEdge(pairNode(p), itemNode(pr[1]), inf)
+	if totalProfit-net.MaxFlow(source, sink) <= eps {
+		return false
 	}
-	cut := d.MaxFlow(s, t)
-	gain := totalProfit - cut
-	if gain <= eps {
-		return nil, 0
-	}
-	side := d.MinCutSourceSide(s)
-	T := make([]bool, in.NumItems)
 	nonEmpty := false
-	for u := 0; u < in.NumItems; u++ {
-		if side[itemNode(u)] {
-			T[u] = true
-			nonEmpty = true
-		}
+	for u := range T {
+		T[u] = net.sourceSide(itemNode(u))
+		nonEmpty = nonEmpty || T[u]
 	}
-	if !nonEmpty {
-		return nil, 0
-	}
-	return T, gain
+	return nonEmpty
 }

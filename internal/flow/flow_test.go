@@ -47,7 +47,7 @@ func TestMinCutSide(t *testing.T) {
 	d.AddEdge(0, 1, 1)
 	d.AddEdge(1, 2, 100)
 	d.MaxFlow(0, 2)
-	side := d.MinCutSourceSide(0)
+	side := d.MinCutSourceSide()
 	if !side[0] || side[1] || side[2] {
 		t.Fatalf("cut side = %v, want [true false false]", side)
 	}
@@ -230,12 +230,15 @@ func TestDensestValidation(t *testing.T) {
 	}
 }
 
-// Property: Densest matches brute-force enumeration on random small
-// instances with unit costs.
+// Property: Densest matches brute-force enumeration on random instances of
+// up to 12 items with unit costs. Some instances must need several min-cut
+// solves, so the reuse of one flow network across Dinkelbach steps is
+// exercised.
 func TestDensestMatchesBruteProperty(t *testing.T) {
+	maxSolves := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6) // 2..7 items
+		n := 2 + rng.Intn(11) // 2..12 items
 		in := &DensestInstance{
 			NumItems: n,
 			Cost:     make([]float64, n),
@@ -254,26 +257,43 @@ func TestDensestMatchesBruteProperty(t *testing.T) {
 				}
 			}
 		}
-		_, got, err := Densest(in)
-		if err != nil {
-			return false
-		}
-		best := 0.0
-		for mask := 1; mask < 1<<uint(n); mask++ {
-			T := make([]bool, n)
-			for u := 0; u < n; u++ {
-				T[u] = mask&(1<<uint(u)) != 0
-			}
-			p, c := in.Value(T)
-			if d := p / c; d > best {
-				best = d
-			}
-		}
-		return math.Abs(got-best) < 1e-6
+		return matchesBrute(in, &maxSolves)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+	if maxSolves < 3 {
+		t.Fatalf("no instance needed more than %d min-cut solves; network reuse untested", maxSolves)
+	}
+}
+
+// matchesBrute reports whether Densest's density equals the best density
+// over all non-empty selections, and whether the returned selection
+// achieves it. It raises *maxSolves to the instance's solve count.
+func matchesBrute(in *DensestInstance, maxSolves *int) bool {
+	sel, got, err := Densest(in)
+	if err != nil {
+		return false
+	}
+	if _, _, solves := in.dinkelbach(); solves > *maxSolves {
+		*maxSolves = solves
+	}
+	if p, c := in.Value(sel); math.Abs(p/c-got) > 1e-9 {
+		return false
+	}
+	n := in.NumItems
+	best := 0.0
+	T := make([]bool, n)
+	for mask := 1; mask < 1<<uint(n); mask++ {
+		for u := 0; u < n; u++ {
+			T[u] = mask&(1<<uint(u)) != 0
+		}
+		p, c := in.Value(T)
+		if d := p / c; d > best {
+			best = d
+		}
+	}
+	return math.Abs(got-best) < 1e-6
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {
@@ -286,11 +306,13 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// Property: Densest with non-unit costs matches brute force.
+// Property: Densest with non-unit costs matches brute force on up to 12
+// items, again with some instances needing several min-cut solves.
 func TestDensestWeightedMatchesBruteProperty(t *testing.T) {
+	maxSolves := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(5)
+		n := 2 + rng.Intn(11) // 2..12 items
 		in := &DensestInstance{
 			NumItems: n,
 			Cost:     make([]float64, n),
@@ -307,24 +329,59 @@ func TestDensestWeightedMatchesBruteProperty(t *testing.T) {
 				}
 			}
 		}
-		_, got, err := Densest(in)
-		if err != nil {
-			return false
-		}
-		best := 0.0
-		for mask := 1; mask < 1<<uint(n); mask++ {
-			T := make([]bool, n)
-			for u := 0; u < n; u++ {
-				T[u] = mask&(1<<uint(u)) != 0
-			}
-			p, c := in.Value(T)
-			if d := p / c; d > best {
-				best = d
-			}
-		}
-		return math.Abs(got-best) < 1e-6
+		return matchesBrute(in, &maxSolves)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+	if maxSolves < 3 {
+		t.Fatalf("no instance needed more than %d min-cut solves; network reuse untested", maxSolves)
+	}
+}
+
+// Densest builds its flow network once per call, so what it allocates does
+// not depend on how many Dinkelbach steps it takes: an instance needing
+// three min-cut solves allocates exactly as much as one that stops after
+// the first.
+func TestDensestAllocsIndependentOfSteps(t *testing.T) {
+	multi := unitInstance(40, 0.3, 2)
+	if _, _, solves := multi.dinkelbach(); solves < 3 {
+		t.Fatalf("fixture takes %d min-cut solves, want >= 3", solves)
+	}
+	single := unitInstance(40, 0, 2) // no pairs: the first solve finds no gain
+	if _, _, solves := single.dinkelbach(); solves != 1 {
+		t.Fatalf("pairless fixture takes %d min-cut solves, want 1", solves)
+	}
+	allocs := func(in *DensestInstance) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := Densest(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	got, base := allocs(multi), allocs(single)
+	if got != base {
+		t.Fatalf("Densest allocates %.0f objects over 3+ solves but %.0f over one", got, base)
+	}
+	if got > 16 {
+		t.Fatalf("Densest allocates %.0f objects per call, want a small constant", got)
+	}
+}
+
+// unitInstance returns a densest instance over k unit-cost items, pairing
+// each two items with probability p.
+func unitInstance(k int, p float64, seed int64) *DensestInstance {
+	rng := rand.New(rand.NewSource(seed))
+	in := &DensestInstance{NumItems: k, Cost: make([]float64, k), Bonus: make([]float64, k)}
+	for i := 0; i < k; i++ {
+		in.Cost[i] = 1
+	}
+	for a := 0; a < k; a++ {
+		for c := a + 1; c < k; c++ {
+			if rng.Float64() < p {
+				in.Pairs = append(in.Pairs, [2]int{a, c})
+			}
+		}
+	}
+	return in
 }

@@ -199,36 +199,11 @@ func (g *Digraph) Underlying() (*Graph, []int) {
 
 // DistWithin returns the directed hop distance from u to v using only
 // edges in the subset H, or -1 if v is farther than maxDepth (or
-// unreachable). A maxDepth < 0 means unbounded.
+// unreachable). A maxDepth < 0 means unbounded. A loop of searches should
+// hold one Searcher and call its DirectedDistWithin instead.
 func (g *Digraph) DistWithin(u, v int, H *EdgeSet, maxDepth int) int {
-	g.checkVertex(u)
-	g.checkVertex(v)
-	if u == v {
-		return 0
-	}
-	dist := map[int]int{u: 0}
-	queue := []int{u}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if maxDepth >= 0 && dist[x] >= maxDepth {
-			continue
-		}
-		for _, arc := range g.out[x] {
-			if !H.Has(arc.Edge) {
-				continue
-			}
-			if _, seen := dist[arc.To]; seen {
-				continue
-			}
-			if arc.To == v {
-				return dist[x] + 1
-			}
-			dist[arc.To] = dist[x] + 1
-			queue = append(queue, arc.To)
-		}
-	}
-	return -1
+	var s Searcher
+	return s.DirectedDistWithin(g, u, v, H, maxDepth)
 }
 
 // OutNeighbors returns the sorted out-neighbor ids of v.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -162,5 +163,43 @@ func TestDigraphDistBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: Digraph.DistWithin equals a plain BFS along the out-arcs of the
+// H-subgraph cut off at maxDepth, for random edge subsets H and depth caps
+// -1..3, with every query through one Searcher whose epoch wraps.
+func TestDigraphDistWithinMatchesBFSProperty(t *testing.T) {
+	s := Searcher{epoch: math.MaxUint32 - 1000}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(20)
+		g := NewDigraph(n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Float64() < 0.2 {
+					g.AddEdge(u, v)
+				}
+			}
+		}
+		for _, H := range []*EdgeSet{Full(g.M()), randomSubset(rng, g.M())} {
+			for maxDepth := -1; maxDepth <= 3; maxDepth++ {
+				for u := 0; u < n; u++ {
+					for v := 0; v < n; v++ {
+						want := refDistWithin(g.Out, n, u, v, H, maxDepth)
+						if s.DirectedDistWithin(g, u, v, H, maxDepth) != want || g.DistWithin(u, v, H, maxDepth) != want {
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if s.epoch >= math.MaxUint32-1000 {
+		t.Fatalf("searcher epoch %d never wrapped", s.epoch)
 	}
 }

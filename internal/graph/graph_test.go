@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -249,8 +250,12 @@ func TestBFSEdgeLipschitzProperty(t *testing.T) {
 	}
 }
 
-// Property: DistWithin with the full edge set matches plain BFS distance.
+// Property: DistWithin equals a plain BFS over the H-subgraph cut off at
+// maxDepth, for random edge subsets H and depth caps -1..3. Every query of
+// every instance goes through one Searcher whose epoch wraps along the
+// way, so a stale visit mark would show as a wrong distance.
 func TestDistWithinMatchesBFSProperty(t *testing.T) {
+	s := Searcher{epoch: math.MaxUint32 - 1000}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(20)
@@ -262,12 +267,16 @@ func TestDistWithinMatchesBFSProperty(t *testing.T) {
 				}
 			}
 		}
-		full := Full(g.M())
-		src := rng.Intn(n)
-		dist := g.BFS(src)
-		for v := 0; v < n; v++ {
-			if got := g.DistWithin(src, v, full, -1); got != dist[v] {
-				return false
+		for _, H := range []*EdgeSet{Full(g.M()), randomSubset(rng, g.M())} {
+			for maxDepth := -1; maxDepth <= 3; maxDepth++ {
+				for u := 0; u < n; u++ {
+					for v := 0; v < n; v++ {
+						want := refDistWithin(g.Adj, n, u, v, H, maxDepth)
+						if s.DistWithin(g, u, v, H, maxDepth) != want || g.DistWithin(u, v, H, maxDepth) != want {
+							return false
+						}
+					}
+				}
 			}
 		}
 		return true
@@ -275,6 +284,65 @@ func TestDistWithinMatchesBFSProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+	if s.epoch >= math.MaxUint32-1000 {
+		t.Fatalf("searcher epoch %d never wrapped", s.epoch)
+	}
+}
+
+// When the epoch counter wraps, the marks left by earlier searches must be
+// cleared: the epoch that follows the wrap was used before.
+func TestSearcherEpochWrapClearsMarks(t *testing.T) {
+	g := New(3)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	full := Full(g.M())
+	var s Searcher
+	if d := s.DistWithin(g, 0, 2, full, -1); d != 2 {
+		t.Fatalf("dist(0,2) = %d, want 2", d)
+	}
+	s.epoch = math.MaxUint32 // the next search wraps to the first one's epoch
+	if d := s.DistWithin(g, 0, 2, full, -1); d != 2 {
+		t.Fatalf("dist(0,2) after the epoch wrapped = %d, want 2", d)
+	}
+}
+
+// randomSubset returns a random subset of m edge indices, each kept with
+// one probability drawn per subset.
+func randomSubset(rng *rand.Rand, m int) *EdgeSet {
+	keep := rng.Float64()
+	H := NewEdgeSet(m)
+	for i := 0; i < m; i++ {
+		if rng.Float64() < keep {
+			H.Add(i)
+		}
+	}
+	return H
+}
+
+// refDistWithin is the reference DistWithin: a breadth-first search over
+// the arcs whose edges are in H, recording every vertex's distance, then
+// cut off at maxDepth.
+func refDistWithin(arcs func(int) []Arc, n, u, v int, H *EdgeSet, maxDepth int) int {
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[u] = 0
+	queue := []int{u}
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		for _, a := range arcs(x) {
+			if H.Has(a.Edge) && dist[a.To] < 0 {
+				dist[a.To] = dist[x] + 1
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	if maxDepth >= 0 && dist[v] > maxDepth {
+		return -1
+	}
+	return dist[v]
 }
 
 func abs(x int) int {

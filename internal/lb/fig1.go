@@ -171,10 +171,11 @@ func (f *Fig1) MinimalSpanner() *graph.EdgeSet {
 func (f *Fig1) VerifyClaim22() error {
 	nonD := f.NonDSpanner()
 	full := graph.Full(f.G.M())
+	var s graph.Searcher
 	for i := 0; i < f.L; i++ {
 		for r := 0; r < f.L; r++ {
 			src, dst := f.X2(i, 0), f.Y2(r, 0)
-			bypass := f.G.DistWithin(src, dst, nonD, 5)
+			bypass := s.DirectedDistWithin(f.G, src, dst, nonD, 5)
 			open := !f.A[i*f.L+r] || !f.B[i*f.L+r]
 			if open && bypass != 5 {
 				return fmt.Errorf("lb: pair (%d,%d) open but D-free distance = %d, want 5", i, r, bypass)
@@ -187,7 +188,7 @@ func (f *Fig1) VerifyClaim22() error {
 				idx, _ := f.G.EdgeIndex(src, dst)
 				without := full.Clone()
 				without.Remove(idx)
-				if d := f.G.DistWithin(src, dst, without, -1); d != -1 {
+				if d := s.DirectedDistWithin(f.G, src, dst, without, -1); d != -1 {
 					return fmt.Errorf("lb: conflict pair (%d,%d) reachable without its D-edge (dist %d)", i, r, d)
 				}
 			}

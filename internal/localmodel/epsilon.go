@@ -187,6 +187,7 @@ func sequential(g *graph.Graph, opts Options, order []int) (*Result, error) {
 	if maxR <= 0 {
 		maxR = g.N()
 	}
+	var s graph.Searcher
 	for _, v := range order {
 		// Find the smallest r with g(v, r+2k) <= (1+eps) * g(v, r).
 		var chosen *graph.EdgeSet
@@ -220,7 +221,7 @@ func sequential(g *graph.Graph, opts Options, order []int) (*Result, error) {
 		})
 		// Mark everything now covered by H.
 		for i := 0; i < g.M(); i++ {
-			if !covered.Has(i) && span.Covered(g, H, i, k) {
+			if !covered.Has(i) && span.Covered(&s, g, H, i, k) {
 				covered.Add(i)
 			}
 		}

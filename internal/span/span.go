@@ -16,24 +16,25 @@ import (
 
 // Covered reports whether edge i of g is covered by the edge subset H with
 // stretch k: either i ∈ H or H contains a path of length at most k between
-// its endpoints.
-func Covered(g *graph.Graph, H *graph.EdgeSet, i, k int) bool {
+// its endpoints. The search runs on the scratch s; a loop over edges
+// passes the same Searcher every time.
+func Covered(s *graph.Searcher, g *graph.Graph, H *graph.EdgeSet, i, k int) bool {
 	if H.Has(i) {
 		return true
 	}
 	e := g.Edge(i)
-	return g.DistWithin(e.U, e.V, H, k) >= 0
+	return s.DistWithin(g, e.U, e.V, H, k) >= 0
 }
 
 // CoveredDirected reports whether directed edge i of d is covered by H with
 // stretch k: either i ∈ H or H contains a directed path of length at most k
-// from its tail to its head.
-func CoveredDirected(d *graph.Digraph, H *graph.EdgeSet, i, k int) bool {
+// from its tail to its head. The search runs on the scratch s.
+func CoveredDirected(s *graph.Searcher, d *graph.Digraph, H *graph.EdgeSet, i, k int) bool {
 	if H.Has(i) {
 		return true
 	}
 	e := d.Edge(i)
-	return d.DistWithin(e.U, e.V, H, k) >= 0
+	return s.DirectedDistWithin(d, e.U, e.V, H, k) >= 0
 }
 
 // IsKSpanner reports whether H is a k-spanner of g: every edge of g is
@@ -45,9 +46,10 @@ func IsKSpanner(g *graph.Graph, H *graph.EdgeSet, k int) bool {
 // Violations returns up to max edges of g not covered by H with stretch k.
 // A max <= 0 returns all violations.
 func Violations(g *graph.Graph, H *graph.EdgeSet, k, max int) []int {
+	var s graph.Searcher
 	var out []int
 	for i := 0; i < g.M(); i++ {
-		if !Covered(g, H, i, k) {
+		if !Covered(&s, g, H, i, k) {
 			out = append(out, i)
 			if max > 0 && len(out) >= max {
 				return out
@@ -65,9 +67,10 @@ func IsDirectedKSpanner(d *graph.Digraph, H *graph.EdgeSet, k int) bool {
 // DirectedViolations returns up to max directed edges of d not covered by H
 // with stretch k. A max <= 0 returns all violations.
 func DirectedViolations(d *graph.Digraph, H *graph.EdgeSet, k, max int) []int {
+	var s graph.Searcher
 	var out []int
 	for i := 0; i < d.M(); i++ {
-		if !CoveredDirected(d, H, i, k) {
+		if !CoveredDirected(&s, d, H, i, k) {
 			out = append(out, i)
 			if max > 0 && len(out) >= max {
 				return out
@@ -82,9 +85,10 @@ func DirectedViolations(d *graph.Digraph, H *graph.EdgeSet, k, max int) []int {
 // "k-spanner of a subgraph" notion (used by client-server and the (1+ε)
 // algorithm's partial covers).
 func IsSpannerOf(g *graph.Graph, target, H *graph.EdgeSet, k int) bool {
+	var s graph.Searcher
 	ok := true
 	target.ForEach(func(i int) {
-		if ok && !Covered(g, H, i, k) {
+		if ok && !Covered(&s, g, H, i, k) {
 			ok = false
 		}
 	})
@@ -102,19 +106,10 @@ func ClientServerValid(g *graph.Graph, clients, servers, H *graph.EdgeSet, k int
 	if sub.Len() != 0 {
 		return false // H contains a non-server edge
 	}
+	var s graph.Searcher
 	ok := true
 	clients.ForEach(func(i int) {
-		if !ok {
-			return
-		}
-		if !coverableByServers(g, servers, i, k) {
-			return
-		}
-		e := g.Edge(i)
-		if H.Has(i) {
-			return
-		}
-		if g.DistWithin(e.U, e.V, H, k) < 0 {
+		if ok && Covered(&s, g, servers, i, k) && !Covered(&s, g, H, i, k) {
 			ok = false
 		}
 	})
@@ -124,21 +119,14 @@ func ClientServerValid(g *graph.Graph, clients, servers, H *graph.EdgeSet, k int
 // CoverableClients returns the subset of client edges that can be covered
 // by some subset of server edges at stretch k (i.e. by all of them).
 func CoverableClients(g *graph.Graph, clients, servers *graph.EdgeSet, k int) *graph.EdgeSet {
+	var s graph.Searcher
 	out := graph.NewEdgeSet(g.M())
 	clients.ForEach(func(i int) {
-		if coverableByServers(g, servers, i, k) {
+		if Covered(&s, g, servers, i, k) {
 			out.Add(i)
 		}
 	})
 	return out
-}
-
-func coverableByServers(g *graph.Graph, servers *graph.EdgeSet, i, k int) bool {
-	if servers.Has(i) {
-		return true
-	}
-	e := g.Edge(i)
-	return g.DistWithin(e.U, e.V, servers, k) >= 0
 }
 
 // Cost returns the cost of the spanner H: total weight for weighted graphs,
@@ -157,10 +145,11 @@ func DirectedCost(d *graph.Digraph, H *graph.EdgeSet) float64 {
 // some edge's endpoints are disconnected in H. Distances are capped at
 // cap (pass cap <= 0 for uncapped search).
 func MaxStretch(g *graph.Graph, H *graph.EdgeSet, cap int) int {
+	var s graph.Searcher
 	max := 0
 	for i := 0; i < g.M(); i++ {
 		e := g.Edge(i)
-		d := g.DistWithin(e.U, e.V, H, cap)
+		d := s.DistWithin(g, e.U, e.V, H, cap)
 		if d < 0 {
 			return -1
 		}

@@ -19,13 +19,14 @@ func TestCoveredBasics(t *testing.T) {
 	h := graph.NewEdgeSet(g.M())
 	h.Add(e01)
 	h.Add(e12)
-	if !Covered(g, h, e01, 2) {
+	var s graph.Searcher
+	if !Covered(&s, g, h, e01, 2) {
 		t.Fatal("edge in H must be covered")
 	}
-	if !Covered(g, h, e02, 2) {
+	if !Covered(&s, g, h, e02, 2) {
 		t.Fatal("edge 0-2 covered by path 0-1-2")
 	}
-	if Covered(g, h, e02, 1) {
+	if Covered(&s, g, h, e02, 1) {
 		t.Fatal("edge 0-2 must not be covered at stretch 1")
 	}
 }
@@ -312,5 +313,34 @@ func TestDirectedStretchStats(t *testing.T) {
 	st := DirectedStretch(d, h, -1)
 	if st.Max != 2 || st.Histogram[2] != 1 || st.Histogram[1] != 2 {
 		t.Fatalf("directed stretch = %+v", st)
+	}
+}
+
+// Stretch and Violations hold one Searcher across their per-edge loops, so
+// on G(512, 0.1), about 13k edges, they allocate a few dozen objects at
+// most (the scratch growing, the histogram), not a search's worth per edge.
+func TestVerificationAllocsIndependentOfEdges(t *testing.T) {
+	g := gen.GNP(512, 0.1, 1)
+	// A greedy 2-spanner: it is valid, and most edges' searches run to depth 2.
+	var s graph.Searcher
+	h := graph.NewEdgeSet(g.M())
+	for i := 0; i < g.M(); i++ {
+		if !Covered(&s, g, h, i, 2) {
+			h.Add(i)
+		}
+	}
+	stretch := testing.AllocsPerRun(3, func() {
+		if st := Stretch(g, h, 2); st.Max != 2 {
+			t.Fatalf("greedy 2-spanner has stretch %d, want 2", st.Max)
+		}
+	})
+	violations := testing.AllocsPerRun(3, func() {
+		if v := Violations(g, h, 2, 0); len(v) != 0 {
+			t.Fatalf("greedy 2-spanner has %d violations", len(v))
+		}
+	})
+	t.Logf("m=%d |H|=%d: Stretch %.0f allocs, Violations %.0f allocs", g.M(), h.Len(), stretch, violations)
+	if stretch > 64 || violations > 64 {
+		t.Fatalf("Stretch allocates %.0f and Violations %.0f objects over %d edges, want O(1)", stretch, violations, g.M())
 	}
 }

@@ -20,11 +20,12 @@ type StretchStats struct {
 // searching distances up to cap (use cap <= 0 for unbounded; disconnected
 // pairs then mark the result disconnected).
 func Stretch(g *graph.Graph, H *graph.EdgeSet, cap int) StretchStats {
+	var s graph.Searcher
 	st := StretchStats{Histogram: make(map[int]int)}
 	total := 0
 	for i := 0; i < g.M(); i++ {
 		e := g.Edge(i)
-		d := g.DistWithin(e.U, e.V, H, cap)
+		d := s.DistWithin(g, e.U, e.V, H, cap)
 		if d < 0 {
 			st.Max = -1
 			st.Mean = 0
@@ -44,11 +45,12 @@ func Stretch(g *graph.Graph, H *graph.EdgeSet, cap int) StretchStats {
 
 // DirectedStretch is the digraph analogue of Stretch.
 func DirectedStretch(d *graph.Digraph, H *graph.EdgeSet, cap int) StretchStats {
+	var s graph.Searcher
 	st := StretchStats{Histogram: make(map[int]int)}
 	total := 0
 	for i := 0; i < d.M(); i++ {
 		e := d.Edge(i)
-		dist := d.DistWithin(e.U, e.V, H, cap)
+		dist := s.DirectedDistWithin(d, e.U, e.V, H, cap)
 		if dist < 0 {
 			st.Max = -1
 			st.Mean = 0

@@ -191,7 +191,7 @@ func renderDoc(w io.Writer) {
 	fmt.Fprintln(w, "vertex-rounds), `peak_active`, and the per-round means `mean_active` /")
 	fmt.Fprintln(w, "`mean_parked`. The activity columns profile the activity-aware algorithm")
 	fmt.Fprintln(w, "ports (see ALGORITHMS.md): how many vertices each round actually touches,")
-	fmt.Fprintln(w, "and how many sit parked in `Recv` costing the event scheduler nothing.")
+	fmt.Fprintln(w, "and how many sit parked, costing the step engine nothing.")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "With the execution-only `timing=1` parameter (or `sweep -timing`), every")
 	fmt.Fprintln(w, "simulated scenario additionally reports wall-clock timing columns:")

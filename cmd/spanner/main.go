@@ -27,7 +27,6 @@ import (
 
 	"distspanner/internal/baseline"
 	"distspanner/internal/core"
-	"distspanner/internal/dist"
 	"distspanner/internal/gen"
 	"distspanner/internal/graph"
 	"distspanner/internal/localmodel"
@@ -46,7 +45,6 @@ func main() {
 		p      = flag.Float64("p", 0.2, "edge probability for gnp/planted")
 		algo   = flag.String("algo", "2spanner", "algorithm: 2spanner, congest, directed, cs, mds, kp, greedy, bs, eps, trivial")
 		seed   = flag.Int64("seed", 1, "random seed")
-		engine = flag.String("engine", "auto", "dist engine: auto, barrier, event, step (results are identical; wall clock differs)")
 		k      = flag.Int("k", 2, "stretch (bs: builds (2k-1)-spanner; eps: k-spanner)")
 		eps    = flag.Float64("eps", 0.5, "epsilon for -algo eps")
 		wmax   = flag.Float64("wmax", 0, "assign random weights in [1, wmax] when > 1")
@@ -66,12 +64,6 @@ func main() {
 	}
 	defer stopProfiles()
 
-	mode, err := dist.ParseMode(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	g := buildGraph(*family, *n, *p, *seed)
 	if *wmax > 1 {
 		gen.RandomWeights(g, 1, *wmax, *seed)
@@ -83,7 +75,7 @@ func main() {
 	if *traceOut != "" {
 		rec = trace.NewRecorder(g.N())
 	}
-	opts := core.Options{Seed: *seed, ExecMode: mode}
+	opts := core.Options{Seed: *seed}
 	if rec != nil {
 		opts.Tracer = rec
 	}
@@ -118,7 +110,7 @@ func main() {
 			span.ClientServerValid(g, clients, servers, res.Spanner, 2))
 		printStats(res)
 	case "mds":
-		mopts := mds.Options{Seed: *seed, ExecMode: mode}
+		mopts := mds.Options{Seed: *seed}
 		if rec != nil {
 			mopts.Tracer = rec
 		}
@@ -186,7 +178,7 @@ func main() {
 		writeTrace(*traceOut, rec, trace.Meta{
 			Seed:  *seed,
 			Label: fmt.Sprintf("%s %s n=%d", *algo, *family, g.N()),
-			Mode:  *engine,
+			Mode:  "local",
 		})
 	}
 }

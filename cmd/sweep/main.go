@@ -6,18 +6,17 @@
 //	sweep -list
 //	sweep -scenario twospanner -grid "n=64,128;p=0.1,0.2" -replicates 3 -json out.json
 //	sweep -scenario mds -workers 8 -csv mds.csv
-//	sweep -scenario twospanner -engine event            # pin the event-driven engine
-//	sweep -scenario twospanner -grid "engine=barrier,event,step;n=128"   # compare engines
+//	sweep -scenario twospanner -grid "transport=local,chan4;n=128"   # compare in-process vs sharded
 //	sweep -scenario twospanner -timing -csv t.csv       # add wall-clock timing columns
 //	sweep -scenario mds -cpuprofile cpu.pprof           # profile the whole sweep
 //
 // Without -grid the scenario's default cases/grid run. Reports are
 // deterministic functions of (-scenario, -grid, -replicates, -seed);
-// -workers only changes wall-clock time. Simulated scenarios also honor
-// the "engine" parameter (auto, barrier, event, step), selecting the
-// internal/dist scheduling strategy; -engine overlays it on every cell,
-// and because engine modes are bit-identical by contract, an engine axis
-// in -grid is a pure wall-clock comparison. -timing overlays the
+// -workers only changes wall-clock time. The spanner and MDS scenarios
+// also honor the "transport" parameter (local, or chanK to shard the run
+// across K workers); transports are bit-identical by contract, so a
+// transport axis in -grid is a pure wall-clock comparison. -timing
+// overlays the
 // execution-only "timing" parameter, adding per-round wall-time and
 // scheduler-phase-share columns (round_wall_ns_mean/max,
 // time_share_step/route/sync) to the report — wall-clock telemetry, so
@@ -34,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"distspanner/internal/dist"
 	"distspanner/internal/prof"
 	"distspanner/internal/scenario"
 	"distspanner/internal/sweep"
@@ -46,7 +44,6 @@ func main() {
 	replicatesFlag := flag.Int("replicates", 0, "seed replicates per cell (0: scenario default)")
 	workersFlag := flag.Int("workers", 0, "concurrent runs (0: GOMAXPROCS)")
 	seedFlag := flag.Int64("seed", 1, "base seed for deterministic seed derivation")
-	engineFlag := flag.String("engine", "", `execution engine for simulated scenarios: "auto", "barrier", "event", "step" (overlays engine=<v> on every cell)`)
 	timingFlag := flag.Bool("timing", false, "overlay timing=1 on every cell: record per-round wall time and scheduler-phase shares as report columns (wall-clock telemetry; non-deterministic)")
 	cpuprofileFlag := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
 	memprofileFlag := flag.String("memprofile", "", "write an allocation profile (taken at exit) to this file")
@@ -79,18 +76,6 @@ func main() {
 			os.Exit(2)
 		}
 		cells = grid.Cells()
-	}
-	if *engineFlag != "" {
-		if _, err := dist.ParseMode(*engineFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(2)
-		}
-		if cells == nil {
-			cells = sc.DefaultCells()
-		}
-		for i := range cells {
-			cells[i] = cells[i].Merge(scenario.Params{"engine": *engineFlag})
-		}
 	}
 	if *timingFlag {
 		if cells == nil {
@@ -173,8 +158,8 @@ func list() {
 	}
 	fmt.Println("\ndirected: family=rdg (n, p) or any family above with twoway=<frac>")
 	fmt.Println("weights:  add whi=<max> (and wlo=<min>) to weight any family")
-	fmt.Println("engine:   add engine=barrier|event|step (or -engine) to pick the dist scheduler;")
-	fmt.Println("          modes are bit-identical, so an engine axis compares wall clock only")
+	fmt.Println("transport: add transport=chanK to shard a spanner or MDS run across K workers;")
+	fmt.Println("           transports are bit-identical, so a transport axis compares wall clock only")
 	fmt.Println("timing:   add timing=1 (or -timing) for per-round wall-time and scheduler-share")
 	fmt.Println("          columns — wall-clock telemetry, excluded from deterministic baselines")
 }

@@ -57,49 +57,44 @@ func TestBuildMDSReproducible(t *testing.T) {
 	}
 }
 
-// TestCrossModeTranscriptsIdentical is the engine's scheduler-equivalence
-// contract at the algorithm level: for a fixed (graph, seed), the barrier
-// engine, the event-driven scheduler, and the goroutine-free state-machine
-// engine must produce bit-identical transcripts — the same spanner edge
-// set, the same dominating set, and the same engine statistics (rounds,
-// messages, bits), field for field.
+// TestCrossModeTranscriptsIdentical is the execution-path contract at
+// the algorithm level, through the public API: for a fixed (graph, seed),
+// the in-process engine and a run sharded across three workers
+// (Options.Shards) must produce bit-identical transcripts — the same
+// spanner edge set, the same dominating set, and the same engine
+// statistics (rounds, messages, bits), field for field.
 func TestCrossModeTranscriptsIdentical(t *testing.T) {
-	modes := []distspanner.ExecMode{distspanner.ModeBarrier, distspanner.ModeEvent, distspanner.ModeStep}
 	g := distspanner.RandomGraph(60, 0.15, 41)
-	base, err := distspanner.Build2Spanner(g, distspanner.Options{Seed: 5, ExecMode: modes[0]})
+	base, err := distspanner.Build2Spanner(g, distspanner.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range modes[1:] {
-		res, err := distspanner.Build2Spanner(g, distspanner.Options{Seed: 5, ExecMode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !base.Spanner.Equal(res.Spanner) {
-			t.Fatalf("2-spanner edge sets differ between barrier and %v modes", mode)
-		}
-		if base.Stats != res.Stats {
-			t.Fatalf("2-spanner stats differ between modes:\nbarrier: %+v\n%v: %+v", base.Stats, mode, res.Stats)
-		}
-		if base.Iterations != res.Iterations || base.Cost != res.Cost {
-			t.Fatalf("2-spanner telemetry differs between barrier and %v modes", mode)
-		}
+	res, err := distspanner.Build2Spanner(g, distspanner.Options{Seed: 5, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Spanner.Equal(res.Spanner) {
+		t.Fatal("2-spanner edge sets differ between the in-process and sharded runs")
+	}
+	if base.Stats != res.Stats {
+		t.Fatalf("2-spanner stats differ:\nin-process: %+v\nsharded:    %+v", base.Stats, res.Stats)
+	}
+	if base.Iterations != res.Iterations || base.Cost != res.Cost {
+		t.Fatal("2-spanner telemetry differs between the in-process and sharded runs")
 	}
 
 	mg := distspanner.RandomGraph(48, 0.18, 13)
-	mb, err := distspanner.BuildMDS(mg, distspanner.MDSOptions{Seed: 9, ExecMode: modes[0]})
+	mb, err := distspanner.BuildMDS(mg, distspanner.MDSOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range modes[1:] {
-		res, err := distspanner.BuildMDS(mg, distspanner.MDSOptions{Seed: 9, ExecMode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(mb.DominatingSet, res.DominatingSet) || mb.Stats != res.Stats {
-			t.Fatalf("MDS transcripts differ between modes:\nbarrier: %v %+v\n%v: %v %+v",
-				mb.DominatingSet, mb.Stats, mode, res.DominatingSet, res.Stats)
-		}
+	mr, err := distspanner.BuildMDS(mg, distspanner.MDSOptions{Seed: 9, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mb.DominatingSet, mr.DominatingSet) || mb.Stats != mr.Stats {
+		t.Fatalf("MDS transcripts differ:\nin-process: %v %+v\nsharded:    %v %+v",
+			mb.DominatingSet, mb.Stats, mr.DominatingSet, mr.Stats)
 	}
 }
 

@@ -15,13 +15,10 @@
 //
 // Algorithms execute on a synchronous message-passing simulator: message
 // sizes are metered in bits so LOCAL versus CONGEST behaviour is
-// measurable, and runs are deterministic for a fixed seed. The engine
-// offers three scheduling strategies (Options.ExecMode): the classic
-// barrier engine and the event-driven scheduler run every vertex as a
-// goroutine, while the state-machine engine (the paper algorithms'
-// default) runs with no per-vertex goroutines at all, scaling to millions
-// of vertices — bit-identical results in every mode, very different wall
-// clock.
+// measurable, and runs are deterministic for a fixed seed. Every vertex
+// is an explicit state machine stepped by one run-to-completion loop,
+// with no per-vertex goroutine, which is what scales runs to millions of
+// vertices on one box.
 //
 // Quick start:
 //
@@ -34,7 +31,6 @@ package distspanner
 import (
 	"distspanner/internal/baseline"
 	"distspanner/internal/core"
-	"distspanner/internal/dist"
 	"distspanner/internal/gen"
 	"distspanner/internal/graph"
 	"distspanner/internal/localmodel"
@@ -66,30 +62,6 @@ func NewEdgeSet(m int) *EdgeSet { return graph.NewEdgeSet(m) }
 
 // Options configures the distributed spanner algorithms.
 type Options = core.Options
-
-// ExecMode selects the simulation engine's scheduling strategy for
-// Options.ExecMode / MDSOptions.ExecMode. Every mode produces
-// bit-identical results and statistics for a fixed seed; they differ only
-// in wall-clock cost (see internal/dist and ARCHITECTURE.md).
-type ExecMode = dist.Mode
-
-// Execution modes, re-exported for Options.ExecMode.
-const (
-	// ModeAuto picks the engine automatically: the paper algorithms run on
-	// the goroutine-free state-machine engine; procedure-style protocols
-	// switch on network size (the event-driven scheduler at or above
-	// dist.EventThreshold vertices, the barrier engine below it).
-	ModeAuto = dist.ModeAuto
-	// ModeBarrier runs vertices freely between central round barriers.
-	ModeBarrier = dist.ModeBarrier
-	// ModeEvent schedules only active vertices each round — quiet
-	// vertices cost zero wakeups.
-	ModeEvent = dist.ModeEvent
-	// ModeStep steps vertices as explicit state machines in a worker loop:
-	// no per-vertex goroutine at all, which is what scales runs to
-	// millions of vertices on one box.
-	ModeStep = dist.ModeStep
-)
 
 // Result reports a distributed spanner construction: the spanner, its
 // cost, the engine's round/message/bit statistics, and the iteration

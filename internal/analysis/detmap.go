@@ -82,9 +82,11 @@ func runDetmap(pass *Pass) error {
 }
 
 // orderInsensitiveBody conservatively proves a map-range body commutes:
-// every statement is an allowed commutative update, and no branch
-// condition reads state the loop writes (a condition over accumulated
-// state re-introduces order sensitivity even when each arm commutes).
+// every statement is an allowed commutative update, and every branch
+// condition is pure — it reads no state the loop writes (a condition over
+// accumulated state re-introduces order sensitivity even when each arm
+// commutes) and makes no call (a stateful call such as an RNG draw
+// advances in visit order).
 func orderInsensitiveBody(pass *Pass, rng *ast.RangeStmt) bool {
 	var keyObj types.Object
 	if id, ok := rng.Key.(*ast.Ident); ok && id.Name != "_" {
@@ -113,7 +115,7 @@ func orderInsensitiveBody(pass *Pass, rng *ast.RangeStmt) bool {
 					ok = false
 				}
 			case *ast.IfStmt:
-				if s.Init != nil || !condIndependent(pass, s.Cond, written) {
+				if s.Init != nil || !exprPure(pass, s.Cond, written) {
 					ok = false
 					return
 				}
@@ -293,21 +295,6 @@ func rootIdent(e ast.Expr) (*ast.Ident, bool) {
 			return nil, false
 		}
 	}
-}
-
-// condIndependent reports whether the condition reads no object the loop
-// body writes.
-func condIndependent(pass *Pass, cond ast.Expr, written map[types.Object]bool) bool {
-	ok := true
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if id, isId := n.(*ast.Ident); isId {
-			if obj := pass.TypesInfo.ObjectOf(id); obj != nil && written[obj] {
-				ok = false
-			}
-		}
-		return ok
-	})
-	return ok
 }
 
 // appendThenSorted proves the collect-then-sort idiom: the body is

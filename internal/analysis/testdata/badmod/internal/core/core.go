@@ -31,5 +31,5 @@ func Keys(m map[int]int) []int {
 // Launch builds a Config its cancel channel never reaches.
 func Launch(cancel <-chan struct{}) error {
 	_ = cancel
-	return dist.Run(&node{id: 1}, dist.Config{Seed: 1}) // seed:cancelprop
+	return dist.RunMachines(&node{id: 1}, dist.Config{Seed: 1}) // seed:cancelprop
 }

@@ -22,8 +22,8 @@ type Config struct {
 	Cancel <-chan struct{}
 }
 
-// Run stands in for the engine entry point.
-func Run(m Machine, cfg Config) error { return nil }
+// RunMachines stands in for the engine entry point.
+func RunMachines(m Machine, cfg Config) error { return nil }
 
 // Msg is a payload whose Rank field was added without touching Bits —
 // the drift bitsacct exists to catch.

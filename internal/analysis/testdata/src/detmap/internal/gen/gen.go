@@ -3,7 +3,10 @@
 // range here must be provably order-insensitive, annotated, or flagged.
 package gen
 
-import "sort"
+import (
+	"math/rand"
+	"sort"
+)
 
 // Collect leaks map iteration order into slice order: flagged.
 func Collect(m map[int]string) []string {
@@ -100,6 +103,19 @@ func MaxValue(m map[int]int) int {
 		}
 	}
 	return best
+}
+
+// SampleKeys draws from an RNG in the branch condition: which keys win
+// a draw depends on visit order, so the fold leaks it even though each
+// arm only counts: flagged.
+func SampleKeys(m map[int]bool, rng *rand.Rand) int {
+	n := 0
+	for range m { // want `range over map map\[int\]bool`
+		if rng.Float64() < 0.5 {
+			n++
+		}
+	}
+	return n
 }
 
 // AnyKey is waived with a justification: clean.

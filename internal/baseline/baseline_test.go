@@ -139,6 +139,20 @@ func TestBaswanaSenStretchAndSize(t *testing.T) {
 	}
 }
 
+func TestBaswanaSenDeterministic(t *testing.T) {
+	// One (graph, k, seed) must give one spanner: the sampling draws may
+	// not depend on map iteration order.
+	for _, k := range []int{2, 3} {
+		g := gen.ConnectedGNP(64, 0.2, 1)
+		want := BaswanaSen(g, k, 1).Spanner
+		for rep := 0; rep < 8; rep++ {
+			if got := BaswanaSen(g, k, 1).Spanner; !got.Equal(want) {
+				t.Fatalf("k=%d rep %d: same seed gave %d edges, first run %d", k, rep, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
 func TestBaswanaSenSparsifies(t *testing.T) {
 	// On a dense graph the expected size is O(k n^{1+1/k}) << m. Average
 	// over seeds to keep the test stable.

@@ -54,16 +54,17 @@ func BaswanaSen(g *graph.Graph, k int, seed int64) *BaswanaSenResult {
 	}
 
 	for phase := 1; phase < k; phase++ {
-		// Sample surviving cluster centers.
+		// Sample surviving cluster centers, drawing in ascending center id
+		// so one seed always samples the same clusters.
 		sampled := make(map[int]bool)
-		centers := make(map[int]bool)
+		center := make([]bool, n)
 		for v := 0; v < n; v++ {
 			if cluster[v] >= 0 {
-				centers[cluster[v]] = true
+				center[cluster[v]] = true
 			}
 		}
-		for c := range centers {
-			if rng.Float64() < p {
+		for c := 0; c < n; c++ {
+			if center[c] && rng.Float64() < p {
 				sampled[c] = true
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // tailInstance builds a weighted G(c, 0.3) core with (n-c) pendant leaves
 // spread over the core: the core's densities descend through many levels
 // while the fringe is idle after the opening iterations — the
-// sparse-activity regime the Recv-parking port targets.
+// sparse-activity regime the parking port targets.
 func tailInstance(c, n int, seed int64) *graph.Graph {
 	core := gen.RandomWeights(gen.ConnectedGNP(c, 0.3, seed), 1, 32, seed+1)
 	g := graph.New(n)
@@ -101,13 +101,17 @@ func TestMDSTailActivityShrinks(t *testing.T) {
 
 // TestActivityCurveIdenticalAcrossModes pins the determinism of the
 // activity profile for a real algorithm: the per-round curve is
-// bit-identical under the barrier, event, and step schedulers.
+// bit-identical whether the run steps serially, with the default step
+// width, or sharded across three workers.
 func TestActivityCurveIdenticalAcrossModes(t *testing.T) {
 	g := tailInstance(32, 96, 7)
-	modes := []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep}
-	curves := make([][]dist.RoundActivity, len(modes))
-	for i, mode := range modes {
-		res, err := TwoSpanner(g, Options{Seed: 3, ExecMode: mode, RoundHook: func(a dist.RoundActivity) {
+	configs := []struct {
+		name   string
+		shards int
+	}{{"in-process", 0}, {"3 shards", 3}}
+	curves := make([][]dist.RoundActivity, len(configs))
+	for i, cfg := range configs {
+		res, err := TwoSpanner(g, Options{Seed: 3, Shards: cfg.shards, RoundHook: func(a dist.RoundActivity) {
 			curves[i] = append(curves[i], a)
 		}})
 		if err != nil {
@@ -117,14 +121,14 @@ func TestActivityCurveIdenticalAcrossModes(t *testing.T) {
 			t.Fatal("expected parking on the tail instance")
 		}
 	}
-	for i := 1; i < len(modes); i++ {
+	for i := 1; i < len(configs); i++ {
 		if len(curves[0]) != len(curves[i]) {
-			t.Fatalf("curve lengths differ: %v %d vs %v %d", modes[0], len(curves[0]), modes[i], len(curves[i]))
+			t.Fatalf("curve lengths differ: %s %d vs %s %d", configs[0].name, len(curves[0]), configs[i].name, len(curves[i]))
 		}
 		for r := range curves[0] {
 			if curves[0][r] != curves[i][r] {
-				t.Fatalf("round %d activity differs between %v and %v: %+v vs %+v",
-					r+1, modes[0], modes[i], curves[0][r], curves[i][r])
+				t.Fatalf("round %d activity differs between %s and %s: %+v vs %+v",
+					r+1, configs[0].name, configs[i].name, curves[0][r], curves[i][r])
 			}
 		}
 	}

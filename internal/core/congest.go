@@ -262,10 +262,9 @@ type congestStream struct {
 // congestMachine nests the logical protocol machine inside the physical
 // one: each inner yield opens a logical window of exactly sub physical
 // rounds over which the queued payloads stream out as chunk records while
-// the peers' chunks accumulate for reassembly. It is the state-machine
-// form of the retired blocking adapter (one logical round = sub physical
-// NextRound calls), stepping the inner machine only at window boundaries
-// so the network stays on the same physical round grid in every mode.
+// the peers' chunks accumulate for reassembly (one logical round = sub
+// physical yields), stepping the inner machine only at window boundaries
+// so every vertex stays on the same physical round grid.
 type congestMachine struct {
 	cc       *congestCtx
 	inner    dist.Machine
@@ -304,7 +303,7 @@ func (m *congestMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 }
 
 // advance hands one logical inbox to the inner machine and translates its
-// blocking decision into the physical one.
+// scheduling decision into the physical one.
 func (m *congestMachine) advance(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 	switch m.inner.Step(c, in) {
 	case dist.StepDone:
@@ -314,7 +313,7 @@ func (m *congestMachine) advance(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 		return dist.StepDone
 	case dist.StepPark:
 		if len(m.cc.out) != 0 {
-			panic("core: congest Recv with queued sends (park only when silent)")
+			panic("core: congest park with queued sends (park only when silent)")
 		}
 		m.state = cmParked
 		return dist.StepPark

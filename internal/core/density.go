@@ -26,9 +26,9 @@
 //
 //   - active: the vertex owes a delta or is a candidate and runs the full
 //     iteration;
-//   - parked: nothing to send and no candidacy — the vertex blocks in
-//     dist.Ctx.Recv and is woken only by deliveries, whose payload types
-//     identify the iteration phase it rejoins;
+//   - parked: nothing to send and no candidacy — the vertex parks
+//     (dist.StepPark) and is woken only by deliveries, whose payload
+//     types identify the iteration phase it rejoins;
 //   - terminal: the paper's 2-hop termination rule fired — the vertex
 //     direct-adds its remaining uncovered edges, announces a termMsg that
 //     doubles as a death notice (peers prune it from folds and broadcast

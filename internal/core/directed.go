@@ -13,7 +13,7 @@ import (
 // spanner problems), so directionality is data, not topology. Like the
 // undirected protocol, state announcements are deltas accumulated by the
 // receivers, and each phase has a distinguishable record tag, so idle
-// vertices park in Recv and re-identify the phase on wake-up.
+// vertices park and re-identify the phase on wake-up.
 
 // dirSpanListMsg announces the sender's newly added outgoing spanner
 // edges: an entry w means (sender, w) joined the spanner. Out-lists alone

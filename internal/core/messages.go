@@ -17,7 +17,7 @@ import "distspanner/internal/dist"
 // State announcements are deltas: receivers accumulate them into
 // persistent per-neighbor state, so a vertex whose state did not change
 // sends nothing and a parked vertex receives nothing. Each phase has a
-// distinct record tag — that is how a vertex woken from Recv re-identifies
+// distinct record tag — that is how a vertex woken from parking re-identifies
 // the current phase (see classifyUndirected / classifyDirected).
 
 // Record tags. Tags within one protocol's phases are disjoint; the tag is

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"distspanner/internal/dist"
 	"distspanner/internal/gen"
 	"distspanner/internal/graph"
 	"distspanner/internal/span"
@@ -38,11 +37,10 @@ func hubRing(n, spacing, span int) *graph.Graph {
 	return g
 }
 
-// TestTwoSpannerMillionVertexStep is the scale contract of the
-// goroutine-free step engine: a full two-spanner run at n = 1,000,000 on
-// one box. The blocking engines cannot touch this size (a million
-// goroutine stacks); the step engine holds one small machine struct per
-// vertex and scans the active set. Skipped under -short, and on machines
+// TestTwoSpannerMillionVertexStep is the scale contract of the step
+// engine: a full two-spanner run at n = 1,000,000 on one box. The engine
+// holds one small machine struct per vertex (no goroutine stack) and
+// scans the active set. Skipped under -short, and on machines
 // where the process may use less than scaleTestMemory — CI's full test job
 // runs it.
 func TestTwoSpannerMillionVertexStep(t *testing.T) {
@@ -58,7 +56,7 @@ func TestTwoSpannerMillionVertexStep(t *testing.T) {
 	}
 	const n = 1_000_000
 	g := hubRing(n, 2048, 256)
-	res, err := TwoSpanner(g, Options{Seed: 6, ExecMode: dist.ModeStep})
+	res, err := TwoSpanner(g, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,42 +97,37 @@ func usableMemory() (bytes uint64, source string, ok bool) {
 	return 0, "", false
 }
 
-// TestCrossModeByteEqualityLarge extends the cross-mode transcript
-// contract to the largest size the blocking engines share with the step
-// engine's scale range: at n = 4096 (the EventThreshold boundary) all
-// three modes must produce byte-identical outputs, rounds, and message
+// TestCrossModeByteEqualityLarge extends the execution-path transcript
+// contract to n = 4096: the in-process run and a run sharded across two
+// workers must produce byte-identical outputs, rounds, and message
 // counts on both the busy G(n, 8/n) workload and the ring+chords
 // scale-test family.
 func TestCrossModeByteEqualityLarge(t *testing.T) {
 	if testing.Short() {
-		t.Skip("n=4096 cross-mode equality skipped in -short mode")
+		t.Skip("n=4096 in-process vs sharded equality skipped in -short mode")
 	}
 	const n = 4096
 	graphs := map[string]*graph.Graph{
 		"gnp":        gen.ConnectedGNP(n, 8.0/float64(n), 1),
 		"ringchords": ringChords(n),
 	}
-	modes := []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep}
 	for name, g := range graphs {
-		base, err := TwoSpanner(g, Options{Seed: 11, ExecMode: modes[0]})
+		base, err := TwoSpanner(g, Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range modes[1:] {
-			res, err := TwoSpanner(g, Options{Seed: 11, ExecMode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !base.Spanner.Equal(res.Spanner) {
-				t.Fatalf("%s: spanner differs between %v and %v", name, modes[0], mode)
-			}
-			if base.Stats != res.Stats {
-				t.Fatalf("%s: stats differ between %v and %v:\n%+v\n%+v",
-					name, modes[0], mode, base.Stats, res.Stats)
-			}
-			if base.Iterations != res.Iterations || base.Cost != res.Cost {
-				t.Fatalf("%s: telemetry differs between %v and %v", name, modes[0], mode)
-			}
+		res, err := TwoSpanner(g, Options{Seed: 11, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !base.Spanner.Equal(res.Spanner) {
+			t.Fatalf("%s: spanner differs between the in-process and sharded runs", name)
+		}
+		if base.Stats != res.Stats {
+			t.Fatalf("%s: stats differ:\nin-process: %+v\nsharded:    %+v", name, base.Stats, res.Stats)
+		}
+		if base.Iterations != res.Iterations || base.Cost != res.Cost {
+			t.Fatalf("%s: telemetry differs between the in-process and sharded runs", name)
 		}
 	}
 }

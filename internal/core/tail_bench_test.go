@@ -11,10 +11,9 @@ import (
 
 // Real-algorithm tail benchmarks: the spanner/MDS runs whose late rounds
 // leave most vertices parked or retired — the regime the activity-aware
-// ports (Recv-parking, delta messaging) target, measured head-to-head
-// across the two scheduling modes. Custom metrics report rounds/sec plus
-// the per-round activity means, so the bench artifact records the
-// activity profile alongside the throughput trajectory.
+// ports (parking, delta messaging) target. Custom metrics report
+// rounds/sec plus the per-round activity means, so the bench artifact
+// records the activity profile alongside the throughput trajectory.
 
 // reportTail attaches the shared tail metrics.
 func reportTail(b *testing.B, s dist.Stats) {
@@ -25,25 +24,34 @@ func reportTail(b *testing.B, s dist.Stats) {
 	}
 }
 
+// benchRun times run b.N times and reports the last run's tail metrics.
+func benchRun(b *testing.B, run func() (dist.Stats, error)) {
+	var stats dist.Stats
+	for i := 0; i < b.N; i++ {
+		s, err := run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats = s
+	}
+	b.StopTimer()
+	reportTail(b, stats)
+}
+
 // BenchmarkTwoSpannerTail runs the weighted 2-spanner on a core+fringe
-// instance at n >= 4096 under both schedulers.
+// instance at n >= 4096.
 func BenchmarkTwoSpannerTail(b *testing.B) {
 	for _, n := range []int{4096, 8192} {
 		g := tailInstance(512, n, 3)
-		for _, mode := range []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				var stats dist.Stats
-				for i := 0; i < b.N; i++ {
-					res, err := TwoSpanner(g, Options{Seed: 1, ExecMode: mode})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = res.Stats
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchRun(b, func() (dist.Stats, error) {
+				res, err := TwoSpanner(g, Options{Seed: 1})
+				if err != nil {
+					return dist.Stats{}, err
 				}
-				b.StopTimer()
-				reportTail(b, stats)
+				return res.Stats, nil
 			})
-		}
+		})
 	}
 }
 
@@ -54,20 +62,15 @@ func BenchmarkTwoSpannerTail(b *testing.B) {
 // profile, not the instance size, is the point.
 func BenchmarkTwoSpannerDeepTail(b *testing.B) {
 	g := tailInstance(96, 1024, 3)
-	for _, mode := range []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep} {
-		b.Run(fmt.Sprintf("n=%d/mode=%s", g.N(), mode), func(b *testing.B) {
-			var stats dist.Stats
-			for i := 0; i < b.N; i++ {
-				res, err := TwoSpanner(g, Options{Seed: 1, ExecMode: mode, NoRounding: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = res.Stats
+	b.Run(fmt.Sprintf("n=%d", g.N()), func(b *testing.B) {
+		benchRun(b, func() (dist.Stats, error) {
+			res, err := TwoSpanner(g, Options{Seed: 1, NoRounding: true})
+			if err != nil {
+				return dist.Stats{}, err
 			}
-			b.StopTimer()
-			reportTail(b, stats)
+			return res.Stats, nil
 		})
-	}
+	})
 }
 
 // BenchmarkTwoSpannerBusy is the tail-less counterweight to the tail
@@ -79,20 +82,15 @@ func BenchmarkTwoSpannerDeepTail(b *testing.B) {
 func BenchmarkTwoSpannerBusy(b *testing.B) {
 	for _, n := range []int{4096, 8192} {
 		g := gen.ConnectedGNP(n, 8.0/float64(n), 1)
-		for _, mode := range []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				var stats dist.Stats
-				for i := 0; i < b.N; i++ {
-					res, err := TwoSpanner(g, Options{Seed: 1, ExecMode: mode})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = res.Stats
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchRun(b, func() (dist.Stats, error) {
+				res, err := TwoSpanner(g, Options{Seed: 1})
+				if err != nil {
+					return dist.Stats{}, err
 				}
-				b.StopTimer()
-				reportTail(b, stats)
+				return res.Stats, nil
 			})
-		}
+		})
 	}
 }
 
@@ -101,19 +99,14 @@ func BenchmarkTwoSpannerBusy(b *testing.B) {
 func BenchmarkMDSTail(b *testing.B) {
 	for _, n := range []int{4096, 8192} {
 		g := gen.ConnectedGNP(n, 8.0/float64(n), 1)
-		for _, mode := range []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				var stats dist.Stats
-				for i := 0; i < b.N; i++ {
-					res, err := mds.Run(g, mds.Options{Seed: 1, ExecMode: mode})
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = res.Stats
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchRun(b, func() (dist.Stats, error) {
+				res, err := mds.Run(g, mds.Options{Seed: 1})
+				if err != nil {
+					return dist.Stats{}, err
 				}
-				b.StopTimer()
-				reportTail(b, stats)
+				return res.Stats, nil
 			})
-		}
+		})
 	}
 }

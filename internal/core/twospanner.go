@@ -18,11 +18,9 @@ type Options struct {
 	Seed int64
 	// MaxRounds aborts runaway executions; zero uses the engine default.
 	MaxRounds int
-	// ExecMode selects the engine's scheduling strategy (barrier, event,
-	// or the goroutine-free step engine); the zero value resolves to
-	// dist.ModeStep — the algorithms are state machines, which the step
-	// engine runs with no per-vertex goroutine. Results are identical in
-	// every mode — only wall-clock cost differs.
+	// ExecMode is passed to dist.Config.Mode: ModeAuto (the zero value)
+	// and ModeStep both run the step engine, the only scheduler, and any
+	// other value is an error. It is kept for source compatibility.
 	ExecMode dist.Mode
 	// RoundHook, when non-nil, receives the engine's per-round activity
 	// snapshots (see dist.Config.OnRound) — the activity curve of the run.
@@ -37,8 +35,7 @@ type Options struct {
 	Tracer dist.Tracer
 	// Shards, when positive, runs the protocol distributed across that
 	// many shard workers over an in-process transport (see
-	// dist.Config.Shards). Results are bit-identical to Shards == 0 with
-	// the step engine; ExecMode must be ModeAuto or ModeStep.
+	// dist.Config.Shards). Results are bit-identical to Shards == 0.
 	Shards int
 
 	// VoteDenominator is an ablation knob for the acceptance rule: a
@@ -299,9 +296,9 @@ func runUndirected(g *graph.Graph, v variant, opts Options) (*Result, error) {
 // roundCtx is the per-vertex network surface the protocol needs: vertex
 // identity plus the record send primitive. It is satisfied by *dist.Ctx
 // (the LOCAL implementation) and by *congestCtx (the fragmenting CONGEST
-// adapter of Section 1.3's discussion). The protocols never block on it —
-// they are PhasedPrograms whose round boundaries the engine drives — so
-// the blocking receive primitives live outside this interface.
+// adapter of Section 1.3's discussion). The protocols only send on it —
+// they are PhasedPrograms whose round boundaries the engine drives, and
+// their inboxes arrive as StepIn.
 type roundCtx interface {
 	ID() int
 	N() int
@@ -312,7 +309,7 @@ type roundCtx interface {
 
 // uPhase indexes the seven rounds of one iteration of the undirected
 // protocol. Each phase has disjoint record tags, which is how a vertex
-// woken from Recv re-identifies the network's current phase.
+// woken from parking re-identifies the network's current phase.
 type uPhase int
 
 const (
@@ -563,7 +560,7 @@ func (nd *undirectedNode) bcast(r dist.Rec, bits int) {
 
 // parkable reports whether this vertex owes the network nothing in the
 // coming iteration: no pending deltas, every fold clean, and no
-// candidacy. Such a vertex parks in Recv; any input that could change its
+// candidacy. Such a vertex parks; any input that could change its
 // answers arrives as a delivery and wakes it into the right phase.
 func (nd *undirectedNode) parkable() bool {
 	if len(nd.pendingSpan) > 0 || nd.viewDirty || nd.hopDirty || nd.m2Dirty {
@@ -630,7 +627,7 @@ func (nd *undirectedNode) Terminal() { nd.emitOutput() }
 // Quiesce implements dist.PhasedProgram.
 func (nd *undirectedNode) Quiesce() { nd.finalizeQuiesced() }
 
-// finalizeQuiesced handles the quiescence release (Recv ok=false): no
+// finalizeQuiesced handles the quiescence release (StepIn.Quiesced): no
 // future round can cover anything, so the remaining uncovered incident
 // target edges are added directly — the same direct-add the paper's
 // termination step performs — and the vertex outputs and halts. With the

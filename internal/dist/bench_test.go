@@ -7,29 +7,23 @@ import (
 	"distspanner/internal/graph"
 )
 
-// The execution-mode yardsticks for perf work, comparing the barrier
-// engine, the event-driven scheduler, and (where the protocol is a state
-// machine) the goroutine-free step engine across network sizes and
-// activity fractions:
+// The engine yardsticks for perf work:
 //
-//   - BenchmarkGoroutinePerVertex / BenchmarkWorkerPool / BenchmarkEventBusy:
-//     fully-busy gossip (every vertex broadcasts every round) — the
-//     worst case for the event scheduler, whose hand-off then touches
-//     every vertex anyway.
-//   - BenchmarkQuietRounds: one driver vertex, everyone else parked in
-//     Recv — the regime the spanner algorithms' tails live in, and the
-//     workload the event scheduler exists for.
-//   - BenchmarkSparseActivity: a tunable fraction of active vertices,
-//     mapping the crossover between those extremes.
+//   - BenchmarkMachineBusy: fully-busy record gossip (every vertex
+//     broadcasts every round) across network sizes.
+//   - BenchmarkTraceOverheadBusy / BenchmarkTraceOverheadQuiet: the same
+//     busy gossip, and a quiet run (one driver, everyone else parked),
+//     each with no tracer and with a tracer that drops every call — the
+//     pair that keeps the nil-tracer path free.
 //
 // All variants assert the protocol ran the expected number of rounds, so
 // a scheduling bug cannot masquerade as a speedup.
 
 const benchRounds = 16
 
-// quietBenchRounds is deliberately larger: the quiet-round benchmarks
-// measure the steady-state cost of a round, so the per-run fixed cost of
-// spawning n vertex goroutines has to be amortized away.
+// quietBenchRounds is deliberately larger: the quiet benchmark measures
+// the steady-state cost of a round, so the per-run fixed cost of
+// building n machines has to be amortized away.
 const quietBenchRounds = 256
 
 // benchGraph is a ring with chords: degree 4, deterministic, cheap to
@@ -45,192 +39,8 @@ func benchGraph(n int) *graph.Graph {
 	return g
 }
 
-func benchProc(ctx *Ctx) {
-	for r := 0; r < benchRounds; r++ {
-		ctx.Broadcast(blob{val: r, size: 32})
-		for _, m := range ctx.NextRound() {
-			_ = m.Payload.(blob).val
-		}
-	}
-}
-
-// benchProcRec is benchProc on the flat-buffer record path: identical
-// traffic shape and metering, no boxed payloads. The boxed/record
-// benchmark pairs (…Busy vs …BusyRec) are the engine-level before/after
-// yardstick of the typed inbox in the CI bench artifact.
-func benchProcRec(ctx *Ctx) {
-	for r := 0; r < benchRounds; r++ {
-		ctx.BroadcastRec(Rec{Tag: 1, A: int64(r)}, 32)
-		for i := range ctx.NextRoundRecs() {
-			_ = i
-		}
-	}
-}
-
-func runEngineBenchmark(b *testing.B, n, workers int, mode Mode, proc func(*Ctx)) {
-	g := benchGraph(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats, err := Run(Config{Graph: g, Seed: 1, Workers: workers, Mode: mode}, proc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Rounds != benchRounds {
-			b.Fatalf("rounds = %d", stats.Rounds)
-		}
-	}
-	b.StopTimer()
-	roundsPerSec := float64(benchRounds) * float64(b.N) / b.Elapsed().Seconds()
-	b.ReportMetric(roundsPerSec, "rounds/sec")
-}
-
-// quietProc is the sparse-activity extreme: vertex 0 drives the run,
-// pinging one neighbor every round; every other vertex parks in Recv and
-// is released by quiescence. Under the event scheduler a quiet round
-// wakes two vertices instead of n.
-func quietProc(ctx *Ctx) {
-	if ctx.ID() == 0 {
-		for r := 0; r < quietBenchRounds; r++ {
-			ctx.Send(ctx.Neighbors()[0], blob{val: r, size: 32})
-			ctx.NextRound()
-		}
-		return
-	}
-	for {
-		msgs, ok := ctx.Recv()
-		if !ok {
-			return
-		}
-		for _, m := range msgs {
-			_ = m.Payload.(blob).val
-		}
-	}
-}
-
-func BenchmarkQuietRounds(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		for _, mode := range []Mode{ModeBarrier, ModeEvent} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				g := benchGraph(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					stats, err := Run(Config{Graph: g, Seed: 1, Mode: mode}, quietProc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if stats.Rounds != quietBenchRounds {
-						b.Fatalf("rounds = %d", stats.Rounds)
-					}
-				}
-				b.StopTimer()
-				roundsPerSec := float64(quietBenchRounds) * float64(b.N) / b.Elapsed().Seconds()
-				b.ReportMetric(roundsPerSec, "rounds/sec")
-			})
-		}
-	}
-}
-
-// sparseProc activates the first activeCount vertices (send + NextRound
-// every round); the rest park in Recv. Actives near the boundary wake a
-// couple of parked vertices per round, as real protocol frontiers do.
-func sparseProc(activeCount int) func(*Ctx) {
-	return func(ctx *Ctx) {
-		if ctx.ID() < activeCount {
-			for r := 0; r < quietBenchRounds; r++ {
-				ctx.Send(ctx.Neighbors()[0], blob{val: r, size: 32})
-				for _, m := range ctx.NextRound() {
-					_ = m.Payload.(blob).val
-				}
-			}
-			return
-		}
-		for {
-			msgs, ok := ctx.Recv()
-			if !ok {
-				return
-			}
-			for _, m := range msgs {
-				_ = m.Payload.(blob).val
-			}
-		}
-	}
-}
-
-func BenchmarkSparseActivity(b *testing.B) {
-	for _, n := range []int{2048, 16384} {
-		for _, pct := range []int{1, 10, 50} {
-			active := n * pct / 100
-			for _, mode := range []Mode{ModeBarrier, ModeEvent} {
-				b.Run(fmt.Sprintf("n=%d/active=%d%%/mode=%s", n, pct, mode), func(b *testing.B) {
-					g := benchGraph(n)
-					proc := sparseProc(active)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						stats, err := Run(Config{Graph: g, Seed: 1, Mode: mode}, proc)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if stats.Rounds != quietBenchRounds {
-							b.Fatalf("rounds = %d", stats.Rounds)
-						}
-					}
-					b.StopTimer()
-					roundsPerSec := float64(quietBenchRounds) * float64(b.N) / b.Elapsed().Seconds()
-					b.ReportMetric(roundsPerSec, "rounds/sec")
-				})
-			}
-		}
-	}
-}
-
-func BenchmarkGoroutinePerVertex(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, -1, ModeBarrier, benchProc)
-		})
-	}
-}
-
-func BenchmarkWorkerPool(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, 0, ModeBarrier, benchProc) // auto: pool above PoolThreshold
-		})
-	}
-}
-
-func BenchmarkEventBusy(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, 0, ModeEvent, benchProc)
-		})
-	}
-}
-
-// The record-path twins: same fully-busy gossip through the flat-buffer
-// inbox. Comparing …Busy to …BusyRec in the bench artifact isolates what
-// the typed path saves over boxed payloads at identical traffic.
-func BenchmarkBarrierBusyRec(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, 0, ModeBarrier, benchProcRec)
-		})
-	}
-}
-
-func BenchmarkEventBusyRec(b *testing.B) {
-	for _, n := range []int{256, 2048, 16384} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			runEngineBenchmark(b, n, 0, ModeEvent, benchProcRec)
-		})
-	}
-}
-
-// benchMachine is benchProcRec as a state machine: the same fully-busy
-// record gossip, stepped instead of blocked. Running it under all three
-// modes isolates what the goroutine-free step engine saves over
-// goroutine hand-off at identical traffic — the engine-level yardstick
-// for ModeStep.
+// benchMachine is the fully-busy record gossip: every vertex broadcasts
+// one record per round for benchRounds rounds.
 type benchMachine struct{ round int }
 
 func (m *benchMachine) Step(ctx *Ctx, in StepIn) StepStatus {
@@ -247,26 +57,55 @@ func (m *benchMachine) Step(ctx *Ctx, in StepIn) StepStatus {
 	return StepYield
 }
 
+// quietMachine is the sparse-activity extreme: vertex 0 drives the run,
+// pinging one neighbor every round; every other vertex parks and is
+// released by quiescence. A quiet round steps two vertices instead of n.
+type quietMachine struct{ round int }
+
+func (m *quietMachine) Step(ctx *Ctx, in StepIn) StepStatus {
+	if ctx.ID() != 0 {
+		if in.Quiesced {
+			return StepDone
+		}
+		for i := range in.Recs {
+			_ = in.Recs[i].A
+		}
+		return StepPark
+	}
+	if m.round == quietBenchRounds {
+		return StepDone
+	}
+	ctx.SendRec(ctx.Neighbors()[0], Rec{Tag: 1, A: int64(m.round)}, 32)
+	m.round++
+	return StepYield
+}
+
+// runMachineBenchmark runs the machines on benchGraph(n) b.N times,
+// checks the round count, and reports rounds/sec.
+func runMachineBenchmark(b *testing.B, n, rounds int, tr Tracer, factory func(*Ctx) Machine) {
+	g := benchGraph(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := RunMachines(Config{Graph: g, Seed: 1, Tracer: tr}, factory)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Rounds != rounds {
+			b.Fatalf("rounds = %d", stats.Rounds)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+}
+
+func newBenchMachine(*Ctx) Machine { return &benchMachine{} }
+func newQuietMachine(*Ctx) Machine { return &quietMachine{} }
+
 func BenchmarkMachineBusy(b *testing.B) {
 	for _, n := range []int{256, 2048, 16384} {
-		for _, mode := range []Mode{ModeBarrier, ModeEvent, ModeStep} {
-			b.Run(fmt.Sprintf("n=%d/mode=%s", n, mode), func(b *testing.B) {
-				g := benchGraph(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					stats, err := RunMachines(Config{Graph: g, Seed: 1, Mode: mode},
-						func(*Ctx) Machine { return &benchMachine{} })
-					if err != nil {
-						b.Fatal(err)
-					}
-					if stats.Rounds != benchRounds {
-						b.Fatalf("rounds = %d", stats.Rounds)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(benchRounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			runMachineBenchmark(b, n, benchRounds, nil, newBenchMachine)
+		})
 	}
 }
 
@@ -279,31 +118,22 @@ func (nullTracer) Event(TraceEvent)      {}
 func (nullTracer) Phase(RoundActivity)   {}
 func (nullTracer) RoundTime(RoundTiming) {}
 
+// tracerVariants are the two sides of a trace-overhead pair: tracer=off
+// is the nil-Tracer disabled path the benchgate guards against
+// regressing; tracer=null isolates what enabling the hooks costs on top.
+var tracerVariants = []struct {
+	name string
+	tr   Tracer
+}{{"off", nil}, {"null", nullTracer{}}}
+
 // BenchmarkTraceOverheadBusy pairs untraced and traced runs of the
 // fully-busy record gossip — the most events per round, hence the
-// tracing worst case. tracer=off is the nil-Tracer disabled path the
-// benchgate guards against regressing; tracer=null isolates what
-// enabling the hooks costs on top.
+// tracing worst case.
 func BenchmarkTraceOverheadBusy(b *testing.B) {
 	for _, n := range []int{256, 2048} {
-		for _, v := range []struct {
-			name string
-			tr   Tracer
-		}{{"off", nil}, {"null", nullTracer{}}} {
+		for _, v := range tracerVariants {
 			b.Run(fmt.Sprintf("n=%d/tracer=%s", n, v.name), func(b *testing.B) {
-				g := benchGraph(n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					stats, err := Run(Config{Graph: g, Seed: 1, Mode: ModeBarrier, Tracer: v.tr}, benchProcRec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if stats.Rounds != benchRounds {
-						b.Fatalf("rounds = %d", stats.Rounds)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(benchRounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+				runMachineBenchmark(b, n, benchRounds, v.tr, newBenchMachine)
 			})
 		}
 	}
@@ -313,24 +143,9 @@ func BenchmarkTraceOverheadBusy(b *testing.B) {
 // one driver, everyone parked — where per-round fixed costs (the
 // timestamp reads and Phase emission) dominate over per-event costs.
 func BenchmarkTraceOverheadQuiet(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		tr   Tracer
-	}{{"off", nil}, {"null", nullTracer{}}} {
+	for _, v := range tracerVariants {
 		b.Run(fmt.Sprintf("n=2048/tracer=%s", v.name), func(b *testing.B) {
-			g := benchGraph(2048)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err := Run(Config{Graph: g, Seed: 1, Mode: ModeEvent, Tracer: v.tr}, quietProc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Rounds != quietBenchRounds {
-					b.Fatalf("rounds = %d", stats.Rounds)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(quietBenchRounds)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+			runMachineBenchmark(b, 2048, quietBenchRounds, v.tr, newQuietMachine)
 		})
 	}
 }

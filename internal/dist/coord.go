@@ -16,7 +16,7 @@ import (
 // OnRound hook, Phase snapshots). Everything per-vertex stays on the
 // workers. The decisions are taken in runStep's exact order with
 // runStep's exact error formats, which is what makes a distributed run
-// indistinguishable from an in-process ModeStep run: same Stats, same
+// indistinguishable from an in-process run: same Stats, same
 // per-vertex trace digests, same errors.
 
 // ShardError is a worker-side failure (machine panic, boxed send,
@@ -361,14 +361,8 @@ protocol:
 // runSharded is RunMachines' Config.Shards path: the same machines, run
 // distributed over an in-process channel transport — Coordinate on the
 // calling goroutine, one ServeShard goroutine per shard, all sharing the
-// caller's factory through a resolver closure.
+// caller's factory through a resolver closure. cfg is already validated.
 func runSharded(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
-	if cfg.Graph == nil {
-		return nil, errors.New("dist: Config.Graph is nil")
-	}
-	if cfg.Mode != ModeAuto && cfg.Mode != ModeStep {
-		return nil, errors.New("dist: Config.Shards runs the step engine: Mode must be ModeAuto or ModeStep")
-	}
 	resolver := func(string, *graph.Graph, int64) (ShardProgram, error) {
 		return ShardProgram{Factory: factory}, nil
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Ctx is the per-vertex surface of the engine: identity, topology access,
-// a private deterministic RNG, and the send/receive primitives. Exactly
-// one goroutine (the vertex's own) may use a Ctx.
+// a private deterministic RNG, and the send primitives. Only the vertex's
+// own machine uses its Ctx, from inside Step.
 type Ctx struct {
 	eng  *engine
 	id   int
@@ -16,18 +16,16 @@ type Ctx struct {
 	rng  *rand.Rand // lazily built on first Rand call
 	seed int64      // run seed, for the lazy RNG derivation
 
-	inbox    []Message     // delivered boxed payloads of the completed round
-	outbox   []outMsg      // queued boxed sends of the current round
-	edgeBits []int         // routing scratch, parallel to nbrs
-	touched  []int         // edgeBits indices written this round (routing scratch)
-	done     bool          // proc returned
-	parked   bool          // blocked in Recv awaiting a delivery
-	holding  bool          // occupies a worker-pool slot
-	wake     chan wakeKind // event mode: scheduler -> vertex hand-off
+	inbox    []Message // delivered boxed payloads of the completed round
+	outbox   []outMsg  // queued boxed sends of the current round
+	edgeBits []int     // routing scratch, parallel to nbrs
+	touched  []int     // edgeBits indices written this round (routing scratch)
+	done     bool      // machine retired
+	parked   bool      // parked awaiting a delivery
 
 	// Flat-buffer record arenas (see rec.go). The in arenas are written by
-	// the router while the vertex is blocked and drained by takeRecs; the
-	// out arenas hold queued record sends with their packed int tails.
+	// the router between steps and drained by takeRecs; the out arenas
+	// hold queued record sends with their packed int tails.
 	inRecs     []InRec
 	inInts     []int
 	outRecs    []outRec
@@ -40,7 +38,7 @@ func newCtx(e *engine, id int, seed int64) *Ctx {
 	// The RNG state (~5KB, seeded with hundreds of multiplications) and
 	// the metering scratch are built lazily on first use: a vertex that
 	// never draws randomness or sends costs O(degree) to set up, which is
-	// what keeps Run's fixed cost low on huge, mostly-quiet networks.
+	// what keeps a run's fixed cost low on huge, mostly-quiet networks.
 	return &Ctx{
 		eng:  e,
 		id:   id,
@@ -84,12 +82,12 @@ func (c *Ctx) Rand() *rand.Rand {
 }
 
 // Send queues p for delivery to the neighbor to at the next round
-// boundary. Sends are committed by the sender's next block (NextRound or
-// Recv) — or, for sends still queued when the procedure returns, by the
-// retirement itself: a vertex's last words ride the round in flight, and
-// when they could only reach already-retired peers they are metered and
-// dropped without charging a round. Sending to a non-neighbor (or to
-// yourself) panics: the model only has channels along graph edges.
+// boundary. Sends are committed when the step that queued them returns —
+// including a retiring step (StepDone): a vertex's last words ride the
+// round in flight, and when they could only reach already-retired peers
+// they are metered and dropped without charging a round. Sending to a
+// non-neighbor (or to yourself) panics: the model only has channels along
+// graph edges.
 func (c *Ctx) Send(to int, p Payload) {
 	c.nbrIndex(to) // validates
 	c.ensureScratch()
@@ -115,66 +113,6 @@ func (c *Ctx) ensureScratch() {
 	}
 }
 
-// NextRound ends this vertex's current round: all queued sends are
-// committed, the vertex blocks until the round completes, and the
-// messages addressed to it in the completed round are returned, sorted by
-// sender id (ties in send order). Calling NextRound is an explicit
-// self-wakeup: the vertex is active in the next round whether or not
-// anyone wrote to it. After the network has quiesced (see Recv), rounds
-// no longer advance and NextRound returns nil immediately.
-func (c *Ctx) NextRound() []Message {
-	c.blockStep()
-	return c.takeMessages()
-}
-
-// blockStep is the shared blocking body of NextRound and NextRoundRecs:
-// commit sends, end the step, resume when the round has completed (or the
-// network has quiesced).
-func (c *Ctx) blockStep() {
-	switch c.eng.mode {
-	case ModeEvent:
-		c.eng.eventYield(c)
-	case ModeStep:
-		panic("dist: blocking call (NextRound/Recv) inside a state-machine step: return StepYield/StepPark instead")
-	default:
-		c.eng.barrier(c)
-	}
-}
-
-// blockRecv is the shared blocking body of Recv and RecvRecs: commit
-// sends, park until a delivery (true) or quiescence (false).
-func (c *Ctx) blockRecv() bool {
-	switch c.eng.mode {
-	case ModeEvent:
-		return c.eng.eventPark(c)
-	case ModeStep:
-		panic("dist: blocking call (NextRound/Recv) inside a state-machine step: return StepYield/StepPark instead")
-	default:
-		return c.eng.park(c)
-	}
-}
-
-// Recv commits all queued sends like NextRound, then parks the vertex: it
-// sleeps through every round in which it receives nothing and wakes in
-// the first round that delivers at least one message, returning that
-// round's inbox (sorted by sender id) and ok=true. A parked vertex costs
-// the event-driven scheduler zero wakeups per quiet round, which is what
-// makes sparse-activity protocols cheap — prefer Recv over a NextRound
-// loop whenever a vertex is idle until contacted.
-//
-// If the whole network goes permanently silent — every live vertex parked
-// in Recv and no messages in flight — no future round could wake anyone:
-// the run has quiesced. Recv then returns (nil, false), and the procedure
-// should finalize and return. Quiescence is deterministic (it happens at
-// the same round in every mode) and is the idiomatic way to terminate
-// protocols whose vertices do not know their own last round.
-func (c *Ctx) Recv() ([]Message, bool) {
-	if !c.blockRecv() {
-		return nil, false
-	}
-	return c.takeMessages(), true
-}
-
 // nbrIndex returns to's position in the sorted neighbor list, panicking
 // when to is not a neighbor.
 func (c *Ctx) nbrIndex(to int) int {
@@ -183,21 +121,4 @@ func (c *Ctx) nbrIndex(to int) int {
 		panic(fmt.Sprintf("dist: vertex %d cannot send to %d: not a neighbor", c.id, to))
 	}
 	return i
-}
-
-// acquire takes a worker-pool slot before executing a step; a no-op in
-// goroutine-per-vertex mode.
-func (c *Ctx) acquire() {
-	if c.eng.sem != nil {
-		c.eng.sem <- struct{}{}
-		c.holding = true
-	}
-}
-
-// release returns the slot while blocked at a barrier (or retired).
-func (c *Ctx) release() {
-	if c.holding {
-		<-c.eng.sem
-		c.holding = false
-	}
 }

@@ -4,22 +4,21 @@
 // rounds, in each round every vertex sends payloads to neighbors, and all
 // payloads sent in round r are delivered at the start of round r+1.
 //
-// A protocol is expressed either as a blocking procedure that every
-// vertex executes on its own goroutine (Run) or as an explicit state
-// machine stepped by the engine (RunMachines, see Machine). The engine
-// meters every payload's Bits() size, so the same protocol can be
-// classified as LOCAL (unbounded messages) or CONGEST (O(log n) bits per
-// edge per round) from its measured Stats — and with Config.Enforce set,
-// exceeding the bandwidth budget is a runtime error, making CONGEST
-// legality a checked property rather than an assumption.
+// A protocol is one explicit state machine per vertex (see Machine),
+// executed by RunMachines. The engine meters every payload's Bits() size,
+// so the same protocol can be classified as LOCAL (unbounded messages) or
+// CONGEST (O(log n) bits per edge per round) from its measured Stats —
+// and with Config.Enforce set, exceeding the bandwidth budget is a
+// runtime error, making CONGEST legality a checked property rather than
+// an assumption.
 //
 // # Accounting model
 //
 //   - A "round" is one synchronous boundary: it completes when every
-//     live vertex has either committed its step (Ctx.NextRound), parked
-//     (Ctx.Recv), or retired. Stats.Rounds counts completed rounds; for
-//     protocols that only use NextRound this equals the maximum number of
-//     NextRound calls made by any vertex.
+//     live vertex has either yielded (StepYield), parked (StepPark), or
+//     retired (StepDone). Stats.Rounds counts completed rounds; for
+//     protocols whose vertices only yield this equals the maximum number
+//     of yields made by any vertex.
 //   - Each payload is metered at its Bits() size. Stats.TotalBits and
 //     Stats.Messages aggregate over the whole run; Stats.MaxMessageBits is
 //     the largest single payload.
@@ -32,51 +31,38 @@
 //     lower-bound constructions into communication-complexity arguments.
 //   - Stats.ActiveSteps, Stats.ParkedSteps, and Stats.PeakActive record
 //     the run's activity profile: how many vertices each completed round
-//     actually ran, and how many sat parked in Recv. Config.OnRound
-//     exposes the full per-round curve. Like every other statistic they
-//     are identical across execution modes.
+//     actually ran, and how many sat parked. Config.OnRound exposes the
+//     full per-round curve.
 //
 // Executions are deterministic functions of (Config.Graph, Config.Seed):
 // each vertex gets a private RNG derived from the seed, and inboxes are
-// delivered sorted by sender id, so goroutine scheduling never leaks into
-// results or statistics.
+// delivered sorted by sender id, so neither the step-shard width
+// (Config.Workers) nor the shard count (Config.Shards) leaks into
+// results, statistics, or trace digests.
 //
-// # Execution modes
+// # Execution
 //
-// The engine has three scheduling strategies selected by Config.Mode, all
-// executing identical round semantics (results and Stats are bit-identical
-// for a fixed Graph and Seed — the root determinism tests assert this):
-//
-//   - ModeBarrier: vertex goroutines run freely between central barriers;
-//     completing a round wakes every still-running vertex. Below
-//     Config.Workers' threshold every goroutine runs unrestricted; at
-//     large n step execution is gated through a bounded worker pool and
-//     the per-round metering is sharded across CPUs.
-//   - ModeEvent: vertices are parked goroutines resumed by explicit
-//     hand-off, and a round schedules only the active vertices — those
-//     with a freshly delivered inbox or an explicit self-wakeup
-//     (NextRound). Vertices parked in Ctx.Recv cost zero wakeups, so
-//     round cost is O(#active + #senders) instead of O(n) — the regime
-//     the paper's algorithms live in, where most vertices are idle in
-//     most rounds.
-//   - ModeStep: vertices are explicit state machines (Machine) stepped by
-//     a sharded run-to-completion loop — no goroutine, no stack, no
-//     hand-off per vertex, which is what lets runs scale to millions of
-//     vertices on one box. Only RunMachines accepts it; blocking
-//     procedures need a goroutine to block.
-//
-// ModeAuto (the default) switches on network size for procedures and
-// always picks ModeStep for machines; bench_test.go measures the engines
-// head-to-head across sizes and activity fractions.
+// The engine is a run-to-completion loop on the caller's goroutine (see
+// step.go): a round steps exactly the active machines — those holding a
+// freshly delivered inbox or an explicit self-wakeup (StepYield) — then
+// meters and delivers their sends. Parked machines cost nothing, so a
+// round costs O(#active + #senders) rather than O(n), the regime the
+// paper's algorithms live in, where most vertices are idle in most
+// rounds. A machine is a struct, not a goroutine, which is what lets runs
+// scale to millions of vertices on one box. Large active sets are stepped
+// in parallel across Config.Workers goroutines; Config.Shards runs the
+// same loop partitioned across shard workers behind a transport
+// (transport.go).
 //
 // # Quiescence
 //
-// A vertex that has nothing to do until it hears from a neighbor parks in
-// Ctx.Recv instead of spinning NextRound. If every live vertex is parked
-// and no messages are in flight, no round could ever change anything: the
-// run has quiesced. The engine then releases every parked vertex with
-// ok=false from Recv, letting procedures finalize and return. Quiescence
-// is itself deterministic — it happens at the same round in both modes.
+// A vertex that has nothing to do until it hears from a neighbor parks
+// (StepPark) instead of yielding every round. If every live vertex is
+// parked and no messages are in flight, no round could ever change
+// anything: the run has quiesced. The engine then steps every parked
+// machine with StepIn.Quiesced set, letting it finalize and retire.
+// Quiescence is itself deterministic: it happens at the same round in
+// every run of the same (Graph, Seed).
 package dist
 
 import (
@@ -103,7 +89,7 @@ type Message struct {
 	Payload Payload
 }
 
-// Config configures a Run.
+// Config configures a RunMachines call.
 type Config struct {
 	// Graph is the communication topology; vertices are 0..N()-1 and
 	// messages travel only along its edges.
@@ -111,9 +97,8 @@ type Config struct {
 	// Seed drives all per-vertex randomness. Runs are deterministic
 	// functions of (Graph, Seed).
 	Seed int64
-	// Mode selects the scheduling strategy (barrier vs event-driven);
-	// the zero value ModeAuto switches on network size. Results are
-	// identical in every mode; only wall-clock cost differs.
+	// Mode must be ModeAuto (the zero value) or ModeStep; both select
+	// the step engine, the only scheduler. Any other value is an error.
 	Mode Mode
 	// Bandwidth is the per-directed-edge per-round bit budget. Zero means
 	// unlimited (pure LOCAL); a positive value defines what counts as a
@@ -135,62 +120,51 @@ type Config struct {
 	// by its own worker over the in-process channel transport, with the
 	// round/quiescence protocol run by a coordinator (see transport.go,
 	// coord.go). Results, Stats, and trace digests are bit-identical to
-	// the single-engine ModeStep run — the transport conformance suite
-	// asserts exactly that. Requires ModeAuto or ModeStep; only the
-	// record path (SendRec) may cross shards. Zero means off; the wire
-	// transports (internal/dist/wire) use Coordinate/ServeShard directly.
+	// the in-process run — the transport conformance suite asserts
+	// exactly that. Only the record path (SendRec) may cross shards.
+	// Zero means off; the wire transports (internal/dist/wire) use
+	// Coordinate/ServeShard directly.
 	Shards int
-	// Workers caps how many vertex steps execute concurrently. Zero picks
-	// automatically: unlimited (goroutine-per-vertex) below
-	// PoolThreshold vertices, a small multiple of GOMAXPROCS above it.
-	// Negative forces unlimited; positive forces that cap.
+	// Workers is the step-shard width: how many goroutines step one
+	// round's active machines in parallel once the active set is large
+	// enough to pay for it. Zero or negative picks GOMAXPROCS; 1 steps
+	// serially. Results are identical at every width.
 	Workers int
 	// OnRound, when non-nil, is called after every completed round with
-	// that round's activity snapshot, in round order, while every vertex
-	// is blocked — in barrier mode on the goroutine of the round's last
-	// arriving vertex with the engine lock held, in event and step mode
-	// on the scheduler goroutine. It must not call back into the engine
-	// or block (either deadlocks the run); it is the hook behind
-	// per-scenario activity curves. The same calls are made in every
-	// execution mode.
+	// that round's activity snapshot, in round order, on the caller's
+	// goroutine while no machine is being stepped. It must not call back
+	// into the engine or block; it is the hook behind per-scenario
+	// activity curves.
 	OnRound func(RoundActivity)
 	// Cancel, when non-nil, aborts the run with an error wrapping
 	// ErrCanceled once the channel is closed (or receives). It is checked
 	// at every round boundary — the same points as the MaxRounds check —
-	// so a canceled run stops within one round and releases every vertex
-	// goroutine; timed-out sweep runs use it to avoid leaking writers.
+	// so a canceled run stops within one round; timed-out sweep runs use
+	// it to stop consuming CPU.
 	Cancel <-chan struct{}
 	// Tracer, when non-nil, receives the run's execution narration: the
 	// deterministic logical transcript (per-vertex send/deliver/wake/
 	// park/retire events plus per-round Phase snapshots) and the
 	// separate wall-clock timing channel. See trace.go for the contract.
-	// Tracer calls happen at the engine's existing serialization points
-	// — the same discipline as OnRound — and must not call back into the
-	// engine or block. A nil Tracer costs nothing: no timestamps are
-	// taken and the hot path performs zero extra allocations.
+	// Tracer calls are made like OnRound calls and must not call back
+	// into the engine or block. A nil Tracer costs nothing: no timestamps
+	// are taken and the hot path performs zero extra allocations.
 	Tracer Tracer
 }
 
 // DefaultMaxRounds is the round limit used when Config.MaxRounds is zero.
 const DefaultMaxRounds = 1 << 20
 
-// PoolThreshold is the vertex count at which Run switches from free
-// goroutine-per-vertex execution to the gated worker pool by default.
-const PoolThreshold = 4096
-
-// ErrRoundLimit is wrapped by Run's error when MaxRounds is exceeded.
+// ErrRoundLimit is wrapped by RunMachines' error when MaxRounds is
+// exceeded.
 var ErrRoundLimit = errors.New("dist: round limit exceeded")
 
-// ErrBandwidth is wrapped by Run's error when an enforced bandwidth
-// budget is violated.
+// ErrBandwidth is wrapped by RunMachines' error when an enforced
+// bandwidth budget is violated.
 var ErrBandwidth = errors.New("dist: bandwidth exceeded")
 
-// ErrCanceled is wrapped by Run's error when Config.Cancel fires.
+// ErrCanceled is wrapped by RunMachines' error when Config.Cancel fires.
 var ErrCanceled = errors.New("dist: run canceled")
-
-// abortSignal is panicked through vertex goroutines to unwind them when
-// the run aborts; the vertex wrapper recovers it.
-type abortSignal struct{}
 
 // outMsg is one queued send.
 type outMsg struct {
@@ -198,38 +172,30 @@ type outMsg struct {
 	p  Payload
 }
 
-// engine is the shared state of one Run.
+// engine is the shared state of one run. Only the step loop's goroutine
+// touches it between machine steps, so it takes no locks.
 type engine struct {
 	g         *graph.Graph
 	n         int
-	mode      Mode
 	bandwidth int
 	enforce   bool
 	maxRounds int
 	cut       []bool
 	cancel    <-chan struct{} // nil: never canceled
-	sem       chan struct{}   // nil: unlimited concurrency
 	routePar  int             // goroutines for sharded metering
 	stepPar   int             // goroutines for sharded machine stepping
 	tracer    Tracer          // nil: tracing disabled (zero cost)
 	timed     bool            // tracer != nil: take round timestamps
 	meterDlv  bool            // compute per-round delivery counts (OnRound or Tracer set)
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	gen      uint64 // round generation, bumped at each barrier release
-	arrived  int    // running vertices blocked at the current barrier
-	running  int    // vertices neither done nor parked in Recv
-	parked   int    // vertices parked in Recv awaiting delivery
-	stepped  int    // vertices that blocked or retired since the last completed round
-	senders  int    // senders routed in the current round (set by routeLocked)
+	parked   int // vertices parked awaiting delivery
+	stepped  int // vertices that yielded, parked, or retired since the last completed round
+	senders  int // senders routed in the current round (set by route)
 	onRound  func(RoundActivity)
 	quiesced bool // the network went permanently silent
 	abort    error
-	dirty    []*Ctx // vertices that blocked this round with sends queued
+	dirty    []*Ctx // vertices that ended their step with sends queued
 	woken    []*Ctx // parked vertices receiving messages this round
-
-	reports chan vreport // event mode: vertex -> scheduler hand-off
 
 	// Timing-channel scratch (tracer installed only): the previous round
 	// boundary and the current round's accumulated routing/stepping time.
@@ -237,45 +203,35 @@ type engine struct {
 	routeNs  int64
 	stepNs   int64
 	// Delivery counters of the current round (meterDlv only), folded into
-	// RoundActivity by recordRoundLocked.
+	// RoundActivity by recordRound.
 	deliv     int
 	delivBits int64
 
 	ctxs  []*Ctx
 	stats Stats
-
-	wg sync.WaitGroup
 }
 
-// newEngine validates cfg and builds the shared engine state. A nil
-// engine with a nil error means the run is trivially empty (n == 0).
-// machines selects the mode-resolution rule: blocking procedures cannot
-// run under ModeStep, machines default to it.
-func newEngine(cfg Config, machines bool) (*engine, error) {
+// validate checks the configuration fields every execution path shares.
+func validate(cfg Config) error {
 	if cfg.Graph == nil {
-		return nil, errors.New("dist: Config.Graph is nil")
+		return errors.New("dist: Config.Graph is nil")
 	}
+	if cfg.CutSide != nil && len(cfg.CutSide) != cfg.Graph.N() {
+		return fmt.Errorf("dist: CutSide has %d entries for %d vertices", len(cfg.CutSide), cfg.Graph.N())
+	}
+	if cfg.Mode != ModeAuto && cfg.Mode != ModeStep {
+		return fmt.Errorf("dist: invalid Config.Mode %d", int(cfg.Mode))
+	}
+	return nil
+}
+
+// newEngine builds the shared engine state for a validated cfg with at
+// least one vertex.
+func newEngine(cfg Config) *engine {
 	n := cfg.Graph.N()
-	if cfg.CutSide != nil && len(cfg.CutSide) != n {
-		return nil, fmt.Errorf("dist: CutSide has %d entries for %d vertices", len(cfg.CutSide), n)
-	}
-	if cfg.Mode < ModeAuto || cfg.Mode > ModeStep {
-		return nil, fmt.Errorf("dist: invalid Config.Mode %d", int(cfg.Mode))
-	}
-	if !machines && cfg.Mode == ModeStep {
-		return nil, errors.New("dist: ModeStep executes state machines: use RunMachines")
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	mode := cfg.Mode.resolve(n)
-	if machines {
-		mode = cfg.Mode.resolveMachines()
-	}
 	e := &engine{
 		g:         cfg.Graph,
 		n:         n,
-		mode:      mode,
 		bandwidth: cfg.Bandwidth,
 		enforce:   cfg.Enforce,
 		maxRounds: cfg.MaxRounds,
@@ -283,35 +239,19 @@ func newEngine(cfg Config, machines bool) (*engine, error) {
 		cancel:    cfg.Cancel,
 		routePar:  runtime.GOMAXPROCS(0),
 		stepPar:   stepWorkers(cfg),
-		running:   n,
 		onRound:   cfg.OnRound,
 		tracer:    cfg.Tracer,
 		timed:     cfg.Tracer != nil,
 		meterDlv:  cfg.OnRound != nil || cfg.Tracer != nil,
 	}
-	if e.timed {
-		e.lastTick = time.Now()
-	}
 	if e.maxRounds <= 0 {
 		e.maxRounds = DefaultMaxRounds
-	}
-	e.cond = sync.NewCond(&e.mu)
-	if e.mode != ModeStep {
-		// The step loop never blocks, so only goroutine-backed modes need
-		// the worker-pool gate.
-		workers := cfg.Workers
-		if workers == 0 && n >= PoolThreshold {
-			workers = 2 * runtime.GOMAXPROCS(0)
-		}
-		if workers > 0 {
-			e.sem = make(chan struct{}, workers)
-		}
 	}
 	e.ctxs = make([]*Ctx, n)
 	for v := 0; v < n; v++ {
 		e.ctxs[v] = newCtx(e, v, cfg.Seed)
 	}
-	return e, nil
+	return e
 }
 
 // result packages the finished engine's statistics and abort state.
@@ -323,118 +263,43 @@ func (e *engine) result() (*Stats, error) {
 	return &s, nil
 }
 
-// Run executes proc once per vertex of cfg.Graph as a synchronous
-// message-passing protocol and returns the metered statistics. It returns
-// an error when the round limit is exceeded, when cfg.Cancel fires, or,
+// RunMachines executes one Machine per vertex of cfg.Graph as a
+// synchronous message-passing protocol and returns the metered
+// statistics. factory is called once per vertex, sequentially in id
+// order, before the first round. It returns an error when a machine
+// panics, when the round limit is exceeded, when cfg.Cancel fires, or,
 // with cfg.Enforce set, when any directed edge carries more than
 // cfg.Bandwidth bits in one round.
-func Run(cfg Config, proc func(*Ctx)) (*Stats, error) {
-	if cfg.Shards > 0 {
-		return nil, errors.New("dist: Config.Shards executes state machines: use RunMachines")
-	}
-	e, err := newEngine(cfg, false)
-	if err != nil {
+func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
+	if err := validate(cfg); err != nil {
 		return nil, err
 	}
-	if e == nil {
-		return &Stats{}, nil
-	}
-	if e.timed {
-		// Round 1's wall time starts at launch, not at engine construction.
-		e.lastTick = time.Now()
-	}
-	if e.mode == ModeEvent {
-		e.runEvent(proc)
-	} else {
-		e.wg.Add(e.n)
-		for v := 0; v < e.n; v++ {
-			go e.runVertex(e.ctxs[v], proc)
-		}
-		e.wg.Wait()
-	}
-	return e.result()
-}
-
-// RunMachines executes one Machine per vertex of cfg.Graph under the
-// mode cfg selects: ModeStep (the ModeAuto default for machines) drives
-// them with the goroutine-free step loop, while ModeBarrier/ModeEvent
-// wrap each machine in a blocking driver so the equivalence tests can
-// compare all three schedulers on identical protocol code. Results and
-// Stats are bit-identical across modes. factory is called once per
-// vertex — sequentially in id order under ModeStep, concurrently on the
-// vertex goroutines otherwise, so it must be safe for concurrent use
-// (per-vertex writes to distinct slice indices are fine).
-func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 	if cfg.Shards > 0 {
 		return runSharded(cfg, factory)
 	}
-	e, err := newEngine(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	if e == nil {
+	if cfg.Graph.N() == 0 {
 		return &Stats{}, nil
 	}
-	if e.mode == ModeStep {
-		machines := make([]Machine, e.n)
-		for v := 0; v < e.n; v++ {
-			machines[v] = factory(e.ctxs[v])
-		}
-		if e.timed {
-			// Machine construction is setup, not round 1.
-			e.lastTick = time.Now()
-		}
-		e.runStep(machines)
-		return e.result()
+	e := newEngine(cfg)
+	machines := make([]Machine, e.n)
+	for v := 0; v < e.n; v++ {
+		machines[v] = factory(e.ctxs[v])
 	}
 	if e.timed {
+		// Machine construction is setup, not round 1.
 		e.lastTick = time.Now()
 	}
-	proc := func(c *Ctx) { driveMachine(c, factory(c)) }
-	if e.mode == ModeEvent {
-		e.runEvent(proc)
-	} else {
-		e.wg.Add(e.n)
-		for v := 0; v < e.n; v++ {
-			go e.runVertex(e.ctxs[v], proc)
-		}
-		e.wg.Wait()
-	}
+	e.runStep(machines)
 	return e.result()
 }
 
-// runVertex is the per-vertex goroutine wrapper of barrier mode: it gates
-// entry through the worker pool, runs proc, and unwinds cleanly on engine
-// aborts.
-func (e *engine) runVertex(c *Ctx, proc func(*Ctx)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(abortSignal); !ok {
-				// A protocol bug (bad send, failed type assertion, ...)
-				// must not kill the process or deadlock the barrier: turn
-				// it into a Run error and unwind every other vertex.
-				e.mu.Lock()
-				if e.abort == nil {
-					e.abort = vertexPanicError(c.id, r)
-				}
-				e.cond.Broadcast()
-				e.mu.Unlock()
-			}
-		}
-		e.finish(c)
-	}()
-	c.acquire()
-	proc(c)
-}
-
-// vertexPanicError converts a recovered vertex panic into the Run error,
-// identically in both modes.
+// vertexPanicError converts a recovered machine panic into the run
+// error.
 func vertexPanicError(id int, r any) error {
 	return fmt.Errorf("dist: vertex %d panicked: %v\n%s", id, r, debug.Stack())
 }
 
-// roundLimitError builds the ErrRoundLimit abort, identically in every
-// mode.
+// roundLimitError builds the ErrRoundLimit abort.
 func (e *engine) roundLimitError() error {
 	return fmt.Errorf("%w: %d rounds executed (MaxRounds %d)", ErrRoundLimit, e.stats.Rounds, e.maxRounds)
 }
@@ -453,167 +318,15 @@ func (e *engine) canceled() bool {
 	}
 }
 
-// cancelError builds the ErrCanceled abort, identically in every mode.
+// cancelError builds the ErrCanceled abort.
 func (e *engine) cancelError() error {
 	return fmt.Errorf("%w after %d rounds", ErrCanceled, e.stats.Rounds)
 }
 
-// finish retires a vertex whose proc returned (or was unwound). If every
-// other running vertex is already blocked, the retirement is what
-// completes the round (or quiesces the run).
-//
-// Retire-flush: sends still queued when the vertex retires are its last
-// words, committed by the retirement itself and delivered with the round
-// in flight — so a halting vertex need not spend an extra flush round to
-// announce its departure. On an aborted or quiesced run (or when the
-// vertex was unwound mid-step) the sends are discarded instead, never
-// half-delivered depending on peers.
-func (e *engine) finish(c *Ctx) {
-	c.release()
-	e.mu.Lock()
-	if e.abort == nil && !e.quiesced && c.hasSends() {
-		e.dirty = append(e.dirty, c)
-	} else {
-		c.clearSends()
-	}
-	c.done = true
-	e.traceBlocked(TraceRetire, c.id)
-	e.running--
-	e.stepped++
-	e.maybeAdvanceLocked()
-	e.mu.Unlock()
-	e.wg.Done()
-}
-
-// barrier is the blocking body of a NextRound step in barrier mode: park
-// until every running vertex has blocked or finished, and have the last
-// one meter and deliver the round. The caller reads its inbox (boxed or
-// record flavor) after this returns.
-func (e *engine) barrier(c *Ctx) {
-	c.release()
-	e.mu.Lock()
-	if e.abort != nil {
-		e.mu.Unlock()
-		panic(abortSignal{})
-	}
-	if e.quiesced {
-		// The network is permanently silent (see package docs): rounds no
-		// longer advance, sends go nowhere, inboxes stay empty.
-		c.clearSends()
-		e.mu.Unlock()
-		c.acquire()
-		return
-	}
-	e.arrived++
-	e.stepped++
-	if c.hasSends() {
-		// Dirty-sender tracking: senders register themselves on arrival, so
-		// round delivery never scans the n vertex contexts. Quiet rounds —
-		// ubiquitous in the later iterations of the spanner algorithms,
-		// where most vertices have terminated their stars — cost O(1)
-		// routing work instead of O(n).
-		e.dirty = append(e.dirty, c)
-	}
-	gen := e.gen
-	e.maybeAdvanceLocked()
-	for e.gen == gen && e.abort == nil {
-		e.cond.Wait()
-	}
-	if e.abort != nil {
-		e.mu.Unlock()
-		panic(abortSignal{})
-	}
-	e.mu.Unlock()
-	c.acquire()
-}
-
-// park is the blocking body of a Recv step in barrier mode: commit queued
-// sends, leave the running set, and sleep until a round delivers messages
-// to this vertex (true) — or until the network quiesces (false).
-func (e *engine) park(c *Ctx) bool {
-	c.release()
-	e.mu.Lock()
-	if e.abort != nil {
-		e.mu.Unlock()
-		panic(abortSignal{})
-	}
-	if e.quiesced {
-		c.clearSends()
-		e.mu.Unlock()
-		c.acquire()
-		return false
-	}
-	if c.hasSends() {
-		e.dirty = append(e.dirty, c)
-	}
-	c.parked = true
-	e.traceBlocked(TracePark, c.id)
-	e.running--
-	e.parked++
-	e.stepped++
-	e.maybeAdvanceLocked()
-	for c.parked && e.abort == nil && !e.quiesced {
-		e.cond.Wait()
-	}
-	if e.abort != nil {
-		e.mu.Unlock()
-		panic(abortSignal{})
-	}
-	if c.parked {
-		// Quiesced while parked: nobody will ever write this inbox again.
-		c.parked = false
-		e.parked--
-		e.running++
-		e.mu.Unlock()
-		c.acquire()
-		return false
-	}
-	// A delivery unparked this vertex; the round completer already moved it
-	// back into the running count before releasing the barrier.
-	e.mu.Unlock()
-	c.acquire()
-	return true
-}
-
-// maybeAdvanceLocked is barrier mode's round-advance rule, applied after
-// every transition that blocks or retires a vertex: complete the round
-// when every running vertex has arrived; when nobody is left running,
-// flush any committed sends (which may wake parked receivers) and then
-// quiesce if vertices remain parked with no traffic to wake them. Last
-// words that can only reach retired vertices are metered and dropped
-// without charging a round — no receiver could ever observe one, so a
-// round here would count a boundary no vertex crosses.
-func (e *engine) maybeAdvanceLocked() {
-	if e.abort != nil || e.quiesced {
-		return
-	}
-	if e.running > 0 {
-		if e.arrived == e.running {
-			e.completeRoundLocked()
-		}
-		return
-	}
-	if len(e.dirty) > 0 {
-		if e.flushWakesLocked() {
-			e.completeRoundLocked()
-		} else {
-			e.routeLocked()
-			if e.abort != nil {
-				e.cond.Broadcast()
-				return
-			}
-		}
-	}
-	if e.running == 0 && e.parked > 0 && e.abort == nil {
-		e.quiesced = true
-		e.cond.Broadcast()
-	}
-}
-
-// flushWakesLocked reports whether any pending (dirty) send targets a
+// flushWakes reports whether any pending (dirty) send targets a
 // vertex that is still alive — i.e. whether flushing would be observable
 // as a round. Parked receivers count: a delivery would wake them.
-func (e *engine) flushWakesLocked() bool {
+func (e *engine) flushWakes() bool {
 	for _, c := range e.dirty {
 		for _, m := range c.outbox {
 			if !e.ctxs[m.to].done {
@@ -629,44 +342,13 @@ func (e *engine) flushWakesLocked() bool {
 	return false
 }
 
-// completeRoundLocked meters and delivers every queued message, advances
-// the round, moves parked vertices that received messages back into the
-// running set, and releases the barrier. Called with e.mu held by the last
-// vertex to block (or retire).
-func (e *engine) completeRoundLocked() {
-	if e.abort == nil {
-		e.stats.Rounds++
-		if e.stats.Rounds > e.maxRounds {
-			e.abort = e.roundLimitError()
-		} else if e.canceled() {
-			e.abort = e.cancelError()
-		} else {
-			e.routeLocked()
-			// Receivers unparked by routing rejoin the running set before
-			// the barrier releases, so the next round cannot complete
-			// without them.
-			for range e.woken {
-				e.parked--
-				e.running++
-			}
-			e.woken = e.woken[:0]
-			e.recordRoundLocked()
-		}
-	}
-	e.arrived = 0
-	e.gen++
-	e.cond.Broadcast()
-}
-
-// recordRoundLocked folds the completed round's activity into Stats and
-// fires the OnRound hook and the tracer's Phase/RoundTime calls. Called
-// with every vertex blocked (under e.mu in barrier mode, from the
-// scheduler in event and step mode), identically in every mode: Active
-// counts the vertices that blocked or retired since the previous
+// recordRound folds the completed round's activity into Stats and fires
+// the OnRound hook and the tracer's Phase/RoundTime calls. Active counts
+// the vertices that yielded, parked, or retired since the previous
 // completion, Parked the vertices still parked after this round's
 // deliveries, Delivered/DeliveredBits the payloads routing just placed
 // in live inboxes (computed only when OnRound or Tracer is set).
-func (e *engine) recordRoundLocked() {
+func (e *engine) recordRound() {
 	act := RoundActivity{
 		Round: e.stats.Rounds, Active: e.stepped, Parked: e.parked, Senders: e.senders,
 		Delivered: e.deliv, DeliveredBits: e.delivBits,
@@ -703,10 +385,10 @@ type meterResult struct {
 	violBits        int
 }
 
-// routeLocked aggregates statistics and delivers all outboxes, timing
+// routeTimed aggregates statistics and delivers all outboxes, timing
 // the pass for the tracer's timing channel when one is installed. The
 // logical work lives in route.
-func (e *engine) routeLocked() {
+func (e *engine) routeTimed() {
 	if !e.timed {
 		e.route()
 		return
@@ -717,21 +399,17 @@ func (e *engine) routeLocked() {
 }
 
 // route aggregates statistics and delivers all outboxes. The dirty
-// list holds exactly the vertices that queued sends this round (registered
-// as they blocked), in arrival order; it is re-sorted by vertex id so
-// inboxes arrive sorted by sender and every statistic is deterministic
-// regardless of goroutine scheduling. Senders are metered independently
-// (in parallel for large rounds). Parked receivers of a delivery are
-// flipped awake and collected in e.woken for the caller's mode-specific
-// bookkeeping. In barrier mode the caller holds e.mu; in event mode the
-// scheduler calls it while every vertex is blocked, which serializes it
-// just as well. With a tracer installed, the serial delivery loop is
-// also where Send/Deliver/Wake events are emitted — senders in
-// ascending id, a sender's payloads in send order, boxed before record
-// sends — which is what makes the logical transcript deterministic.
+// list holds exactly the vertices that queued sends this round, in the
+// order their steps were classified; it is re-sorted by vertex id so
+// inboxes arrive sorted by sender and every statistic is deterministic.
+// Senders are metered independently (in parallel for large rounds).
+// Parked receivers of a delivery are flipped awake and collected in
+// e.woken for the step loop. With a tracer installed, the serial
+// delivery loop is also where Send/Deliver/Wake events are emitted —
+// senders in ascending id, a sender's payloads in send order, boxed
+// before record sends — which is what makes the logical transcript
+// deterministic.
 func (e *engine) route() {
-	// All vertices are blocked while routing runs, so truncating in place
-	// cannot race with new arrivals registering.
 	senders := e.dirty
 	e.dirty = e.dirty[:0]
 	e.senders = len(senders)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"distspanner/internal/graph"
@@ -36,19 +35,37 @@ func clique(n int) *graph.Graph {
 	return g
 }
 
-// gossipProc is a deterministic-but-randomized protocol used by the
+// machineFunc adapts a function to the Machine interface.
+type machineFunc func(*Ctx, StepIn) StepStatus
+
+func (f machineFunc) Step(c *Ctx, in StepIn) StepStatus { return f(c, in) }
+
+// each builds the same function machine for every vertex: a factory for
+// protocols whose per-vertex state fits in the closure's own variables.
+func each(step func(*Ctx, StepIn) StepStatus) func(*Ctx) Machine {
+	return func(*Ctx) Machine { return machineFunc(step) }
+}
+
+// gossipMachines is a deterministic-but-randomized protocol used by the
 // determinism tests: for rounds iterations every vertex broadcasts a
 // random word and accumulates what it hears into out[me].
-func gossipProc(rounds int, out []int64) func(*Ctx) {
-	return func(ctx *Ctx) {
-		acc := int64(ctx.ID())
-		for r := 0; r < rounds; r++ {
-			ctx.Broadcast(blob{val: ctx.Rand().Intn(1 << 20), size: 32})
-			for _, m := range ctx.NextRound() {
-				acc = acc*31 + int64(m.From) + int64(m.Payload.(blob).val)
+func gossipMachines(rounds int, out []int64) func(*Ctx) Machine {
+	return func(c *Ctx) Machine {
+		acc, r := int64(c.ID()), 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			if !in.Start {
+				for _, m := range in.Msgs {
+					acc = acc*31 + int64(m.From) + int64(m.Payload.(blob).val)
+				}
+				r++
 			}
-		}
-		out[ctx.ID()] = acc
+			if r == rounds {
+				out[ctx.ID()] = acc
+				return StepDone
+			}
+			ctx.Broadcast(blob{val: ctx.Rand().Intn(1 << 20), size: 32})
+			return StepYield
+		})
 	}
 }
 
@@ -56,7 +73,7 @@ func TestFixedSeedDeterminism(t *testing.T) {
 	g := clique(12)
 	run := func(workers int) ([]int64, Stats) {
 		out := make([]int64, g.N())
-		stats, err := Run(Config{Graph: g, Seed: 42, Workers: workers}, gossipProc(8, out))
+		stats, err := RunMachines(Config{Graph: g, Seed: 42, Workers: workers}, gossipMachines(8, out))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,15 +87,17 @@ func TestFixedSeedDeterminism(t *testing.T) {
 	if st1 != st2 {
 		t.Fatalf("two runs with the same seed produced different Stats:\n%+v\n%+v", st1, st2)
 	}
-	// The gated worker pool must be observationally identical to
-	// goroutine-per-vertex execution.
-	out3, st3 := run(2)
+	if st1.Rounds != 8 {
+		t.Fatalf("Rounds = %d, want 8", st1.Rounds)
+	}
+	// The step-shard width must be observationally invisible.
+	out3, st3 := run(1)
 	if !reflect.DeepEqual(out1, out3) || st1 != st3 {
-		t.Fatal("worker-pool execution diverged from goroutine-per-vertex execution")
+		t.Fatal("serial stepping diverged from the default step-shard width")
 	}
 	// A different seed must actually change the random stream.
 	out4 := make([]int64, g.N())
-	if _, err := Run(Config{Graph: g, Seed: 43}, gossipProc(8, out4)); err != nil {
+	if _, err := RunMachines(Config{Graph: g, Seed: 43}, gossipMachines(8, out4)); err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(out1, out4) {
@@ -90,16 +109,23 @@ func TestRoundCounting(t *testing.T) {
 	// Vertex v stays for v+1 rounds; Rounds is the maximum.
 	n := 7
 	g := clique(n)
-	stats, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		for r := 0; r <= ctx.ID(); r++ {
-			ctx.NextRound()
-		}
+	stats, err := RunMachines(Config{Graph: g, Seed: 1}, func(*Ctx) Machine {
+		r := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			if !in.Start {
+				r++
+			}
+			if r > ctx.ID() {
+				return StepDone
+			}
+			return StepYield
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Rounds != n {
-		t.Fatalf("Rounds = %d, want %d (max NextRound calls over vertices)", stats.Rounds, n)
+		t.Fatalf("Rounds = %d, want %d (max yields over vertices)", stats.Rounds, n)
 	}
 	if stats.Messages != 0 || stats.TotalBits != 0 {
 		t.Fatalf("silent protocol metered traffic: %+v", stats)
@@ -111,20 +137,31 @@ func TestMessageDeliveryAndOrdering(t *testing.T) {
 	// exactly its neighbors' messages, sorted by sender.
 	g := path(5)
 	got := make([][]int, g.N())
-	stats, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		ctx.Broadcast(blob{val: ctx.ID(), size: IDBits(ctx.N())})
-		var from []int
-		for _, m := range ctx.NextRound() {
-			if m.Payload.(blob).val != m.From {
-				t.Errorf("payload %d does not match sender %d", m.Payload.(blob).val, m.From)
+	stats, err := RunMachines(Config{Graph: g, Seed: 1}, func(*Ctx) Machine {
+		step := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			step++
+			switch step {
+			case 1:
+				ctx.Broadcast(blob{val: ctx.ID(), size: IDBits(ctx.N())})
+				return StepYield
+			case 2:
+				var from []int
+				for _, m := range in.Msgs {
+					if m.Payload.(blob).val != m.From {
+						t.Errorf("payload %d does not match sender %d", m.Payload.(blob).val, m.From)
+					}
+					from = append(from, m.From)
+				}
+				got[ctx.ID()] = from
+				return StepYield
 			}
-			from = append(from, m.From)
-		}
-		got[ctx.ID()] = from
-		// No cross-round leakage: the next round is silent.
-		if extra := ctx.NextRound(); len(extra) != 0 {
-			t.Errorf("vertex %d received %d stale messages", ctx.ID(), len(extra))
-		}
+			// No cross-round leakage: the next round is silent.
+			if len(in.Msgs) != 0 {
+				t.Errorf("vertex %d received %d stale messages", ctx.ID(), len(in.Msgs))
+			}
+			return StepDone
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,17 +178,28 @@ func TestMessageDeliveryAndOrdering(t *testing.T) {
 	}
 }
 
+// sendOnceThenDone is a factory for the one-round protocols below: every
+// vertex runs send on its first step, yields, and retires.
+func sendOnceThenDone(send func(*Ctx)) func(*Ctx) Machine {
+	return each(func(ctx *Ctx, in StepIn) StepStatus {
+		if !in.Start {
+			return StepDone
+		}
+		send(ctx)
+		return StepYield
+	})
+}
+
 func TestBitsAccounting(t *testing.T) {
 	// Vertex 0 sends 10 bits then 30 bits to vertex 1 in one round: the
 	// edge carries 40 bits that round, and MaxMessageBits is 30.
 	g := path(2)
-	stats, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
+	stats, err := RunMachines(Config{Graph: g, Seed: 1}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
 			ctx.Send(1, blob{size: 10})
 			ctx.Send(1, blob{size: 30})
 		}
-		ctx.NextRound()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,19 +213,27 @@ func TestBitsAccounting(t *testing.T) {
 
 func TestEnforceRejectsOversizedPayload(t *testing.T) {
 	g := path(2)
-	proc := func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			ctx.Send(1, blob{size: 100})
-		}
-		ctx.NextRound()
-		ctx.NextRound()
+	// Vertex 0 sends an oversized payload, then everyone idles one more
+	// round before retiring.
+	factory := func(*Ctx) Machine {
+		step := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			step++
+			if step == 1 && ctx.ID() == 0 {
+				ctx.Send(1, blob{size: 100})
+			}
+			if step == 3 {
+				return StepDone
+			}
+			return StepYield
+		})
 	}
-	_, err := Run(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, proc)
+	_, err := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, factory)
 	if !errors.Is(err, ErrBandwidth) {
 		t.Fatalf("enforced oversized payload: err = %v, want ErrBandwidth", err)
 	}
 	// Unenforced, the same run completes and only counts the violation.
-	stats, err := Run(Config{Graph: g, Seed: 1, Bandwidth: 64}, proc)
+	stats, err := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64}, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,26 +242,25 @@ func TestEnforceRejectsOversizedPayload(t *testing.T) {
 	}
 	// Two payloads within budget individually but not together also
 	// violate: the budget is per edge per round, not per message.
-	_, err = Run(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, func(ctx *Ctx) {
+	_, err = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
 			ctx.Send(1, blob{size: 40})
 			ctx.Send(1, blob{size: 40})
 		}
-		ctx.NextRound()
-	})
+	}))
 	if !errors.Is(err, ErrBandwidth) {
 		t.Fatalf("accumulated edge traffic not enforced: err = %v", err)
 	}
 }
 
+// busyBoxed broadcasts a one-bit payload and yields, forever.
+func busyBoxed(ctx *Ctx, in StepIn) StepStatus {
+	ctx.Broadcast(blob{size: 1})
+	return StepYield
+}
+
 func TestRoundLimit(t *testing.T) {
-	g := path(3)
-	_, err := Run(Config{Graph: g, Seed: 1, MaxRounds: 10}, func(ctx *Ctx) {
-		for {
-			ctx.Broadcast(blob{size: 1})
-			ctx.NextRound()
-		}
-	})
+	_, err := RunMachines(Config{Graph: path(3), Seed: 1, MaxRounds: 10}, each(busyBoxed))
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("runaway protocol: err = %v, want ErrRoundLimit", err)
 	}
@@ -215,10 +270,9 @@ func TestCutBits(t *testing.T) {
 	// Path 0-1-2-3 cut between 1 and 2: only traffic on edge (1,2) counts.
 	g := path(4)
 	cut := []bool{false, false, true, true}
-	stats, err := Run(Config{Graph: g, Seed: 1, CutSide: cut}, func(ctx *Ctx) {
+	stats, err := RunMachines(Config{Graph: g, Seed: 1, CutSide: cut}, sendOnceThenDone(func(ctx *Ctx) {
 		ctx.Broadcast(blob{size: 7})
-		ctx.NextRound()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +286,7 @@ func TestTopologyAccessors(t *testing.T) {
 	g.AddEdge(2, 0)
 	g.AddEdge(2, 3)
 	g.AddEdge(2, 1)
-	_, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
+	_, err := RunMachines(Config{Graph: g, Seed: 1}, each(func(ctx *Ctx, in StepIn) StepStatus {
 		if ctx.N() != 4 {
 			t.Errorf("N() = %d", ctx.N())
 		}
@@ -244,33 +298,47 @@ func TestTopologyAccessors(t *testing.T) {
 				t.Errorf("Degree() = %d", ctx.Degree())
 			}
 		}
-	})
+		return StepDone
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestVertexTerminationStaggered(t *testing.T) {
-	// Messages sent to a vertex that already returned are metered but
-	// dropped; the engine must not deadlock or misdeliver.
-	g := clique(4)
-	stats, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			return // leaves immediately
-		}
-		for r := 0; r < 3; r++ {
-			ctx.Broadcast(blob{size: 4})
-			inbox := ctx.NextRound()
-			for _, m := range inbox {
-				if m.From == 0 {
-					t.Error("received a message the retired vertex never sent")
+// staggeredMachines: vertex 0 retires immediately; the other vertices
+// broadcast for three rounds, each expecting exactly inboxes from the
+// other survivors.
+func staggeredMachines(t *testing.T) func(*Ctx) Machine {
+	return func(*Ctx) Machine {
+		r := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			if ctx.ID() == 0 {
+				return StepDone // leaves immediately
+			}
+			if !in.Start {
+				for _, m := range in.Msgs {
+					if m.From == 0 {
+						t.Error("received a message the retired vertex never sent")
+					}
 				}
+				if len(in.Msgs) != 2 { // the other two survivors
+					t.Errorf("vertex %d round %d: %d messages, want 2", ctx.ID(), r, len(in.Msgs))
+				}
+				r++
 			}
-			if len(inbox) != 2 { // the other two survivors
-				t.Errorf("vertex %d round %d: %d messages, want 2", ctx.ID(), r, len(inbox))
+			if r == 3 {
+				return StepDone
 			}
-		}
-	})
+			ctx.Broadcast(blob{size: 4})
+			return StepYield
+		})
+	}
+}
+
+func TestVertexTerminationStaggered(t *testing.T) {
+	// Messages sent to a vertex that already retired are metered but
+	// dropped; the engine must not deadlock or misdeliver.
+	stats, err := RunMachines(Config{Graph: clique(4), Seed: 1}, staggeredMachines(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,61 +352,61 @@ func TestVertexTerminationStaggered(t *testing.T) {
 
 func TestSendToNonNeighborFails(t *testing.T) {
 	g := path(3) // 0-1-2: 0 and 2 are not adjacent
-	_, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
+	_, err := RunMachines(Config{Graph: g, Seed: 1}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
 			ctx.Send(2, blob{size: 1})
 		}
-		ctx.NextRound()
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "not a neighbor") {
 		t.Fatalf("send to non-neighbor: err = %v", err)
 	}
 }
 
 func TestVertexPanicBecomesError(t *testing.T) {
-	g := clique(5)
-	_, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		for {
-			ctx.Broadcast(blob{size: 1})
-			ctx.NextRound()
-			if ctx.ID() == 3 {
-				panic("protocol bug")
-			}
+	_, err := RunMachines(Config{Graph: clique(5), Seed: 1}, each(func(ctx *Ctx, in StepIn) StepStatus {
+		if !in.Start && ctx.ID() == 3 {
+			panic("protocol bug")
 		}
-	})
+		return busyBoxed(ctx, in)
+	}))
 	if err == nil || !strings.Contains(err.Error(), "protocol bug") {
 		t.Fatalf("vertex panic: err = %v", err)
 	}
 }
 
 func TestDegenerateGraphs(t *testing.T) {
-	stats, err := Run(Config{Graph: graph.New(0), Seed: 1}, func(ctx *Ctx) {
-		t.Error("proc invoked on empty graph")
+	stats, err := RunMachines(Config{Graph: graph.New(0), Seed: 1}, func(*Ctx) Machine {
+		t.Error("factory invoked on empty graph")
+		return nil
 	})
 	if err != nil || *stats != (Stats{}) {
 		t.Fatalf("empty graph: %+v, %v", stats, err)
 	}
 	// A single isolated vertex can run rounds against nobody.
-	var ran atomic.Bool
-	stats, err = Run(Config{Graph: graph.New(1), Seed: 1}, func(ctx *Ctx) {
-		ran.Store(true)
-		ctx.Broadcast(blob{size: 9}) // no neighbors: a no-op
-		if len(ctx.NextRound()) != 0 {
+	ran := false
+	stats, err = RunMachines(Config{Graph: graph.New(1), Seed: 1}, each(func(ctx *Ctx, in StepIn) StepStatus {
+		if in.Start {
+			ran = true
+			ctx.Broadcast(blob{size: 9}) // no neighbors: a no-op
+			return StepYield
+		}
+		if len(in.Msgs) != 0 {
 			t.Error("isolated vertex received messages")
 		}
-	})
-	if err != nil || !ran.Load() {
+		return StepDone
+	}))
+	if err != nil || !ran {
 		t.Fatalf("singleton run failed: %v", err)
 	}
 	if stats.Rounds != 1 || stats.Messages != 0 {
 		t.Fatalf("singleton stats: %+v", stats)
 	}
-	// Disconnected components run independently without deadlock.
+	// Disconnected components run independently.
 	g := graph.New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
 	out := make([]int64, 4)
-	if _, err := Run(Config{Graph: g, Seed: 5}, gossipProc(4, out)); err != nil {
+	if _, err := RunMachines(Config{Graph: g, Seed: 5}, gossipMachines(4, out)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -364,11 +432,11 @@ func TestPairsBits(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Config{}, func(*Ctx) {}); err == nil {
+	done := each(func(*Ctx, StepIn) StepStatus { return StepDone })
+	if _, err := RunMachines(Config{}, done); err == nil {
 		t.Fatal("nil graph must error")
 	}
-	g := path(3)
-	if _, err := Run(Config{Graph: g, CutSide: []bool{true}}, func(*Ctx) {}); err == nil {
+	if _, err := RunMachines(Config{Graph: path(3), CutSide: []bool{true}}, done); err == nil {
 		t.Fatal("mis-sized CutSide must error")
 	}
 }

@@ -1,43 +1,36 @@
 package dist
 
-// The state-machine protocol surface. A blocking procedure expresses a
-// vertex as straight-line code that parks its goroutine at every round
-// boundary; a Machine expresses the same vertex as an explicit resume
-// point: the engine calls Step with the round's deliveries, the machine
-// runs to completion (queuing sends on its Ctx) and returns how it wants
-// to be scheduled next. Machines run under every mode — ModeStep drives
-// them directly with no goroutines at all, while ModeBarrier/ModeEvent
-// wrap them in driveMachine so the cross-mode equivalence tests can
-// compare all three schedulers on identical protocol code.
+// The state-machine protocol surface. A Machine expresses one vertex as
+// an explicit resume point: the engine calls Step with the round's
+// deliveries, the machine runs to completion (queuing sends on its Ctx)
+// and returns how it wants to be scheduled next. Per-vertex state lives
+// in the machine value, so a vertex costs a struct, not a goroutine.
 //
-// The resume-point contract mirrors the blocking API exactly:
+// The resume-point contract:
 //
-//   - StepYield after queuing sends ≙ NextRound: sends are committed, the
-//     next Step carries the completed round's inbox (possibly empty).
-//   - StepPark ≙ Recv: sends are committed, the next Step happens only
-//     when a round delivers to this vertex (Recs non-empty) — or when the
-//     network quiesces, reported as StepIn.Quiesced (≙ Recv's ok=false).
-//   - StepDone ≙ returning from the procedure. Sends queued by the final
-//     step are the vertex's last words: they are committed by the
-//     retirement itself and delivered with the round in flight (see
-//     engine.finish) — no extra flush round needed.
+//   - StepYield: sends are committed, and the next Step carries the
+//     completed round's inbox (possibly empty) — an explicit self-wakeup.
+//   - StepPark: sends are committed, and the next Step happens only when
+//     a round delivers to this vertex (an inbox non-empty) — or when the
+//     network quiesces, reported as StepIn.Quiesced.
+//   - StepDone: the vertex retires. Sends queued by the final step are
+//     its last words: they are committed by the retirement itself and
+//     delivered with the round in flight — no extra flush round needed.
 //
 // Inbox views (StepIn.Recs and each record's Ints tail) alias the
-// vertex's inbox arena and are valid only during the Step call, exactly
-// like the views returned by NextRoundRecs between blocking calls.
+// vertex's inbox arena and are valid only during the Step call.
 // After quiescence, a machine that yields anyway is stepped with an
-// empty inbox (≙ NextRound returning nil immediately) and one that parks
-// is stepped with Quiesced again — the inert post-quiescence epilogue.
+// empty inbox and one that parks is stepped with Quiesced again, and
+// every send is discarded — the inert post-quiescence epilogue.
 
 // StepStatus is a Machine's scheduling request after one step.
 type StepStatus uint8
 
 const (
 	// StepYield ends the round for this vertex and requests the next
-	// one — an explicit self-wakeup, like NextRound.
+	// one — an explicit self-wakeup.
 	StepYield StepStatus = iota
-	// StepPark parks the vertex until a delivery (or quiescence), like
-	// Recv.
+	// StepPark parks the vertex until a delivery (or quiescence).
 	StepPark
 	// StepDone retires the vertex; it is never stepped again.
 	StepDone
@@ -48,49 +41,25 @@ type StepIn struct {
 	// Start marks the first step of the run (no round has completed yet;
 	// the inbox is empty).
 	Start bool
-	// Recs is the completed round's record inbox, sorted by sender id
-	// (ties in send order). It aliases the vertex's inbox arena: valid
-	// only during this Step call.
+	// Msgs is the completed round's boxed-payload inbox, sorted by
+	// sender id (ties in send order).
 	Msgs []Message
-	// Recs is the record-path inbox; Msgs the boxed-payload inbox. A
-	// protocol uses one family (see rec.go).
+	// Recs is the record-path inbox, in the same order. It aliases the
+	// vertex's inbox arena: valid only during this Step call. A protocol
+	// uses one family (see rec.go).
 	Recs []InRec
 	// Quiesced reports that the network went permanently silent while
-	// this machine was parked (≙ Recv ok=false): finalize and StepDone.
+	// this machine was parked: finalize and StepDone.
 	Quiesced bool
 }
 
 // Machine is one vertex as an explicit state machine. Step must not
 // block: it queues sends via c (SendRec/Send), consumes in, and returns
 // its scheduling request. Exactly one Step runs at a time per machine;
-// different machines may be stepped concurrently, so shared state needs
-// the same discipline a blocking procedure needs.
+// different machines may be stepped concurrently, so state shared between
+// machines must be written only at per-vertex slots (or synchronized).
 type Machine interface {
 	Step(c *Ctx, in StepIn) StepStatus
-}
-
-// driveMachine runs a Machine to completion on the blocking engines: it
-// is the proc that ModeBarrier/ModeEvent execute for RunMachines. The
-// translation is mechanical — each status maps to the corresponding
-// blocking call — which is what makes machine semantics mode-identical
-// by construction.
-func driveMachine(c *Ctx, m Machine) {
-	in := StepIn{Start: true}
-	for {
-		switch m.Step(c, in) {
-		case StepDone:
-			return
-		case StepYield:
-			c.blockStep()
-			in = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
-		case StepPark:
-			if c.blockRecv() {
-				in = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
-			} else {
-				in = StepIn{Quiesced: true}
-			}
-		}
-	}
 }
 
 // PhasedProgram is the shape shared by the paper's algorithms: an

@@ -4,23 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"distspanner/internal/graph"
 )
 
-// Tests for the state-machine surface (machine.go), the goroutine-free
-// step engine (step.go), the retire-flush delivery rule, and run
-// cancellation. The chaos matrix here is the three-engine analogue of
-// TestRecCrossModeChaosEquivalence: the same Machine must produce
-// bit-identical outputs and Stats under barrier, event, and step
-// scheduling.
+// Tests for the state-machine surface (machine.go), the step engine
+// (step.go), the retire-flush delivery rule, and run cancellation. The
+// chaos matrices compare execution configurations that must be
+// observationally identical: serial stepping, a 3-wide step shard, the
+// defaults, and — for record-only protocols — a 3-shard run of the
+// sharded coordinator.
 
-// chaosMachine is recChaosProc as an explicit state machine: per
-// iteration it may fault (retire early), send records to random
-// neighbors or broadcast with a shared tail, then yields or parks, and
-// folds every delivery into a per-vertex hash.
+// chaosMachine is a randomized record protocol mixing yields, parks,
+// broadcasts with shared tails, targeted sends, and early retirement
+// (faults): vertices whose RNG rolls a fault retire mid-run while peers
+// keep sending to them. Every delivered record folds into a per-vertex
+// hash, so any divergence in content, order, or lifecycle shows up.
 type chaosMachine struct {
 	out    []int64
 	h      int64
@@ -69,50 +69,68 @@ func (m *chaosMachine) Step(c *Ctx, in StepIn) StepStatus {
 	return StepYield
 }
 
-// machineModeConfigs is the full engine matrix machines run under.
-func machineModeConfigs(g *graph.Graph, seed int64) []Config {
+// widthConfigs is the in-process execution matrix every protocol must
+// be invariant under: serial stepping, a 3-wide step shard, explicit
+// ModeStep, and the defaults.
+func widthConfigs(g *graph.Graph, seed int64) []Config {
 	return []Config{
-		{Graph: g, Seed: seed, Mode: ModeBarrier},
-		{Graph: g, Seed: seed, Mode: ModeBarrier, Workers: 3},
-		{Graph: g, Seed: seed, Mode: ModeEvent},
-		{Graph: g, Seed: seed, Mode: ModeEvent, Workers: 3},
+		{Graph: g, Seed: seed, Workers: 1},
+		{Graph: g, Seed: seed, Workers: 3},
 		{Graph: g, Seed: seed, Mode: ModeStep},
-		{Graph: g, Seed: seed, Mode: ModeStep, Workers: 3},
-		{Graph: g, Seed: seed}, // ModeAuto: resolves to ModeStep for machines
+		{Graph: g, Seed: seed},
 	}
 }
 
-func TestMachineCrossModeChaosEquivalence(t *testing.T) {
-	graphs := map[string]*graph.Graph{
+// recConfigs extends widthConfigs for record-only protocols, which may
+// also run sharded: the 3-shard coordinator run is the second oracle.
+func recConfigs(g *graph.Graph, seed int64) []Config {
+	return append(widthConfigs(g, seed), Config{Graph: g, Seed: seed, Shards: 3})
+}
+
+// chaosGraphs are the topologies of the chaos matrices: dense, long and
+// thin, a degree-4 ring large enough for parallel stepping, and a
+// mostly isolated set whose vertices all park or retire at once.
+func chaosGraphs() map[string]*graph.Graph {
+	return map[string]*graph.Graph{
 		"clique16":   clique(16),
 		"path33":     path(33),
 		"ring64":     benchGraph(64),
 		"sparse2x40": func() *graph.Graph { g := graph.New(80); g.AddEdge(0, 79); return g }(),
 	}
-	for name, g := range graphs {
+}
+
+// checkSameRuns runs factory(out) under every config and requires
+// identical per-vertex outputs and Stats.
+func checkSameRuns(t *testing.T, g *graph.Graph, cfgs []Config, factory func(out []int64) func(*Ctx) Machine) {
+	t.Helper()
+	var ref []int64
+	var refStats Stats
+	for i, cfg := range cfgs {
+		out := make([]int64, g.N())
+		stats, err := RunMachines(cfg, factory(out))
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if i == 0 {
+			ref, refStats = out, *stats
+			continue
+		}
+		if !reflect.DeepEqual(ref, out) {
+			t.Fatalf("config %d (workers=%d shards=%d) diverged from serial stepping", i, cfg.Workers, cfg.Shards)
+		}
+		if refStats != *stats {
+			t.Fatalf("config %d stats diverged:\nref: %+v\ngot: %+v", i, refStats, *stats)
+		}
+	}
+}
+
+func TestMachineCrossModeChaosEquivalence(t *testing.T) {
+	for name, g := range chaosGraphs() {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				var ref []int64
-				var refStats Stats
-				for i, cfg := range machineModeConfigs(g, seed) {
-					out := make([]int64, g.N())
-					stats, err := RunMachines(cfg, func(c *Ctx) Machine {
-						return &chaosMachine{out: out, rounds: 12}
-					})
-					if err != nil {
-						t.Fatalf("config %d: %v", i, err)
-					}
-					if i == 0 {
-						ref, refStats = out, *stats
-						continue
-					}
-					if !reflect.DeepEqual(ref, out) {
-						t.Fatalf("config %d (mode=%v workers=%d) diverged from barrier reference", i, cfg.Mode, cfg.Workers)
-					}
-					if refStats != *stats {
-						t.Fatalf("config %d stats diverged:\nref: %+v\ngot: %+v", i, refStats, *stats)
-					}
-				}
+				checkSameRuns(t, g, widthConfigs(g, seed), func(out []int64) func(*Ctx) Machine {
+					return func(*Ctx) Machine { return &chaosMachine{out: out, rounds: 12} }
+				})
 			})
 		}
 	}
@@ -147,7 +165,7 @@ func TestRetireFlushDeliversLastWords(t *testing.T) {
 	// retirement: parked receivers wake on the delivery, and the round
 	// counts because somebody observed it.
 	g := path(3)
-	for i, cfg := range machineModeConfigs(g, 1) {
+	for i, cfg := range recConfigs(g, 1) {
 		var m1 lastWordsMachine
 		stats, err := RunMachines(cfg, func(c *Ctx) Machine {
 			if c.ID() == 1 {
@@ -166,34 +184,31 @@ func TestRetireFlushDeliversLastWords(t *testing.T) {
 		}
 	}
 
-	// The same contract holds for blocking procedures: a proc that sends
-	// and returns without another block still delivers.
-	for _, mode := range []Mode{ModeBarrier, ModeEvent} {
+	// The same contract holds for boxed payloads.
+	for i, cfg := range widthConfigs(g, 1) {
 		var got []int
-		stats, err := Run(Config{Graph: path(3), Seed: 1, Mode: mode}, func(ctx *Ctx) {
-			switch ctx.ID() {
-			case 0:
+		stats, err := RunMachines(cfg, each(func(ctx *Ctx, in StepIn) StepStatus {
+			switch {
+			case ctx.ID() == 0:
 				ctx.Send(1, blob{val: 9, size: 8})
-				return // no trailing NextRound
-			case 1:
-				if msgs, ok := ctx.Recv(); ok {
-					for _, m := range msgs {
-						got = append(got, m.Payload.(blob).val)
-					}
-					ctx.Recv() // quiesce
+				return StepDone // no trailing yield
+			case in.Quiesced:
+				return StepDone
+			case ctx.ID() == 1:
+				for _, m := range in.Msgs {
+					got = append(got, m.Payload.(blob).val)
 				}
-			default:
-				ctx.Recv()
 			}
-		})
+			return StepPark
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, []int{9}) {
-			t.Fatalf("mode %v: receiver saw %v, want [9]", mode, got)
+			t.Fatalf("config %d: receiver saw %v, want [9]", i, got)
 		}
 		if stats.Rounds != 1 || stats.Messages != 1 {
-			t.Fatalf("mode %v: stats = %+v, want Rounds=1 Messages=1", mode, stats)
+			t.Fatalf("config %d: stats = %+v, want Rounds=1 Messages=1", i, stats)
 		}
 	}
 }
@@ -201,41 +216,20 @@ func TestRetireFlushDeliversLastWords(t *testing.T) {
 func TestRetireFlushSilentDrop(t *testing.T) {
 	// Last words that can only reach already-retired vertices are metered
 	// (the bits were sent) but dropped without charging a round: no
-	// receiver could observe that boundary.
-	for _, mode := range []Mode{ModeBarrier, ModeEvent} {
-		stats, err := Run(Config{Graph: path(2), Seed: 1, Mode: mode}, func(ctx *Ctx) {
+	// receiver could observe that boundary. Vertex 1 retires instantly,
+	// and the survivor's final words go to the corpse after one observed
+	// round.
+	for i, cfg := range recConfigs(path(2), 1) {
+		stats, err := RunMachines(cfg, each(func(ctx *Ctx, in StepIn) StepStatus {
 			if ctx.ID() == 1 {
-				return // retires instantly
-			}
-			ctx.NextRound()            // round 1: vertex 1 already gone
-			ctx.Send(1, blob{size: 8}) // addressed to the departed
-			ctx.Send(1, blob{size: 8}) // (twice, to check metering adds up)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Rounds != 1 {
-			t.Fatalf("mode %v: Rounds = %d, want 1 (silent drop must not count a round)", mode, stats.Rounds)
-		}
-		if stats.Messages != 2 || stats.TotalBits != 16 {
-			t.Fatalf("mode %v: dropped last words not metered: %+v", mode, stats)
-		}
-	}
-	// Machine flavor, all engines: vertex 1 retires instantly, and the
-	// survivor's final words go to the corpse after one observed round.
-	for i, cfg := range machineModeConfigs(path(2), 1) {
-		stats, err := RunMachines(cfg, func(c *Ctx) Machine {
-			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
-				if ctx.ID() == 1 {
-					return StepDone
-				}
-				if in.Start {
-					return StepYield
-				}
-				ctx.SendRec(1, Rec{Tag: 1}, 8)
 				return StepDone
-			})
-		})
+			}
+			if in.Start {
+				return StepYield
+			}
+			ctx.SendRec(1, Rec{Tag: 1}, 8)
+			return StepDone
+		}))
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
@@ -243,89 +237,67 @@ func TestRetireFlushSilentDrop(t *testing.T) {
 			t.Fatalf("config %d: stats = %+v, want Rounds=1 Messages=1 TotalBits=8", i, stats)
 		}
 	}
-}
-
-// machineFunc adapts a function to the Machine interface.
-type machineFunc func(*Ctx, StepIn) StepStatus
-
-func (f machineFunc) Step(c *Ctx, in StepIn) StepStatus { return f(c, in) }
-
-func TestCancelAbortsRun(t *testing.T) {
-	// A canceled run aborts at the next round boundary with ErrCanceled,
-	// in every mode, releasing every vertex (Run only returns once all
-	// vertex goroutines have exited, so -race verifies no writer outlives
-	// the call).
-	g := clique(8)
-	for _, mode := range []Mode{ModeBarrier, ModeEvent} {
-		cancel := make(chan struct{})
-		var canceledAt int
-		_, err := Run(Config{Graph: g, Seed: 1, Mode: mode, Cancel: cancel,
-			OnRound: func(a RoundActivity) {
-				if a.Round == 5 {
-					canceledAt = a.Round
-					close(cancel)
-				}
-			}}, func(ctx *Ctx) {
-			for {
-				ctx.Broadcast(blob{size: 4})
-				ctx.NextRound()
+	// Boxed flavor, two payloads, to check the metering adds up.
+	for i, cfg := range widthConfigs(path(2), 1) {
+		stats, err := RunMachines(cfg, each(func(ctx *Ctx, in StepIn) StepStatus {
+			if ctx.ID() == 1 {
+				return StepDone // retires instantly
 			}
-		})
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("mode %v: err = %v, want ErrCanceled", mode, err)
+			if in.Start {
+				return StepYield // round 1: vertex 1 already gone
+			}
+			ctx.Send(1, blob{size: 8}) // addressed to the departed
+			ctx.Send(1, blob{size: 8})
+			return StepDone
+		}))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if canceledAt != 5 {
-			t.Fatalf("mode %v: cancel fired at round %d", mode, canceledAt)
+		if stats.Rounds != 1 {
+			t.Fatalf("config %d: Rounds = %d, want 1 (silent drop must not count a round)", i, stats.Rounds)
+		}
+		if stats.Messages != 2 || stats.TotalBits != 16 {
+			t.Fatalf("config %d: dropped last words not metered: %+v", i, stats)
 		}
 	}
-	// Step mode, via a busy machine.
-	cancel := make(chan struct{})
-	_, err := RunMachines(Config{Graph: g, Seed: 1, Mode: ModeStep, Cancel: cancel,
-		OnRound: func(a RoundActivity) {
+}
+
+func TestCancelAbortsRun(t *testing.T) {
+	// A canceled run aborts at the next round boundary with ErrCanceled;
+	// RunMachines returns only once no step is running, so -race verifies
+	// no writer outlives the call.
+	g := clique(8)
+	for i, cfg := range widthConfigs(g, 1) {
+		cancel := make(chan struct{})
+		var canceledAt int
+		cfg.Cancel = cancel
+		cfg.OnRound = func(a RoundActivity) {
 			if a.Round == 5 {
+				canceledAt = a.Round
 				close(cancel)
 			}
-		}}, func(c *Ctx) Machine {
-		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
-			ctx.BroadcastRec(Rec{Tag: 1}, 4)
-			return StepYield
-		})
-	})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("step mode: err = %v, want ErrCanceled", err)
+		}
+		_, err := RunMachines(cfg, each(busyBoxed))
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("config %d: err = %v, want ErrCanceled", i, err)
+		}
+		if canceledAt != 5 {
+			t.Fatalf("config %d: cancel fired at round %d", i, canceledAt)
+		}
 	}
 	// A pre-closed cancel aborts before any traffic is delivered.
 	pre := make(chan struct{})
 	close(pre)
-	_, err = Run(Config{Graph: g, Seed: 1, Cancel: pre}, func(ctx *Ctx) {
-		for {
-			ctx.Broadcast(blob{size: 4})
-			ctx.NextRound()
-		}
-	})
+	_, err := RunMachines(Config{Graph: g, Seed: 1, Cancel: pre}, each(func(ctx *Ctx, in StepIn) StepStatus {
+		ctx.BroadcastRec(Rec{Tag: 1}, 4)
+		return StepYield
+	}))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-closed cancel: err = %v, want ErrCanceled", err)
 	}
 }
 
 func TestModeStepValidation(t *testing.T) {
-	// Blocking procedures cannot run under ModeStep...
-	_, err := Run(Config{Graph: path(2), Mode: ModeStep}, func(*Ctx) {})
-	if err == nil || !strings.Contains(err.Error(), "RunMachines") {
-		t.Fatalf("Run accepted ModeStep: err = %v", err)
-	}
-	// ...and a machine that calls a blocking primitive mid-step is a
-	// protocol bug, reported like any vertex panic.
-	_, err = RunMachines(Config{Graph: path(2), Mode: ModeStep}, func(c *Ctx) Machine {
-		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
-			ctx.NextRound()
-			return StepDone
-		})
-	})
-	if err == nil || !strings.Contains(err.Error(), "StepYield/StepPark") {
-		t.Fatalf("blocking call inside a step: err = %v", err)
-	}
-	// RunMachines validates like Run.
 	if _, err := RunMachines(Config{}, func(c *Ctx) Machine { return nil }); err == nil {
 		t.Fatal("nil graph must error")
 	}
@@ -339,11 +311,11 @@ func TestModeStepValidation(t *testing.T) {
 }
 
 func TestMachineActivityAccounting(t *testing.T) {
-	// The activity fold must be identical across engines for machines,
-	// including the OnRound curve.
+	// The activity fold must be identical across execution
+	// configurations, including the OnRound curve.
 	g := benchGraph(32)
 	var ref []RoundActivity
-	for i, cfg := range machineModeConfigs(g, 3) {
+	for i, cfg := range recConfigs(g, 3) {
 		var curve []RoundActivity
 		cfg.OnRound = func(a RoundActivity) { curve = append(curve, a) }
 		out := make([]int64, g.N())

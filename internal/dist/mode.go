@@ -2,114 +2,36 @@ package dist
 
 import "fmt"
 
-// Mode selects the engine's scheduling strategy. All strategies execute
-// the same synchronous-round semantics and are required (and tested) to
-// produce bit-identical results and Stats for a fixed (Graph, Seed); they
-// differ only in how vertex steps are driven, i.e. in wall-clock cost.
+// Mode is the engine selector, kept for source compatibility: the step
+// engine is the only scheduler, and both values select it.
 type Mode int
 
 const (
-	// ModeAuto picks the mode by how the protocol is expressed. For
-	// blocking procedures (Run) it switches on network size: ModeEvent at
-	// or above EventThreshold vertices, ModeBarrier below it. For state
-	// machines (RunMachines) it always picks ModeStep — a machine never
-	// blocks, so the goroutine-free engine dominates at every size.
+	// ModeAuto is the zero value: run on the step engine.
 	ModeAuto Mode = iota
-	// ModeBarrier is the classic execution: every vertex runs freely
-	// between central barriers, and completing a round wakes every
-	// still-running vertex — O(n) wakeups per round regardless of how
-	// many vertices have anything to do.
-	ModeBarrier
-	// ModeEvent is the event-driven scheduler: vertices are parked
-	// goroutines resumed by explicit hand-off, and a round schedules only
-	// the active vertices — those holding a freshly delivered inbox or an
-	// explicit self-wakeup (a NextRound call). Quiet vertices (parked in
-	// Recv) cost zero wakeups, making round cost O(#active + #senders)
-	// instead of O(n).
-	ModeEvent
-	// ModeStep is the goroutine-free engine: vertices are explicit state
-	// machines (see Machine) stepped by a sharded run-to-completion loop
-	// on the caller's goroutine — no per-vertex goroutine, no parking, no
-	// channel hand-off. A round is a scan over the active set. Like
-	// ModeEvent, quiet machines cost nothing; unlike it, active ones cost
-	// a plain function call instead of two channel operations, which is
-	// what removes the per-vertex stack and hand-off and lets runs scale
-	// to millions of vertices on one box. Only RunMachines accepts it:
-	// blocking procedures cannot run without a goroutine to block.
+	// ModeStep names the step engine explicitly.
 	ModeStep
 )
-
-// EventThreshold is the vertex count at which ModeAuto switches a
-// blocking-procedure Run from the barrier engine to the event-driven
-// scheduler. It is the single source of truth for that switch point —
-// doc references (ROADMAP, ARCHITECTURE) cite this constant rather than
-// repeating the number. The tradeoff, measured by bench_test.go and the
-// core 2-spanner algorithm: on rounds where every vertex is active the
-// hand-off costs extra channel operations per vertex (up to ~25% on
-// light-payload gossip, 13-26% on the real algorithm below n=4096),
-// while on sparse rounds — any vertex parked in Recv — the scheduler
-// wins by up to an order of magnitude, because quiet vertices cost zero
-// wakeups. At n >= 4096 the barrier engine itself pays worker-pool
-// gating (PoolThreshold), and the real-algorithm gap closes to noise
-// (event was 7% faster at n=4096, 1.5% slower at n=8192 on the
-// 2-spanner), so switching here is regression-free on fully-busy
-// protocols and buys the sparse win by default. Protocols that know
-// their activity profile should pin Config.Mode instead. State machines
-// (RunMachines) never consult this: ModeAuto resolves them to ModeStep,
-// which wins on both busy and sparse rounds.
-const EventThreshold = 4096
 
 // String returns the mode's CLI/parameter spelling.
 func (m Mode) String() string {
 	switch m {
 	case ModeAuto:
 		return "auto"
-	case ModeBarrier:
-		return "barrier"
-	case ModeEvent:
-		return "event"
 	case ModeStep:
 		return "step"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// ParseMode parses the CLI/parameter spelling of a Mode ("auto",
-// "barrier", "event", "step").
+// ParseMode parses the CLI/parameter spelling of a Mode ("", "auto",
+// "step").
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "auto":
 		return ModeAuto, nil
-	case "barrier":
-		return ModeBarrier, nil
-	case "event":
-		return ModeEvent, nil
 	case "step":
 		return ModeStep, nil
 	}
-	return ModeAuto, fmt.Errorf("dist: unknown execution mode %q (want auto, barrier, event, step)", s)
-}
-
-// resolve maps ModeAuto to a concrete mode for an n-vertex run of a
-// blocking procedure (Run). ModeStep is not a candidate here: it cannot
-// execute blocking procedures.
-func (m Mode) resolve(n int) Mode {
-	if m == ModeAuto {
-		if n >= EventThreshold {
-			return ModeEvent
-		}
-		return ModeBarrier
-	}
-	return m
-}
-
-// resolveMachines maps ModeAuto to a concrete mode for a state-machine
-// run (RunMachines): always ModeStep. The blocking modes remain
-// selectable explicitly — that is what the cross-mode equivalence tests
-// exercise — but never win on wall clock for machines.
-func (m Mode) resolveMachines() Mode {
-	if m == ModeAuto {
-		return ModeStep
-	}
-	return m
+	return ModeAuto, fmt.Errorf("dist: unknown execution mode %q (want auto or step)", s)
 }

@@ -19,22 +19,21 @@ import "sort"
 //   - The router copies records straight into the receivers' in arenas —
 //     contiguous, type-tagged, sender order preserved (ascending sender
 //     id, ties in send order, exactly like the boxed inbox).
-//   - Receivers iterate the arena in place via Ctx.NextRoundRecs /
-//     Ctx.RecvRecs. The returned records alias the arena (zero-copy): a
-//     record's Ints tail is a view into the inbox buffer, valid until the
-//     vertex's next blocking call. Arenas are truncated, never freed, so
-//     steady-state rounds allocate nothing.
+//   - Receivers iterate the arena in place via StepIn.Recs. The records
+//     alias the arena (zero-copy): a record's Ints tail is a view into
+//     the inbox buffer, valid only during the Step call. Arenas are
+//     truncated, never freed, so steady-state rounds allocate nothing.
 //
 // Metering: a record's bit size is supplied by the sender at SendRec time
 // (protocols compute it from the same accounting rules as a boxed
 // payload's Bits method), so Stats are identical whichever path a protocol
-// uses. Both engine modes share this delivery path; the determinism
-// contract (ARCHITECTURE.md) applies to records unchanged.
+// uses. The determinism contract (ARCHITECTURE.md) applies to records
+// unchanged.
 //
 // A protocol should use one family — records or boxed payloads — for all
 // of its traffic. The engine delivers both (a mixed round wakes a parked
-// receiver either way), but NextRound returns only boxed messages and
-// NextRoundRecs only records, so mixed-family protocols must drain both.
+// receiver either way) in separate inboxes, StepIn.Msgs and StepIn.Recs,
+// so mixed-family protocols must read both.
 
 // Rec is one flat typed record: the unit of the flat-buffer inbox path.
 // Tag identifies the record type (protocol-defined; zero is fine), Flag
@@ -52,9 +51,8 @@ type Rec struct {
 }
 
 // InRec is one delivered record: the sender id plus the record. Ints
-// aliases the receiving vertex's inbox arena — it is valid until the
-// vertex's next blocking call (NextRound/Recv in either flavor) and must
-// be copied if kept longer.
+// aliases the receiving vertex's inbox arena — it is valid only during
+// the Step call that received it and must be copied if kept longer.
 type InRec struct {
 	From int
 	Rec
@@ -79,7 +77,7 @@ type outRec struct {
 // use). rec.Ints is copied into the sender's arena: consecutive SendRec
 // calls passing the same Ints slice (a broadcast) stage the tail once and
 // share it. Like Send, sending to a non-neighbor panics, and sends are
-// committed by the vertex's next blocking call.
+// committed when the step returns.
 func (c *Ctx) SendRec(to int, rec Rec, bits int) {
 	i := c.nbrIndex(to) // validates
 	c.ensureScratch()
@@ -114,28 +112,6 @@ func (c *Ctx) stageInts(ints []int) (off, n int32) {
 	c.outInts = append(c.outInts, ints...)
 	c.lastStaged, c.lastOff = ints, off
 	return off, int32(len(ints))
-}
-
-// NextRoundRecs is NextRound for the record path: commit queued sends,
-// block until the round completes, and return the round's records sorted
-// by sender id (ties in send order). The returned slice and every
-// record's Ints tail alias the vertex's inbox arena: they are valid until
-// this vertex's next blocking call and must be copied if kept. After
-// quiescence it returns an empty inbox immediately, like NextRound.
-func (c *Ctx) NextRoundRecs() []InRec {
-	c.blockStep()
-	return c.takeRecs()
-}
-
-// RecvRecs is Recv for the record path: park until a round delivers at
-// least one message, returning that round's records and ok=true, or
-// (nil, false) once the network has quiesced. The same arena-aliasing
-// lifetime as NextRoundRecs applies.
-func (c *Ctx) RecvRecs() ([]InRec, bool) {
-	if !c.blockRecv() {
-		return nil, false
-	}
-	return c.takeRecs(), true
 }
 
 // takeRecs binds each delivered record's Ints view into the arena and

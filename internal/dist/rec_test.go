@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"distspanner/internal/graph"
 )
 
 // Tests for the flat-buffer typed inbox path (rec.go): delivery order,
 // metering, arena reuse, quiescence, mixed-family runs, and randomized
-// cross-mode equivalence over tail-heavy and fault (early-retirement)
-// workloads. These all run under the CI -race job.
+// equivalence across execution configurations over tail-heavy and fault
+// (early-retirement) workloads. These all run under the CI -race job.
 
 func TestRecDeliveryAndOrdering(t *testing.T) {
 	// Each vertex broadcasts one record naming itself; everyone must
@@ -19,22 +17,33 @@ func TestRecDeliveryAndOrdering(t *testing.T) {
 	// scalar and tail fields intact, and the next round must be empty.
 	g := path(5)
 	got := make([][]int, g.N())
-	stats, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		ctx.BroadcastRec(Rec{Tag: 3, Flag: 1, A: int64(ctx.ID()), F0: 0.5, Ints: []int{ctx.ID(), 99}}, 10)
-		var from []int
-		for _, r := range ctx.NextRoundRecs() {
-			if r.Tag != 3 || r.Flag != 1 || r.A != int64(r.From) || r.F0 != 0.5 {
-				t.Errorf("scalar fields corrupted: %+v", r)
+	stats, err := RunMachines(Config{Graph: g, Seed: 1}, func(*Ctx) Machine {
+		step := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			step++
+			switch step {
+			case 1:
+				ctx.BroadcastRec(Rec{Tag: 3, Flag: 1, A: int64(ctx.ID()), F0: 0.5, Ints: []int{ctx.ID(), 99}}, 10)
+				return StepYield
+			case 2:
+				var from []int
+				for _, r := range in.Recs {
+					if r.Tag != 3 || r.Flag != 1 || r.A != int64(r.From) || r.F0 != 0.5 {
+						t.Errorf("scalar fields corrupted: %+v", r)
+					}
+					if len(r.Ints) != 2 || r.Ints[0] != r.From || r.Ints[1] != 99 {
+						t.Errorf("tail corrupted: %+v", r)
+					}
+					from = append(from, r.From)
+				}
+				got[ctx.ID()] = from
+				return StepYield
 			}
-			if len(r.Ints) != 2 || r.Ints[0] != r.From || r.Ints[1] != 99 {
-				t.Errorf("tail corrupted: %+v", r)
+			if len(in.Recs) != 0 {
+				t.Errorf("vertex %d received %d stale records", ctx.ID(), len(in.Recs))
 			}
-			from = append(from, r.From)
-		}
-		got[ctx.ID()] = from
-		if extra := ctx.NextRoundRecs(); len(extra) != 0 {
-			t.Errorf("vertex %d received %d stale records", ctx.ID(), len(extra))
-		}
+			return StepDone
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,27 +57,37 @@ func TestRecDeliveryAndOrdering(t *testing.T) {
 	}
 }
 
+// fourRounds runs send for rounds 0..3, yielding after each, then
+// retires.
+func fourRounds(send func(ctx *Ctx, r int)) func(*Ctx) Machine {
+	return func(*Ctx) Machine {
+		r := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			if !in.Start {
+				r++
+			}
+			if r == 4 {
+				return StepDone
+			}
+			send(ctx, r)
+			return StepYield
+		})
+	}
+}
+
 func TestRecMeteringMatchesBoxed(t *testing.T) {
 	// A record-path run and a boxed run of the same traffic shape must
 	// meter identically: bits are sender-declared either way.
 	g := clique(6)
-	boxed := func(ctx *Ctx) {
-		for r := 0; r < 4; r++ {
-			ctx.Broadcast(blob{val: r, size: 17})
-			ctx.NextRound()
-		}
-	}
-	recs := func(ctx *Ctx) {
-		for r := 0; r < 4; r++ {
-			ctx.BroadcastRec(Rec{Tag: 1, A: int64(r)}, 17)
-			ctx.NextRoundRecs()
-		}
-	}
-	sb, err := Run(Config{Graph: g, Seed: 1}, boxed)
+	sb, err := RunMachines(Config{Graph: g, Seed: 1}, fourRounds(func(ctx *Ctx, r int) {
+		ctx.Broadcast(blob{val: r, size: 17})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := Run(Config{Graph: g, Seed: 1}, recs)
+	sr, err := RunMachines(Config{Graph: g, Seed: 1}, fourRounds(func(ctx *Ctx, r int) {
+		ctx.BroadcastRec(Rec{Tag: 1, A: int64(r)}, 17)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,26 +99,22 @@ func TestRecMeteringMatchesBoxed(t *testing.T) {
 func TestRecBandwidthEnforced(t *testing.T) {
 	// Record bits count against the per-edge budget exactly like payload
 	// bits, including accumulation across records on one edge.
-	g := path(2)
-	_, err := Run(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, func(ctx *Ctx) {
+	_, err := RunMachines(Config{Graph: path(2), Seed: 1, Bandwidth: 64, Enforce: true}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
 			ctx.SendRec(1, Rec{Tag: 1}, 40)
 			ctx.SendRec(1, Rec{Tag: 2}, 40)
 		}
-		ctx.NextRoundRecs()
-	})
+	}))
 	if err == nil {
 		t.Fatal("accumulated record traffic not enforced")
 	}
 }
 
 func TestRecCutBits(t *testing.T) {
-	g := path(4)
 	cut := []bool{false, false, true, true}
-	stats, err := Run(Config{Graph: g, Seed: 1, CutSide: cut}, func(ctx *Ctx) {
+	stats, err := RunMachines(Config{Graph: path(4), Seed: 1, CutSide: cut}, sendOnceThenDone(func(ctx *Ctx) {
 		ctx.BroadcastRec(Rec{Tag: 1}, 7)
-		ctx.NextRoundRecs()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,24 +125,31 @@ func TestRecCutBits(t *testing.T) {
 
 func TestRecArenaReusedAcrossRounds(t *testing.T) {
 	// The whole point of the arena: after warm-up, steady-state rounds
-	// append into retained buffers. Assert the returned views stay
+	// append into retained buffers. Assert the delivered views stay
 	// correct round over round while the backing arrays are reused
 	// (record contents must never bleed between rounds).
-	g := clique(4)
-	_, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
-		for r := 0; r < 8; r++ {
-			ctx.BroadcastRec(Rec{Tag: uint8(r + 1), A: int64(r), Ints: []int{r, r, r}}, 5)
-			for _, in := range ctx.NextRoundRecs() {
-				if in.Tag != uint8(r+1) || in.A != int64(r) {
-					t.Errorf("round %d: stale header %+v", r, in)
-				}
-				for _, x := range in.Ints {
-					if x != r {
-						t.Errorf("round %d: stale tail %v", r, in.Ints)
+	_, err := RunMachines(Config{Graph: clique(4), Seed: 1}, func(*Ctx) Machine {
+		r := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			if !in.Start {
+				for _, rec := range in.Recs {
+					if rec.Tag != uint8(r+1) || rec.A != int64(r) {
+						t.Errorf("round %d: stale header %+v", r, rec)
+					}
+					for _, x := range rec.Ints {
+						if x != r {
+							t.Errorf("round %d: stale tail %v", r, rec.Ints)
+						}
 					}
 				}
+				r++
 			}
-		}
+			if r == 8 {
+				return StepDone
+			}
+			ctx.BroadcastRec(Rec{Tag: uint8(r + 1), A: int64(r), Ints: []int{r, r, r}}, 5)
+			return StepYield
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,212 +157,155 @@ func TestRecArenaReusedAcrossRounds(t *testing.T) {
 }
 
 func TestRecRecvParksAndQuiesces(t *testing.T) {
-	// Vertex 0 drives three waves, then everyone quiesces: RecvRecs must
-	// deliver each wave and then report ok=false everywhere.
-	for _, mode := range []Mode{ModeBarrier, ModeEvent} {
-		g := path(8)
+	// Vertex 0 drives three waves, then everyone quiesces: parked
+	// vertices must be woken by each wave and then released by
+	// quiescence everywhere.
+	g := path(8)
+	for i, cfg := range recConfigs(g, 1) {
 		waves := make([]int, g.N())
-		stats, err := Run(Config{Graph: g, Seed: 1, Mode: mode}, func(ctx *Ctx) {
-			if ctx.ID() == 0 {
-				for r := 0; r < 3; r++ {
+		stats, err := RunMachines(cfg, func(*Ctx) Machine {
+			r := 0
+			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+				if ctx.ID() == 0 {
+					if r == 3 {
+						return StepDone
+					}
 					ctx.SendRec(1, Rec{Tag: 1, A: int64(r)}, 8)
-					ctx.NextRoundRecs()
+					r++
+					return StepYield
 				}
-				return
-			}
-			for {
-				msgs, ok := ctx.RecvRecs()
-				if !ok {
-					return
+				if in.Quiesced {
+					return StepDone
 				}
-				if len(msgs) == 0 {
+				if in.Start {
+					return StepPark
+				}
+				if len(in.Recs) == 0 {
 					t.Errorf("vertex %d woken with an empty record inbox", ctx.ID())
+					return StepPark
 				}
-				waves[ctx.ID()] += len(msgs)
+				waves[ctx.ID()] += len(in.Recs)
 				// Relay one hop down the path.
 				if next := ctx.ID() + 1; next < ctx.N() {
-					ctx.SendRec(next, Rec{Tag: 1, A: msgs[0].A}, 8)
+					ctx.SendRec(next, Rec{Tag: 1, A: in.Recs[0].A}, 8)
 				}
-			}
+				return StepPark
+			})
 		})
 		if err != nil {
-			t.Fatalf("mode=%v: %v", mode, err)
+			t.Fatalf("config %d: %v", i, err)
 		}
 		for v := 1; v < g.N(); v++ {
 			if waves[v] != 3 {
-				t.Fatalf("mode=%v: vertex %d saw %d waves, want 3", mode, v, waves[v])
+				t.Fatalf("config %d: vertex %d saw %d waves, want 3", i, v, waves[v])
 			}
 		}
 		if stats.Messages != 3*7 {
-			t.Fatalf("mode=%v: Messages = %d, want 21", mode, stats.Messages)
+			t.Fatalf("config %d: Messages = %d, want 21", i, stats.Messages)
 		}
 	}
 }
 
 func TestRecMixedFamiliesInOneRun(t *testing.T) {
-	// The engine delivers both families in one round: boxed payloads via
-	// NextRound, records via NextRoundRecs, either one waking a parked
-	// receiver. Vertex 1 receives a boxed message and a record in the
-	// same round and must see both through the matching accessors.
-	g := path(3)
-	_, err := Run(Config{Graph: g, Seed: 1}, func(ctx *Ctx) {
+	// The engine delivers both families in one round, either one waking
+	// a parked receiver. Vertex 1 receives a boxed message and a record
+	// in the same round and must see both, in StepIn.Msgs and
+	// StepIn.Recs.
+	_, err := RunMachines(Config{Graph: path(3), Seed: 1}, each(func(ctx *Ctx, in StepIn) StepStatus {
 		switch ctx.ID() {
 		case 0:
+			if !in.Start {
+				return StepDone
+			}
 			ctx.Send(1, blob{val: 5, size: 8})
-			ctx.NextRound()
+			return StepYield
 		case 2:
+			if !in.Start {
+				return StepDone
+			}
 			ctx.SendRec(1, Rec{Tag: 9, A: 6}, 8)
-			ctx.NextRound()
-		case 1:
-			msgs, ok := ctx.Recv()
-			if !ok {
-				t.Error("vertex 1 quiesced before delivery")
-				return
-			}
-			recs := ctx.takeRecs() // drain the record half of the mixed round
-			if len(msgs) != 1 || msgs[0].Payload.(blob).val != 5 {
-				t.Errorf("boxed half wrong: %+v", msgs)
-			}
-			if len(recs) != 1 || recs[0].Tag != 9 || recs[0].A != 6 {
-				t.Errorf("record half wrong: %+v", recs)
-			}
+			return StepYield
 		}
-	})
+		if in.Start {
+			return StepPark
+		}
+		if in.Quiesced {
+			t.Error("vertex 1 quiesced before delivery")
+			return StepDone
+		}
+		if len(in.Msgs) != 1 || in.Msgs[0].Payload.(blob).val != 5 {
+			t.Errorf("boxed half wrong: %+v", in.Msgs)
+		}
+		if len(in.Recs) != 1 || in.Recs[0].Tag != 9 || in.Recs[0].A != 6 {
+			t.Errorf("record half wrong: %+v", in.Recs)
+		}
+		return StepDone
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// recChaosProc is a randomized record protocol mixing yields, parks,
-// broadcasts with shared tails, targeted sends, and early retirement
-// (faults): vertices whose RNG rolls a fault retire mid-run while peers
-// keep sending to them. Every delivered record folds into a per-vertex
-// hash, so any divergence in content, order, or lifecycle shows up.
-func recChaosProc(rounds int, out []int64) func(*Ctx) {
-	return func(ctx *Ctx) {
-		h := int64(ctx.ID())
-		defer func() { out[ctx.ID()] = h }()
-		for r := 0; r < rounds; r++ {
-			if ctx.Rand().Intn(16) == 0 {
-				h = h*31 + 13 // fault: retire early
-				return
-			}
-			roll := ctx.Rand().Intn(8)
-			switch {
-			case roll == 0 && ctx.Degree() > 0:
-				// Broadcast with a shared tail.
-				tail := []int{r, ctx.ID()}
-				ctx.BroadcastRec(Rec{Tag: 2, A: int64(r), Ints: tail}, 32)
-			case roll < 3 && ctx.Degree() > 0:
-				to := ctx.Neighbors()[ctx.Rand().Intn(ctx.Degree())]
-				ctx.SendRec(to, Rec{Tag: 1, B: int64(to), F1: float64(r)}, 16)
-			}
-			var msgs []InRec
-			if roll >= 6 {
-				var ok bool
-				msgs, ok = ctx.RecvRecs()
-				if !ok {
-					h = h*31 + 7
-					return
-				}
-			} else {
-				msgs = ctx.NextRoundRecs()
-			}
-			for i := range msgs {
-				m := &msgs[i]
-				h = h*31 + int64(m.From)<<2 + int64(m.Tag) + m.A + m.B
-				for _, x := range m.Ints {
-					h = h*33 + int64(x)
-				}
-			}
-		}
-	}
-}
-
-// TestRecCrossModeChaosEquivalence is the record-path analogue of
-// TestCrossModeChaosEquivalence: outputs and the full Stats must be
-// bit-identical across the barrier engine, the worker-pool barrier, and
-// the event scheduler, on topologies covering tail-heavy (sparse, mostly
-// parked) and fault-prone (random early retirement) executions.
+// TestRecCrossModeChaosEquivalence: outputs and the full Stats of the
+// record chaos protocol must be bit-identical across step widths and
+// against the 3-shard coordinator run, on topologies covering
+// tail-heavy (sparse, mostly parked) and fault-prone (random early
+// retirement) executions.
 func TestRecCrossModeChaosEquivalence(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"clique16":   clique(16),
-		"path33":     path(33),
-		"ring64":     benchGraph(64),
-		"sparse2x40": func() *graph.Graph { g := graph.New(80); g.AddEdge(0, 79); return g }(),
-	}
-	for name, g := range graphs {
+	for name, g := range chaosGraphs() {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				var ref []int64
-				var refStats Stats
-				for i, cfg := range []Config{
-					{Graph: g, Seed: seed, Mode: ModeBarrier},
-					{Graph: g, Seed: seed, Mode: ModeBarrier, Workers: 3},
-					{Graph: g, Seed: seed, Mode: ModeEvent},
-					{Graph: g, Seed: seed, Mode: ModeEvent, Workers: 3},
-				} {
-					out := make([]int64, g.N())
-					stats, err := Run(cfg, recChaosProc(12, out))
-					if err != nil {
-						t.Fatalf("config %d: %v", i, err)
-					}
-					if i == 0 {
-						ref, refStats = out, *stats
-						continue
-					}
-					if !reflect.DeepEqual(ref, out) {
-						t.Fatalf("config %d (mode=%v workers=%d) diverged from barrier reference", i, cfg.Mode, cfg.Workers)
-					}
-					if refStats != *stats {
-						t.Fatalf("config %d stats diverged:\nref: %+v\ngot: %+v", i, refStats, *stats)
-					}
-				}
+				checkSameRuns(t, g, recConfigs(g, seed), func(out []int64) func(*Ctx) Machine {
+					return func(*Ctx) Machine { return &chaosMachine{out: out, rounds: 12} }
+				})
 			})
 		}
 	}
 }
 
 // TestRecTailHeavyCrossMode drives a tail-heavy record workload — one
-// active core, a long parked fringe woken in waves — and asserts output
-// and Stats equality across modes, the regime the spanner tails live in.
+// active core, a long parked fringe woken in waves — and asserts Stats
+// equality across execution configurations, the regime the spanner
+// tails live in.
 func TestRecTailHeavyCrossMode(t *testing.T) {
 	g := benchGraph(96)
-	proc := func(ctx *Ctx) {
-		if ctx.ID() < 4 {
-			for r := 0; r < 24; r++ {
+	factory := func(*Ctx) Machine {
+		r := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			if ctx.ID() < 4 {
+				if r == 24 {
+					return StepDone
+				}
 				to := ctx.Neighbors()[r%ctx.Degree()]
 				ctx.SendRec(to, Rec{Tag: 1, A: int64(r), Ints: []int{r}}, 12)
-				ctx.NextRoundRecs()
+				r++
+				return StepYield
 			}
-			return
-		}
-		for {
-			msgs, ok := ctx.RecvRecs()
-			if !ok {
-				return
+			if in.Quiesced {
+				return StepDone
 			}
 			// Occasionally ripple one record outward.
-			if msgs[0].A%5 == 0 {
-				ctx.SendRec(ctx.Neighbors()[0], Rec{Tag: 1, A: msgs[0].A + 100}, 12)
+			if !in.Start && in.Recs[0].A%5 == 0 {
+				ctx.SendRec(ctx.Neighbors()[0], Rec{Tag: 1, A: in.Recs[0].A + 100}, 12)
 			}
-		}
+			return StepPark
+		})
 	}
 	var ref Stats
-	for i, mode := range []Mode{ModeBarrier, ModeEvent} {
-		stats, err := Run(Config{Graph: g, Seed: 9, Mode: mode}, proc)
+	for i, cfg := range recConfigs(g, 9) {
+		stats, err := RunMachines(cfg, factory)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
 			ref = *stats
+			if ref.ParkedSteps == 0 {
+				t.Fatal("tail-heavy workload recorded no parked steps")
+			}
 			continue
 		}
 		if ref != *stats {
-			t.Fatalf("tail-heavy stats diverged across modes:\nbarrier: %+v\nevent:   %+v", ref, stats)
-		}
-		if stats.ParkedSteps == 0 {
-			t.Fatal("tail-heavy workload recorded no parked steps")
+			t.Fatalf("config %d: tail-heavy stats diverged:\nref: %+v\ngot: %+v", i, ref, stats)
 		}
 	}
 }

@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 )
 
 // The worker half of the sharded runner: ServeShard owns a contiguous
-// vertex range and drives it with the ModeStep machinery (stepMachines,
+// vertex range and drives it with the step engine's machinery (stepMachines,
 // stepEpilogue, meterSender — the same code paths as runStep), while the
 // round/quiescence decisions move to the coordinator (coord.go). The
 // loop is runStep with its global checks replaced by protocol frames:
@@ -26,7 +25,7 @@ import (
 // within its own shard's position, its own dirty senders in ascending id
 // — with a contiguous partition that is exactly route's global
 // ascending-sender order, so per-vertex trace transcripts (and arena
-// inbox order) come out identical to the in-process engines.
+// inbox order) come out identical to the in-process engine.
 
 // shardRecorder buffers the worker's per-vertex trace events for the
 // ResultFrame. Phase snapshots are emitted by the coordinator (it owns
@@ -165,14 +164,13 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 		tr = rec
 	}
 	e := &engine{
-		g: g, n: n, mode: ModeStep,
+		g: g, n: n,
 		bandwidth: su.Bandwidth,
 		cut:       su.Cut,
 		routePar:  1,
 		stepPar:   runtime.GOMAXPROCS(0),
 		tracer:    tr,
 	}
-	e.cond = sync.NewCond(&e.mu)
 	e.ctxs = make([]*Ctx, n)
 	w := &shardWorker{
 		wt: wt, e: e, shard: su.Shard, workers: su.Workers, cuts: su.Cuts,
@@ -348,7 +346,7 @@ func (w *shardWorker) classify() (*RoundFrame, error) {
 	return rf, nil
 }
 
-// wakeScan is the dry half of flushWakesLocked plus the delivery
+// wakeScan is the dry half of flushWakes plus the delivery
 // counters: scan every pending delivery into this shard — own-local
 // sends still sitting in the sender arenas plus the inbound batches —
 // without applying anything.
@@ -488,8 +486,8 @@ func (w *shardWorker) deliver(from, to int, rec Rec, bits int64, tail []int) {
 	}
 }
 
-// discard drops all pending sends on an abort, like the blocking
-// engines' unwind path.
+// discard drops all pending sends on an abort: an aborted run delivers
+// nothing further.
 func (w *shardWorker) discard() {
 	for _, c := range w.dirty {
 		c.clearSends()

@@ -1,11 +1,12 @@
 package dist
 
 // Stats is the engine's accounting of one run. All quantities are
-// deterministic functions of (Config, procedure): two runs with the same
+// deterministic functions of (Config, protocol): two runs with the same
 // configuration produce identical Stats.
 type Stats struct {
-	// Rounds is the number of synchronous rounds executed: the maximum
-	// number of NextRound calls made by any vertex.
+	// Rounds is the number of synchronous rounds executed: for protocols
+	// whose vertices only yield, the maximum number of yields made by any
+	// vertex.
 	Rounds int
 	// Messages is the total number of payloads sent.
 	Messages int64
@@ -28,18 +29,18 @@ type Stats struct {
 	BandwidthViolations int64
 	// ActiveSteps is the total number of vertex steps over all completed
 	// rounds: each round contributes the number of vertices that ran
-	// during it (ended the round by yielding in NextRound, parking in
-	// Recv, or retiring). A protocol where every vertex spins NextRound
-	// has ActiveSteps ≈ Rounds × n; an activity-aware protocol whose idle
-	// vertices park in Recv has ActiveSteps ≈ Σ_r #active(r) — the
-	// quantity the event-driven scheduler's round cost is proportional
-	// to. ActiveSteps/Rounds is the mean active-vertex count per round.
+	// during it (ended the round by yielding, parking, or retiring). A
+	// protocol where every vertex yields every round has ActiveSteps ≈
+	// Rounds × n; an activity-aware protocol whose idle vertices park has
+	// ActiveSteps ≈ Σ_r #active(r) — the quantity the step engine's round
+	// cost is proportional to. ActiveSteps/Rounds is the mean
+	// active-vertex count per round.
 	ActiveSteps int64
 	// ParkedSteps is the sum over completed rounds of the number of
-	// vertices parked in Recv when the round's deliveries were out (a
-	// vertex woken by a delivery counts as active, not parked, in that
-	// round). ParkedSteps/Rounds is the mean parked-vertex count per
-	// round; parked vertices cost the event scheduler zero wakeups.
+	// vertices parked when the round's deliveries were out (a vertex
+	// woken by a delivery counts as active, not parked, in that round).
+	// ParkedSteps/Rounds is the mean parked-vertex count per round;
+	// parked vertices cost the step engine nothing.
 	ParkedSteps int64
 	// PeakActive is the maximum single-round active-vertex count.
 	PeakActive int
@@ -48,13 +49,14 @@ type Stats struct {
 // RoundActivity is the per-round activity snapshot passed to
 // Config.OnRound (and Tracer.Phase) after each completed round. Every
 // field is a deterministic function of (Config.Graph, Config.Seed,
-// procedure) and identical across the three execution modes — the
-// cross-mode equivalence tests assert this, and the snapshot is part of
-// the logical transcript that trace.Digest hashes. Field by field:
+// protocol) and independent of the step-shard width and the shard count
+// — the chaos and transport-conformance tests assert this, and the
+// snapshot is part of the logical transcript that trace.Digest hashes.
+// Field by field:
 //
 //   - Round: deterministic; rounds complete in the same order and count
-//     in every mode.
-//   - Active, Parked, Senders: deterministic; which vertices block,
+//     in every run.
+//   - Active, Parked, Senders: deterministic; which vertices yield,
 //     park, or send in a round depends only on delivered messages and
 //     per-vertex RNG streams, never on scheduling.
 //   - Delivered, DeliveredBits: deterministic when computed. They are
@@ -65,10 +67,10 @@ type RoundActivity struct {
 	// Round is the 1-based number of the round that just completed.
 	Round int
 	// Active is the number of vertices that ran during the round: they
-	// ended it by yielding (NextRound), parking (Recv), or retiring.
+	// ended it by yielding, parking, or retiring.
 	Active int
-	// Parked is the number of vertices still parked in Recv after the
-	// round's deliveries (woken receivers count as active next round).
+	// Parked is the number of vertices still parked after the round's
+	// deliveries (woken receivers count as active next round).
 	Parked int
 	// Senders is the number of vertices that committed at least one send
 	// this round.

@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
-// The ModeStep scheduler: vertices are explicit state machines stepped
-// by a sharded run-to-completion loop on the caller's goroutine. There
-// is no per-vertex goroutine, no parking, no channel hand-off — vertex
-// resume state lives in the Machine values and the flat Ctx arenas, and
-// a round is one scan over the active set. The loop shares routing,
-// metering, activity accounting, and the quiescence/retire-flush rules
-// with the blocking engines (routeLocked, recordRoundLocked,
-// flushWakesLocked), which is what keeps all three modes bit-identical.
+// The scheduler: vertices are explicit state machines stepped by a
+// run-to-completion loop on the caller's goroutine. There is no
+// per-vertex goroutine and no channel hand-off — vertex resume state
+// lives in the Machine values and the flat Ctx arenas, and a round is one
+// scan over the active set followed by routing (routeTimed), activity
+// accounting (recordRound), and the quiescence/retire-flush rules
+// (flushWakes). The sharded runner (shard.go, coord.go) re-partitions
+// exactly this loop.
 //
-// Concurrency: only the scheduler goroutine touches engine state, so no
+// Concurrency: only the loop's goroutine touches engine state, so no
 // locks are taken. Machine steps themselves are sharded across worker
 // goroutines when the active set is large — safe because a step only
 // writes its own vertex's Ctx arenas and status slot.
@@ -64,7 +64,7 @@ func (e *engine) runStep(machines []Machine) {
 				c.done = true
 				e.traceBlocked(TraceRetire, c.id)
 				// Retire-flush: a retiring vertex's sends are committed by
-				// the retirement itself (see engine.finish).
+				// the retirement itself, unless the run has quiesced.
 				if !e.quiesced && c.hasSends() {
 					e.dirty = append(e.dirty, c)
 				} else {
@@ -77,7 +77,7 @@ func (e *engine) runStep(machines []Machine) {
 			// Everyone retired. Any last words can only be going to done
 			// vertices: meter and drop them without charging a round.
 			if len(e.dirty) > 0 {
-				e.routeLocked()
+				e.routeTimed()
 			}
 			return
 		}
@@ -85,10 +85,10 @@ func (e *engine) runStep(machines []Machine) {
 			// No vertex asked for another round. If pending retirement
 			// sends cannot wake anybody, route them silently (meter+drop)
 			// and quiesce the parked set.
-			wakes := len(e.dirty) > 0 && e.flushWakesLocked()
+			wakes := len(e.dirty) > 0 && e.flushWakes()
 			if !wakes {
 				if len(e.dirty) > 0 {
-					e.routeLocked()
+					e.routeTimed()
 					if e.abort != nil {
 						return
 					}
@@ -117,12 +117,12 @@ func (e *engine) runStep(machines []Machine) {
 			e.abort = e.cancelError()
 			return
 		}
-		e.routeLocked()
+		e.routeTimed()
 		if e.abort != nil {
 			return
 		}
 		e.parked -= len(e.woken)
-		e.recordRoundLocked()
+		e.recordRound()
 		active = active[:0]
 		for _, c := range yielded {
 			ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
@@ -139,7 +139,7 @@ func (e *engine) runStep(machines []Machine) {
 
 // stepParallelThreshold is the active-set size below which machines are
 // stepped serially: sharding overhead dominates under it. Mirrors the
-// routing shard threshold in routeLocked.
+// routing shard threshold in route.
 const stepParallelThreshold = 64
 
 // stepMachines steps every active machine, serially for small active
@@ -194,8 +194,8 @@ func (e *engine) stepMachines(machines []Machine, status []StepStatus, ins []Ste
 	}
 }
 
-// stepSafe runs one machine step, converting a panic into the abort
-// error the blocking engines would produce for the same vertex.
+// stepSafe runs one machine step, converting a panic into the run's
+// abort error.
 func stepSafe(m Machine, c *Ctx, in StepIn) (st StepStatus, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -206,9 +206,9 @@ func stepSafe(m Machine, c *Ctx, in StepIn) (st StepStatus, err error) {
 }
 
 // stepEpilogue drains a parked machine after quiescence: it is stepped
-// with Quiesced until it retires, mirroring the post-quiescence
-// behavior of the blocking engines (Recv returns false, NextRound
-// returns immediately, all sends are discarded).
+// with Quiesced until it retires. Rounds no longer advance, so a yield
+// is answered with an empty inbox, a park with Quiesced again, and every
+// send is discarded.
 func (e *engine) stepEpilogue(m Machine, c *Ctx) {
 	in := StepIn{Quiesced: true}
 	for {
@@ -234,7 +234,7 @@ func (e *engine) stepEpilogue(m Machine, c *Ctx) {
 }
 
 // stepWorkers resolves the step-shard width for a config: Workers if
-// set, else GOMAXPROCS.
+// positive, else GOMAXPROCS.
 func stepWorkers(cfg Config) int {
 	if cfg.Workers > 0 {
 		return cfg.Workers

@@ -7,21 +7,20 @@ import "time"
 //
 //   - The logical transcript — Event and Phase calls — is a pure function
 //     of (Config.Graph, Config.Seed, protocol), like every other output
-//     of the engine. For a successful run, all three execution modes
-//     produce the same per-vertex event sequences and the same phase
-//     sequence (cross-vertex interleaving may differ; within one vertex
-//     the order is fixed). internal/trace hashes this channel into the
-//     canonical run digest.
+//     of the engine. For a successful run, every step-shard width and
+//     every shard count produce the same per-vertex event sequences and
+//     the same phase sequence (cross-vertex interleaving may differ;
+//     within one vertex the order is fixed). internal/trace hashes this
+//     channel into the canonical run digest.
 //   - The timing channel — RoundTime calls — carries wall-clock
 //     measurements. It is nondeterministic by nature and never
 //     contaminates the logical transcript: no logical event carries a
 //     timestamp, and no timing value feeds back into scheduling.
 //
-// All Tracer methods are invoked from the engine's existing
-// serialization points (under the engine lock in barrier mode, on the
-// scheduler goroutine in event and step mode), so implementations need
-// no internal locking for a single run — but a Tracer must not be shared
-// by concurrent runs. Tracer calls must not call back into the engine or
+// All Tracer methods are invoked from the step loop's goroutine between
+// machine steps (the coordinator's, on the sharded path), so
+// implementations need no internal locking for a single run — but a
+// Tracer must not be shared by concurrent runs. Tracer calls must not call back into the engine or
 // block, exactly like Config.OnRound.
 //
 // A nil Config.Tracer costs nothing: every emission site is behind a nil
@@ -40,11 +39,11 @@ const (
 	// TraceDeliver: vertex V's inbox received a payload from Peer,
 	// consumable at the start of round Round+1.
 	TraceDeliver
-	// TraceWake: a delivery from Peer unparked vertex V out of Recv.
+	// TraceWake: a delivery from Peer unparked vertex V.
 	TraceWake
-	// TracePark: vertex V parked in Recv, committing its queued sends.
+	// TracePark: vertex V parked (StepPark), committing its queued sends.
 	TracePark
-	// TraceRetire: vertex V's procedure (or machine) terminated.
+	// TraceRetire: vertex V's machine retired (StepDone).
 	TraceRetire
 )
 
@@ -88,7 +87,7 @@ func ParseTraceKind(s string) (TraceKind, bool) {
 // them (the payload is consumable in round Round+1); Park and Retire
 // carry the round the vertex was executing when it blocked or returned,
 // i.e. one past the last completed round at that moment. The stamps are
-// identical across execution modes — that is part of the digest contract.
+// part of the digest contract.
 type TraceEvent struct {
 	// Kind classifies the event.
 	Kind TraceKind
@@ -121,15 +120,12 @@ type RoundTiming struct {
 	// end of the previous round's bookkeeping (hooks excluded) to the
 	// moment this round's deliveries were out.
 	Wall time.Duration
-	// Step is the vertex-execution share. In ModeStep it is measured
-	// exactly (the machine-stepping scan); in the blocking modes vertex
-	// execution and scheduler hand-off are indistinguishable, so Step is
-	// Wall - Route there and Sync is zero by construction.
+	// Step is the vertex-execution share: the machine-stepping scan.
 	Step time.Duration
 	// Route is the metering + delivery share (the routing pass).
 	Route time.Duration
 	// Sync is the scheduler-bookkeeping remainder: Wall - Step - Route,
-	// clamped at zero. Only ModeStep resolves it separately.
+	// clamped at zero.
 	Sync time.Duration
 }
 
@@ -140,7 +136,8 @@ type RoundTiming struct {
 type Tracer interface {
 	// Event receives one logical transcript event. Events for one vertex
 	// arrive in a deterministic order; events for different vertices may
-	// interleave differently across modes and runs.
+	// interleave differently across execution paths (the sharded runner
+	// replays them vertex-major).
 	Event(ev TraceEvent)
 	// Phase receives the completed round's activity snapshot — the same
 	// value Config.OnRound gets, part of the logical transcript.
@@ -152,7 +149,7 @@ type Tracer interface {
 
 // traceBlocked emits a Park or Retire event for vertex v, stamped one
 // past the last completed round. The nil check lives here so every
-// blocking/retiring site pays one predictable branch and zero
+// parking/retiring site pays one predictable branch and zero
 // allocations when tracing is disabled.
 func (e *engine) traceBlocked(kind TraceKind, v int) {
 	if e.tracer == nil {
@@ -163,22 +160,14 @@ func (e *engine) traceBlocked(kind TraceKind, v int) {
 
 // traceRoundTime computes and emits the completed round's RoundTiming
 // and arms the next round's boundary timestamp. Called from
-// recordRoundLocked only when a tracer is installed (e.timed).
+// recordRound only when a tracer is installed (e.timed).
 func (e *engine) traceRoundTime(round int) {
 	wall := time.Since(e.lastTick)
 	route := time.Duration(e.routeNs)
-	var step, syn time.Duration
-	if e.mode == ModeStep {
-		step = time.Duration(e.stepNs)
-		syn = wall - step - route
-		if syn < 0 {
-			syn = 0
-		}
-	} else {
-		step = wall - route
-		if step < 0 {
-			step = 0
-		}
+	step := time.Duration(e.stepNs)
+	syn := wall - step - route
+	if syn < 0 {
+		syn = 0
 	}
 	e.tracer.RoundTime(RoundTiming{Round: round, Wall: wall, Step: step, Route: route, Sync: syn})
 	e.routeNs, e.stepNs = 0, 0

@@ -8,11 +8,11 @@ import (
 	"distspanner/internal/graph"
 )
 
-// Tests for the tracing hooks (trace.go): the logical transcript's
-// cross-mode determinism — per-vertex event buffers and Phase snapshots
-// must be bit-identical under barrier, event, and step scheduling, with
-// and without faults — and the nil-tracer contract (zero allocations,
-// no timestamps) on the disabled path.
+// Tests for the tracing hooks (trace.go): the exact transcript of small
+// exchanges, the logical transcript's determinism — per-vertex event
+// buffers and Phase snapshots must be bit-identical across step widths
+// and shard counts, with and without faults — and the nil-tracer
+// contract (zero allocations, no timestamps) on the disabled path.
 
 // memTracer is the in-package test recorder: per-vertex append-only
 // event buffers plus the phase and timing channels. Tracer calls are
@@ -48,20 +48,22 @@ func TestTraceKindStringRoundTrip(t *testing.T) {
 // exchange — the worked example of the round-stamping rules: sends and
 // deliveries carry the routed round, routing visits senders in
 // ascending id (so v1's delivery from v0 lands before v1's own send is
-// routed), NextRound's barrier wait is not a park (no park/wake
-// events), and retirements carry the round after the last completed
-// one.
+// routed), a yield is not a park (no park/wake events), and retirements
+// carry the round after the last completed one.
 func TestTraceEventSequence(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
 	tr := newMemTracer(2)
-	_, err := Run(Config{Graph: g, Seed: 1, Mode: ModeBarrier, Tracer: tr}, func(ctx *Ctx) {
-		ctx.Send(1-ctx.ID(), blob{val: ctx.ID(), size: 8})
-		msgs := ctx.NextRound()
-		if len(msgs) != 1 {
-			t.Errorf("vertex %d: got %d messages", ctx.ID(), len(msgs))
+	_, err := RunMachines(Config{Graph: g, Seed: 1, Tracer: tr}, each(func(ctx *Ctx, in StepIn) StepStatus {
+		if in.Start {
+			ctx.Send(1-ctx.ID(), blob{val: ctx.ID(), size: 8})
+			return StepYield
 		}
-	})
+		if len(in.Msgs) != 1 {
+			t.Errorf("vertex %d: got %d messages", ctx.ID(), len(in.Msgs))
+		}
+		return StepDone
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,25 +94,32 @@ func TestTraceEventSequence(t *testing.T) {
 }
 
 // TestTraceParkWakeSequence pins the park/wake half of the lifecycle:
-// a vertex blocking in Recv parks (stamped with the round it blocks
-// into), a later delivery wakes it (stamped with the routed round), and
-// quiescence retires the still-parked listener.
+// a parking vertex is stamped with the round it parks into, a later
+// delivery wakes it (stamped with the routed round), and quiescence
+// retires the still-parked listener.
 func TestTraceParkWakeSequence(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1)
 	tr := newMemTracer(2)
-	_, err := Run(Config{Graph: g, Seed: 1, Mode: ModeBarrier, Tracer: tr}, func(ctx *Ctx) {
-		if ctx.ID() == 0 {
-			ctx.NextRound() // idle round 1
-			ctx.Send(1, blob{val: 7, size: 8})
-			ctx.NextRound()
-			return
-		}
-		for {
-			if _, ok := ctx.Recv(); !ok {
-				return // released by quiescence
+	_, err := RunMachines(Config{Graph: g, Seed: 1, Tracer: tr}, func(*Ctx) Machine {
+		step := 0
+		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+			step++
+			if ctx.ID() != 0 {
+				if in.Quiesced {
+					return StepDone // released by quiescence
+				}
+				return StepPark
 			}
-		}
+			switch step {
+			case 1:
+				return StepYield // idle round 1
+			case 2:
+				ctx.Send(1, blob{val: 7, size: 8})
+				return StepYield
+			}
+			return StepDone
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +142,39 @@ func TestTraceParkWakeSequence(t *testing.T) {
 	}
 }
 
+// traceSameRuns runs the record chaos machine with a tracer under every
+// config and requires the full logical transcript — every per-vertex
+// event buffer and every Phase snapshot — to be bit-identical.
+func traceSameRuns(t *testing.T, g *graph.Graph, cfgs []Config) {
+	t.Helper()
+	var ref *memTracer
+	for i, cfg := range cfgs {
+		tr := newMemTracer(g.N())
+		cfg.Tracer = tr
+		out := make([]int64, g.N())
+		if _, err := RunMachines(cfg, func(c *Ctx) Machine {
+			return &chaosMachine{out: out, rounds: 12}
+		}); err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if i == 0 {
+			ref = tr
+			continue
+		}
+		if !reflect.DeepEqual(ref.events, tr.events) {
+			t.Fatalf("config %d (workers=%d shards=%d): event transcript diverged", i, cfg.Workers, cfg.Shards)
+		}
+		if !reflect.DeepEqual(ref.phases, tr.phases) {
+			t.Fatalf("config %d (workers=%d shards=%d): phases diverged:\nref: %+v\ngot: %+v",
+				i, cfg.Workers, cfg.Shards, ref.phases, tr.phases)
+		}
+	}
+}
+
 // TestTraceCrossModeChaosEquivalence reruns the fault-injecting chaos
 // protocol (random parks, broadcasts, early retirements) with a tracer
-// installed and asserts the full logical transcript — every per-vertex
-// event buffer and every Phase snapshot — is bit-identical across the
-// barrier engine, the worker-pool barrier, and the event scheduler.
+// installed, across step widths and against the 3-shard coordinator
+// run.
 func TestTraceCrossModeChaosEquivalence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"clique16":   clique(16),
@@ -147,39 +184,15 @@ func TestTraceCrossModeChaosEquivalence(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				var ref *memTracer
-				for i, cfg := range []Config{
-					{Graph: g, Seed: seed, Mode: ModeBarrier},
-					{Graph: g, Seed: seed, Mode: ModeBarrier, Workers: 3},
-					{Graph: g, Seed: seed, Mode: ModeEvent},
-					{Graph: g, Seed: seed, Mode: ModeEvent, Workers: 3},
-				} {
-					tr := newMemTracer(g.N())
-					cfg.Tracer = tr
-					out := make([]int64, g.N())
-					if _, err := Run(cfg, recChaosProc(12, out)); err != nil {
-						t.Fatalf("config %d: %v", i, err)
-					}
-					if i == 0 {
-						ref = tr
-						continue
-					}
-					if !reflect.DeepEqual(ref.events, tr.events) {
-						t.Fatalf("config %d (mode=%v workers=%d): event transcript diverged", i, cfg.Mode, cfg.Workers)
-					}
-					if !reflect.DeepEqual(ref.phases, tr.phases) {
-						t.Fatalf("config %d (mode=%v workers=%d): phases diverged:\nref: %+v\ngot: %+v",
-							i, cfg.Mode, cfg.Workers, ref.phases, tr.phases)
-					}
-				}
+				traceSameRuns(t, g, recConfigs(g, seed))
 			})
 		}
 	}
 }
 
-// TestTraceMachineCrossModeEquivalence is the three-engine version on
-// the state-machine surface: the chaos machine's transcript must be
-// identical under barrier, event, and goroutine-free step scheduling.
+// TestTraceMachineCrossModeEquivalence is the step-width version: the
+// chaos machine's transcript must not depend on how many goroutines
+// step a round.
 func TestTraceMachineCrossModeEquivalence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"clique16": clique(16),
@@ -188,27 +201,7 @@ func TestTraceMachineCrossModeEquivalence(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				var ref *memTracer
-				for i, cfg := range machineModeConfigs(g, seed) {
-					tr := newMemTracer(g.N())
-					cfg.Tracer = tr
-					out := make([]int64, g.N())
-					if _, err := RunMachines(cfg, func(c *Ctx) Machine {
-						return &chaosMachine{out: out, rounds: 12}
-					}); err != nil {
-						t.Fatalf("config %d: %v", i, err)
-					}
-					if i == 0 {
-						ref = tr
-						continue
-					}
-					if !reflect.DeepEqual(ref.events, tr.events) {
-						t.Fatalf("config %d (mode=%v workers=%d): event transcript diverged", i, cfg.Mode, cfg.Workers)
-					}
-					if !reflect.DeepEqual(ref.phases, tr.phases) {
-						t.Fatalf("config %d (mode=%v workers=%d): phases diverged", i, cfg.Mode, cfg.Workers)
-					}
-				}
+				traceSameRuns(t, g, widthConfigs(g, seed))
 			})
 		}
 	}
@@ -221,12 +214,9 @@ func TestTraceMachineCrossModeEquivalence(t *testing.T) {
 func TestTraceDeliveredMatchesStats(t *testing.T) {
 	g := clique(8)
 	tr := newMemTracer(g.N())
-	stats, err := Run(Config{Graph: g, Seed: 3, Tracer: tr}, func(ctx *Ctx) {
-		for r := 0; r < 4; r++ {
-			ctx.Broadcast(blob{val: r, size: 16})
-			ctx.NextRound()
-		}
-	})
+	stats, err := RunMachines(Config{Graph: g, Seed: 3, Tracer: tr}, fourRounds(func(ctx *Ctx, r int) {
+		ctx.Broadcast(blob{val: r, size: 16})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +238,7 @@ func TestTraceDeliveredMatchesStats(t *testing.T) {
 // engine must not arm the timing clock or delivery metering.
 func TestNilTracerZeroAllocs(t *testing.T) {
 	g := clique(4)
-	e, err := newEngine(Config{Graph: g, Seed: 1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(Config{Graph: g, Seed: 1})
 	if e.timed {
 		t.Error("nil tracer armed the timing clock")
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // The pluggable transport seam. A run can execute on a single engine
-// (the in-process modes of dist.go) or be sharded across workers, each
-// owning a contiguous vertex range and stepping its machines with the
-// ModeStep loop, with a coordinator driving the round/quiescence
+// (RunMachines in-process) or be sharded across workers, each owning a
+// contiguous vertex range and stepping its machines with the step
+// loop, with a coordinator driving the round/quiescence
 // protocol. What moves between the processes is exactly the engine's
 // serialization points: a round's record batches, the per-shard
 // activity/metering reports, and the coordinator's round decisions.
@@ -59,7 +59,7 @@ const (
 	FrameBatches
 	// FrameWake (worker → coordinator, each iteration): what this
 	// shard's pending deliveries would do — the distributed half of
-	// flushWakesLocked and the delivery counters.
+	// flushWakes and the delivery counters.
 	FrameWake
 	// FrameDecision (coordinator → worker, each iteration): commit,
 	// quiesce, finish, or abort.
@@ -205,7 +205,7 @@ type BatchesFrame struct {
 // deliveries into this shard would do, computed without applying them.
 type WakeFrame struct {
 	// WouldWake reports whether any pending delivery targets a non-done
-	// vertex of this shard — the distributed half of flushWakesLocked.
+	// vertex of this shard — the distributed half of flushWakes.
 	WouldWake bool
 	// Woken counts the distinct parked vertices that would be woken.
 	Woken int

@@ -12,7 +12,7 @@ import (
 
 // Tests for the sharded runner (transport.go, shard.go, coord.go) at the
 // engine level: Config.Shards over the in-process channel transport must
-// be indistinguishable from single-engine ModeStep — outputs, Stats,
+// be indistinguishable from the in-process engine — outputs, Stats,
 // activity curves, trace transcripts, and error strings. The
 // algorithm-level matrix (families × graphs × seeds, both transports)
 // lives in the conformance suite (transportconf).
@@ -35,7 +35,7 @@ func shardCounts(n int) []int { return []int{1, 2, 3, 5, n + 2} }
 func TestShardedChaosEquivalence(t *testing.T) {
 	// The chaos machine (sends, broadcasts with shared tails, parks,
 	// early retirements, quiescence finalizers) across shard counts —
-	// including more shards than vertices — must reproduce the ModeStep
+	// including more shards than vertices — must reproduce the in-process
 	// run exactly: outputs, Stats, activity curve, per-vertex trace
 	// events, and phase snapshots.
 	graphs := map[string]*graph.Graph{
@@ -52,7 +52,7 @@ func TestShardedChaosEquivalence(t *testing.T) {
 					var curve []RoundActivity
 					rec := newEvRecorder(g.N())
 					stats, err := RunMachines(Config{
-						Graph: g, Seed: seed, Mode: ModeStep, Shards: shards,
+						Graph: g, Seed: seed, Shards: shards,
 						OnRound: func(a RoundActivity) { curve = append(curve, a) },
 						Tracer:  rec,
 					}, func(c *Ctx) Machine {
@@ -150,7 +150,7 @@ func TestShardedErrorEquality(t *testing.T) {
 	g := clique(6)
 
 	// Round limit.
-	_, refErr := RunMachines(Config{Graph: g, Seed: 1, Mode: ModeStep, MaxRounds: 4}, busy)
+	_, refErr := RunMachines(Config{Graph: g, Seed: 1, MaxRounds: 4}, busy)
 	_, shErr := RunMachines(Config{Graph: g, Seed: 1, MaxRounds: 4, Shards: 2}, busy)
 	if refErr == nil || shErr == nil || refErr.Error() != shErr.Error() {
 		t.Fatalf("round-limit errors differ:\nref: %v\ngot: %v", refErr, shErr)
@@ -160,7 +160,7 @@ func TestShardedErrorEquality(t *testing.T) {
 	}
 
 	// Enforced bandwidth violation: same first violator, same round.
-	_, refErr = RunMachines(Config{Graph: g, Seed: 1, Mode: ModeStep, Bandwidth: 32, Enforce: true}, busy)
+	_, refErr = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, Enforce: true}, busy)
 	_, shErr = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, Enforce: true, Shards: 3}, busy)
 	if refErr == nil || shErr == nil || refErr.Error() != shErr.Error() {
 		t.Fatalf("bandwidth errors differ:\nref: %v\ngot: %v", refErr, shErr)
@@ -170,7 +170,7 @@ func TestShardedErrorEquality(t *testing.T) {
 	}
 
 	// Unenforced violations only count, identically.
-	refStats, err1 := RunMachines(Config{Graph: g, Seed: 1, Mode: ModeStep, Bandwidth: 32, MaxRounds: 3}, busy)
+	refStats, err1 := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, MaxRounds: 3}, busy)
 	shStats, err2 := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, MaxRounds: 3, Shards: 2}, busy)
 	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
 		t.Fatalf("round-limited runs differ: %v vs %v", err1, err2)
@@ -180,7 +180,7 @@ func TestShardedErrorEquality(t *testing.T) {
 	// Cancellation: pre-closed cancel aborts before round 1.
 	pre := make(chan struct{})
 	close(pre)
-	_, refErr = RunMachines(Config{Graph: g, Seed: 1, Mode: ModeStep, Cancel: pre}, busy)
+	_, refErr = RunMachines(Config{Graph: g, Seed: 1, Cancel: pre}, busy)
 	_, shErr = RunMachines(Config{Graph: g, Seed: 1, Cancel: pre, Shards: 2}, busy)
 	if refErr == nil || shErr == nil || refErr.Error() != shErr.Error() {
 		t.Fatalf("cancel errors differ:\nref: %v\ngot: %v", refErr, shErr)
@@ -238,14 +238,11 @@ func TestShardedWorkerFailures(t *testing.T) {
 }
 
 func TestShardedValidation(t *testing.T) {
-	if _, err := Run(Config{Graph: path(2), Shards: 2}, func(*Ctx) {}); err == nil {
-		t.Fatal("Run must reject Shards")
-	}
-	_, err := RunMachines(Config{Graph: path(2), Mode: ModeBarrier, Shards: 2}, func(c *Ctx) Machine {
+	_, err := RunMachines(Config{Graph: path(2), Mode: Mode(99), Shards: 2}, func(c *Ctx) Machine {
 		return machineFunc(func(*Ctx, StepIn) StepStatus { return StepDone })
 	})
-	if err == nil || !strings.Contains(err.Error(), "ModeAuto or ModeStep") {
-		t.Fatalf("Shards under ModeBarrier: err = %v", err)
+	if err == nil || !strings.Contains(err.Error(), "invalid Config.Mode") {
+		t.Fatalf("Shards under an invalid mode: err = %v", err)
 	}
 	if _, err := RunMachines(Config{Shards: 2}, func(c *Ctx) Machine { return nil }); err == nil {
 		t.Fatal("nil graph must error")
@@ -289,7 +286,7 @@ func TestShardedCutMetering(t *testing.T) {
 		cut[v] = true
 	}
 	run := func(shards int) Stats {
-		stats, err := RunMachines(Config{Graph: g, Seed: 1, Mode: ModeStep, Shards: shards, CutSide: cut},
+		stats, err := RunMachines(Config{Graph: g, Seed: 1, Shards: shards, CutSide: cut},
 			func(c *Ctx) Machine {
 				return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
 					if in.Start {

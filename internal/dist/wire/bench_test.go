@@ -58,7 +58,7 @@ func benchRing(n int) *graph.Graph {
 }
 
 func benchChanRun(b *testing.B, g *graph.Graph, shards int) {
-	stats, err := dist.RunMachines(dist.Config{Graph: g, Seed: 1, Mode: dist.ModeStep, Shards: shards},
+	stats, err := dist.RunMachines(dist.Config{Graph: g, Seed: 1, Shards: shards},
 		func(*dist.Ctx) dist.Machine { return &benchBusy{} })
 	if err != nil {
 		b.Fatal(err)

@@ -123,11 +123,11 @@ func TestTCPClusterMatchesInProcess(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("workers=%d/seed=%d", workers, seed), func(t *testing.T) {
-				// In-process ModeStep reference.
+				// In-process reference.
 				refOut := make([]int64, g.N())
 				refRec := newRecorder(g.N())
 				refStats, err := dist.RunMachines(dist.Config{
-					Graph: g, Seed: seed, Mode: dist.ModeStep, Tracer: refRec,
+					Graph: g, Seed: seed, Tracer: refRec,
 				}, func(c *dist.Ctx) dist.Machine {
 					return &gossip{out: refOut, rounds: 9}
 				})

@@ -157,7 +157,7 @@ func (f Family) RunLocal(g *graph.Graph, seed int64, tracer dist.Tracer) ([][]in
 		engineG = prog.Graph
 	}
 	stats, err := dist.RunMachines(dist.Config{
-		Graph: engineG, Seed: seed, Mode: dist.ModeStep,
+		Graph: engineG, Seed: seed,
 		Bandwidth: f.bandwidth(g.N()), Enforce: f.Enforce,
 		Tracer: tracer,
 	}, prog.Factory)

@@ -43,43 +43,9 @@ func MeterLearnBall(comm *graph.Graph, cut []bool, depth, bandwidth, bitsNeeded 
 	if depth < 1 {
 		return nil, fmt.Errorf("lb: depth must be >= 1, got %d", depth)
 	}
-	proc := func(ctx *dist.Ctx) {
-		type edgeKey [2]int
-		known := make(map[edgeKey]bool)
-		var fresh []edgeKey
-		for _, u := range ctx.Neighbors() {
-			k := edgeKey{ctx.ID(), u}
-			if k[0] > k[1] {
-				k[0], k[1] = k[1], k[0]
-			}
-			known[k] = true
-			fresh = append(fresh, k)
-		}
-		for round := 0; round < depth; round++ {
-			sort.Slice(fresh, func(i, j int) bool {
-				if fresh[i][0] != fresh[j][0] {
-					return fresh[i][0] < fresh[j][0]
-				}
-				return fresh[i][1] < fresh[j][1]
-			})
-			payload := dist.Pairs{Space: ctx.N()}
-			for _, k := range fresh {
-				payload.Values = append(payload.Values, [2]int{k[0], k[1]})
-			}
-			ctx.Broadcast(payload)
-			fresh = nil
-			for _, m := range ctx.NextRound() {
-				for _, pr := range m.Payload.(dist.Pairs).Values {
-					k := edgeKey{pr[0], pr[1]}
-					if !known[k] {
-						known[k] = true
-						fresh = append(fresh, k)
-					}
-				}
-			}
-		}
-	}
-	stats, err := dist.Run(dist.Config{Graph: comm, Seed: 1, CutSide: cut}, proc)
+	stats, err := dist.RunMachines(dist.Config{Graph: comm, Seed: 1, CutSide: cut}, func(*dist.Ctx) dist.Machine {
+		return &ballMachine{depth: depth}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -96,6 +62,59 @@ func MeterLearnBall(comm *graph.Graph, cut []bool, depth, bandwidth, bitsNeeded 
 		BitsNeeded:    bitsNeeded,
 		ImpliedRounds: ImpliedRoundLB(bitsNeeded, cutEdges, bandwidth),
 	}, nil
+}
+
+// edgeKey is an undirected edge with its endpoints in ascending order.
+type edgeKey [2]int
+
+// ballMachine is one vertex of the ball-learning protocol: for depth
+// rounds it broadcasts the edges it learned last round (its own incident
+// edges first) and folds what its neighbors learned into its ball.
+type ballMachine struct {
+	depth, round int
+	known        map[edgeKey]bool
+	fresh        []edgeKey
+}
+
+func (m *ballMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
+	if in.Start {
+		m.known = make(map[edgeKey]bool)
+		for _, u := range c.Neighbors() {
+			k := edgeKey{c.ID(), u}
+			if k[0] > k[1] {
+				k[0], k[1] = k[1], k[0]
+			}
+			m.known[k] = true
+			m.fresh = append(m.fresh, k)
+		}
+	} else {
+		m.fresh = nil
+		for _, msg := range in.Msgs {
+			for _, pr := range msg.Payload.(dist.Pairs).Values {
+				k := edgeKey{pr[0], pr[1]}
+				if !m.known[k] {
+					m.known[k] = true
+					m.fresh = append(m.fresh, k)
+				}
+			}
+		}
+		m.round++
+		if m.round == m.depth {
+			return dist.StepDone
+		}
+	}
+	sort.Slice(m.fresh, func(i, j int) bool {
+		if m.fresh[i][0] != m.fresh[j][0] {
+			return m.fresh[i][0] < m.fresh[j][0]
+		}
+		return m.fresh[i][1] < m.fresh[j][1]
+	})
+	payload := dist.Pairs{Space: c.N()}
+	for _, k := range m.fresh {
+		payload.Values = append(payload.Values, [2]int{k[0], k[1]})
+	}
+	c.Broadcast(payload)
+	return dist.StepYield
 }
 
 // DecideDisjointness is Alice's decision rule from Lemma 2.4: given a

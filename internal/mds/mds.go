@@ -29,8 +29,8 @@
 //
 //   - active: the vertex owes a delta or is a candidate this iteration and
 //     executes the full iteration.
-//   - parked: nothing to send and not a candidate — the vertex parks in
-//     Ctx.Recv and wakes only when a delivery arrives. The wake's payload
+//   - parked: nothing to send and not a candidate — the vertex parks
+//     (dist.StepPark) and wakes only when a delivery arrives. The wake's payload
 //     types identify the iteration phase (coverage deltas arrive in round
 //     1, densities in round 2, ...), so the vertex re-enters the iteration
 //     loop exactly where the network is.
@@ -38,12 +38,12 @@
 //     density is now irrevocably 0 and senders prune it from their
 //     broadcast lists — then retires. When every vertex is parked or
 //     halted with no messages in flight, the engine's quiescence releases
-//     the parked vertices (Recv reports ok=false) and they finalize.
+//     the parked vertices (StepIn.Quiesced) and they finalize.
 //
 // Stats.ActiveSteps / ParkedSteps record the resulting activity profile;
 // on covered-tail instances most vertices spend most rounds parked, which
-// is what the event-driven scheduler turns into wall-clock speedups (see
-// BenchmarkMDSTail).
+// the step engine turns into wall-clock speedups, since a parked vertex
+// costs it nothing (see BenchmarkMDSTail).
 package mds
 
 import (
@@ -63,9 +63,9 @@ type Options struct {
 	// defaults to 8 words of ceil(log2 n) bits. Enforcement is always on:
 	// exceeding the budget is an error, demonstrating CONGEST legality.
 	Bandwidth int
-	// ExecMode selects the engine's scheduling strategy (barrier vs
-	// event-driven); the zero value auto-switches on network size.
-	// Results are identical in every mode — only wall-clock cost differs.
+	// ExecMode is passed to dist.Config.Mode: ModeAuto (the zero value)
+	// and ModeStep both run the step engine, the only scheduler, and any
+	// other value is an error. It is kept for source compatibility.
 	ExecMode dist.Mode
 	// RoundHook, when non-nil, receives the engine's per-round activity
 	// snapshots (see dist.Config.OnRound).
@@ -78,8 +78,7 @@ type Options struct {
 	Tracer dist.Tracer
 	// Shards, when positive, runs the algorithm distributed across that
 	// many shard workers over an in-process transport (see
-	// dist.Config.Shards). Results are bit-identical to Shards == 0 with
-	// the step engine; ExecMode must be ModeAuto or ModeStep.
+	// dist.Config.Shards). Results are bit-identical to Shards == 0.
 	Shards int
 }
 
@@ -100,7 +99,7 @@ type Result struct {
 // Message schema: every payload is O(1) words of O(log n) bits, carried
 // on the engine's flat-buffer record path (dist.Rec). Each phase of the
 // six-round iteration has a distinct record tag, which is how a vertex
-// woken from Recv re-identifies the network's current phase. Each struct
+// woken from parking re-identifies the network's current phase. Each struct
 // below defines one wire record (fields + metered size) and its rec()
 // builder; the reflection conformance test in mds_test.go fails when a
 // field is added without updating the accounting.
@@ -403,8 +402,8 @@ func (v *node) refoldM2() {
 }
 
 // parkable reports whether the vertex owes the network nothing this
-// iteration: no pending deltas and no candidacy. Such a vertex parks in
-// Recv; anything that could change its answers arrives as a delivery.
+// iteration: no pending deltas and no candidacy. Such a vertex parks;
+// anything that could change its answers arrives as a delivery.
 func (v *node) parkable() bool {
 	if v.pendingCov || v.count != v.lastDens || v.hopMax != v.lastHop {
 		return false
@@ -489,8 +488,8 @@ func (v *node) Terminal() {}
 // again, so output membership as-is.
 func (v *node) Quiesce() { v.inDS[v.me] = v.selfIn }
 
-// emit queues the sends of phase ph; they are committed by the blocking
-// call that returns ph's inbox.
+// emit queues the sends of phase ph; they are committed when the step
+// yields, and ph's inbox arrives with the next step.
 func (v *node) emit(ph phase) {
 	switch ph {
 	case phCoverage:

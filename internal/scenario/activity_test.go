@@ -6,7 +6,7 @@ import "testing"
 // simulated scenario now reports: the totals are present and consistent,
 // and on a workload with staggered termination the run is strictly
 // cheaper than all-spinning execution (active_steps < rounds × n) — the
-// measurable effect of the Recv-parking algorithm ports.
+// measurable effect of the parking algorithm ports.
 func TestScenarioActivityMetrics(t *testing.T) {
 	for _, tc := range []struct {
 		scenario string

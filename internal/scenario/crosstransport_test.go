@@ -4,15 +4,18 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
-// TestCrossTransportScenarioEquivalence is the delivery-layer analogue
-// of the cross-mode check: the same (scenario, cell, seed) run with the
-// local in-process engine and distributed across shard workers over the
+// TestCrossTransportScenarioEquivalence is the execution-path check at
+// the workload level: the same (scenario, cell, seed) run with the local
+// in-process engine and distributed across shard workers over the
 // in-process channel transport (the execution-only "transport"
-// parameter) must produce identical metrics, bit for bit. Cells and
-// seeds are randomized so every run exercises fresh instances.
+// parameter) must produce identical metrics — same spanner/dominating-set
+// size, same round count, same metered bits, bit for bit. Cells and seeds
+// are randomized so every run exercises fresh instances; any divergence
+// is an engine bug, not a flaky workload.
 func TestCrossTransportScenarioEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	cases := []struct {
@@ -56,7 +59,7 @@ func TestCrossTransportScenarioEquivalence(t *testing.T) {
 			metrics := make([]Metrics, len(transports))
 			errs := make([]error, len(transports))
 			for i, tr := range transports {
-				p := sc.Defaults.Merge(cell).Merge(Params{"engine": "step", "transport": tr})
+				p := sc.Defaults.Merge(cell).Merge(Params{"transport": tr})
 				metrics[i], errs[i] = sc.Run(p, seed, nil)
 			}
 			for i := 1; i < len(transports); i++ {
@@ -74,22 +77,25 @@ func TestCrossTransportScenarioEquivalence(t *testing.T) {
 }
 
 // TestTransportParamValidation pins the parameter surface: unknown
-// transport values panic loudly rather than silently running local.
+// transport values fail the run loudly rather than silently running
+// local, on the core scenarios and on mds alike.
 func TestTransportParamValidation(t *testing.T) {
-	for _, bad := range []string{"tcp", "chan0", "chan-1", "chanx", ""} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("transport=%q did not panic", bad)
-				}
-			}()
-			transportShards(Params{"transport": bad})
-		}()
+	for _, name := range []string{"twospanner", "mds"} {
+		sc, ok := Get(name)
+		if !ok {
+			t.Fatalf("scenario %q not registered", name)
+		}
+		for _, bad := range []string{"tcp", "chan0", "chan-1", "chanx", ""} {
+			p := sc.Defaults.Merge(Params{"transport": bad})
+			if _, err := sc.Run(p, 1, nil); err == nil || !strings.Contains(err.Error(), "unknown transport") {
+				t.Errorf("%s transport=%q: err = %v, want an unknown-transport error", name, bad, err)
+			}
+		}
 	}
-	if got := transportShards(Params{}); got != 0 {
-		t.Errorf("default transport shards = %d, want 0", got)
+	if got, err := transportShards(Params{}); got != 0 || err != nil {
+		t.Errorf("default transport = %d, %v, want 0 shards", got, err)
 	}
-	if got := transportShards(Params{"transport": "chan7"}); got != 7 {
-		t.Errorf("chan7 shards = %d, want 7", got)
+	if got, err := transportShards(Params{"transport": "chan7"}); got != 7 || err != nil {
+		t.Errorf("chan7 = %d, %v, want 7 shards", got, err)
 	}
 }

@@ -357,7 +357,7 @@ func init() {
 			case "forwards":
 				gf := gen.ConnectedGNP(p.Int("n", 14), p.Float("p", 0.35), instanceSeed(p, seed))
 				mvcOpt := len(exact.MinVertexCover(gf))
-				res, err := lb.MVCViaSpanner(gf, core.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+				res, err := lb.MVCViaSpanner(gf, core.Options{Seed: seed, Cancel: cancel})
 				if err != nil {
 					return nil, err
 				}
@@ -420,7 +420,7 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				res, err := core.TwoSpanner(g, core.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+				res, err := core.TwoSpanner(g, core.Options{Seed: seed, Cancel: cancel})
 				if err != nil {
 					return nil, err
 				}
@@ -444,7 +444,7 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				res, err := core.TwoSpanner(g, core.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+				res, err := core.TwoSpanner(g, core.Options{Seed: seed, Cancel: cancel})
 				if err != nil {
 					return nil, err
 				}
@@ -458,7 +458,7 @@ func init() {
 			case "scaling":
 				c := p.Int("c", 4)
 				gs := gen.PlantedStars(c, p.Int("s", 8), p.Float("q", 0.4), instanceSeed(p, seed))
-				res, err := core.TwoSpanner(gs, core.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+				res, err := core.TwoSpanner(gs, core.Options{Seed: seed, Cancel: cancel})
 				if err != nil {
 					return nil, err
 				}
@@ -577,7 +577,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			res, err := mds.Run(g, mds.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+			res, err := mds.Run(g, mds.Options{Seed: seed, Cancel: cancel})
 			if err != nil {
 				return nil, err
 			}
@@ -643,11 +643,11 @@ func init() {
 			switch mode := p.Str("mode", "bits"); mode {
 			case "bits":
 				g := gen.Clique(p.Int("n", 16))
-				resC, err := core.TwoSpanner(g, core.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+				resC, err := core.TwoSpanner(g, core.Options{Seed: seed, Cancel: cancel})
 				if err != nil {
 					return nil, err
 				}
-				resM, err := mds.Run(g, mds.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+				resM, err := mds.Run(g, mds.Options{Seed: seed, Cancel: cancel})
 				if err != nil {
 					return nil, err
 				}
@@ -719,11 +719,11 @@ func init() {
 		Grid:  Grid{"n": {"8", "16", "24", "32"}},
 		Run: func(p Params, seed int64, cancel <-chan struct{}) (Metrics, error) {
 			g := gen.Clique(p.Int("n", 16))
-			local, err := core.TwoSpanner(g, core.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+			local, err := core.TwoSpanner(g, core.Options{Seed: seed, Cancel: cancel})
 			if err != nil {
 				return nil, err
 			}
-			cg, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, ExecMode: execMode(p), Cancel: cancel})
+			cg, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, Cancel: cancel})
 			if err != nil {
 				return nil, err
 			}
@@ -766,7 +766,10 @@ func init() {
 		Replicates: 4,
 		Run: func(p Params, seed int64, cancel <-chan struct{}) (Metrics, error) {
 			g := gen.PlantedStars(p.Int("c", 4), p.Int("s", 8), p.Float("q", 0.4), int64(p.Int("iseed", 3)))
-			opts, _ := coreOptions(p, seed, cancel)
+			opts, _, err := coreOptions(p, seed, cancel)
+			if err != nil {
+				return nil, err
+			}
 			res, err := core.TwoSpanner(g, opts)
 			if err != nil {
 				return nil, err

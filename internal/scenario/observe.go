@@ -13,7 +13,7 @@ import (
 // receives an opaque token, and overlays the execution-only "obs"
 // parameter on the cell it runs; simulated scenarios look the token up
 // and install the callback as the engine's RoundHook. The parameter is
-// execution-only (excluded from Params.InstanceKey, like "engine"):
+// execution-only (excluded from Params.InstanceKey, like "transport"):
 // observing a run never changes which instance it is or what it
 // computes — it is how the service layer streams live progress for a
 // job without perturbing its cache identity.

@@ -102,18 +102,17 @@ func (p Params) Key() string {
 // execOnlyParams name the parameters that select how a run executes
 // rather than what instance it runs on. They are excluded from
 // InstanceKey so that cells differing only in execution knobs draw the
-// same derived seeds — which is what makes an engine={barrier,event,step}
-// sweep axis a pure wall-clock comparison over identical instances.
-// "timing" (record the wall-clock timing channel and surface it as
-// metrics) is likewise pure observation: it must not change which
-// instance a cell runs. "transport" (local in-process engine vs the
+// same derived seeds. "transport" (local in-process engine vs the
 // sharded runner over an in-process channel cluster) is the delivery
 // layer: results are transport-independent by the conformance
-// contract, so it too is excluded. "obs" (a live run-observer token,
-// see RegisterObserver) only attaches a progress listener — the
-// service layer streams per-round activity through it without
-// perturbing the job's cache identity.
-var execOnlyParams = map[string]bool{"engine": true, "timing": true, "transport": true, "obs": true}
+// contract, which is what makes a transport={local,chan4} sweep axis a
+// pure wall-clock comparison over identical instances. "timing" (record
+// the wall-clock timing channel and surface it as metrics) is pure
+// observation: it must not change which instance a cell runs. "obs" (a
+// live run-observer token, see RegisterObserver) only attaches a
+// progress listener — the service layer streams per-round activity
+// through it without perturbing the job's cache identity.
+var execOnlyParams = map[string]bool{"timing": true, "transport": true, "obs": true}
 
 // InstanceParams returns a copy of p without the execution-only
 // parameters: the parameter view that identifies the instance. It is
@@ -130,9 +129,8 @@ func (p Params) InstanceParams() Params {
 	return out
 }
 
-// InstanceKey is Key with execution-only parameters (the dist engine
-// selection) removed: the identity of the probabilistic instance, used by
-// sweep seed derivation.
+// InstanceKey is Key with execution-only parameters removed: the
+// identity of the probabilistic instance, used by sweep seed derivation.
 func (p Params) InstanceKey() string {
 	parts := make([]string, 0, len(p))
 	for _, k := range p.Keys() {

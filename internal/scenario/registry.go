@@ -13,15 +13,13 @@
 // adding a Register call — no driver code changes.
 //
 // Every scenario that executes on the internal/dist engine (the spanner
-// variants, MDS, and the E1–E15 experiments built on them) honors the
-// shared "engine" parameter ("auto", "barrier", "event", "step"),
-// selecting which scheduling strategy executes the protocol: the classic
-// barrier engine, the event-driven scheduler that only wakes active
-// vertices, or the goroutine-free state-machine engine. Sequential and
-// analytic scenarios ignore it. The engines are bit-identical by the
-// dist package's determinism contract, so "engine" is an execution-only
-// parameter: it is excluded from instance identity (Params.InstanceKey),
-// and sweeping engine={barrier,event,step} compares wall-clock cost over
+// variants, MDS, and the E1–E15 experiments built on them) runs it on the
+// step engine. The spanner and MDS scenarios also honor the shared
+// "transport" parameter ("local", or "chanK" to shard the run across K
+// workers). Results are transport-independent by the dist package's
+// conformance contract, so "transport" is an execution-only parameter:
+// it is excluded from instance identity (Params.InstanceKey), and
+// sweeping transport={local,chan4} compares wall-clock cost over
 // identical instances.
 package scenario
 

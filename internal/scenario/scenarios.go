@@ -87,69 +87,57 @@ func verifySpanner(g *graph.Graph, H *graph.EdgeSet, k int, m Metrics) error {
 	return nil
 }
 
-// execMode parses the shared "engine" parameter every simulated scenario
-// honors: the engine's scheduling strategy ("auto", "barrier", "event",
-// "step"). Results are mode-independent by the engine's determinism
-// contract, so sweeping engine={barrier,event,step} is a pure wall-clock
-// comparison — and a cross-mode equivalence check, since any metric
-// difference is an engine bug (crossmode_test.go asserts exactly that).
-func execMode(p Params) dist.Mode {
-	m, err := dist.ParseMode(p.Str("engine", "auto"))
-	if err != nil {
-		panic(fmt.Sprintf("scenario: %v", err))
-	}
-	return m
-}
-
 // transportShards parses the shared execution-only "transport"
 // parameter: "local" (the default) runs the dist engine in-process;
 // "chanK" (e.g. "chan4") runs the protocol distributed across K shard
 // workers over the in-process channel transport (dist.Config.Shards).
-// Like "engine", the parameter selects how a run executes, not what
-// instance it runs on: results are transport-independent by the
-// transport conformance contract, and the parameter is excluded from
-// InstanceKey. The sharded runner is built on the step engine, so a
-// non-local transport composes with engine=auto or engine=step only.
-func transportShards(p Params) int {
+// The parameter selects how a run executes, not what instance it runs
+// on: results are transport-independent by the transport conformance
+// contract, and the parameter is excluded from InstanceKey. Any other
+// value is an error, which the scenario's Run returns.
+func transportShards(p Params) (int, error) {
 	t := p.Str("transport", "local")
 	if t == "local" {
-		return 0
+		return 0, nil
 	}
 	if rest, ok := strings.CutPrefix(t, "chan"); ok {
 		if k, err := strconv.Atoi(rest); err == nil && k > 0 {
-			return k
+			return k, nil
 		}
 	}
-	panic(fmt.Sprintf("scenario: unknown transport %q (want local or chanK)", t))
+	return 0, fmt.Errorf("scenario: unknown transport %q (want local or chanK)", t)
 }
 
 // coreOptions builds the shared core options plus the run's timing
 // recorder (nil unless the execution-only "timing" parameter is set —
 // see timingTracer). The recorder, when present, is already installed
 // as the options' Tracer; the caller folds it into the metrics with
-// timingMetrics after the run.
-func coreOptions(p Params, seed int64, cancel <-chan struct{}) (core.Options, *trace.TimingRecorder) {
-	opts := core.Options{
+// timingMetrics after the run. It fails on a malformed "transport".
+func coreOptions(p Params, seed int64, cancel <-chan struct{}) (opts core.Options, tim *trace.TimingRecorder, err error) {
+	shards, err := transportShards(p)
+	if err != nil {
+		return opts, nil, err
+	}
+	opts = core.Options{
 		Seed:            seed,
-		ExecMode:        execMode(p),
 		VoteDenominator: p.Int("votden", 0),
 		FreshStars:      p.Bool("fresh", false),
 		NoRounding:      p.Bool("noround", false),
-		Shards:          transportShards(p),
+		Shards:          shards,
 		Cancel:          cancel,
 		RoundHook:       roundObserver(p),
 	}
-	tim := timingTracer(p)
+	tim = timingTracer(p)
 	if tim != nil {
 		opts.Tracer = tim
 	}
-	return opts, tim
+	return opts, tim, nil
 }
 
 // timingTracer parses the shared execution-only "timing" parameter: when
 // true, the run records its wall-clock timing channel (per-round wall
 // time and scheduler-phase split) through a trace.TimingRecorder and
-// surfaces it via timingMetrics. Like "engine", the parameter selects
+// surfaces it via timingMetrics. Like "transport", the parameter selects
 // how a run executes, not what instance it runs on: it is excluded from
 // InstanceKey, and the timing columns are nondeterministic wall-clock
 // telemetry — reports meant to be byte-reproducible should leave it off
@@ -196,7 +184,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts, tim := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, seed, cancel)
+			if err != nil {
+				return nil, err
+			}
 			res, err := core.TwoSpanner(g, opts)
 			if err != nil {
 				return nil, err
@@ -243,7 +234,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts, tim := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, seed, cancel)
+			if err != nil {
+				return nil, err
+			}
 			res, err := core.TwoSpannerCongest(g, opts)
 			if err != nil {
 				return nil, err
@@ -282,7 +276,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts, tim := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, seed, cancel)
+			if err != nil {
+				return nil, err
+			}
 			res, err := core.DirectedTwoSpanner(d, opts)
 			if err != nil {
 				return nil, err
@@ -316,7 +313,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts, tim := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, seed, cancel)
+			if err != nil {
+				return nil, err
+			}
 			res, err := core.TwoSpanner(g, opts)
 			if err != nil {
 				return nil, err
@@ -359,7 +359,10 @@ func init() {
 				return nil, err
 			}
 			clients, servers := gen.ClientServerSplit(g, p.Float("pc", 0.6), p.Float("ps", 0.7), instanceSeed(p, seed)+0xc5)
-			opts, tim := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, seed, cancel)
+			if err != nil {
+				return nil, err
+			}
 			res, err := core.ClientServerTwoSpanner(g, clients, servers, opts)
 			if err != nil {
 				return nil, err
@@ -397,7 +400,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			mopts := mds.Options{Seed: seed, Bandwidth: p.Int("bandwidth", 0), ExecMode: execMode(p), Shards: transportShards(p), Cancel: cancel, RoundHook: roundObserver(p)}
+			shards, err := transportShards(p)
+			if err != nil {
+				return nil, err
+			}
+			mopts := mds.Options{Seed: seed, Bandwidth: p.Int("bandwidth", 0), Shards: shards, Cancel: cancel, RoundHook: roundObserver(p)}
 			tim := timingTracer(p)
 			if tim != nil {
 				mopts.Tracer = tim

@@ -127,22 +127,22 @@ func TestJobKeyIgnoresExecOnlyParams(t *testing.T) {
 	s := New(Options{})
 	base, rerr := s.prepare(&JobRequest{
 		Scenario: "twospanner",
-		Params:   map[string]string{"family": "gnp", "n": "32", "p": "0.2"},
+		Params:   map[string]string{"family": "gnp", "n": "32", "p": "0.2", "transport": "local"},
 		Seed:     7,
 	})
 	if rerr != nil {
 		t.Fatalf("prepare: %v", rerr)
 	}
-	engined, rerr := s.prepare(&JobRequest{
+	sharded, rerr := s.prepare(&JobRequest{
 		Scenario: "twospanner",
-		Params:   map[string]string{"family": "gnp", "n": "32", "p": "0.2", "engine": "event"},
+		Params:   map[string]string{"family": "gnp", "n": "32", "p": "0.2", "transport": "chan2"},
 		Seed:     7,
 	})
 	if rerr != nil {
-		t.Fatalf("prepare with engine: %v", rerr)
+		t.Fatalf("prepare with transport: %v", rerr)
 	}
-	if base.Key != engined.Key {
-		t.Fatalf("engine param changed the cache key: %s vs %s", base.Key, engined.Key)
+	if base.Key != sharded.Key {
+		t.Fatalf("transport param changed the cache key: %s vs %s", base.Key, sharded.Key)
 	}
 }
 

@@ -20,7 +20,7 @@ type JobRequest struct {
 	Scenario string `json:"scenario"`
 	// Params overlays the scenario defaults; same surface as a sweep
 	// grid cell ("n", "p", "family", "ref", ..., plus execution-only
-	// knobs like "engine", which never enter the cache key).
+	// knobs like "transport", which never enter the cache key).
 	Params map[string]string `json:"params,omitempty"`
 	// Seed is the run seed; results are pure functions of (spec, seed).
 	Seed int64 `json:"seed"`

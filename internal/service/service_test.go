@@ -496,10 +496,10 @@ func TestDrainWaitsForInFlightRuns(t *testing.T) {
 // an execution knob are the same job — one execution, one entry.
 func TestExecOnlyParamsShareOneCacheEntry(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 2})
-	base := map[string]string{"family": "gnp", "n": "24", "p": "0.2"}
-	_, cache1, body1 := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: base, Seed: 4})
-	withEngine := map[string]string{"family": "gnp", "n": "24", "p": "0.2", "engine": "event"}
-	_, cache2, body2 := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: withEngine, Seed: 4})
+	local := map[string]string{"family": "gnp", "n": "24", "p": "0.2", "transport": "local"}
+	_, cache1, body1 := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: local, Seed: 4})
+	sharded := map[string]string{"family": "gnp", "n": "24", "p": "0.2", "transport": "chan2"}
+	_, cache2, body2 := postRun(t, ts, JobRequest{Scenario: "twospanner", Params: sharded, Seed: 4})
 	if cache1 != "miss" || cache2 != "hit" {
 		t.Fatalf("cache headers = %q, %q; want miss, hit", cache1, cache2)
 	}

@@ -11,10 +11,11 @@
 // scheduling only change wall-clock time. Run seeds are derived by hashing
 // the scenario name, the cell's instance key, and the replicate index into
 // the base seed, so a cell's seeds are stable under grid reordering and
-// sweep composition. Execution-only parameters (the "engine" selection of
-// the dist scheduler) are excluded from the instance key: cells differing
-// only in engine run identical instances and must report identical
-// metrics, making an engine axis a pure wall-clock comparison. Wall-clock
+// sweep composition. Execution-only parameters (the "transport" that
+// delivers a dist run's messages) are excluded from the instance key:
+// cells differing only in transport run identical instances and must
+// report identical metrics, making a transport axis a pure wall-clock
+// comparison. Wall-clock
 // durations are excluded from the serialized report by default; the
 // execution-only "timing" parameter opts in to per-round wall-time
 // metrics (round_wall_ns_mean/max, time_share_*), which are telemetry —
@@ -122,8 +123,8 @@ func (r *Report) Failed() bool { return r.Failures > 0 }
 // DeriveSeed returns the seed of one (scenario, cell, replicate) run:
 // base mixed with an FNV hash of the scenario name and the cell's
 // instance key, then a splitmix64 step per replicate. Stable under cell
-// reordering, and blind to execution-only parameters (the "engine"
-// selection), so cells that differ only in engine mode run identical
+// reordering, and blind to execution-only parameters (the "transport"
+// selection), so cells that differ only in transport run identical
 // instances — any metric difference between them is an engine bug.
 func DeriveSeed(base int64, scenarioName string, cell scenario.Params, replicate int) int64 {
 	h := fnv.New64a()

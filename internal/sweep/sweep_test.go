@@ -170,17 +170,13 @@ func TestTimeoutCancelsBusyRun(t *testing.T) {
 	sc := &scenario.Scenario{
 		Name: "busy",
 		Run: func(p scenario.Params, seed int64, cancel <-chan struct{}) (scenario.Metrics, error) {
-			_, err := dist.Run(dist.Config{
+			_, err := dist.RunMachines(dist.Config{
 				Graph:     gen.Cycle(64),
 				Seed:      seed,
 				MaxRounds: 1 << 30,
 				Cancel:    cancel,
 				OnRound:   func(dist.RoundActivity) { rounds++ },
-			}, func(c *dist.Ctx) {
-				for {
-					c.NextRound()
-				}
-			})
+			}, func(*dist.Ctx) dist.Machine { return spinMachine{} })
 			return nil, err
 		},
 	}
@@ -195,6 +191,12 @@ func TestTimeoutCancelsBusyRun(t *testing.T) {
 		t.Fatal("busy run never advanced a round before the timeout")
 	}
 }
+
+// spinMachine yields forever: a run of it only ends by cancellation or
+// the round limit.
+type spinMachine struct{}
+
+func (spinMachine) Step(*dist.Ctx, dist.StepIn) dist.StepStatus { return dist.StepYield }
 
 // TestWorkerPoolParallelism shows wall clock drops as -workers grows: 6
 // runs of a 60ms scenario take >= 360ms serially but ~60ms on 6 workers.
@@ -308,16 +310,17 @@ func TestRealScenarioSweep(t *testing.T) {
 }
 
 func TestEngineAxisRunsIdenticalInstances(t *testing.T) {
-	// Cells that differ only in the execution-only "engine" parameter must
-	// derive identical seeds (InstanceKey is blind to it), so a sweep over
-	// engine={barrier,event} runs the same instances and — by the dist
-	// engine's cross-mode determinism contract — yields identical metrics.
+	// Cells that differ only in the execution-only "transport" parameter
+	// must derive identical seeds (InstanceKey is blind to it), so a sweep
+	// over transport={local,chan2} runs the same instances and — by the
+	// dist engine's transport conformance contract — yields identical
+	// metrics.
 	for r := 0; r < 3; r++ {
-		a := DeriveSeed(7, "twospanner", scenario.Params{"n": "32", "engine": "barrier"}, r)
-		b := DeriveSeed(7, "twospanner", scenario.Params{"n": "32", "engine": "event"}, r)
+		a := DeriveSeed(7, "twospanner", scenario.Params{"n": "32", "transport": "local"}, r)
+		b := DeriveSeed(7, "twospanner", scenario.Params{"n": "32", "transport": "chan2"}, r)
 		c := DeriveSeed(7, "twospanner", scenario.Params{"n": "32"}, r)
 		if a != b || a != c {
-			t.Fatalf("replicate %d: engine parameter leaked into seed derivation: %d %d %d", r, a, b, c)
+			t.Fatalf("replicate %d: transport parameter leaked into seed derivation: %d %d %d", r, a, b, c)
 		}
 	}
 	sc, ok := scenario.Get("twospanner")
@@ -326,7 +329,7 @@ func TestEngineAxisRunsIdenticalInstances(t *testing.T) {
 	}
 	rep, err := Execute(Options{
 		Scenario:   sc,
-		Cells:      []scenario.Params{{"n": "28", "engine": "barrier"}, {"n": "28", "engine": "event"}},
+		Cells:      []scenario.Params{{"n": "28", "transport": "local"}, {"n": "28", "transport": "chan2"}},
 		Replicates: 2,
 		BaseSeed:   11,
 	})
@@ -336,14 +339,14 @@ func TestEngineAxisRunsIdenticalInstances(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("sweep failed: %+v", rep.Cells)
 	}
-	barrier, event := rep.Cells[0], rep.Cells[1]
-	if len(barrier.Metrics) == 0 {
+	local, sharded := rep.Cells[0], rep.Cells[1]
+	if len(local.Metrics) == 0 {
 		t.Fatal("no metrics recorded")
 	}
-	for name, agg := range barrier.Metrics {
-		if event.Metrics[name] != agg {
-			t.Fatalf("metric %q diverges across engine cells: barrier %+v, event %+v",
-				name, agg, event.Metrics[name])
+	for name, agg := range local.Metrics {
+		if sharded.Metrics[name] != agg {
+			t.Fatalf("metric %q diverges across transport cells: local %+v, chan2 %+v",
+				name, agg, sharded.Metrics[name])
 		}
 	}
 }

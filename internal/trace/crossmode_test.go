@@ -4,58 +4,16 @@ import (
 	"fmt"
 	"testing"
 
-	"distspanner/internal/core"
-	"distspanner/internal/dist"
 	"distspanner/internal/gen"
 	"distspanner/internal/graph"
-	"distspanner/internal/mds"
 )
 
-// Cross-engine digest equality — the tentpole acceptance test: every
-// algorithm family, on scenario-representative instances, must produce
-// the identical logical transcript (same Digest) under the barrier,
-// event, and goroutine-free step engines. The digest collapses the full
-// per-vertex transcript, so any divergence in message content, order,
-// lifecycle, or per-round activity fails here.
-
-var engineModes = []dist.Mode{dist.ModeBarrier, dist.ModeEvent, dist.ModeStep}
-
-// algoFamilies enumerates the dist-engine algorithm families the
-// scenario registry exposes, each run the way its scenario runs it.
-var algoFamilies = []struct {
-	name string
-	run  func(g *graph.Graph, seed int64, mode dist.Mode, tr dist.Tracer) error
-}{
-	{"twospanner", func(g *graph.Graph, seed int64, mode dist.Mode, tr dist.Tracer) error {
-		_, err := core.TwoSpanner(g, core.Options{Seed: seed, ExecMode: mode, Tracer: tr})
-		return err
-	}},
-	{"congest", func(g *graph.Graph, seed int64, mode dist.Mode, tr dist.Tracer) error {
-		_, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, ExecMode: mode, Tracer: tr})
-		return err
-	}},
-	{"directed", func(g *graph.Graph, seed int64, mode dist.Mode, tr dist.Tracer) error {
-		d := gen.OrientRandomly(g, 0.3, seed)
-		_, err := core.DirectedTwoSpanner(d, core.Options{Seed: seed, ExecMode: mode, Tracer: tr})
-		return err
-	}},
-	{"cs", func(g *graph.Graph, seed int64, mode dist.Mode, tr dist.Tracer) error {
-		clients, servers := gen.ClientServerSplit(g, 0.5, 0.8, seed)
-		_, err := core.ClientServerTwoSpanner(g, clients, servers, core.Options{Seed: seed, ExecMode: mode, Tracer: tr})
-		return err
-	}},
-	{"weighted", func(g *graph.Graph, seed int64, mode dist.Mode, tr dist.Tracer) error {
-		wg := g.Clone()
-		gen.RandomWeights(wg, 1, 8, seed)
-		_, err := core.TwoSpanner(wg, core.Options{Seed: seed, ExecMode: mode, Tracer: tr})
-		return err
-	}},
-	{"mds", func(g *graph.Graph, seed int64, mode dist.Mode, tr dist.Tracer) error {
-		_, err := mds.Run(g, mds.Options{Seed: seed, ExecMode: mode, Tracer: tr})
-		return err
-	}},
-}
-
+// Digest equality across execution paths: every algorithm family, on
+// scenario-representative instances, must produce the identical logical
+// transcript (same Digest) in-process and sharded across three workers.
+// The digest collapses the full per-vertex transcript, so any divergence
+// in message content, order, lifecycle, or per-round activity fails
+// here. TestShardCountDigestInvariance sweeps the other shard counts.
 func TestCrossModeDigestEquality(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"gnp48":    gen.ConnectedGNP(48, 0.15, 1),
@@ -67,13 +25,13 @@ func TestCrossModeDigestEquality(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", fam.name, gname, seed), func(t *testing.T) {
 					var ref Digest
-					for i, mode := range engineModes {
+					for i, shards := range []int{0, 3} {
 						rec := NewRecorder(g.N())
-						if err := fam.run(g, seed, mode, rec); err != nil {
-							t.Fatalf("mode %v: %v", mode, err)
+						if err := fam.run(g, seed, shards, rec); err != nil {
+							t.Fatalf("shards=%d: %v", shards, err)
 						}
 						if rec.EventCount() == 0 {
-							t.Fatalf("mode %v recorded no events", mode)
+							t.Fatalf("shards=%d recorded no events", shards)
 						}
 						d := rec.Digest()
 						if i == 0 {
@@ -81,8 +39,7 @@ func TestCrossModeDigestEquality(t *testing.T) {
 							continue
 						}
 						if !d.Equal(ref) {
-							t.Errorf("mode %v digest %s diverged from %v digest %s",
-								mode, d.Run, engineModes[0], ref.Run)
+							t.Errorf("sharded digest %s diverged from in-process digest %s", d.Run, ref.Run)
 							for v := range d.Vertex {
 								if d.Vertex[v] != ref.Vertex[v] {
 									t.Errorf("  first diverging vertex: %d", v)

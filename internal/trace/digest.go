@@ -10,11 +10,12 @@ import "distspanner/internal/dist"
 // Two successful runs have equal Digests iff their logical transcripts
 // are equal — same events per vertex in the same per-vertex order, same
 // activity curve. The determinism contract this pins down: for a fixed
-// (Graph, Seed, protocol), all three execution modes produce the same
-// Digest (asserted by the cross-mode tests), and the golden-digest
-// tests keep it stable across refactors. Aborted runs (round limit,
-// cancellation, enforcement, panic) truncate the narration at
-// mode-dependent points and carry no digest guarantee.
+// (Graph, Seed, protocol), the in-process engine and the sharded runner
+// produce the same Digest at every shard count (asserted by the
+// shard-invariance and transport-conformance tests), and the
+// golden-digest tests keep it stable across refactors. Aborted runs
+// (round limit, cancellation, enforcement, panic) truncate the narration
+// at path-dependent points and carry no digest guarantee.
 type Digest struct {
 	// Run is the whole-run hash, 16 hex digits.
 	Run string

@@ -3,15 +3,56 @@ package trace
 import (
 	"testing"
 
+	"distspanner/internal/core"
 	"distspanner/internal/dist"
 	"distspanner/internal/gen"
+	"distspanner/internal/graph"
+	"distspanner/internal/mds"
 )
+
+// algoFamilies enumerates the dist-engine algorithm families the
+// scenario registry exposes, each run the way its scenario runs it,
+// in-process (shards == 0) or sharded across that many workers.
+var algoFamilies = []struct {
+	name string
+	run  func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error
+}{
+	{"twospanner", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
+		_, err := core.TwoSpanner(g, core.Options{Seed: seed, Shards: shards, Tracer: tr})
+		return err
+	}},
+	{"congest", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
+		_, err := core.TwoSpannerCongest(g, core.Options{Seed: seed, Shards: shards, Tracer: tr})
+		return err
+	}},
+	{"directed", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
+		d := gen.OrientRandomly(g, 0.3, seed)
+		_, err := core.DirectedTwoSpanner(d, core.Options{Seed: seed, Shards: shards, Tracer: tr})
+		return err
+	}},
+	{"cs", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
+		clients, servers := gen.ClientServerSplit(g, 0.5, 0.8, seed)
+		_, err := core.ClientServerTwoSpanner(g, clients, servers, core.Options{Seed: seed, Shards: shards, Tracer: tr})
+		return err
+	}},
+	{"weighted", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
+		wg := g.Clone()
+		gen.RandomWeights(wg, 1, 8, seed)
+		_, err := core.TwoSpanner(wg, core.Options{Seed: seed, Shards: shards, Tracer: tr})
+		return err
+	}},
+	{"mds", func(g *graph.Graph, seed int64, shards int, tr dist.Tracer) error {
+		_, err := mds.Run(g, mds.Options{Seed: seed, Shards: shards, Tracer: tr})
+		return err
+	}},
+}
 
 // Golden run digests for a fixed (graph, seed) per algorithm family.
 // These pin the logical transcript itself — message contents, order,
-// and vertex lifecycle — not just cross-mode agreement: an engine or
-// algorithm change that alters the transcript (even one that all three
-// engines agree on) must show up here and be consciously re-golded.
+// and vertex lifecycle — not just agreement between execution paths: an
+// engine or algorithm change that alters the transcript (even one the
+// sharded runner agrees with) must show up here and be consciously
+// re-golded.
 // Regenerate by running the test: the failure output prints the
 // observed values to paste in.
 var goldenDigests = map[string]string{
@@ -29,7 +70,7 @@ func TestGoldenDigests(t *testing.T) {
 	for _, fam := range algoFamilies {
 		t.Run(fam.name, func(t *testing.T) {
 			rec := NewRecorder(g.N())
-			if err := fam.run(g, seed, dist.ModeAuto, rec); err != nil {
+			if err := fam.run(g, seed, 0, rec); err != nil {
 				t.Fatal(err)
 			}
 			got := rec.Digest().Run

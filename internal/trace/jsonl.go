@@ -21,8 +21,9 @@ type Meta struct {
 	Seed int64 `json:"seed"`
 	// Label names the run for humans ("twospanner n=64 p=0.2", ...).
 	Label string `json:"label,omitempty"`
-	// Mode is the execution mode's CLI spelling, recorded so a digest
-	// mismatch can be attributed; equal digests are expected across modes.
+	// Mode names the execution path ("local" for the in-process engine,
+	// "tcp" for the distributed runner), recorded so a digest mismatch
+	// can be attributed; equal digests are expected across paths.
 	Mode string `json:"mode,omitempty"`
 }
 

@@ -21,18 +21,8 @@ func realRecorder(t *testing.T) *Recorder {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	rec := NewRecorder(g.N())
-	_, err := dist.Run(dist.Config{Graph: g, Seed: 7, Tracer: rec}, func(ctx *dist.Ctx) {
-		if ctx.ID() == 3 {
-			for {
-				if _, ok := ctx.Recv(); !ok {
-					return
-				}
-			}
-		}
-		for r := 0; r < 3; r++ {
-			ctx.Broadcast(intPayload(r))
-			ctx.NextRound()
-		}
+	_, err := dist.RunMachines(dist.Config{Graph: g, Seed: 7, Tracer: rec}, func(*dist.Ctx) dist.Machine {
+		return &gossipMachine{}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +31,25 @@ func realRecorder(t *testing.T) *Recorder {
 		t.Fatal("run recorded no events")
 	}
 	return rec
+}
+
+// gossipMachine broadcasts for three rounds, except vertex 3, which
+// listens parked until quiescence releases it.
+type gossipMachine struct{ r int }
+
+func (m *gossipMachine) Step(ctx *dist.Ctx, in dist.StepIn) dist.StepStatus {
+	if ctx.ID() == 3 {
+		if in.Quiesced {
+			return dist.StepDone
+		}
+		return dist.StepPark
+	}
+	if m.r == 3 {
+		return dist.StepDone
+	}
+	ctx.Broadcast(intPayload(m.r))
+	m.r++
+	return dist.StepYield
 }
 
 type intPayload int

@@ -21,8 +21,7 @@ type TimingSummary struct {
 	// TotalWallNs is the summed round wall time.
 	TotalWallNs int64
 	// StepShare, RouteShare, and SyncShare are each phase's fraction of
-	// TotalWallNs (in [0,1], summing to ~1). In the blocking modes Sync
-	// is folded into Step by construction (see dist.RoundTiming).
+	// TotalWallNs (in [0,1], summing to ~1; see dist.RoundTiming).
 	StepShare  float64
 	RouteShare float64
 	SyncShare  float64

@@ -15,11 +15,11 @@
 //   - Recorder: the standard Tracer. Logical events land in per-vertex
 //     append-only buffers — within one vertex the order is the engine's
 //     deterministic emission order, and cross-vertex interleaving (the
-//     one thing that varies between execution modes) is never stored.
+//     one thing that varies between execution paths) is never stored.
 //   - Digest: an FNV-64a hash per vertex plus a whole-run hash. Equal
-//     digests mean equal logical transcripts; the cross-mode tests
-//     assert equality across the barrier/event/step engines, and a
-//     future network transport must reproduce the same digests.
+//     digests mean equal logical transcripts; the shard-invariance and
+//     transport-conformance tests assert equality between the in-process
+//     engine and the sharded runner over every transport.
 //   - WriteJSONL / ReadJSONL / Check: the line-oriented interchange
 //     format, one JSON object per line, self-validating (the trailing
 //     digest line must match a recomputation over the lines above it).

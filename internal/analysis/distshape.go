@@ -8,7 +8,7 @@ import (
 // The analyzers recognize the engine package structurally, not by import
 // path: any imported package (or the analyzed package itself) declaring
 // an interface named Machine with a Step method, an interface named
-// PhasedProgram with Emit/Process methods, or a Ctx type with Send — as
+// PhasedProgram with Emit/Process methods, or a Ctx type with SendRec — as
 // internal/dist does — is treated as the engine. Structural detection is
 // what lets the analysistest fixtures and the known-bad fixture module
 // exercise the analyzers against a miniature stand-in dist package
@@ -57,7 +57,7 @@ func (p *Pass) algoPackage() bool { return matchesScope(p.pkgPath(), Pkgs.Algo) 
 
 // distShape is the structurally detected engine surface visible to one
 // package: the Machine/PhasedProgram interfaces for implements-checks and
-// the Ctx type whose Send/SendRec sites carry metered payloads.
+// the Ctx type whose SendRec sites carry metered records.
 type distShape struct {
 	machine *types.Interface // dist.Machine, nil if not visible
 	phased  *types.Interface // dist.PhasedProgram, nil if not visible
@@ -78,7 +78,7 @@ func findDistShape(pkg *types.Package) distShape {
 		}
 		if sh.ctx == nil {
 			if obj, ok := scope.Lookup("Ctx").(*types.TypeName); ok {
-				if hasMethod(obj.Type(), "Send") || hasMethod(obj.Type(), "SendRec") {
+				if hasMethod(obj.Type(), "SendRec") {
 					sh.ctx = obj.Type()
 				}
 			}

@@ -10,8 +10,8 @@ import "time"
 // Ctx is the structural stand-in for the engine's vertex context.
 type Ctx struct{}
 
-// Send exists so the shape detector recognizes Ctx.
-func (c *Ctx) Send(to int, payload any) {}
+// SendRec exists so the shape detector recognizes Ctx.
+func (c *Ctx) SendRec(to int, rec any, bits int) {}
 
 // Machine is the structural stand-in for the engine's vertex interface.
 type Machine interface {

@@ -21,8 +21,7 @@ import "distspanner/internal/dist"
 // the current phase (see classifyUndirected / classifyDirected).
 
 // Record tags. Tags within one protocol's phases are disjoint; the tag is
-// the type information the flat-buffer inbox carries in place of a boxed
-// payload's dynamic type.
+// the type information a record carries.
 const (
 	tagSpan uint8 = iota + 1
 	tagUncov

@@ -22,20 +22,33 @@ type lsToken struct {
 	Origin, R, D int
 }
 
-// lsTokensMsg carries newly improved tokens. Each token is 3 words.
+// Record tags of the protocol's two messages.
+const (
+	tagTokens uint8 = iota + 1
+	tagClustered
+)
+
+// lsTokensMsg carries newly improved tokens. Each token is 3 words,
+// flattened into the record's Ints tail.
 type lsTokensMsg struct {
 	tokens []lsToken
 	n      int
 }
 
-// Bits implements dist.Payload.
 func (m lsTokensMsg) Bits() int { return (1 + 3*len(m.tokens)) * dist.IDBits(m.n) }
+func (m lsTokensMsg) rec() dist.Rec {
+	ints := make([]int, 0, 3*len(m.tokens))
+	for _, tok := range m.tokens {
+		ints = append(ints, tok.Origin, tok.R, tok.D)
+	}
+	return dist.Rec{Tag: tagTokens, Ints: ints}
+}
 
 // lsClusteredMsg announces that the sender was captured this phase.
 type lsClusteredMsg struct{}
 
-// Bits implements dist.Payload.
-func (lsClusteredMsg) Bits() int { return 1 }
+func (lsClusteredMsg) Bits() int     { return 1 }
+func (lsClusteredMsg) rec() dist.Rec { return dist.Rec{Tag: tagClustered} }
 
 // DistributedLinialSaks executes the Linial-Saks decomposition as a
 // message-passing protocol and returns the decomposition plus the
@@ -43,7 +56,12 @@ func (lsClusteredMsg) Bits() int { return 1 }
 // the exact clustering differs because radii are drawn from per-vertex
 // RNG streams.
 func DistributedLinialSaks(g *graph.Graph, seed int64) (*Decomposition, *dist.Stats, error) {
-	n := g.N()
+	return linialSaks(dist.Config{Graph: g, Seed: seed})
+}
+
+// linialSaks runs the protocol on the engine configured by cfg.
+func linialSaks(cfg dist.Config) (*Decomposition, *dist.Stats, error) {
+	n := cfg.Graph.N()
 	d := &Decomposition{
 		Cluster: make([]int, n),
 		Color:   make([]int, n),
@@ -57,7 +75,7 @@ func DistributedLinialSaks(g *graph.Graph, seed int64) (*Decomposition, *dist.St
 	}
 	maxRadius := 2*int(math.Ceil(math.Log2(float64(n+1)))) + 1
 	maxPhases := 50 + 10*int(math.Ceil(math.Log2(float64(n+1))))
-	stats, err := dist.RunMachines(dist.Config{Graph: g, Seed: seed}, func(*dist.Ctx) dist.Machine {
+	stats, err := dist.RunMachines(cfg, func(*dist.Ctx) dist.Machine {
 		return &lsMachine{d: d, maxRadius: maxRadius, maxPhases: maxPhases}
 	})
 	if err != nil {
@@ -106,12 +124,12 @@ func (m *lsMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 	case m.round <= m.maxRadius:
 		// A flood round: keep every token that improves a candidate.
 		m.fresh = nil
-		for _, msg := range in.Msgs {
-			tm, ok := msg.Payload.(lsTokensMsg)
-			if !ok {
+		for _, r := range in.Recs {
+			if r.Tag != tagTokens {
 				continue
 			}
-			for _, tok := range tm.tokens {
+			for i := 0; i+2 < len(r.Ints); i += 3 {
+				tok := lsToken{Origin: r.Ints[i], R: r.Ints[i+1], D: r.Ints[i+2]}
 				if cd, seen := m.known[tok.Origin]; !seen || tok.D < cd.d {
 					m.known[tok.Origin] = lsCand{r: tok.R, d: tok.D}
 					m.fresh = append(m.fresh, tok)
@@ -121,9 +139,9 @@ func (m *lsMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 		m.round++
 	default:
 		// The capture round: learn which neighbors left this phase.
-		for _, msg := range in.Msgs {
-			if _, ok := msg.Payload.(lsClusteredMsg); ok {
-				delete(m.remaining, msg.From)
+		for _, r := range in.Recs {
+			if r.Tag == tagClustered {
+				delete(m.remaining, r.From)
 			}
 		}
 		m.phase++
@@ -170,9 +188,11 @@ func (m *lsMachine) flood(c *dist.Ctx) {
 	}
 	sort.Slice(outgoing, func(i, j int) bool { return outgoing[i].Origin < outgoing[j].Origin })
 	if len(outgoing) > 0 {
+		msg := lsTokensMsg{tokens: outgoing, n: c.N()}
+		rec, bits := msg.rec(), msg.Bits()
 		for _, u := range c.Neighbors() {
 			if m.remaining[u] {
-				c.Send(u, lsTokensMsg{tokens: outgoing, n: c.N()})
+				c.SendRec(u, rec, bits)
 			}
 		}
 	}
@@ -192,7 +212,7 @@ func (m *lsMachine) capture(c *dist.Ctx) {
 		me := c.ID()
 		m.d.Cluster[me] = captor
 		m.d.Color[me] = m.phase
-		c.Broadcast(lsClusteredMsg{})
+		c.BroadcastRec(lsClusteredMsg{}.rec(), lsClusteredMsg{}.Bits())
 		m.captured = true
 	}
 }

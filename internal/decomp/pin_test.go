@@ -67,18 +67,24 @@ func lsPinGraph(name string) *graph.Graph {
 	panic("unknown pin graph " + name)
 }
 
+// TestDistributedLinialSaksPinned checks every pin in-process and
+// sharded (3 shards over the channel transport): both runs must
+// reproduce the pinned Stats and decomposition.
 func TestDistributedLinialSaksPinned(t *testing.T) {
 	for _, pin := range lsPins {
-		d, stats, err := DistributedLinialSaks(lsPinGraph(pin.graph), pin.seed)
-		if err != nil {
-			t.Fatalf("%s seed %d: %v", pin.graph, pin.seed, err)
-		}
-		if *stats != pin.stats {
-			t.Errorf("%s seed %d: stats\n got %+v\nwant %+v", pin.graph, pin.seed, *stats, pin.stats)
-		}
-		if !reflect.DeepEqual(d.Cluster, pin.cluster) || !reflect.DeepEqual(d.Color, pin.color) || d.NumColors != pin.colors {
-			t.Errorf("%s seed %d: decomposition\n got cluster %v color %v (%d colors)\nwant cluster %v color %v (%d colors)",
-				pin.graph, pin.seed, d.Cluster, d.Color, d.NumColors, pin.cluster, pin.color, pin.colors)
+		g := lsPinGraph(pin.graph)
+		for _, shards := range []int{0, 3} {
+			d, stats, err := linialSaks(dist.Config{Graph: g, Seed: pin.seed, Shards: shards})
+			if err != nil {
+				t.Fatalf("%s seed %d shards %d: %v", pin.graph, pin.seed, shards, err)
+			}
+			if *stats != pin.stats {
+				t.Errorf("%s seed %d shards %d: stats\n got %+v\nwant %+v", pin.graph, pin.seed, shards, *stats, pin.stats)
+			}
+			if !reflect.DeepEqual(d.Cluster, pin.cluster) || !reflect.DeepEqual(d.Color, pin.color) || d.NumColors != pin.colors {
+				t.Errorf("%s seed %d shards %d: decomposition\n got cluster %v color %v (%d colors)\nwant cluster %v color %v (%d colors)",
+					pin.graph, pin.seed, shards, d.Cluster, d.Color, d.NumColors, pin.cluster, pin.color, pin.colors)
+			}
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestActivityAllBusy(t *testing.T) {
 			if r == rounds {
 				return StepDone
 			}
-			ctx.Broadcast(blob{val: r, size: 8})
+			blob{val: r, size: 8}.broadcast(ctx)
 			return StepYield
 		})
 	})
@@ -88,7 +88,7 @@ func TestActivityCurveWithParkedVertices(t *testing.T) {
 			}
 			switch step {
 			case 4:
-				ctx.Send(1, blob{val: 9, size: 8})
+				blob{val: 9, size: 8}.send(ctx, 1)
 			case 5:
 				return StepDone
 			}
@@ -104,7 +104,7 @@ func TestActivityCurveWithParkedVertices(t *testing.T) {
 }
 
 func TestActivityIdenticalAcrossModes(t *testing.T) {
-	// The boxed chaos protocol mixes yields, parks, sends, and
+	// The blob chaos protocol mixes yields, parks, sends, and
 	// retirement; the activity curve must be bit-identical across step
 	// widths, like every other statistic.
 	g := benchGraph(96)

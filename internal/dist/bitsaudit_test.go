@@ -91,12 +91,3 @@ func TestAuditPayloadFieldsEmbedded(t *testing.T) {
 		t.Fatalf("embedded undercount not caught: %v", err)
 	}
 }
-
-// TestPairsBitsConformance audits the engine's own Pairs payload.
-func TestPairsBitsConformance(t *testing.T) {
-	p := Pairs{Space: 100, Values: [][2]int{{1, 2}, {3, 4}, {5, 6}}}
-	accounted := map[string]int{"Space": 0, "Values": 2 * IDBits(100)}
-	if err := AuditPayloadFields(p, p.Bits(), accounted); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -8,20 +8,19 @@ import (
 	"distspanner/internal/graph"
 )
 
-// The coordinator half of the sharded runner. Coordinate owns exactly
-// the global decisions of runStep — finish when every vertex retired,
-// quiesce when nobody yielded and no pending delivery can wake anyone,
-// abort on the round limit / cancellation / an enforced bandwidth
-// violation — and the global accounting (Stats, RoundActivity, the
-// OnRound hook, Phase snapshots). Everything per-vertex stays on the
-// workers. The decisions are taken in runStep's exact order with
-// runStep's exact error formats, which is what makes a distributed run
-// indistinguishable from an in-process run: same Stats, same
-// per-vertex trace digests, same errors.
+// The coordinator half of the sharded runner. Coordinate owns the global
+// half of the round core (round.go): it sums the workers' reports into
+// the round rule's facts, asks the same rule runStep asks
+// (ledger.decide), and folds each committed round into Stats, the
+// OnRound hook, and the Phase snapshots (ledger.record). Everything
+// per-vertex stays on the workers. One rule with one set of error
+// formats is what makes a distributed run indistinguishable from an
+// in-process run: same Stats, same per-vertex trace digests, same
+// errors.
 
-// ShardError is a worker-side failure (machine panic, boxed send,
-// program resolution) surfaced through the protocol; the coordinator
-// aborts the run and returns it.
+// ShardError is a worker-side failure (machine panic, program
+// resolution) surfaced through the protocol; the coordinator aborts the
+// run and returns it.
 type ShardError struct {
 	Shard int
 	Msg   string
@@ -79,13 +78,8 @@ func Coordinate(ct CoordTransport, cfg CoordConfig) (*CoordResult, error) {
 	if w < 1 {
 		return nil, errors.New("dist: Coordinate needs at least one worker")
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
 	cuts := PartitionEven(n, w)
 	trace := cfg.Tracer != nil
-	meterDlv := cfg.OnRound != nil || trace
 	for i := 0; i < w; i++ {
 		su := &SetupFrame{
 			Shard: i, Workers: w, Cuts: cuts, Graph: cfg.Graph,
@@ -97,28 +91,19 @@ func Coordinate(ct CoordTransport, cfg CoordConfig) (*CoordResult, error) {
 		}
 	}
 
+	l := &ledger{
+		maxRounds: cfg.MaxRounds, bandwidth: cfg.Bandwidth, enforce: cfg.Enforce,
+		cancel: cfg.Cancel, onRound: cfg.OnRound, tracer: cfg.Tracer,
+	}
 	var (
-		stats   Stats
-		rounds  int
 		runErr  error
 		reports = make([]*RoundFrame, w)
 		wakes   = make([]*WakeFrame, w)
 	)
-	canceled := func() bool {
-		if cfg.Cancel == nil {
-			return false
-		}
-		select {
-		case <-cfg.Cancel:
-			return true
-		default:
-			return false
-		}
-	}
 	// abortAll best-effort ships the abort decision to every worker so
 	// they stop waiting for batches/decisions and send their final frame.
 	abortAll := func() {
-		d := &DecisionFrame{Kind: DecideAbort, Round: rounds}
+		d := &DecisionFrame{Kind: DecideAbort, Round: l.stats.Rounds}
 		for i := 0; i < w; i++ {
 			ct.Send(i, &Frame{Type: FrameDecision, Decision: d})
 		}
@@ -179,15 +164,14 @@ protocol:
 			wakes[i] = f.Wake
 		}
 
-		// Decision, in runStep's order.
+		// The round rule's facts, summed over the shards in index order.
 		var (
 			sumStepped, sumYielded, sumParked, sumDone, sumSenders int
 			sumWoken, sumDeliv                                     int
 			sumDelivBits                                           int64
 			anyWake                                                bool
-			meter                                                  MeterReport
+			meter                                                  = MeterReport{ViolSender: -1}
 		)
-		meter.ViolSender = -1
 		for i := 0; i < w; i++ {
 			r, wk := reports[i], wakes[i]
 			sumStepped += r.Stepped
@@ -195,114 +179,32 @@ protocol:
 			sumParked += r.ParkedNow
 			sumDone += r.DoneTotal
 			sumSenders += r.Senders
-			meter.Msgs += r.Meter.Msgs
-			meter.Bits += r.Meter.Bits
-			meter.CutBits += r.Meter.CutBits
-			if r.Meter.MaxMsg > meter.MaxMsg {
-				meter.MaxMsg = r.Meter.MaxMsg
-			}
-			if r.Meter.MaxEdge > meter.MaxEdge {
-				meter.MaxEdge = r.Meter.MaxEdge
-			}
-			meter.Violations += r.Meter.Violations
-			if r.Meter.ViolSender >= 0 && meter.ViolSender < 0 {
-				// Shards are ascending vertex ranges gathered in index order,
-				// so the first shard's first violator is the global first.
-				meter.ViolSender, meter.ViolTo, meter.ViolBits = r.Meter.ViolSender, r.Meter.ViolTo, r.Meter.ViolBits
-			}
+			meter.merge(&r.Meter)
 			anyWake = anyWake || wk.WouldWake
 			sumWoken += wk.Woken
 			sumDeliv += wk.Delivered
 			sumDelivBits += wk.DeliveredBits
 		}
-		foldMeter := func() {
-			stats.Messages += meter.Msgs
-			stats.TotalBits += meter.Bits
-			stats.CutBits += meter.CutBits
-			if meter.MaxMsg > stats.MaxMessageBits {
-				stats.MaxMessageBits = meter.MaxMsg
-			}
-			if meter.MaxEdge > stats.MaxEdgeRoundBits {
-				stats.MaxEdgeRoundBits = meter.MaxEdge
-			}
-			stats.BandwidthViolations += meter.Violations
-		}
-		bwErr := func(round int) error {
-			return fmt.Errorf("%w: vertex %d sent %d bits to %d in round %d (budget %d)",
-				ErrBandwidth, meter.ViolSender, meter.ViolBits, meter.ViolTo, round, cfg.Bandwidth)
-		}
-		decide := func(kind DecisionKind, round int) error {
-			d := &DecisionFrame{Kind: kind, Round: round}
-			for i := 0; i < w; i++ {
-				if err := ct.Send(i, &Frame{Type: FrameDecision, Decision: d}); err != nil {
-					return fmt.Errorf("%w: decision to worker %d: %v", ErrTransport, i, err)
-				}
-			}
-			return nil
-		}
-
-		if sumDone == n {
-			// Everyone retired: meter-and-drop last words without charging a
-			// round — but an enforced violation in them still aborts, like
-			// route would.
-			if cfg.Enforce && meter.ViolSender >= 0 {
-				fail(bwErr(rounds))
-				break protocol
-			}
-			foldMeter()
-			stats.Rounds = rounds
-			if err := decide(DecideFinish, rounds); err != nil {
-				fail(err)
-			}
-			break protocol
-		}
-		if sumYielded == 0 && !anyWake {
-			// Nobody asked for another round and no pending delivery can wake
-			// anyone: meter-and-drop, then quiesce the parked population.
-			if cfg.Enforce && meter.ViolSender >= 0 {
-				fail(bwErr(rounds))
-				break protocol
-			}
-			foldMeter()
-			stats.Rounds = rounds
-			if err := decide(DecideQuiesce, rounds); err != nil {
-				fail(err)
-			}
-			break protocol
-		}
-		r := rounds + 1
-		if r > maxRounds {
-			fail(fmt.Errorf("%w: %d rounds executed (MaxRounds %d)", ErrRoundLimit, r, maxRounds))
-			break protocol
-		}
-		if canceled() {
-			fail(fmt.Errorf("%w after %d rounds", ErrCanceled, r))
-			break protocol
-		}
-		if cfg.Enforce && meter.ViolSender >= 0 {
-			fail(bwErr(r))
-			break protocol
-		}
-		rounds = r
-		foldMeter()
-		act := RoundActivity{Round: r, Active: sumStepped, Parked: sumParked - sumWoken, Senders: sumSenders}
-		if meterDlv {
-			act.Delivered, act.DeliveredBits = sumDeliv, sumDelivBits
-		}
-		stats.ActiveSteps += int64(act.Active)
-		stats.ParkedSteps += int64(act.Parked)
-		if act.Active > stats.PeakActive {
-			stats.PeakActive = act.Active
-		}
-		if trace {
-			cfg.Tracer.Phase(act)
-		}
-		if cfg.OnRound != nil {
-			cfg.OnRound(act)
-		}
-		if err := decide(DecideCommit, r); err != nil {
+		kind, err := l.decide(sumDone == n, sumYielded > 0, anyWake, &meter)
+		if err != nil {
 			fail(err)
 			break protocol
+		}
+		if kind == DecideCommit {
+			l.record(RoundActivity{
+				Round: l.stats.Rounds, Active: sumStepped, Parked: sumParked - sumWoken, Senders: sumSenders,
+				Delivered: sumDeliv, DeliveredBits: sumDelivBits,
+			})
+		}
+		d := &DecisionFrame{Kind: kind, Round: l.stats.Rounds}
+		for i := 0; i < w; i++ {
+			if err := ct.Send(i, &Frame{Type: FrameDecision, Decision: d}); err != nil {
+				fail(fmt.Errorf("%w: decision to worker %d: %v", ErrTransport, i, err))
+				break protocol
+			}
+		}
+		if kind != DecideCommit {
+			break
 		}
 	}
 
@@ -355,7 +257,7 @@ protocol:
 			}
 		}
 	}
-	return &CoordResult{Stats: stats, Outputs: outputs}, nil
+	return &CoordResult{Stats: l.stats, Outputs: outputs}, nil
 }
 
 // runSharded is RunMachines' Config.Shards path: the same machines, run

@@ -7,8 +7,9 @@ import (
 )
 
 // Ctx is the per-vertex surface of the engine: identity, topology access,
-// a private deterministic RNG, and the send primitives. Only the vertex's
-// own machine uses its Ctx, from inside Step.
+// a private deterministic RNG, and the send primitives (SendRec,
+// BroadcastRec). Only the vertex's own machine uses its Ctx, from inside
+// Step.
 type Ctx struct {
 	eng  *engine
 	id   int
@@ -16,15 +17,13 @@ type Ctx struct {
 	rng  *rand.Rand // lazily built on first Rand call
 	seed int64      // run seed, for the lazy RNG derivation
 
-	inbox    []Message // delivered boxed payloads of the completed round
-	outbox   []outMsg  // queued boxed sends of the current round
-	edgeBits []int     // routing scratch, parallel to nbrs
-	touched  []int     // edgeBits indices written this round (routing scratch)
-	done     bool      // machine retired
-	parked   bool      // parked awaiting a delivery
+	edgeBits []int // metering scratch, parallel to nbrs
+	touched  []int // edgeBits indices written this round (metering scratch)
+	done     bool  // machine retired
+	parked   bool  // parked awaiting a delivery
 
 	// Flat-buffer record arenas (see rec.go). The in arenas are written by
-	// the router between steps and drained by takeRecs; the out arenas
+	// deliver between steps and drained by takeRecs; the out arenas
 	// hold queued record sends with their packed int tails.
 	inRecs     []InRec
 	inInts     []int
@@ -79,30 +78,6 @@ func (c *Ctx) Rand() *rand.Rand {
 		c.rng = rand.New(rand.NewSource(vertexSeed(c.seed, c.id)))
 	}
 	return c.rng
-}
-
-// Send queues p for delivery to the neighbor to at the next round
-// boundary. Sends are committed when the step that queued them returns —
-// including a retiring step (StepDone): a vertex's last words ride the
-// round in flight, and when they could only reach already-retired peers
-// they are metered and dropped without charging a round. Sending to a
-// non-neighbor (or to yourself) panics: the model only has channels along
-// graph edges.
-func (c *Ctx) Send(to int, p Payload) {
-	c.nbrIndex(to) // validates
-	c.ensureScratch()
-	c.outbox = append(c.outbox, outMsg{to: to, p: p})
-}
-
-// Broadcast queues p for every neighbor.
-func (c *Ctx) Broadcast(p Payload) {
-	if len(c.nbrs) == 0 {
-		return
-	}
-	c.ensureScratch()
-	for _, u := range c.nbrs {
-		c.outbox = append(c.outbox, outMsg{to: u, p: p})
-	}
 }
 
 // ensureScratch lazily builds the per-edge metering scratch the first

@@ -9,13 +9,20 @@ import (
 	"distspanner/internal/graph"
 )
 
-// blob is a payload of a declared size with an integer body.
+// blob is a test message of a declared size with an integer body: val
+// rides in the record's A word, and size is the metered size.
 type blob struct {
 	val  int
 	size int
 }
 
 func (b blob) Bits() int { return b.size }
+func (b blob) rec() Rec  { return Rec{A: int64(b.val)} }
+
+// send queues b for the neighbor to; broadcast queues it for every
+// neighbor.
+func (b blob) send(c *Ctx, to int) { c.SendRec(to, b.rec(), b.Bits()) }
+func (b blob) broadcast(c *Ctx)    { c.BroadcastRec(b.rec(), b.Bits()) }
 
 func path(n int) *graph.Graph {
 	g := graph.New(n)
@@ -54,8 +61,8 @@ func gossipMachines(rounds int, out []int64) func(*Ctx) Machine {
 		acc, r := int64(c.ID()), 0
 		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
 			if !in.Start {
-				for _, m := range in.Msgs {
-					acc = acc*31 + int64(m.From) + int64(m.Payload.(blob).val)
+				for _, m := range in.Recs {
+					acc = acc*31 + int64(m.From) + m.A
 				}
 				r++
 			}
@@ -63,7 +70,7 @@ func gossipMachines(rounds int, out []int64) func(*Ctx) Machine {
 				out[ctx.ID()] = acc
 				return StepDone
 			}
-			ctx.Broadcast(blob{val: ctx.Rand().Intn(1 << 20), size: 32})
+			blob{val: ctx.Rand().Intn(1 << 20), size: 32}.broadcast(ctx)
 			return StepYield
 		})
 	}
@@ -143,13 +150,13 @@ func TestMessageDeliveryAndOrdering(t *testing.T) {
 			step++
 			switch step {
 			case 1:
-				ctx.Broadcast(blob{val: ctx.ID(), size: IDBits(ctx.N())})
+				blob{val: ctx.ID(), size: IDBits(ctx.N())}.broadcast(ctx)
 				return StepYield
 			case 2:
 				var from []int
-				for _, m := range in.Msgs {
-					if m.Payload.(blob).val != m.From {
-						t.Errorf("payload %d does not match sender %d", m.Payload.(blob).val, m.From)
+				for _, m := range in.Recs {
+					if int(m.A) != m.From {
+						t.Errorf("payload %d does not match sender %d", m.A, m.From)
 					}
 					from = append(from, m.From)
 				}
@@ -157,8 +164,8 @@ func TestMessageDeliveryAndOrdering(t *testing.T) {
 				return StepYield
 			}
 			// No cross-round leakage: the next round is silent.
-			if len(in.Msgs) != 0 {
-				t.Errorf("vertex %d received %d stale messages", ctx.ID(), len(in.Msgs))
+			if len(in.Recs) != 0 {
+				t.Errorf("vertex %d received %d stale messages", ctx.ID(), len(in.Recs))
 			}
 			return StepDone
 		})
@@ -196,8 +203,8 @@ func TestBitsAccounting(t *testing.T) {
 	g := path(2)
 	stats, err := RunMachines(Config{Graph: g, Seed: 1}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
-			ctx.Send(1, blob{size: 10})
-			ctx.Send(1, blob{size: 30})
+			blob{size: 10}.send(ctx, 1)
+			blob{size: 30}.send(ctx, 1)
 		}
 	}))
 	if err != nil {
@@ -220,7 +227,7 @@ func TestEnforceRejectsOversizedPayload(t *testing.T) {
 		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
 			step++
 			if step == 1 && ctx.ID() == 0 {
-				ctx.Send(1, blob{size: 100})
+				blob{size: 100}.send(ctx, 1)
 			}
 			if step == 3 {
 				return StepDone
@@ -244,8 +251,8 @@ func TestEnforceRejectsOversizedPayload(t *testing.T) {
 	// violate: the budget is per edge per round, not per message.
 	_, err = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
-			ctx.Send(1, blob{size: 40})
-			ctx.Send(1, blob{size: 40})
+			blob{size: 40}.send(ctx, 1)
+			blob{size: 40}.send(ctx, 1)
 		}
 	}))
 	if !errors.Is(err, ErrBandwidth) {
@@ -253,9 +260,9 @@ func TestEnforceRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
-// busyBoxed broadcasts a one-bit payload and yields, forever.
+// busyBoxed broadcasts a one-bit blob record and yields, forever.
 func busyBoxed(ctx *Ctx, in StepIn) StepStatus {
-	ctx.Broadcast(blob{size: 1})
+	blob{size: 1}.broadcast(ctx)
 	return StepYield
 }
 
@@ -271,7 +278,7 @@ func TestCutBits(t *testing.T) {
 	g := path(4)
 	cut := []bool{false, false, true, true}
 	stats, err := RunMachines(Config{Graph: g, Seed: 1, CutSide: cut}, sendOnceThenDone(func(ctx *Ctx) {
-		ctx.Broadcast(blob{size: 7})
+		blob{size: 7}.broadcast(ctx)
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -316,20 +323,20 @@ func staggeredMachines(t *testing.T) func(*Ctx) Machine {
 				return StepDone // leaves immediately
 			}
 			if !in.Start {
-				for _, m := range in.Msgs {
+				for _, m := range in.Recs {
 					if m.From == 0 {
 						t.Error("received a message the retired vertex never sent")
 					}
 				}
-				if len(in.Msgs) != 2 { // the other two survivors
-					t.Errorf("vertex %d round %d: %d messages, want 2", ctx.ID(), r, len(in.Msgs))
+				if len(in.Recs) != 2 { // the other two survivors
+					t.Errorf("vertex %d round %d: %d messages, want 2", ctx.ID(), r, len(in.Recs))
 				}
 				r++
 			}
 			if r == 3 {
 				return StepDone
 			}
-			ctx.Broadcast(blob{size: 4})
+			blob{size: 4}.broadcast(ctx)
 			return StepYield
 		})
 	}
@@ -354,7 +361,7 @@ func TestSendToNonNeighborFails(t *testing.T) {
 	g := path(3) // 0-1-2: 0 and 2 are not adjacent
 	_, err := RunMachines(Config{Graph: g, Seed: 1}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
-			ctx.Send(2, blob{size: 1})
+			blob{size: 1}.send(ctx, 2)
 		}
 	}))
 	if err == nil || !strings.Contains(err.Error(), "not a neighbor") {
@@ -387,10 +394,10 @@ func TestDegenerateGraphs(t *testing.T) {
 	stats, err = RunMachines(Config{Graph: graph.New(1), Seed: 1}, each(func(ctx *Ctx, in StepIn) StepStatus {
 		if in.Start {
 			ran = true
-			ctx.Broadcast(blob{size: 9}) // no neighbors: a no-op
+			blob{size: 9}.broadcast(ctx) // no neighbors: a no-op
 			return StepYield
 		}
-		if len(in.Msgs) != 0 {
+		if len(in.Recs) != 0 {
 			t.Error("isolated vertex received messages")
 		}
 		return StepDone
@@ -417,17 +424,6 @@ func TestIDBits(t *testing.T) {
 		if got := IDBits(n); got != want {
 			t.Errorf("IDBits(%d) = %d, want %d", n, got, want)
 		}
-	}
-}
-
-func TestPairsBits(t *testing.T) {
-	p := Pairs{Space: 16} // empty: one length word
-	if p.Bits() != IDBits(16) {
-		t.Fatalf("empty Pairs = %d bits", p.Bits())
-	}
-	p.Values = append(p.Values, [2]int{1, 2}, [2]int{3, 4})
-	if p.Bits() != 5*IDBits(16) {
-		t.Fatalf("2-pair Pairs = %d bits, want %d", p.Bits(), 5*IDBits(16))
 	}
 }
 

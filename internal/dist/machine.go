@@ -41,12 +41,9 @@ type StepIn struct {
 	// Start marks the first step of the run (no round has completed yet;
 	// the inbox is empty).
 	Start bool
-	// Msgs is the completed round's boxed-payload inbox, sorted by
-	// sender id (ties in send order).
-	Msgs []Message
-	// Recs is the record-path inbox, in the same order. It aliases the
-	// vertex's inbox arena: valid only during this Step call. A protocol
-	// uses one family (see rec.go).
+	// Recs is the completed round's inbox, sorted by sender id (ties in
+	// send order). It aliases the vertex's inbox arena: valid only during
+	// this Step call (see rec.go).
 	Recs []InRec
 	// Quiesced reports that the network went permanently silent while
 	// this machine was parked: finalize and StepDone.
@@ -54,7 +51,7 @@ type StepIn struct {
 }
 
 // Machine is one vertex as an explicit state machine. Step must not
-// block: it queues sends via c (SendRec/Send), consumes in, and returns
+// block: it queues sends via c (SendRec), consumes in, and returns
 // its scheduling request. Exactly one Step runs at a time per machine;
 // different machines may be stepped concurrently, so state shared between
 // machines must be written only at per-vertex slots (or synchronized).

@@ -13,8 +13,7 @@ import (
 // (step.go), the retire-flush delivery rule, and run cancellation. The
 // chaos matrices compare execution configurations that must be
 // observationally identical: serial stepping, a 3-wide step shard, the
-// defaults, and — for record-only protocols — a 3-shard run of the
-// sharded coordinator.
+// defaults, and a 3-shard run of the sharded coordinator.
 
 // chaosMachine is a randomized record protocol mixing yields, parks,
 // broadcasts with shared tails, targeted sends, and early retirement
@@ -81,8 +80,8 @@ func widthConfigs(g *graph.Graph, seed int64) []Config {
 	}
 }
 
-// recConfigs extends widthConfigs for record-only protocols, which may
-// also run sharded: the 3-shard coordinator run is the second oracle.
+// recConfigs extends widthConfigs with a 3-shard coordinator run, the
+// second oracle.
 func recConfigs(g *graph.Graph, seed int64) []Config {
 	return append(widthConfigs(g, seed), Config{Graph: g, Seed: seed, Shards: 3})
 }
@@ -184,19 +183,20 @@ func TestRetireFlushDeliversLastWords(t *testing.T) {
 		}
 	}
 
-	// The same contract holds for boxed payloads.
-	for i, cfg := range widthConfigs(g, 1) {
+	// The same contract holds for a function machine's blob record, on
+	// every execution configuration.
+	for i, cfg := range recConfigs(g, 1) {
 		var got []int
 		stats, err := RunMachines(cfg, each(func(ctx *Ctx, in StepIn) StepStatus {
 			switch {
 			case ctx.ID() == 0:
-				ctx.Send(1, blob{val: 9, size: 8})
+				blob{val: 9, size: 8}.send(ctx, 1)
 				return StepDone // no trailing yield
 			case in.Quiesced:
 				return StepDone
 			case ctx.ID() == 1:
-				for _, m := range in.Msgs {
-					got = append(got, m.Payload.(blob).val)
+				for _, m := range in.Recs {
+					got = append(got, int(m.A))
 				}
 			}
 			return StepPark
@@ -237,8 +237,8 @@ func TestRetireFlushSilentDrop(t *testing.T) {
 			t.Fatalf("config %d: stats = %+v, want Rounds=1 Messages=1 TotalBits=8", i, stats)
 		}
 	}
-	// Boxed flavor, two payloads, to check the metering adds up.
-	for i, cfg := range widthConfigs(path(2), 1) {
+	// Two blob records to the departed, to check the metering adds up.
+	for i, cfg := range recConfigs(path(2), 1) {
 		stats, err := RunMachines(cfg, each(func(ctx *Ctx, in StepIn) StepStatus {
 			if ctx.ID() == 1 {
 				return StepDone // retires instantly
@@ -246,8 +246,8 @@ func TestRetireFlushSilentDrop(t *testing.T) {
 			if in.Start {
 				return StepYield // round 1: vertex 1 already gone
 			}
-			ctx.Send(1, blob{size: 8}) // addressed to the departed
-			ctx.Send(1, blob{size: 8})
+			blob{size: 8}.send(ctx, 1) // addressed to the departed
+			blob{size: 8}.send(ctx, 1)
 			return StepDone
 		}))
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Tests for parking and quiescence (StepPark, StepIn.Quiesced), the
-// abort paths with parked vertices waiting, and the boxed-payload chaos
+// abort paths with parked vertices waiting, and the blob-record chaos
 // matrix.
 
 func TestParseMode(t *testing.T) {
@@ -45,7 +45,7 @@ func TestRecvParksUntilDelivery(t *testing.T) {
 				switch ctx.ID() {
 				case 0:
 					if step == 6 {
-						ctx.Send(1, blob{val: 77, size: 8})
+						blob{val: 77, size: 8}.send(ctx, 1)
 					}
 					if step == 7 {
 						return StepDone
@@ -55,11 +55,11 @@ func TestRecvParksUntilDelivery(t *testing.T) {
 					if in.Start {
 						return StepPark
 					}
-					if in.Quiesced || len(in.Msgs) != 1 {
+					if in.Quiesced || len(in.Recs) != 1 {
 						t.Errorf("config %d: vertex 1 stepped with %+v", i, in)
 						return StepDone
 					}
-					got = append(got, in.Msgs[0].Payload.(blob).val)
+					got = append(got, int(in.Recs[0].A))
 					return StepDone
 				}
 				// Vertex 2 parks for good: released only by quiescence.
@@ -92,7 +92,7 @@ func TestQuiesceImmediate(t *testing.T) {
 		if in.Start {
 			return StepPark
 		}
-		if !in.Quiesced || in.Msgs != nil || in.Recs != nil {
+		if !in.Quiesced || in.Recs != nil {
 			t.Errorf("parked vertex on a silent network stepped with %+v", in)
 		}
 		released[ctx.ID()] = true
@@ -121,11 +121,11 @@ func TestQuiesceAfterTraffic(t *testing.T) {
 				return StepDone
 			}
 			if in.Start && ctx.ID() == 0 {
-				ctx.Send(ctx.Neighbors()[0], blob{val: 3, size: 8})
+				blob{val: 3, size: 8}.send(ctx, ctx.Neighbors()[0])
 			}
-			for _, m := range in.Msgs {
-				if hops := m.Payload.(blob).val; hops > 0 {
-					ctx.Send(ctx.Neighbors()[0], blob{val: hops - 1, size: 8})
+			for _, m := range in.Recs {
+				if hops := int(m.A); hops > 0 {
+					blob{val: hops - 1, size: 8}.send(ctx, ctx.Neighbors()[0])
 				}
 			}
 			return StepPark
@@ -156,13 +156,13 @@ func TestQuiesceEpilogueIsInert(t *testing.T) {
 				if !in.Quiesced {
 					t.Errorf("expected quiescence, got %+v", in)
 				}
-				ctx.Broadcast(blob{val: 1, size: 8})
+				blob{val: 1, size: 8}.broadcast(ctx)
 				return StepYield
 			case 3:
-				if in.Quiesced || in.Start || in.Msgs != nil || in.Recs != nil {
+				if in.Quiesced || in.Start || in.Recs != nil {
 					t.Errorf("post-quiescence yield stepped with %+v", in)
 				}
-				ctx.Broadcast(blob{val: 1, size: 8})
+				blob{val: 1, size: 8}.broadcast(ctx)
 				return StepPark
 			}
 			if !in.Quiesced {
@@ -207,7 +207,7 @@ func TestEventModeErrors(t *testing.T) {
 			if !in.Start {
 				return StepDone
 			}
-			ctx.Send(1, blob{size: 100})
+			blob{size: 100}.send(ctx, 1)
 			return StepYield
 		}
 		if in.Quiesced {
@@ -254,7 +254,7 @@ func TestEventModeStaggeredTermination(t *testing.T) {
 	}
 }
 
-// boxedChaosMachine is a randomized boxed-payload protocol mixing every
+// boxedChaosMachine is a randomized blob-record protocol mixing every
 // engine primitive: each step the vertex flips its private coin to
 // decide between sending to random neighbors, yielding, and parking,
 // folding everything it hears into a per-vertex hash. Because each
@@ -275,8 +275,8 @@ func (m *boxedChaosMachine) Step(ctx *Ctx, in StepIn) StepStatus {
 	if in.Start {
 		m.h = int64(ctx.ID()) + 1
 	} else {
-		for _, msg := range in.Msgs {
-			m.h = m.h*31 + int64(msg.From) + int64(msg.Payload.(blob).val)<<1
+		for _, msg := range in.Recs {
+			m.h = m.h*31 + int64(msg.From) + msg.A<<1
 		}
 		m.s++
 	}
@@ -288,7 +288,7 @@ func (m *boxedChaosMachine) Step(ctx *Ctx, in StepIn) StepStatus {
 		for k := ctx.Rand().Intn(3); k > 0; k-- {
 			to := ctx.Neighbors()[ctx.Rand().Intn(deg)]
 			v := ctx.Rand().Intn(1 << 16)
-			ctx.Send(to, blob{val: v, size: 8 + v%9})
+			blob{val: v, size: 8 + v%9}.send(ctx, to)
 			m.h = m.h*31 + int64(v)
 		}
 	}
@@ -302,7 +302,7 @@ func TestCrossModeChaosEquivalence(t *testing.T) {
 	for name, g := range chaosGraphs() {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				checkSameRuns(t, g, widthConfigs(g, seed), func(out []int64) func(*Ctx) Machine {
+				checkSameRuns(t, g, recConfigs(g, seed), func(out []int64) func(*Ctx) Machine {
 					return func(*Ctx) Machine { return &boxedChaosMachine{out: out, steps: 10} }
 				})
 			})

@@ -2,38 +2,34 @@ package dist
 
 import "sort"
 
-// The flat-buffer typed inbox path. The boxed Message/Payload API routes
-// every payload through an interface value: senders box, the router copies
-// interface headers, and receivers type-switch per message. Protocols with
-// hot busy phases (every vertex broadcasting small state deltas every
-// round) pay that per-message overhead thousands of times per round, which
-// is what the record path removes:
+// Records, the engine's one message family. Every message is a flat,
+// type-tagged record; nothing on its path is boxed in an interface, which
+// is what keeps hot busy phases (every vertex broadcasting small state
+// deltas every round) cheap:
 //
-//   - A Rec is a flat, type-tagged record: two scalar words, three floats,
-//     an optional []int tail, and a protocol-defined Tag/Flag pair. No
-//     interface boxing anywhere on its path.
+//   - A Rec has two scalar words, three floats, an optional []int tail,
+//     and a protocol-defined Tag/Flag pair. A protocol's message structs
+//     map themselves onto it (the rec() builders of internal/core,
+//     internal/mds, internal/lb, and internal/decomp).
 //   - Senders queue records with Ctx.SendRec into a per-vertex append-only
 //     out arena (record headers in one slice, int tails packed in
 //     another). Broadcasting the same record to many neighbors stages its
 //     tail once and shares the span.
-//   - The router copies records straight into the receivers' in arenas —
-//     contiguous, type-tagged, sender order preserved (ascending sender
-//     id, ties in send order, exactly like the boxed inbox).
+//   - Delivery copies records straight into the receivers' in arenas —
+//     contiguous, type-tagged, in ascending sender id with ties in send
+//     order.
 //   - Receivers iterate the arena in place via StepIn.Recs. The records
 //     alias the arena (zero-copy): a record's Ints tail is a view into
 //     the inbox buffer, valid only during the Step call. Arenas are
 //     truncated, never freed, so steady-state rounds allocate nothing.
+//   - The flat header plus the packed tail is also the wire format: a
+//     record crosses shards (RecBatch) unchanged.
 //
-// Metering: a record's bit size is supplied by the sender at SendRec time
-// (protocols compute it from the same accounting rules as a boxed
-// payload's Bits method), so Stats are identical whichever path a protocol
-// uses. The determinism contract (ARCHITECTURE.md) applies to records
-// unchanged.
-//
-// A protocol should use one family — records or boxed payloads — for all
-// of its traffic. The engine delivers both (a mixed round wakes a parked
-// receiver either way) in separate inboxes, StepIn.Msgs and StepIn.Recs,
-// so mixed-family protocols must read both.
+// Metering: a record's bit size is declared by the sender at SendRec
+// time, computed by the protocol's Bits method for that message under
+// CONGEST accounting (AuditPayloadFields and spanlint's bitsacct check
+// that every transmitted field is billed). The determinism contract
+// (ARCHITECTURE.md) covers records end to end.
 
 // Rec is one flat typed record: the unit of the flat-buffer inbox path.
 // Tag identifies the record type (protocol-defined; zero is fine), Flag
@@ -72,12 +68,15 @@ type outRec struct {
 }
 
 // SendRec queues rec for delivery to the neighbor to at the next round
-// boundary, metered at bits bits (negative is clamped to zero — compute
-// bits with the same accounting rules a boxed payload's Bits method would
-// use). rec.Ints is copied into the sender's arena: consecutive SendRec
-// calls passing the same Ints slice (a broadcast) stage the tail once and
-// share it. Like Send, sending to a non-neighbor panics, and sends are
-// committed when the step returns.
+// boundary, metered at bits bits (negative is clamped to zero). rec.Ints
+// is copied into the sender's arena: consecutive SendRec calls passing
+// the same Ints slice (a broadcast) stage the tail once and share it.
+// Sends are committed when the step that queued them returns — including
+// a retiring step (StepDone): a vertex's last words ride the round in
+// flight, and when they could only reach already-retired peers they are
+// metered and dropped without charging a round. Sending to a non-neighbor
+// (or to yourself) panics: the model only has channels along graph
+// edges.
 func (c *Ctx) SendRec(to int, rec Rec, bits int) {
 	i := c.nbrIndex(to) // validates
 	c.ensureScratch()
@@ -129,16 +128,8 @@ func (c *Ctx) takeRecs() []InRec {
 	return recs
 }
 
-// takeMessages hands the boxed inbox to the vertex.
-func (c *Ctx) takeMessages() []Message {
-	inbox := c.inbox
-	c.inbox = nil
-	return inbox
-}
-
-// clearSends discards all queued-but-uncommitted sends of both families.
+// clearSends discards all queued-but-uncommitted sends.
 func (c *Ctx) clearSends() {
-	c.outbox = c.outbox[:0]
 	c.outRecs = c.outRecs[:0]
 	c.outInts = c.outInts[:0]
 	c.lastStaged = nil
@@ -159,7 +150,21 @@ func SeekPos(nbrs []int, j, from int) int {
 	return j + sort.SearchInts(nbrs[j:], from)
 }
 
-// hasSends reports whether any send (boxed or record) is queued.
+// hasSends reports whether any send is queued.
 func (c *Ctx) hasSends() bool {
-	return len(c.outbox) > 0 || len(c.outRecs) > 0
+	return len(c.outRecs) > 0
+}
+
+// fill copies the queued record's header into a delivered slot (the tail
+// is bound separately, by takeRecs).
+func (o *outRec) fill(r *Rec) {
+	r.Tag, r.Flag, r.A, r.B, r.F0, r.F1, r.F2 = o.tag, o.flag, o.a, o.b, o.f0, o.f1, o.f2
+}
+
+// span returns the tail [off, off+n) of an int arena; nil when empty.
+func span(ints []int, off, n int32) []int {
+	if n == 0 {
+		return nil
+	}
+	return ints[off : off+n]
 }

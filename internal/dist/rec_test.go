@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Tests for the flat-buffer typed inbox path (rec.go): delivery order,
-// metering, arena reuse, quiescence, mixed-family runs, and randomized
-// equivalence across execution configurations over tail-heavy and fault
-// (early-retirement) workloads. These all run under the CI -race job.
+// Tests for the record path (rec.go): delivery order, metering, arena
+// reuse, quiescence, and randomized equivalence across execution
+// configurations over tail-heavy and fault (early-retirement) workloads.
+// These all run under the CI -race job.
 
 func TestRecDeliveryAndOrdering(t *testing.T) {
 	// Each vertex broadcasts one record naming itself; everyone must
@@ -72,27 +72,6 @@ func fourRounds(send func(ctx *Ctx, r int)) func(*Ctx) Machine {
 			send(ctx, r)
 			return StepYield
 		})
-	}
-}
-
-func TestRecMeteringMatchesBoxed(t *testing.T) {
-	// A record-path run and a boxed run of the same traffic shape must
-	// meter identically: bits are sender-declared either way.
-	g := clique(6)
-	sb, err := RunMachines(Config{Graph: g, Seed: 1}, fourRounds(func(ctx *Ctx, r int) {
-		ctx.Broadcast(blob{val: r, size: 17})
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := RunMachines(Config{Graph: g, Seed: 1}, fourRounds(func(ctx *Ctx, r int) {
-		ctx.BroadcastRec(Rec{Tag: 1, A: int64(r)}, 17)
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *sb != *sr {
-		t.Fatalf("record metering diverged from boxed:\nboxed: %+v\nrecs:  %+v", sb, sr)
 	}
 }
 
@@ -203,46 +182,6 @@ func TestRecRecvParksAndQuiesces(t *testing.T) {
 		if stats.Messages != 3*7 {
 			t.Fatalf("config %d: Messages = %d, want 21", i, stats.Messages)
 		}
-	}
-}
-
-func TestRecMixedFamiliesInOneRun(t *testing.T) {
-	// The engine delivers both families in one round, either one waking
-	// a parked receiver. Vertex 1 receives a boxed message and a record
-	// in the same round and must see both, in StepIn.Msgs and
-	// StepIn.Recs.
-	_, err := RunMachines(Config{Graph: path(3), Seed: 1}, each(func(ctx *Ctx, in StepIn) StepStatus {
-		switch ctx.ID() {
-		case 0:
-			if !in.Start {
-				return StepDone
-			}
-			ctx.Send(1, blob{val: 5, size: 8})
-			return StepYield
-		case 2:
-			if !in.Start {
-				return StepDone
-			}
-			ctx.SendRec(1, Rec{Tag: 9, A: 6}, 8)
-			return StepYield
-		}
-		if in.Start {
-			return StepPark
-		}
-		if in.Quiesced {
-			t.Error("vertex 1 quiesced before delivery")
-			return StepDone
-		}
-		if len(in.Msgs) != 1 || in.Msgs[0].Payload.(blob).val != 5 {
-			t.Errorf("boxed half wrong: %+v", in.Msgs)
-		}
-		if len(in.Recs) != 1 || in.Recs[0].Tag != 9 || in.Recs[0].A != 6 {
-			t.Errorf("record half wrong: %+v", in.Recs)
-		}
-		return StepDone
-	}))
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

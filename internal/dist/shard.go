@@ -3,29 +3,27 @@ package dist
 import (
 	"fmt"
 	"runtime"
-	"sort"
 )
 
 // The worker half of the sharded runner: ServeShard owns a contiguous
-// vertex range and drives it with the step engine's machinery (stepMachines,
-// stepEpilogue, meterSender — the same code paths as runStep), while the
-// round/quiescence decisions move to the coordinator (coord.go). The
-// loop is runStep with its global checks replaced by protocol frames:
+// vertex range and drives the round core (round.go) on it, while the
+// round rule runs on the coordinator (coord.go). The loop is runStep with
+// the rule replaced by protocol frames:
 //
-//	step actives            → classify, pre-meter, ship batches (FrameRound)
+//	step actives, classify  → report counts, metering, batches (FrameRound)
 //	receive inbound batches (FrameBatches)
 //	dry-scan deliveries     → would anything wake? (FrameWake)
-//	receive the decision    (FrameDecision)
-//	  Commit r  → apply deliveries (trace-faithful), step again
-//	  Quiesce   → meter-and-drop last words, run the parked epilogue
-//	  Finish    → meter-and-drop last words
-//	  Abort     → discard everything
+//	receive the verdict     (FrameDecision)
+//	  Commit r  → deliver (trace-faithful), rebuild, step again
+//	  Quiesce   → deliver last words, run the parked epilogue
+//	  Finish    → deliver last words
+//	  Abort     → stop
 //
-// Delivery order: the apply pass walks source shards in index order and,
-// within its own shard's position, its own dirty senders in ascending id
-// — with a contiguous partition that is exactly route's global
-// ascending-sender order, so per-vertex trace transcripts (and arena
-// inbox order) come out identical to the in-process engine.
+// Delivery order: deliver walks source shards in index order with this
+// shard's own senders (ascending id) at its own position — with a
+// contiguous partition, exactly the in-process global ascending-sender
+// order, so per-vertex trace transcripts (and arena inbox order) come out
+// identical to the in-process engine.
 
 // shardRecorder buffers the worker's per-vertex trace events for the
 // ResultFrame. Phase snapshots are emitted by the coordinator (it owns
@@ -43,25 +41,13 @@ func (r *shardRecorder) Event(ev TraceEvent) {
 func (r *shardRecorder) Phase(RoundActivity)   {}
 func (r *shardRecorder) RoundTime(RoundTiming) {}
 
-// shardWorker is the state of one ServeShard call.
+// shardWorker is the state of one ServeShard call: the engine over the
+// shard's vertex range plus the protocol plumbing.
 type shardWorker struct {
 	wt      WorkerTransport
 	e       *engine
-	shard   int
 	workers int
 	cuts    []int
-	lo, hi  int
-
-	machines []Machine
-	status   []StepStatus
-	ins      []StepIn
-	active   []*Ctx
-	yielded  []*Ctx
-	dirty    []*Ctx
-	woken    []*Ctx
-
-	parkedCnt int
-	doneCnt   int
 
 	// wakeStamp/iterNo implement the dry wake scan's distinct-target
 	// counting without mutating vertex state.
@@ -164,48 +150,32 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 		tr = rec
 	}
 	e := &engine{
-		g: g, n: n,
-		bandwidth: su.Bandwidth,
-		cut:       su.Cut,
-		routePar:  1,
-		stepPar:   runtime.GOMAXPROCS(0),
-		tracer:    tr,
+		ledger: ledger{bandwidth: su.Bandwidth, tracer: tr},
+		g:      g, n: n, lo: lo, hi: hi, shard: su.Shard,
+		cut:      su.Cut,
+		routePar: 1,
+		stepPar:  runtime.GOMAXPROCS(0),
 	}
-	e.ctxs = make([]*Ctx, n)
-	w := &shardWorker{
-		wt: wt, e: e, shard: su.Shard, workers: su.Workers, cuts: su.Cuts,
-		lo: lo, hi: hi,
-		machines:  make([]Machine, n),
-		status:    make([]StepStatus, n),
-		ins:       make([]StepIn, n),
-		active:    make([]*Ctx, 0, hi-lo),
+	e.start(su.Seed, prog.Factory)
+	return &shardWorker{
+		wt: wt, e: e, workers: su.Workers, cuts: su.Cuts,
 		wakeStamp: make([]int, hi-lo),
 		rec:       rec,
 		collect:   su.Collect,
 		output:    prog.Output,
-	}
-	for v := lo; v < hi; v++ {
-		c := newCtx(e, v, su.Seed)
-		e.ctxs[v] = c
-		w.machines[v] = prog.Factory(c)
-		w.ins[v] = StepIn{Start: true}
-		w.active = append(w.active, c)
-	}
-	return w, nil
+	}, nil
 }
 
 // run is the worker's protocol loop.
 func (w *shardWorker) run() error {
+	e := w.e
 	for {
-		w.e.stepMachines(w.machines, w.status, w.ins, w.active)
-		if w.e.abort != nil {
-			return w.failRound(w.e.abort)
+		e.stepMachines()
+		if e.abort != nil {
+			return w.failRound(e.abort)
 		}
-		rf, err := w.classify()
-		if err != nil {
-			return w.failRound(err)
-		}
-		if err := w.wt.Send(&Frame{Type: FrameRound, Round: rf}); err != nil {
+		e.classify()
+		if err := w.wt.Send(&Frame{Type: FrameRound, Round: w.report()}); err != nil {
 			return err
 		}
 		f, err := w.wt.Recv()
@@ -217,7 +187,6 @@ func (w *shardWorker) run() error {
 		case f.Type == FrameBatches && f.Batches != nil:
 			in = f.Batches.In
 		case f.Type == FrameDecision && f.Decision != nil && f.Decision.Kind == DecideAbort:
-			w.discard()
 			return w.sendAbortResult()
 		default:
 			return fmt.Errorf("%w: expected batches frame, got type %d", ErrTransport, f.Type)
@@ -235,147 +204,95 @@ func (w *shardWorker) run() error {
 		if f.Type != FrameDecision || f.Decision == nil {
 			return fmt.Errorf("%w: expected decision frame, got type %d", ErrTransport, f.Type)
 		}
-		switch d := f.Decision; d.Kind {
-		case DecideCommit:
-			w.commit(in, d.Round)
-		case DecideQuiesce:
-			w.applyDrop()
-			w.e.quiesced = true
-			var epErr error
-			for v := w.lo; v < w.hi; v++ {
-				c := w.e.ctxs[v]
-				if !c.parked {
-					continue
-				}
-				c.parked = false
-				w.e.stepEpilogue(w.machines[v], c)
-				if w.e.abort != nil {
-					epErr = w.e.abort
-					break
-				}
-			}
-			w.parkedCnt = 0
-			return w.sendResult(epErr)
-		case DecideFinish:
-			w.applyDrop()
-			return w.sendResult(nil)
+		d := f.Decision
+		switch d.Kind {
 		case DecideAbort:
-			w.discard()
 			return w.sendAbortResult()
+		case DecideCommit, DecideQuiesce, DecideFinish:
 		default:
 			return fmt.Errorf("%w: unknown decision kind %d", ErrTransport, d.Kind)
 		}
+		// The verdict's round stamps the deliveries: the committed round,
+		// or the last one for the last words of a finish or quiesce.
+		e.stats.Rounds = d.Round
+		e.deliver(in)
+		switch d.Kind {
+		case DecideQuiesce:
+			e.quiesce()
+			return w.sendResult(e.abort)
+		case DecideFinish:
+			return w.sendResult(nil)
+		}
+		e.rebuild()
 	}
 }
 
-// failRound reports a local failure (machine panic, boxed send) on the
-// current iteration's RoundFrame, drains to the abort decision, and
-// ships the final ResultFrame carrying the same error.
+// failRound reports a local failure (a machine panic) on the current
+// iteration's RoundFrame, drains to the abort decision, and ships the
+// final ResultFrame carrying the same error.
 func (w *shardWorker) failRound(cause error) error {
 	rf := &RoundFrame{Err: cause.Error(), Meter: MeterReport{ViolSender: -1}}
 	if err := w.wt.Send(&Frame{Type: FrameRound, Round: rf}); err != nil {
 		return cause
 	}
 	drainToAbort(w.wt)
-	w.discard()
 	w.wt.Send(&Frame{Type: FrameResult, Result: &ResultFrame{Err: cause.Error()}})
 	return cause
 }
 
-// classify mirrors runStep's post-step scan: sort the dirty senders,
-// emit Park/Retire trace events with runStep's stamps, pre-meter every
-// sender (meterSender is round-independent, so metering can happen
-// before the coordinator assigns the round number), and pack the
-// cross-shard batches.
-func (w *shardWorker) classify() (*RoundFrame, error) {
-	rf := &RoundFrame{Stepped: len(w.active)}
-	w.yielded = w.yielded[:0]
-	w.dirty = w.dirty[:0]
-	for _, c := range w.active {
-		switch w.status[c.id] {
-		case StepYield:
-			w.yielded = append(w.yielded, c)
-			if c.hasSends() {
-				w.dirty = append(w.dirty, c)
-			}
-		case StepPark:
-			c.parked = true
-			w.e.traceBlocked(TracePark, c.id)
-			w.parkedCnt++
-			if c.hasSends() {
-				w.dirty = append(w.dirty, c)
-			}
-		case StepDone:
-			c.done = true
-			w.e.traceBlocked(TraceRetire, c.id)
-			// Retire-flush: a retiring vertex's sends are committed by the
-			// retirement itself (see engine.finish).
-			if c.hasSends() {
-				w.dirty = append(w.dirty, c)
-			} else {
-				c.clearSends()
-			}
-			w.doneCnt++
-		}
+// report packs the iteration's RoundFrame after classify: the counts the
+// round rule sums, the senders' metering (meterSender does not depend on
+// the round number, so it runs before the verdict), and the records bound
+// for other shards.
+func (w *shardWorker) report() *RoundFrame {
+	e := w.e
+	rf := &RoundFrame{
+		Stepped: len(e.active), Yielded: len(e.yielded), ParkedNow: e.parked,
+		DoneTotal: e.retired, Senders: len(e.dirty),
+		Meter: e.meter(),
+		Out:   make([]RecBatch, w.workers),
 	}
-	sort.Slice(w.dirty, func(i, j int) bool { return w.dirty[i].id < w.dirty[j].id })
-	rf.Yielded = len(w.yielded)
-	rf.ParkedNow = w.parkedCnt
-	rf.DoneTotal = w.doneCnt
-	rf.Senders = len(w.dirty)
-	rf.Meter = MeterReport{ViolSender: -1}
-	rf.Out = make([]RecBatch, w.workers)
-	for _, c := range w.dirty {
-		if len(c.outbox) > 0 {
-			return nil, fmt.Errorf("%w (vertex %d queued a boxed payload; use SendRec)", ErrBoxedSend, c.id)
-		}
-		rf.Meter.fold(c.id, w.e.meterSender(c))
+	for _, c := range e.dirty {
 		for ri := range c.outRecs {
 			o := &c.outRecs[ri]
-			dst := shardOf(w.cuts, int(o.to))
-			if dst == w.shard {
-				continue
+			if dst := shardOf(w.cuts, int(o.to)); dst != e.shard {
+				rf.Out[dst].add(c.id, o, span(c.outInts, o.off, o.n))
 			}
-			var tail []int
-			if o.n > 0 {
-				tail = c.outInts[o.off : o.off+o.n]
-			}
-			rf.Out[dst].add(c.id, o, tail)
 		}
 	}
-	return rf, nil
+	return rf
 }
 
-// wakeScan is the dry half of flushWakes plus the delivery
-// counters: scan every pending delivery into this shard — own-local
-// sends still sitting in the sender arenas plus the inbound batches —
-// without applying anything.
+// wakeScan is this shard's share of the round rule's wakes fact plus the
+// delivery counters: scan every pending delivery into this shard —
+// own-local sends still sitting in the sender arenas plus the inbound
+// batches — without applying anything.
 func (w *shardWorker) wakeScan(in []RecBatch) *WakeFrame {
+	e := w.e
 	w.iterNo++
 	wf := &WakeFrame{}
 	scan := func(to int, bits int64) {
-		c := w.e.ctxs[to]
+		c := e.ctxs[to]
 		if c.done {
 			return
 		}
 		wf.WouldWake = true
 		wf.Delivered++
 		wf.DeliveredBits += bits
-		if c.parked && w.wakeStamp[to-w.lo] != w.iterNo {
-			w.wakeStamp[to-w.lo] = w.iterNo
+		if c.parked && w.wakeStamp[to-e.lo] != w.iterNo {
+			w.wakeStamp[to-e.lo] = w.iterNo
 			wf.Woken++
 		}
 	}
-	for _, c := range w.dirty {
+	for _, c := range e.dirty {
 		for ri := range c.outRecs {
-			o := &c.outRecs[ri]
-			if w.owned(int(o.to)) {
-				scan(int(o.to), o.bits)
+			if to := int(c.outRecs[ri].to); to >= e.lo && to < e.hi {
+				scan(to, c.outRecs[ri].bits)
 			}
 		}
 	}
 	for s := range in {
-		if s == w.shard {
+		if s == e.shard {
 			continue
 		}
 		for ri := range in[s].Recs {
@@ -383,116 +300,6 @@ func (w *shardWorker) wakeScan(in []RecBatch) *WakeFrame {
 		}
 	}
 	return wf
-}
-
-func (w *shardWorker) owned(v int) bool { return v >= w.lo && v < w.hi }
-
-// commit applies a committed round r: advance the round counter (which
-// stamps the trace events), deliver in global ascending-sender order,
-// and rebuild the active set exactly like runStep's round epilogue.
-func (w *shardWorker) commit(in []RecBatch, r int) {
-	w.e.stats.Rounds = r
-	w.woken = w.woken[:0]
-	w.apply(in, false)
-	w.parkedCnt -= len(w.woken)
-	w.active = w.active[:0]
-	for _, c := range w.yielded {
-		w.ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
-		w.active = append(w.active, c)
-	}
-	for _, c := range w.woken {
-		w.ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
-		w.active = append(w.active, c)
-	}
-	w.woken = w.woken[:0]
-}
-
-// applyDrop is the meter-and-drop pass of the Finish/Quiesce decisions:
-// last words are metered (already, at classify) and traced as sends at
-// the final uncharged round, but nothing is delivered — the coordinator
-// only decides Finish/Quiesce when every pending target has retired.
-func (w *shardWorker) applyDrop() {
-	w.woken = w.woken[:0]
-	w.apply(nil, true)
-}
-
-// apply walks the round's deliveries in global ascending-sender order:
-// source shards in index order, with this shard's own dirty senders (in
-// ascending id) at its own position. Every own record yields a
-// TraceSend; a delivery to a live owned vertex yields TraceDeliver (and
-// TraceWake when it unparks), exactly like route's serial loop.
-func (w *shardWorker) apply(in []RecBatch, drop bool) {
-	for s := 0; s < w.workers; s++ {
-		if s == w.shard {
-			for _, c := range w.dirty {
-				for ri := range c.outRecs {
-					o := &c.outRecs[ri]
-					if w.e.tracer != nil {
-						w.e.tracer.Event(TraceEvent{Kind: TraceSend, Round: w.e.stats.Rounds, V: c.id, Peer: int(o.to), Tag: o.tag, Bits: int(o.bits)})
-					}
-					if drop || !w.owned(int(o.to)) {
-						continue
-					}
-					var tail []int
-					if o.n > 0 {
-						tail = c.outInts[o.off : o.off+o.n]
-					}
-					w.deliver(c.id, int(o.to), Rec{Tag: o.tag, Flag: o.flag, A: o.a, B: o.b, F0: o.f0, F1: o.f1, F2: o.f2}, o.bits, tail)
-				}
-			}
-			continue
-		}
-		if drop || in == nil {
-			continue
-		}
-		b := &in[s]
-		for ri := range b.Recs {
-			br := &b.Recs[ri]
-			var tail []int
-			if br.N > 0 {
-				tail = b.Ints[br.Off : br.Off+br.N]
-			}
-			w.deliver(int(br.From), int(br.To), Rec{Tag: br.Tag, Flag: br.Flag, A: br.A, B: br.B, F0: br.F0, F1: br.F1, F2: br.F2}, br.Bits, tail)
-		}
-	}
-	for _, c := range w.dirty {
-		c.clearSends()
-	}
-	w.dirty = w.dirty[:0]
-}
-
-// deliver copies one record into the receiving vertex's arena, flipping
-// a parked receiver awake — route's record-delivery body.
-func (w *shardWorker) deliver(from, to int, rec Rec, bits int64, tail []int) {
-	c := w.e.ctxs[to]
-	if c.done {
-		return
-	}
-	if w.e.tracer != nil {
-		w.e.tracer.Event(TraceEvent{Kind: TraceDeliver, Round: w.e.stats.Rounds, V: to, Peer: from, Tag: rec.Tag, Bits: int(bits)})
-	}
-	off := int32(len(c.inInts))
-	n := int32(len(tail))
-	if n > 0 {
-		c.inInts = append(c.inInts, tail...)
-	}
-	c.inRecs = append(c.inRecs, InRec{From: from, Rec: rec, off: off, n: n})
-	if c.parked {
-		c.parked = false
-		w.woken = append(w.woken, c)
-		if w.e.tracer != nil {
-			w.e.tracer.Event(TraceEvent{Kind: TraceWake, Round: w.e.stats.Rounds, V: to, Peer: from})
-		}
-	}
-}
-
-// discard drops all pending sends on an abort: an aborted run delivers
-// nothing further.
-func (w *shardWorker) discard() {
-	for _, c := range w.dirty {
-		c.clearSends()
-	}
-	w.dirty = w.dirty[:0]
 }
 
 // sendAbortResult acknowledges a coordinator-initiated abort with an
@@ -510,9 +317,10 @@ func (w *shardWorker) sendResult(cause error) error {
 		res.Err = cause.Error()
 	} else {
 		if w.collect && w.output != nil {
-			res.Outputs = make([][]int, w.hi-w.lo)
-			for v := w.lo; v < w.hi; v++ {
-				res.Outputs[v-w.lo] = w.output(v)
+			lo, hi := w.e.lo, w.e.hi
+			res.Outputs = make([][]int, hi-lo)
+			for v := lo; v < hi; v++ {
+				res.Outputs[v-lo] = w.output(v)
 			}
 		}
 		if w.rec != nil {

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -10,188 +9,95 @@ import (
 // run-to-completion loop on the caller's goroutine. There is no
 // per-vertex goroutine and no channel hand-off — vertex resume state
 // lives in the Machine values and the flat Ctx arenas, and a round is one
-// scan over the active set followed by routing (routeTimed), activity
-// accounting (recordRound), and the quiescence/retire-flush rules
-// (flushWakes). The sharded runner (shard.go, coord.go) re-partitions
-// exactly this loop.
+// scan over the active set followed by the round core (round.go):
+// classify, meter, the round rule, deliver, record, rebuild. The sharded
+// runner (shard.go, coord.go) drives the same core across workers.
 //
 // Concurrency: only the loop's goroutine touches engine state, so no
 // locks are taken. Machine steps themselves are sharded across worker
 // goroutines when the active set is large — safe because a step only
 // writes its own vertex's Ctx arenas and status slot.
 
-// runStep drives machines to completion. On return e.stats and e.abort
-// hold the result; the caller (RunMachines) packages them.
-func (e *engine) runStep(machines []Machine) {
-	n := e.n
-	status := make([]StepStatus, n)
-	ins := make([]StepIn, n)
-	active := make([]*Ctx, 0, n)
-	for _, c := range e.ctxs {
-		ins[c.id] = StepIn{Start: true}
-		active = append(active, c)
-	}
-	done := 0
-	var yielded []*Ctx
+// runStep drives the machines to completion. On return e.stats and
+// e.abort hold the result; the caller (RunMachines) packages them.
+func (e *engine) runStep() {
 	for {
-		if e.timed {
-			t0 := time.Now()
-			e.stepMachines(machines, status, ins, active)
-			e.stepNs += int64(time.Since(t0))
-		} else {
-			e.stepMachines(machines, status, ins, active)
-		}
+		e.timeInto(&e.stepNs, e.stepMachines)
 		if e.abort != nil {
 			return
 		}
-		yielded = yielded[:0]
-		for _, c := range active {
-			e.stepped++
-			switch status[c.id] {
-			case StepYield:
-				yielded = append(yielded, c)
-				if c.hasSends() {
-					e.dirty = append(e.dirty, c)
-				}
-			case StepPark:
-				c.parked = true
-				e.traceBlocked(TracePark, c.id)
-				e.parked++
-				if c.hasSends() {
-					e.dirty = append(e.dirty, c)
-				}
-			case StepDone:
-				c.done = true
-				e.traceBlocked(TraceRetire, c.id)
-				// Retire-flush: a retiring vertex's sends are committed by
-				// the retirement itself, unless the run has quiesced.
-				if !e.quiesced && c.hasSends() {
-					e.dirty = append(e.dirty, c)
-				} else {
-					c.clearSends()
-				}
-				done++
-			}
-		}
-		if done == n {
-			// Everyone retired. Any last words can only be going to done
-			// vertices: meter and drop them without charging a round.
-			if len(e.dirty) > 0 {
-				e.routeTimed()
-			}
+		e.classify()
+		var m MeterReport
+		e.timeInto(&e.routeNs, func() { m = e.meter() })
+		kind, err := e.decide(e.retired == e.n, len(e.yielded) > 0, e.flushWakes(), &m)
+		if err != nil {
+			e.abort = err
 			return
 		}
-		if len(yielded) == 0 {
-			// No vertex asked for another round. If pending retirement
-			// sends cannot wake anybody, route them silently (meter+drop)
-			// and quiesce the parked set.
-			wakes := len(e.dirty) > 0 && e.flushWakes()
-			if !wakes {
-				if len(e.dirty) > 0 {
-					e.routeTimed()
-					if e.abort != nil {
-						return
-					}
-				}
-				e.quiesced = true
-				for _, c := range e.ctxs {
-					if !c.parked {
-						continue
-					}
-					c.parked = false
-					e.stepEpilogue(machines[c.id], c)
-					if e.abort != nil {
-						return
-					}
-				}
-				e.parked = 0
-				return
-			}
-		}
-		e.stats.Rounds++
-		if e.stats.Rounds > e.maxRounds {
-			e.abort = e.roundLimitError()
+		e.timeInto(&e.routeNs, func() { e.deliver(nil) })
+		switch kind {
+		case DecideQuiesce:
+			e.quiesce()
+			return
+		case DecideFinish:
 			return
 		}
-		if e.canceled() {
-			e.abort = e.cancelError()
-			return
-		}
-		e.routeTimed()
-		if e.abort != nil {
-			return
-		}
-		e.parked -= len(e.woken)
-		e.recordRound()
-		active = active[:0]
-		for _, c := range yielded {
-			ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
-			active = append(active, c)
-		}
-		for _, c := range e.woken {
-			c.parked = false
-			ins[c.id] = StepIn{Recs: c.takeRecs(), Msgs: c.takeMessages()}
-			active = append(active, c)
-		}
-		e.woken = e.woken[:0]
+		e.record(RoundActivity{
+			Round: e.stats.Rounds, Active: len(e.active), Parked: e.parked, Senders: len(e.dirty),
+			Delivered: e.deliv, DeliveredBits: e.delivBits,
+		})
+		e.rebuild()
 	}
 }
 
-// stepParallelThreshold is the active-set size below which machines are
-// stepped serially: sharding overhead dominates under it. Mirrors the
-// routing shard threshold in route.
-const stepParallelThreshold = 64
+// timeInto runs f and, when the timing channel is on, adds its wall time
+// to *ns.
+func (e *engine) timeInto(ns *int64, f func()) {
+	if !e.timed {
+		f()
+		return
+	}
+	t0 := time.Now()
+	f()
+	*ns += int64(time.Since(t0))
+}
 
 // stepMachines steps every active machine, serially for small active
 // sets and sharded across workers for large ones. Each shard writes
 // only its own vertices' status slots and Ctx arenas, so no locking is
-// needed; the first panic (by vertex id order) becomes e.abort.
-func (e *engine) stepMachines(machines []Machine, status []StepStatus, ins []StepIn, active []*Ctx) {
-	if e.stepPar <= 1 || len(active) < stepParallelThreshold {
-		for _, c := range active {
-			st, err := stepSafe(machines[c.id], c, ins[c.id])
-			status[c.id] = st
-			if err != nil {
+// needed; the first panic in active-set order becomes e.abort.
+func (e *engine) stepMachines() {
+	if e.stepPar <= 1 || len(e.active) < parallelThreshold {
+		for _, c := range e.active {
+			if err := e.stepOne(c); err != nil {
 				e.abort = err
 				return
 			}
 		}
 		return
 	}
-	workers := e.stepPar
-	if workers > len(active) {
-		workers = len(active)
-	}
-	errs := make([]error, len(active))
-	var wg sync.WaitGroup
-	chunk := (len(active) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(active) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(active) {
-			hi = len(active)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				c := active[i]
-				st, err := stepSafe(machines[c.id], c, ins[c.id])
-				status[c.id] = st
-				errs[i] = err
+	errs := make([]error, e.stepPar)
+	inParallel(len(e.active), e.stepPar, func(p, lo, hi int) {
+		for _, c := range e.active[lo:hi] {
+			if err := e.stepOne(c); err != nil && errs[p] == nil {
+				errs[p] = err
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			e.abort = err
 			return
 		}
 	}
+}
+
+// stepOne steps vertex c's machine with its prepared input, recording
+// the returned status.
+func (e *engine) stepOne(c *Ctx) error {
+	st, err := stepSafe(e.machines[c.id], c, e.ins[c.id])
+	e.status[c.id] = st
+	return err
 }
 
 // stepSafe runs one machine step, converting a panic into the run's

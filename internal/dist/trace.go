@@ -32,11 +32,11 @@ import "time"
 type TraceKind uint8
 
 const (
-	// TraceSend: vertex V committed a payload to Peer. Emitted when the
+	// TraceSend: vertex V committed a record to Peer. Emitted when the
 	// round's sends are routed, whether or not the receiver is still
 	// alive (a retired receiver yields a Send with no matching Deliver).
 	TraceSend TraceKind = iota + 1
-	// TraceDeliver: vertex V's inbox received a payload from Peer,
+	// TraceDeliver: vertex V's inbox received a record from Peer,
 	// consumable at the start of round Round+1.
 	TraceDeliver
 	// TraceWake: a delivery from Peer unparked vertex V.
@@ -84,7 +84,7 @@ func ParseTraceKind(s string) (TraceKind, bool) {
 // TraceEvent is one logical transcript event, attributed to exactly one
 // vertex (V). Round stamps follow the accounting model: Send, Deliver,
 // and Wake carry the number of the completed round whose routing emitted
-// them (the payload is consumable in round Round+1); Park and Retire
+// them (the record is consumable in round Round+1); Park and Retire
 // carry the round the vertex was executing when it blocked or returned,
 // i.e. one past the last completed round at that moment. The stamps are
 // part of the digest contract.
@@ -98,13 +98,10 @@ type TraceEvent struct {
 	// Peer is the counterparty: the receiver for Send, the sender for
 	// Deliver and Wake, -1 for Park and Retire.
 	Peer int
-	// Tag is the record type tag for record-path payloads (see SendRec);
-	// zero for boxed payloads and for Park/Retire/Wake.
+	// Tag is the record's type tag for Send and Deliver (see SendRec);
+	// zero for Park/Retire/Wake.
 	Tag uint8
-	// Boxed marks boxed Payload messages (Send/Deliver via Ctx.Send),
-	// distinguishing them from flat-buffer records at Tag zero.
-	Boxed bool
-	// Bits is the metered payload size for Send and Deliver; zero
+	// Bits is the metered record size for Send and Deliver; zero
 	// otherwise.
 	Bits int
 }
@@ -159,16 +156,16 @@ func (e *engine) traceBlocked(kind TraceKind, v int) {
 }
 
 // traceRoundTime computes and emits the completed round's RoundTiming
-// and arms the next round's boundary timestamp. Called from
-// recordRound only when a tracer is installed (e.timed).
-func (e *engine) traceRoundTime(round int) {
-	wall := time.Since(e.lastTick)
-	route := time.Duration(e.routeNs)
-	step := time.Duration(e.stepNs)
+// and resets the round's accumulators. Called from record only on the
+// timed path (in-process, tracer installed).
+func (l *ledger) traceRoundTime(round int) {
+	wall := time.Since(l.lastTick)
+	route := time.Duration(l.routeNs)
+	step := time.Duration(l.stepNs)
 	syn := wall - step - route
 	if syn < 0 {
 		syn = 0
 	}
-	e.tracer.RoundTime(RoundTiming{Round: round, Wall: wall, Step: step, Route: route, Sync: syn})
-	e.routeNs, e.stepNs = 0, 0
+	l.tracer.RoundTime(RoundTiming{Round: round, Wall: wall, Step: step, Route: route, Sync: syn})
+	l.routeNs, l.stepNs = 0, 0
 }

@@ -56,11 +56,11 @@ func TestTraceEventSequence(t *testing.T) {
 	tr := newMemTracer(2)
 	_, err := RunMachines(Config{Graph: g, Seed: 1, Tracer: tr}, each(func(ctx *Ctx, in StepIn) StepStatus {
 		if in.Start {
-			ctx.Send(1-ctx.ID(), blob{val: ctx.ID(), size: 8})
+			blob{val: ctx.ID(), size: 8}.send(ctx, 1-ctx.ID())
 			return StepYield
 		}
-		if len(in.Msgs) != 1 {
-			t.Errorf("vertex %d: got %d messages", ctx.ID(), len(in.Msgs))
+		if len(in.Recs) != 1 {
+			t.Errorf("vertex %d: got %d messages", ctx.ID(), len(in.Recs))
 		}
 		return StepDone
 	}))
@@ -69,13 +69,13 @@ func TestTraceEventSequence(t *testing.T) {
 	}
 	want := [][]TraceEvent{
 		{
-			{Kind: TraceSend, Round: 1, V: 0, Peer: 1, Boxed: true, Bits: 8},
-			{Kind: TraceDeliver, Round: 1, V: 0, Peer: 1, Boxed: true, Bits: 8},
+			{Kind: TraceSend, Round: 1, V: 0, Peer: 1, Bits: 8},
+			{Kind: TraceDeliver, Round: 1, V: 0, Peer: 1, Bits: 8},
 			{Kind: TraceRetire, Round: 2, V: 0, Peer: -1},
 		},
 		{
-			{Kind: TraceDeliver, Round: 1, V: 1, Peer: 0, Boxed: true, Bits: 8},
-			{Kind: TraceSend, Round: 1, V: 1, Peer: 0, Boxed: true, Bits: 8},
+			{Kind: TraceDeliver, Round: 1, V: 1, Peer: 0, Bits: 8},
+			{Kind: TraceSend, Round: 1, V: 1, Peer: 0, Bits: 8},
 			{Kind: TraceRetire, Round: 2, V: 1, Peer: -1},
 		},
 	}
@@ -115,7 +115,7 @@ func TestTraceParkWakeSequence(t *testing.T) {
 			case 1:
 				return StepYield // idle round 1
 			case 2:
-				ctx.Send(1, blob{val: 7, size: 8})
+				blob{val: 7, size: 8}.send(ctx, 1)
 				return StepYield
 			}
 			return StepDone
@@ -126,12 +126,12 @@ func TestTraceParkWakeSequence(t *testing.T) {
 	}
 	want := [][]TraceEvent{
 		{
-			{Kind: TraceSend, Round: 2, V: 0, Peer: 1, Boxed: true, Bits: 8},
+			{Kind: TraceSend, Round: 2, V: 0, Peer: 1, Bits: 8},
 			{Kind: TraceRetire, Round: 3, V: 0, Peer: -1},
 		},
 		{
 			{Kind: TracePark, Round: 1, V: 1, Peer: -1},
-			{Kind: TraceDeliver, Round: 2, V: 1, Peer: 0, Boxed: true, Bits: 8},
+			{Kind: TraceDeliver, Round: 2, V: 1, Peer: 0, Bits: 8},
 			{Kind: TraceWake, Round: 2, V: 1, Peer: 0},
 			{Kind: TracePark, Round: 3, V: 1, Peer: -1},
 			{Kind: TraceRetire, Round: 3, V: 1, Peer: -1},
@@ -215,7 +215,7 @@ func TestTraceDeliveredMatchesStats(t *testing.T) {
 	g := clique(8)
 	tr := newMemTracer(g.N())
 	stats, err := RunMachines(Config{Graph: g, Seed: 3, Tracer: tr}, fourRounds(func(ctx *Ctx, r int) {
-		ctx.Broadcast(blob{val: r, size: 16})
+		blob{val: r, size: 16}.broadcast(ctx)
 	}))
 	if err != nil {
 		t.Fatal(err)

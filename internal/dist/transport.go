@@ -17,32 +17,28 @@ import (
 // serialization points: a round's record batches, the per-shard
 // activity/metering reports, and the coordinator's round decisions.
 //
-// The protocol is a pure re-partitioning of runStep (step.go): every
-// decision the coordinator takes — commit a round, quiesce, finish,
-// abort — is the decision runStep would have taken with the same global
-// information, and every worker-side effect (classification, metering,
-// delivery, trace emission) happens in the same order as the in-process
-// engine. A transport is correct iff a distributed run reproduces the
-// in-process per-vertex trace digests and Stats bit-for-bit; the
-// conformance suite (internal/dist/transportconf) checks exactly that.
+// The protocol is a re-partitioning of the round core (round.go) that
+// runStep (step.go) drives in-process: the coordinator applies the same
+// round rule (ledger.decide) to the same global facts, summed from the
+// workers' reports, and every worker-side effect (classification,
+// metering, delivery, trace emission) is the same function the
+// in-process engine calls, applied to the worker's range. A transport is
+// correct iff a distributed run reproduces the in-process per-vertex
+// trace digests and Stats bit-for-bit; the conformance suite
+// (internal/dist/transportconf) checks exactly that.
 //
 // Partitions must be contiguous ascending vertex ranges: shard order
 // then equals global sender-id order, which is what lets a worker apply
 // inbound batches in shard order and reproduce the in-process
-// per-vertex event interleaving (route visits senders ascending).
+// per-vertex event interleaving (deliver visits senders ascending).
 //
-// Only the record path (SendRec) crosses shards: the Rec wire format is
-// the serialization. A machine that queues a boxed Send on the sharded
-// path aborts the run with ErrBoxedSend.
+// Records are the only message family, so every protocol can run
+// sharded: the Rec header and its packed tail are the serialization.
 
 // ErrTransport is wrapped by coordinator/worker errors when the
 // transport itself fails (connection dropped, peer closed, codec
 // error) — as opposed to a protocol-level abort like ErrCanceled.
 var ErrTransport = errors.New("dist: transport failure")
-
-// ErrBoxedSend is wrapped by the run error when a machine queues a
-// boxed Send on the sharded path; only records (SendRec) cross shards.
-var ErrBoxedSend = errors.New("dist: boxed Send is not supported on the sharded path")
 
 // FrameType discriminates transport frames.
 type FrameType uint8
@@ -58,8 +54,8 @@ const (
 	// batches inbound to this shard, indexed by source shard.
 	FrameBatches
 	// FrameWake (worker → coordinator, each iteration): what this
-	// shard's pending deliveries would do — the distributed half of
-	// flushWakes and the delivery counters.
+	// shard's pending deliveries would do — its share of the round rule's
+	// wakes fact and of the delivery counters.
 	FrameWake
 	// FrameDecision (coordinator → worker, each iteration): commit,
 	// quiesce, finish, or abort.
@@ -110,8 +106,8 @@ type SetupFrame struct {
 	Collect bool
 }
 
-// MeterReport aggregates one shard's meterSender results for one
-// iteration — the same quantities route folds into Stats.
+// MeterReport aggregates the metering of a set of senders for one
+// iteration (meterSender, merged) — what the round rule folds into Stats.
 type MeterReport struct {
 	Msgs, Bits, CutBits int64
 	MaxMsg, MaxEdge     int
@@ -124,23 +120,19 @@ type MeterReport struct {
 	ViolBits   int
 }
 
-// fold merges a per-sender meterResult into the report, keeping the
-// first violation by the (ascending) sender order of the caller.
-func (m *MeterReport) fold(senderID int, r meterResult) {
-	m.Msgs += r.msgs
-	m.Bits += r.bits
-	m.CutBits += r.cut
-	if r.maxMsg > m.MaxMsg {
-		m.MaxMsg = r.maxMsg
-	}
-	if r.maxEdge > m.MaxEdge {
-		m.MaxEdge = r.maxEdge
-	}
-	if r.viol > 0 {
-		m.Violations += r.viol
-		if m.ViolSender < 0 {
-			m.ViolSender, m.ViolTo, m.ViolBits = senderID, r.violTo, r.violBits
-		}
+// merge folds o into m, keeping m's first violation: callers merge in
+// ascending sender order (per sender, per chunk of senders, or per shard
+// of a contiguous partition), so the first violation is the lowest-id
+// violator's.
+func (m *MeterReport) merge(o *MeterReport) {
+	m.Msgs += o.Msgs
+	m.Bits += o.Bits
+	m.CutBits += o.CutBits
+	m.MaxMsg = max(m.MaxMsg, o.MaxMsg)
+	m.MaxEdge = max(m.MaxEdge, o.MaxEdge)
+	m.Violations += o.Violations
+	if m.ViolSender < 0 && o.ViolSender >= 0 {
+		m.ViolSender, m.ViolTo, m.ViolBits = o.ViolSender, o.ViolTo, o.ViolBits
 	}
 }
 
@@ -158,9 +150,15 @@ type BatchRec struct {
 	Off, N    int32
 }
 
+// fill copies the record's header into a delivered slot (the tail is
+// bound separately, by takeRecs).
+func (br *BatchRec) fill(r *Rec) {
+	r.Tag, r.Flag, r.A, r.B, r.F0, r.F1, r.F2 = br.Tag, br.Flag, br.A, br.B, br.F0, br.F1, br.F2
+}
+
 // RecBatch is the records one shard sends to one other shard in one
 // round, ordered by (ascending sender id, send order) — the same order
-// route delivers in. Ints is the packed tail arena.
+// deliver walks. Ints is the packed tail arena.
 type RecBatch struct {
 	Recs []BatchRec
 	Ints []int
@@ -190,8 +188,8 @@ type RoundFrame struct {
 	// worker's own index stays empty — local deliveries never leave the
 	// worker). Nil when Err is set.
 	Out []RecBatch
-	// Err reports a worker-side abort (machine panic, boxed send); the
-	// coordinator aborts the run.
+	// Err reports a worker-side abort (a machine panic); the coordinator
+	// aborts the run.
 	Err string
 }
 
@@ -205,7 +203,7 @@ type BatchesFrame struct {
 // deliveries into this shard would do, computed without applying them.
 type WakeFrame struct {
 	// WouldWake reports whether any pending delivery targets a non-done
-	// vertex of this shard — the distributed half of flushWakes.
+	// vertex of this shard — this shard's share of flushWakes.
 	WouldWake bool
 	// Woken counts the distinct parked vertices that would be woken.
 	Woken int

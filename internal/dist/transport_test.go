@@ -221,20 +221,6 @@ func TestShardedWorkerFailures(t *testing.T) {
 	if se.Shard != 1 || !strings.Contains(se.Msg, "vertex 6 panicked") || !strings.Contains(se.Msg, "shard boom") {
 		t.Fatalf("ShardError = %+v", se)
 	}
-
-	// Boxed sends cannot cross the sharded path: typed rejection.
-	_, err = RunMachines(Config{Graph: path(4), Seed: 1, Shards: 2}, func(c *Ctx) Machine {
-		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
-			if ctx.ID() == 0 && in.Start {
-				ctx.Send(1, blob{size: 4})
-				return StepYield
-			}
-			return StepDone
-		})
-	})
-	if err == nil || !strings.Contains(err.Error(), "boxed Send is not supported") {
-		t.Fatalf("boxed send on the sharded path: err = %v", err)
-	}
 }
 
 func TestShardedValidation(t *testing.T) {

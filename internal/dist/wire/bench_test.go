@@ -12,8 +12,8 @@ import (
 )
 
 // The transport yardsticks: the same fully-busy broadcast workload run
-// (a) on the in-process step engine, (b) distributed over the boxed
-// channel transport (Go structs handed between goroutines, no
+// (a) on the in-process step engine, (b) distributed over the in-process
+// channel cluster (Go structs handed between goroutines, no
 // serialization), and (c) distributed over framed TCP on localhost
 // (every frame wire-encoded and length-prefixed). local-vs-chan prices
 // the sharded round protocol; chan-vs-tcp prices the framing and the

@@ -27,7 +27,7 @@ const MaxFrameBytes = 1 << 28
 const maxGraphVertices = 1 << 26
 
 // frameVersion is the codec version; a mismatch is a decode error.
-const frameVersion = 1
+const frameVersion = 2
 
 // writer is an append-only little-endian encoder.
 type writer struct {
@@ -355,13 +355,12 @@ func putEvents(w *writer, evs [][]dist.TraceEvent) {
 			w.int_(ev.V)
 			w.int_(ev.Peer)
 			w.u8(ev.Tag)
-			w.bool_(ev.Boxed)
 			w.int_(ev.Bits)
 		}
 	}
 }
 
-const traceEventWire = 4*8 + 3
+const traceEventWire = 4*8 + 2
 
 func getEvents(r *reader) [][]dist.TraceEvent {
 	n := r.count(8)
@@ -385,7 +384,6 @@ func getEvents(r *reader) [][]dist.TraceEvent {
 				V:     r.int_(),
 				Peer:  r.int_(),
 				Tag:   r.u8(),
-				Boxed: r.bool_(),
 				Bits:  r.int_(),
 			}
 		}

@@ -43,9 +43,7 @@ func MeterLearnBall(comm *graph.Graph, cut []bool, depth, bandwidth, bitsNeeded 
 	if depth < 1 {
 		return nil, fmt.Errorf("lb: depth must be >= 1, got %d", depth)
 	}
-	stats, err := dist.RunMachines(dist.Config{Graph: comm, Seed: 1, CutSide: cut}, func(*dist.Ctx) dist.Machine {
-		return &ballMachine{depth: depth}
-	})
+	stats, err := dist.RunMachines(dist.Config{Graph: comm, Seed: 1, CutSide: cut}, ballMachines(depth))
 	if err != nil {
 		return nil, err
 	}
@@ -67,6 +65,28 @@ func MeterLearnBall(comm *graph.Graph, cut []bool, depth, bandwidth, bitsNeeded 
 // edgeKey is an undirected edge with its endpoints in ascending order.
 type edgeKey [2]int
 
+// Pairs is the ball protocol's message: id pairs (edges, here) from a
+// space of Space ids, sent as one record whose Ints tail holds the pairs
+// flattened.
+type Pairs struct {
+	// Space is the id universe size used for sizing (IDBits(Space) bits
+	// per id); it is not transmitted.
+	Space int
+	// Values are the pairs themselves.
+	Values [][2]int
+}
+
+// Bits accounts one length word plus two id words per pair.
+func (p Pairs) Bits() int { return (1 + 2*len(p.Values)) * dist.IDBits(p.Space) }
+
+func (p Pairs) rec() dist.Rec {
+	ints := make([]int, 0, 2*len(p.Values))
+	for _, v := range p.Values {
+		ints = append(ints, v[0], v[1])
+	}
+	return dist.Rec{Ints: ints}
+}
+
 // ballMachine is one vertex of the ball-learning protocol: for depth
 // rounds it broadcasts the edges it learned last round (its own incident
 // edges first) and folds what its neighbors learned into its ball.
@@ -74,6 +94,11 @@ type ballMachine struct {
 	depth, round int
 	known        map[edgeKey]bool
 	fresh        []edgeKey
+}
+
+// ballMachines is the protocol's machine factory for the given depth.
+func ballMachines(depth int) func(*dist.Ctx) dist.Machine {
+	return func(*dist.Ctx) dist.Machine { return &ballMachine{depth: depth} }
 }
 
 func (m *ballMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
@@ -89,9 +114,9 @@ func (m *ballMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 		}
 	} else {
 		m.fresh = nil
-		for _, msg := range in.Msgs {
-			for _, pr := range msg.Payload.(dist.Pairs).Values {
-				k := edgeKey{pr[0], pr[1]}
+		for _, r := range in.Recs {
+			for i := 0; i+1 < len(r.Ints); i += 2 {
+				k := edgeKey{r.Ints[i], r.Ints[i+1]}
 				if !m.known[k] {
 					m.known[k] = true
 					m.fresh = append(m.fresh, k)
@@ -109,11 +134,11 @@ func (m *ballMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 		}
 		return m.fresh[i][1] < m.fresh[j][1]
 	})
-	payload := dist.Pairs{Space: c.N()}
+	msg := Pairs{Space: c.N()}
 	for _, k := range m.fresh {
-		payload.Values = append(payload.Values, [2]int{k[0], k[1]})
+		msg.Values = append(msg.Values, [2]int(k))
 	}
-	c.Broadcast(payload)
+	c.BroadcastRec(msg.rec(), msg.Bits())
 	return dist.StepYield
 }
 

@@ -4,8 +4,32 @@ import (
 	"testing"
 	"testing/quick"
 
+	"distspanner/internal/dist"
 	"distspanner/internal/graph"
 )
+
+func TestPairsBits(t *testing.T) {
+	p := Pairs{Space: 16} // empty: one length word
+	if p.Bits() != dist.IDBits(16) {
+		t.Fatalf("empty Pairs = %d bits", p.Bits())
+	}
+	p.Values = append(p.Values, [2]int{1, 2}, [2]int{3, 4})
+	if p.Bits() != 5*dist.IDBits(16) {
+		t.Fatalf("2-pair Pairs = %d bits, want %d", p.Bits(), 5*dist.IDBits(16))
+	}
+	if got := p.rec().Ints; len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
+		t.Fatalf("Pairs record tail = %v, want [1 2 3 4]", got)
+	}
+}
+
+// TestPairsBitsConformance audits the ball protocol's Pairs message.
+func TestPairsBitsConformance(t *testing.T) {
+	p := Pairs{Space: 100, Values: [][2]int{{1, 2}, {3, 4}, {5, 6}}}
+	accounted := map[string]int{"Space": 0, "Values": 2 * dist.IDBits(100)}
+	if err := dist.AuditPayloadFields(p, p.Bits(), accounted); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestMeterLearnBallOnFig1(t *testing.T) {
 	l, beta := 3, 4

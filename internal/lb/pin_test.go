@@ -10,7 +10,9 @@ import (
 // harness on three Fig. 1 instances — engine accounting (cut bits
 // included) and the derived reduction fields — so the way the protocol
 // is executed cannot change what it meters. The ℓ = 5 instance has 65
-// vertices, enough for the engine to step machines in parallel.
+// vertices, enough for the engine to step machines in parallel. Each
+// instance also runs sharded (3 shards over the channel transport),
+// which must reproduce the pinned Stats.
 func TestMeterLearnBallPinned(t *testing.T) {
 	for _, tc := range []struct {
 		l, depth int
@@ -43,6 +45,13 @@ func TestMeterLearnBallPinned(t *testing.T) {
 		}
 		if *got != tc.want {
 			t.Errorf("l=%d depth %d disjoint=%v:\n got %+v\nwant %+v", tc.l, tc.depth, tc.disjoint, *got, tc.want)
+		}
+		sharded, err := dist.RunMachines(dist.Config{Graph: comm, Seed: 1, CutSide: f.CutSide(), Shards: 3}, ballMachines(tc.depth))
+		if err != nil {
+			t.Fatalf("l=%d depth %d sharded: %v", tc.l, tc.depth, err)
+		}
+		if *sharded != tc.want.Stats {
+			t.Errorf("l=%d depth %d disjoint=%v sharded:\n got %+v\nwant %+v", tc.l, tc.depth, tc.disjoint, *sharded, tc.want.Stats)
 		}
 	}
 }

@@ -31,7 +31,7 @@ type Meta struct {
 //
 //	{"type":"meta","version":1,"n":64,"seed":1,"label":"...","mode":"step"}
 //	{"type":"event","kind":"send","round":3,"v":7,"peer":9,"tag":2,"bits":24}
-//	{"type":"event","kind":"deliver","round":3,"v":9,"peer":7,"boxed":true,"bits":24}
+//	{"type":"event","kind":"deliver","round":3,"v":9,"peer":7,"tag":2,"bits":24}
 //	{"type":"phase","round":3,"active":12,"parked":50,"senders":4,"delivered":9,"delivered_bits":216}
 //	{"type":"timing","round":3,"wall_ns":41250,"step_ns":30100,"route_ns":9800,"sync_ns":1350}
 //	{"type":"digest","run":"8f3c...","vertex":["ab12...","..."]}
@@ -58,7 +58,6 @@ type jsonLine struct {
 	V     *int   `json:"v,omitempty"`
 	Peer  *int   `json:"peer,omitempty"`
 	Tag   uint8  `json:"tag,omitempty"`
-	Boxed bool   `json:"boxed,omitempty"`
 	Bits  int    `json:"bits,omitempty"`
 
 	// phase
@@ -105,7 +104,7 @@ func WriteJSONL(w io.Writer, meta Meta, r *Recorder) error {
 			vv, peer := ev.V, ev.Peer
 			if err := writeLine(bw, jsonLine{
 				Type: "event", Kind: ev.Kind.String(), Round: ev.Round,
-				V: &vv, Peer: &peer, Tag: ev.Tag, Boxed: ev.Boxed, Bits: ev.Bits,
+				V: &vv, Peer: &peer, Tag: ev.Tag, Bits: ev.Bits,
 			}); err != nil {
 				return err
 			}
@@ -194,7 +193,7 @@ func ReadJSONL(rd io.Reader) (*Log, error) {
 			if l.Round < 0 {
 				return nil, fmt.Errorf("trace: line %d: negative round %d", lineno, l.Round)
 			}
-			ev := dist.TraceEvent{Kind: kind, Round: l.Round, V: *l.V, Peer: *l.Peer, Tag: l.Tag, Boxed: l.Boxed, Bits: l.Bits}
+			ev := dist.TraceEvent{Kind: kind, Round: l.Round, V: *l.V, Peer: *l.Peer, Tag: l.Tag, Bits: l.Bits}
 			if err := log.Recorder.addEvent(ev); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %v", lineno, err)
 			}

@@ -47,14 +47,18 @@ func (m *gossipMachine) Step(ctx *dist.Ctx, in dist.StepIn) dist.StepStatus {
 	if m.r == 3 {
 		return dist.StepDone
 	}
-	ctx.Broadcast(intPayload(m.r))
+	p := intPayload(m.r)
+	ctx.BroadcastRec(p.rec(), p.Bits())
 	m.r++
 	return dist.StepYield
 }
 
+// intPayload is the gossip's message: one integer word, metered at 8
+// bits.
 type intPayload int
 
-func (intPayload) Bits() int { return 8 }
+func (intPayload) Bits() int       { return 8 }
+func (p intPayload) rec() dist.Rec { return dist.Rec{A: int64(p)} }
 
 func TestJSONLRoundTrip(t *testing.T) {
 	rec := realRecorder(t)

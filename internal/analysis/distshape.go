@@ -7,9 +7,9 @@ import (
 
 // The analyzers recognize the engine package structurally, not by import
 // path: any imported package (or the analyzed package itself) declaring
-// an interface named Machine with a Step method, an interface named
-// PhasedProgram with Emit/Process methods, or a Ctx type with SendRec — as
-// internal/dist does — is treated as the engine. Structural detection is
+// an interface named Machine with a Step method or an interface named
+// PhasedProgram with Emit/Process methods — as internal/dist does — is
+// treated as the engine. Structural detection is
 // what lets the analysistest fixtures and the known-bad fixture module
 // exercise the analyzers against a miniature stand-in dist package
 // without import-path special cases.
@@ -56,12 +56,10 @@ func (p *Pass) critical() bool { return matchesScope(p.pkgPath(), Pkgs.Critical)
 func (p *Pass) algoPackage() bool { return matchesScope(p.pkgPath(), Pkgs.Algo) }
 
 // distShape is the structurally detected engine surface visible to one
-// package: the Machine/PhasedProgram interfaces for implements-checks and
-// the Ctx type whose SendRec sites carry metered records.
+// package: the Machine/PhasedProgram interfaces for implements-checks.
 type distShape struct {
 	machine *types.Interface // dist.Machine, nil if not visible
 	phased  *types.Interface // dist.PhasedProgram, nil if not visible
-	ctx     types.Type       // dist.Ctx named type, nil if not visible
 }
 
 // findDistShape scans the package and its direct imports for the engine
@@ -75,13 +73,6 @@ func findDistShape(pkg *types.Package) distShape {
 		}
 		if sh.phased == nil {
 			sh.phased = namedInterface(scope, "PhasedProgram", "Emit", "Process")
-		}
-		if sh.ctx == nil {
-			if obj, ok := scope.Lookup("Ctx").(*types.TypeName); ok {
-				if hasMethod(obj.Type(), "SendRec") {
-					sh.ctx = obj.Type()
-				}
-			}
 		}
 	}
 	scan(pkg)
@@ -113,16 +104,6 @@ func namedInterface(scope *types.Scope, name string, methods ...string) *types.I
 func ifaceHasMethod(iface *types.Interface, name string) bool {
 	for i := 0; i < iface.NumMethods(); i++ {
 		if iface.Method(i).Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
-func hasMethod(t types.Type, name string) bool {
-	ms := types.NewMethodSet(types.NewPointer(t))
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
 			return true
 		}
 	}

@@ -1,15 +1,12 @@
 // Package dist is a miniature structural stand-in for the engine inside
 // the known-bad fixture module. spanlint recognizes the engine by shape
-// (a Machine interface with Step, a Ctx with SendRec, a Config with a Cancel
-// channel), not by import path, so this fake is enough for every analyzer
-// to engage exactly as it does against the real repository.
+// (a Machine interface with Step, a Config with a Cancel channel), not by
+// import path, so this fake is enough for every analyzer to engage exactly
+// as it does against the real repository.
 package dist
 
 // Ctx is the vertex context stand-in.
 type Ctx struct{}
-
-// SendRec exists so the shape detector recognizes Ctx.
-func (c *Ctx) SendRec(to int, rec any, bits int) {}
 
 // Machine is the vertex interface stand-in.
 type Machine interface {

@@ -10,9 +10,6 @@ import "time"
 // Ctx is the structural stand-in for the engine's vertex context.
 type Ctx struct{}
 
-// SendRec exists so the shape detector recognizes Ctx.
-func (c *Ctx) SendRec(to int, rec any, bits int) {}
-
 // Machine is the structural stand-in for the engine's vertex interface.
 type Machine interface {
 	Step(c *Ctx, round int) bool

@@ -198,7 +198,8 @@ func TestDensestStarOfIgnoresCovered(t *testing.T) {
 	// Covered edges must not count toward density.
 	g := gen.Clique(5)
 	covered := graph.NewEdgeSet(g.M())
-	_, spanned0, d0 := densestStarOf(g, covered, 0)
+	slot := make([]int, g.N())
+	_, spanned0, d0 := densestStarOf(g, covered, 0, slot)
 	if d0 <= 0 || spanned0 <= 0 {
 		t.Fatal("densest star on clique must 2-span edges")
 	}
@@ -206,7 +207,7 @@ func TestDensestStarOfIgnoresCovered(t *testing.T) {
 	for i := 0; i < g.M(); i++ {
 		covered.Add(i)
 	}
-	_, spanned1, d1 := densestStarOf(g, covered, 0)
+	_, spanned1, d1 := densestStarOf(g, covered, 0, slot)
 	if d1 != 0 || spanned1 != 0 {
 		t.Fatalf("covered graph: density %f, spanned %f; want 0", d1, spanned1)
 	}

@@ -146,6 +146,7 @@ func RandomStarSpanner(g *graph.Graph, seed int64) *graph.EdgeSet {
 	covered := graph.NewEdgeSet(m)
 	var s graph.Searcher
 	refreshCoverage(&s, g, H, covered)
+	slot := make([]int, g.N())
 	for round := 0; round < 40*g.N(); round++ {
 		// Recompute densities (coarse; this is a comparator, not the
 		// contribution).
@@ -156,7 +157,7 @@ func RandomStarSpanner(g *graph.Graph, seed int64) *graph.EdgeSet {
 		infos := make([]starInfo, g.N())
 		maxD := 0.0
 		for v := 0; v < g.N(); v++ {
-			star, _, d := densestStarOf(g, covered, v)
+			star, _, d := densestStarOf(g, covered, v, slot)
 			infos[v] = starInfo{star: star, density: d}
 			if d > maxD {
 				maxD = d

@@ -10,6 +10,7 @@
 package baseline
 
 import (
+	"slices"
 	"sort"
 
 	"distspanner/internal/flow"
@@ -39,6 +40,7 @@ func KortsarzPeleg(g *graph.Graph) *graph.EdgeSet {
 	refreshCoverage(&s, g, H, covered)
 
 	density := make([]float64, g.N())
+	slot := make([]int, g.N())
 	stars := make([][]int, g.N())
 	spans := make([]float64, g.N())
 	dirty := make([]bool, g.N())
@@ -49,7 +51,7 @@ func KortsarzPeleg(g *graph.Graph) *graph.EdgeSet {
 		best, bestD := -1, 0.0
 		for v := 0; v < g.N(); v++ {
 			if dirty[v] {
-				stars[v], spans[v], density[v] = densestStarOf(g, covered, v)
+				stars[v], spans[v], density[v] = densestStarOf(g, covered, v, slot)
 				dirty[v] = false
 			}
 			if density[v] > bestD {
@@ -77,37 +79,35 @@ func KortsarzPeleg(g *graph.Graph) *graph.EdgeSet {
 
 // densestStarOf computes the densest v-star against uncovered edges between
 // v's neighbors: edges 2-spanned per unit star cost. Zero-weight star edges
-// are free and always included.
-func densestStarOf(g *graph.Graph, covered *graph.EdgeSet, v int) (star []int, spanned, density float64) {
-	var items []int
+// are free and always included. slot is vertex-indexed working memory,
+// all zero on entry and on return.
+func densestStarOf(g *graph.Graph, covered *graph.EdgeSet, v int, slot []int) (star []int, spanned, density float64) {
+	var items []graph.Arc
 	var free []int
-	costOf := make(map[int]float64)
 	for _, arc := range g.Adj(v) {
-		w := g.Weight(arc.Edge)
-		if w == 0 {
+		if g.Weight(arc.Edge) == 0 {
 			free = append(free, arc.To)
 		} else {
-			items = append(items, arc.To)
-			costOf[arc.To] = w
+			items = append(items, arc)
 		}
 	}
-	sort.Ints(items)
 	if len(items) == 0 {
 		return free, 0, 0
 	}
-	idx := make(map[int]int, len(items))
+	slices.SortFunc(items, func(a, b graph.Arc) int { return a.To - b.To })
 	in := &flow.DensestInstance{
 		NumItems: len(items),
 		Cost:     make([]float64, len(items)),
 		Bonus:    make([]float64, len(items)),
 	}
-	for i, u := range items {
-		idx[u] = i
-		in.Cost[i] = costOf[u]
+	// slot[u] is 1 + u's item index for a selectable neighbor, -1 for a
+	// free one and 0 for any other vertex.
+	for i, arc := range items {
+		slot[arc.To] = i + 1
+		in.Cost[i] = g.Weight(arc.Edge)
 	}
-	freeSet := make(map[int]bool, len(free))
 	for _, u := range free {
-		freeSet[u] = true
+		slot[u] = -1
 	}
 	// Uncovered edges between neighbors: pairs between selectable items,
 	// bonuses for selectable-free pairs.
@@ -118,20 +118,19 @@ func densestStarOf(g *graph.Graph, covered *graph.EdgeSet, v int) (star []int, s
 			if w <= u || w == v || covered.Has(arc2.Edge) {
 				continue
 			}
-			ui, uOK := idx[u]
-			wi, wOK := idx[w]
-			if !g.HasEdge(v, w) {
-				continue
-			}
+			su, sw := slot[u], slot[w]
 			switch {
-			case uOK && wOK:
-				in.Pairs = append(in.Pairs, [2]int{ui, wi})
-			case uOK && freeSet[w]:
-				in.Bonus[ui]++
-			case wOK && freeSet[u]:
-				in.Bonus[wi]++
+			case su > 0 && sw > 0:
+				in.Pairs = append(in.Pairs, [2]int{su - 1, sw - 1})
+			case su > 0 && sw < 0:
+				in.Bonus[su-1]++
+			case sw > 0 && su < 0:
+				in.Bonus[sw-1]++
 			}
 		}
+	}
+	for _, arc := range g.Adj(v) {
+		slot[arc.To] = 0
 	}
 	sel, d, err := flow.Densest(in)
 	if err != nil {
@@ -140,7 +139,7 @@ func densestStarOf(g *graph.Graph, covered *graph.EdgeSet, v int) (star []int, s
 	star = append(star, free...)
 	for i, s := range sel {
 		if s {
-			star = append(star, items[i])
+			star = append(star, items[i].To)
 		}
 	}
 	// Spanned count: pairs inside the selection plus bonuses.

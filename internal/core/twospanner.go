@@ -418,8 +418,9 @@ type densVal struct {
 	wmax     float64
 }
 
-// candRec is one announced star this iteration: the candidate's id, its
-// sorted star neighbor ids, and its random rank.
+// candRec is one announced star this iteration that holds the receiving
+// vertex: the candidate's id, its sorted star neighbor ids, and its random
+// rank.
 type candRec struct {
 	from int
 	star []int
@@ -739,7 +740,7 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 		}
 	case phVote:
 		// Each owned uncovered edge votes for the first candidate (by
-		// (r, id)) that 2-spans it.
+		// (r, id)) that 2-spans it. Every kept candidate's star holds me.
 		var votes map[int][]int
 		for i, u := range nd.nbrs {
 			if nd.covered[i] || nd.me > u {
@@ -748,7 +749,7 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 			bestV, bestR := -1, int64(0)
 			for ci := range nd.cands {
 				c := &nd.cands[ci]
-				if !containsSorted(c.star, nd.me) || !containsSorted(c.star, u) {
+				if !containsSorted(c.star, u) {
 					continue
 				}
 				if bestV < 0 || c.r < bestR || (c.r == bestR && c.from < bestV) {
@@ -896,8 +897,12 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 			case tagTerm:
 				nd.processDeath(j, r.Ints)
 			case tagStar:
-				// The star list is retained across the iteration; copy it
-				// out of the arena.
+				// Only a star holding me can 2-span an edge I vote for, so
+				// the others are dropped here. A kept star list is retained
+				// across the iteration; copy it out of the arena.
+				if !containsSorted(r.Ints, nd.me) {
+					continue
+				}
 				nd.cands = append(nd.cands, candRec{
 					from: r.From,
 					star: append([]int(nil), r.Ints...),
@@ -1004,12 +1009,24 @@ func (nd *undirectedNode) rebuildView() {
 // hEdges lists the uncovered 2-spannable edges between neighbors, in the
 // same (sender ascending, endpoint ascending, owner-side only) order the
 // classic execution reads them off its round-2 inbox. The accumulated
-// uncovered lists are already sorted, so this is a flat scan.
+// uncovered lists and the neighbor list are sorted, so each sender's list
+// is merged against the neighbors above it.
 func (nd *undirectedNode) hEdges() [][2]int {
 	var out [][2]int
 	for i, u := range nd.nbrs {
+		above := nd.nbrs[i+1:]
+		j := 0
 		for _, w := range nd.uncovOf[i] {
-			if u < w && containsSorted(nd.nbrs, w) {
+			if w <= u {
+				continue
+			}
+			for j < len(above) && above[j] < w {
+				j++
+			}
+			if j == len(above) {
+				break
+			}
+			if above[j] == w {
 				out = append(out, [2]int{u, w})
 			}
 		}

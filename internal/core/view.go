@@ -11,6 +11,8 @@ import (
 // edges H_v between neighbors that a star can 2-span. Positions index the
 // selectable neighbors; free neighbors (zero-cost star edges, which every
 // chosen star includes implicitly) contribute per-item bonuses instead.
+// A view never changes once built, so it solves its unrestricted densest
+// star at most once.
 type localView struct {
 	nbrs   []int       // selectable neighbor ids, sorted
 	pos    map[int]int // neighbor id -> position
@@ -19,6 +21,9 @@ type localView struct {
 	hAdj   [][]int     // H_v adjacency among selectable positions
 	free   []int       // free (zero-cost) neighbor ids, always part of any star
 	hPairs int         // number of H_v edges between selectable neighbors
+
+	star  []bool  // densestStar(nil)'s selection once solved; never handed out
+	starD float64 // its density
 }
 
 // newLocalView builds the view. selectable maps neighbor id to the star-edge
@@ -96,36 +101,55 @@ func (v *localView) density(sel []bool) float64 {
 
 // densestStar computes the densest star among the allowed selectable
 // positions (nil means all) using the flow-based densest-selection oracle.
-// It returns the selection as a position-indexed mask and its density.
-// When no positions are allowed it returns (nil, 0).
+// It returns the selection as a position-indexed mask, which the caller
+// owns, and its density. When no positions are allowed it returns (nil,
+// 0). The unrestricted star is solved once per view and copied out on
+// every call.
 func (v *localView) densestStar(allowed []bool) ([]bool, float64) {
-	// Build the sub-instance over allowed positions.
-	var items []int
-	for p := range v.nbrs {
-		if allowed == nil || allowed[p] {
-			items = append(items, p)
+	if allowed != nil {
+		return v.solveStar(allowed)
+	}
+	if v.star == nil {
+		v.star, v.starD = v.solveStar(nil)
+		if v.star == nil {
+			return nil, 0
 		}
 	}
-	if len(items) == 0 {
+	return copyMask(v.star), v.starD
+}
+
+// solveStar runs the oracle on the sub-instance over the allowed positions
+// (nil means all).
+func (v *localView) solveStar(allowed []bool) ([]bool, float64) {
+	// item maps a position to its index in the sub-instance, -1 when the
+	// position is not allowed.
+	item := make([]int, len(v.nbrs))
+	k := 0
+	for p := range item {
+		item[p] = -1
+		if allowed == nil || allowed[p] {
+			item[p] = k
+			k++
+		}
+	}
+	if k == 0 {
 		return nil, 0
 	}
-	idx := make(map[int]int, len(items))
 	in := &flow.DensestInstance{
-		NumItems: len(items),
-		Cost:     make([]float64, len(items)),
-		Bonus:    make([]float64, len(items)),
+		NumItems: k,
+		Cost:     make([]float64, k),
+		Bonus:    make([]float64, k),
+		Pairs:    make([][2]int, 0, v.hPairs),
 	}
-	for i, p := range items {
-		idx[p] = i
+	for p, i := range item {
+		if i < 0 {
+			continue
+		}
 		in.Cost[i] = v.cost[p]
 		in.Bonus[i] = v.bonus[p]
-	}
-	for _, p := range items {
 		for _, q := range v.hAdj[p] {
-			if q > p {
-				if qi, ok := idx[q]; ok {
-					in.Pairs = append(in.Pairs, [2]int{idx[p], qi})
-				}
+			if q > p && item[q] >= 0 {
+				in.Pairs = append(in.Pairs, [2]int{i, item[q]})
 			}
 		}
 	}
@@ -135,8 +159,10 @@ func (v *localView) densestStar(allowed []bool) ([]bool, float64) {
 		panic("core: densest star oracle failed: " + err.Error())
 	}
 	sel := make([]bool, len(v.nbrs))
-	for i, p := range items {
-		sel[p] = selSub[i]
+	for p, i := range item {
+		if i >= 0 {
+			sel[p] = selSub[i]
+		}
 	}
 	return sel, density
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -163,5 +164,30 @@ func TestChooseStarShrinkNeverGrows(t *testing.T) {
 	}
 	if mask[v.pos[3]] || mask[v.pos[4]] {
 		t.Fatal("shrink path escaped the previous star")
+	}
+}
+
+// The unrestricted densest star is solved once per view and copied out:
+// two calls return equal masks that do not alias, so a caller mutating
+// its mask (extend does) leaves the next caller's answer intact, and a
+// repeated call allocates only the copy.
+func TestDensestStarMemoCopiesOut(t *testing.T) {
+	sel := map[int]float64{1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
+	v := newLocalView(sel, nil, [][2]int{{1, 2}, {1, 3}, {2, 3}, {3, 4}})
+	first, d1 := v.densestStar(nil)
+	second, d2 := v.densestStar(nil)
+	if d1 != d2 || !slices.Equal(first, second) {
+		t.Fatalf("repeated calls differ: %v %v vs %v %v", first, d1, second, d2)
+	}
+	want := slices.Clone(second)
+	for p := range first {
+		first[p] = !first[p]
+	}
+	third, d3 := v.densestStar(nil)
+	if !slices.Equal(second, want) || !slices.Equal(third, want) || d3 != d1 {
+		t.Fatalf("mutating one answer changed another: second %v, third %v, want %v", second, third, want)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { v.densestStar(nil) }); allocs != 1 {
+		t.Fatalf("a memoized call allocates %.0f objects, want only the copy", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package flow
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // DensestInstance describes a densest-selection problem, the abstraction
@@ -72,10 +73,18 @@ func (in *DensestInstance) Value(T []bool) (profit, cost float64) {
 }
 
 // Densest solves the densest-selection problem exactly (up to floating
-// precision) via Dinkelbach iteration with a project-selection min-cut at
-// each step. It returns the selected items and the achieved density. The
-// flow network is built once per call; a step rewrites only the
-// capacities that depend on the current density and solves it again.
+// precision) via Dinkelbach iteration. Each step finds the minimal
+// selection maximizing profit(T) - g*cost(T) for the current density g as
+// a min cut of Goldberg's densest-subgraph network (1984): source -> u
+// with capacity d_u/2 + Bonus[u], where d_u counts u's pairs, u -> sink
+// with capacity g*Cost[u], and each pair one arc of capacity 1/2 in both
+// directions. The cut with source side {source} ∪ T costs the total profit
+// minus the gain of T, so totalProfit - MaxFlow is the maximum gain, and
+// the nodes the final breadth-first search reaches are its minimal
+// maximizer. The network has 2 + NumItems nodes; it is built once per call
+// in buffers pooled across calls, and a step rewrites only the
+// capacities that depend on g and solves it again. Densest is safe for
+// concurrent use.
 //
 // Every call runs in polynomial time: each Dinkelbach step strictly
 // increases the density, and for the rational densities arising from
@@ -85,15 +94,71 @@ func Densest(in *DensestInstance) (selected []bool, density float64, err error) 
 	if err := in.Validate(); err != nil {
 		return nil, 0, err
 	}
-	selected, density, _ = in.dinkelbach()
+	s := solvers.Get().(*solver)
+	best, density, _ := s.dinkelbach(in, s.goldberg(in))
+	selected = append([]bool(nil), best...)
+	solvers.Put(s)
 	return selected, density, nil
 }
 
-// dinkelbach runs Densest's iteration on a valid instance and also returns
-// the number of min-cut solves it took.
-func (in *DensestInstance) dinkelbach() (best []bool, bestDensity float64, solves int) {
+// solver holds the buffers of one Densest call: the flow network, each
+// item's half pair count d_u/2, and the two selections Dinkelbach
+// alternates between. Solvers are pooled, so each worker reuses one
+// across calls and concurrent callers never share one.
+type solver struct {
+	net     Dinic
+	half    []float64
+	best, T []bool
+}
+
+var solvers = sync.Pool{New: func() any { return new(solver) }}
+
+// Node layout of the flow networks: source, sink, then one node per item.
+const (
+	source = 0
+	sink   = 1
+)
+
+func itemNode(u int) int { return 2 + u }
+
+// goldberg builds Goldberg's network for the instance into s.net and
+// returns the total profit on offer. The network's shape does not depend
+// on the Dinkelbach density g; only the item -> sink capacities g*Cost[u]
+// do, which maxGainSelection writes before each solve.
+func (s *solver) goldberg(in *DensestInstance) float64 {
+	totalProfit := 0.0
+	for _, b := range in.Bonus {
+		totalProfit += b
+	}
+	totalProfit += float64(len(in.Pairs))
+	half := resize(s.half, in.NumItems)
+	clear(half)
+	for _, p := range in.Pairs {
+		half[p[0]] += 0.5
+		half[p[1]] += 0.5
+	}
+	s.half = half
+	s.net.build(2+in.NumItems, func(add func(u, v int, c, rc float64)) {
+		for u := 0; u < in.NumItems; u++ {
+			if c := half[u] + in.Bonus[u]; c > 0 {
+				add(source, itemNode(u), c, 0)
+			}
+			add(itemNode(u), sink, 0, 0)
+		}
+		for _, p := range in.Pairs {
+			add(itemNode(p[0]), itemNode(p[1]), 0.5, 0.5)
+		}
+	})
+	return totalProfit
+}
+
+// dinkelbach runs Densest's iteration on a valid instance whose network
+// is built in s.net, and also returns the number of min-cut solves it
+// took. The returned selection is one of s's buffers.
+func (s *solver) dinkelbach(in *DensestInstance, totalProfit float64) (best []bool, bestDensity float64, solves int) {
+	best, T := resize(s.best, in.NumItems), resize(s.T, in.NumItems)
 	// Starting point: the best singleton (guaranteed non-empty selection).
-	best = make([]bool, in.NumItems)
+	clear(best)
 	bestIdx := 0
 	bestDensity = in.Bonus[0] / in.Cost[0]
 	for u := 1; u < in.NumItems; u++ {
@@ -103,11 +168,9 @@ func (in *DensestInstance) dinkelbach() (best []bool, bestDensity float64, solve
 	}
 	best[bestIdx] = true
 
-	net, totalProfit := in.selectionNetwork()
-	T := make([]bool, in.NumItems)
 	for solves < 200 {
 		solves++
-		if !in.maxGainSelection(net, totalProfit, bestDensity, T) {
+		if !in.maxGainSelection(&s.net, totalProfit, bestDensity, T) {
 			break
 		}
 		profit, cost := in.Value(T)
@@ -118,49 +181,13 @@ func (in *DensestInstance) dinkelbach() (best []bool, bestDensity float64, solve
 		best, T = T, best
 		bestDensity = d
 	}
+	s.best, s.T = best, T
 	return best, bestDensity, solves
 }
 
-// Node layout of the project-selection network: source, sink, one node
-// per item, then one node per pair.
-const (
-	source = 0
-	sink   = 1
-)
-
-func itemNode(u int) int { return 2 + u }
-
-// selectionNetwork builds the project-selection network and returns it
-// with the total profit on offer. The network's shape does not depend on
-// the Dinkelbach density g; only the item -> sink capacities g*Cost[u] do,
-// which maxGainSelection writes before each solve.
-func (in *DensestInstance) selectionNetwork() (*Dinic, float64) {
-	totalProfit := 0.0
-	for _, b := range in.Bonus {
-		totalProfit += b
-	}
-	totalProfit += float64(len(in.Pairs))
-	inf := totalProfit + 1
-	pairNode := func(p int) int { return 2 + in.NumItems + p }
-	net := buildDinic(2+in.NumItems+len(in.Pairs), func(add func(u, v int, capacity float64)) {
-		for u := 0; u < in.NumItems; u++ {
-			if in.Bonus[u] > 0 {
-				add(source, itemNode(u), in.Bonus[u])
-			}
-			add(itemNode(u), sink, 0)
-		}
-		for p, pr := range in.Pairs {
-			add(source, pairNode(p), 1)
-			add(pairNode(p), itemNode(pr[0]), inf)
-			add(pairNode(p), itemNode(pr[1]), inf)
-		}
-	})
-	return net, totalProfit
-}
-
-// maxGainSelection finds T maximizing profit(T) - g*cost(T) via a min cut
-// of net, writing it into T. It reports false if the maximum is not
-// positive or the maximizing selection is empty.
+// maxGainSelection finds the minimal T maximizing profit(T) - g*cost(T)
+// via a min cut of net, writing it into T. It reports false if the
+// maximum is not positive or the maximizing selection is empty.
 func (in *DensestInstance) maxGainSelection(net *Dinic, totalProfit, g float64, T []bool) bool {
 	net.resetFlow()
 	for u, c := range in.Cost {

@@ -1,8 +1,9 @@
 // Package flow provides the maximum-flow machinery the paper's algorithms
 // rely on: a Dinic max-flow solver and a Dinkelbach-style densest-selection
-// oracle. Kortsarz-Peleg's sequential greedy and the paper's distributed
-// 2-spanner algorithm both compute densest stars "in polynomial time using
-// flow techniques [36]"; this package is that substrate.
+// oracle whose steps are min cuts of Goldberg's densest-subgraph network.
+// Kortsarz-Peleg's sequential greedy and the paper's distributed 2-spanner
+// algorithm both compute densest stars "in polynomial time using flow
+// techniques [36]"; this package is that substrate.
 package flow
 
 import (
@@ -26,6 +27,7 @@ type dinicEdge struct {
 type Dinic struct {
 	n     int
 	adj   [][]dinicEdge
+	arcs  []dinicEdge // backing array of adj when built by build
 	level []int
 	iter  []int
 	queue []int
@@ -45,26 +47,42 @@ func NewDinic(n int) *Dinic {
 	}
 }
 
-// buildDinic returns the flow network on n nodes holding the edges emit
-// adds. emit runs twice: first to count each node's arcs, so that all arcs
-// are carved from one backing array, then to add the edges through
-// AddEdge. Each node's arcs therefore keep their insertion order.
-func buildDinic(n int, emit func(add func(u, v int, capacity float64))) *Dinic {
-	deg := make([]int, n)
+// build makes d the network on n nodes holding the arcs emit adds, reusing
+// d's buffers where they are large enough. emit runs twice: first to count
+// each node's arcs, so that all arcs are carved from one backing array,
+// then to add them. Each node's arcs therefore keep their insertion order.
+// An arc u -> v of capacity c comes with a reverse arc of capacity rc: 0
+// for a directed edge, c for an undirected one.
+func (d *Dinic) build(n int, emit func(add func(u, v int, c, rc float64))) {
+	d.n = n
+	d.adj = resize(d.adj, n)
+	d.level = resize(d.level, n)
+	d.iter = resize(d.iter, n)
+	// iter doubles as the arc counter: MaxFlow clears it before each phase.
+	deg := d.iter
+	clear(deg)
 	total := 0
-	emit(func(u, v int, _ float64) {
+	emit(func(u, v int, _, _ float64) {
 		deg[u]++
 		deg[v]++
 		total += 2
 	})
-	d := NewDinic(n)
-	arcs := make([]dinicEdge, total)
+	d.arcs = resize(d.arcs, total)
+	arcs := d.arcs
 	for v, k := range deg {
 		d.adj[v] = arcs[:0:k]
 		arcs = arcs[k:]
 	}
-	emit(d.AddEdge)
-	return d
+	emit(d.addArc)
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AddEdge inserts a directed edge u -> v with the given capacity, together
@@ -73,9 +91,16 @@ func (d *Dinic) AddEdge(u, v int, capacity float64) {
 	if u < 0 || u >= d.n || v < 0 || v >= d.n {
 		panic(fmt.Sprintf("flow: edge (%d,%d) out of range [0,%d)", u, v, d.n))
 	}
-	checkCapacity(capacity)
-	d.adj[u] = append(d.adj[u], dinicEdge{to: v, cap: capacity, rev: len(d.adj[v])})
-	d.adj[v] = append(d.adj[v], dinicEdge{to: u, cap: 0, rev: len(d.adj[u]) - 1})
+	d.addArc(u, v, capacity, 0)
+}
+
+// addArc inserts the arc u -> v of capacity c and its reverse arc of
+// capacity rc.
+func (d *Dinic) addArc(u, v int, c, rc float64) {
+	checkCapacity(c)
+	checkCapacity(rc)
+	d.adj[u] = append(d.adj[u], dinicEdge{to: v, cap: c, rev: len(d.adj[v])})
+	d.adj[v] = append(d.adj[v], dinicEdge{to: u, cap: rc, rev: len(d.adj[u]) - 1})
 }
 
 func checkCapacity(capacity float64) {

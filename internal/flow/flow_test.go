@@ -3,6 +3,8 @@ package flow
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -275,7 +277,7 @@ func matchesBrute(in *DensestInstance, maxSolves *int) bool {
 	if err != nil {
 		return false
 	}
-	if _, _, solves := in.dinkelbach(); solves > *maxSolves {
+	if solves := solveCount(in); solves > *maxSolves {
 		*maxSolves = solves
 	}
 	if p, c := in.Value(sel); math.Abs(p/c-got) > 1e-9 {
@@ -342,29 +344,28 @@ func TestDensestWeightedMatchesBruteProperty(t *testing.T) {
 // Densest builds its flow network once per call, so what it allocates does
 // not depend on how many Dinkelbach steps it takes: an instance needing
 // three min-cut solves allocates exactly as much as one that stops after
-// the first.
+// the first. A warm solver also reuses every buffer, leaving only the
+// network builder's closures. The solver is held directly rather than
+// drawn from Densest's pool, whose reuse the race detector randomizes.
 func TestDensestAllocsIndependentOfSteps(t *testing.T) {
 	multi := unitInstance(40, 0.3, 2)
-	if _, _, solves := multi.dinkelbach(); solves < 3 {
+	if solves := solveCount(multi); solves < 3 {
 		t.Fatalf("fixture takes %d min-cut solves, want >= 3", solves)
 	}
 	single := unitInstance(40, 0, 2) // no pairs: the first solve finds no gain
-	if _, _, solves := single.dinkelbach(); solves != 1 {
+	if solves := solveCount(single); solves != 1 {
 		t.Fatalf("pairless fixture takes %d min-cut solves, want 1", solves)
 	}
+	s := new(solver)
 	allocs := func(in *DensestInstance) float64 {
-		return testing.AllocsPerRun(20, func() {
-			if _, _, err := Densest(in); err != nil {
-				t.Fatal(err)
-			}
-		})
+		return testing.AllocsPerRun(20, func() { s.dinkelbach(in, s.goldberg(in)) })
 	}
 	got, base := allocs(multi), allocs(single)
 	if got != base {
-		t.Fatalf("Densest allocates %.0f objects over 3+ solves but %.0f over one", got, base)
+		t.Fatalf("a solver allocates %.0f objects over 3+ solves but %.0f over one", got, base)
 	}
-	if got > 16 {
-		t.Fatalf("Densest allocates %.0f objects per call, want a small constant", got)
+	if got > 4 {
+		t.Fatalf("a warm solver allocates %.0f objects per call, want at most 4", got)
 	}
 }
 
@@ -384,4 +385,163 @@ func unitInstance(k int, p float64, seed int64) *DensestInstance {
 		}
 	}
 	return in
+}
+
+// solveCount returns the number of min-cut solves Densest takes on in.
+func solveCount(in *DensestInstance) int {
+	s := new(solver)
+	_, _, solves := s.dinkelbach(in, s.goldberg(in))
+	return solves
+}
+
+// selectionNetwork builds into s.net the project-selection network for the
+// instance and returns the total profit on offer. It has one node per item
+// and one per pair: source -> item with capacity Bonus[u], item -> sink
+// with capacity g*Cost[u], source -> pair with capacity 1, and pair -> each
+// of its items with infinite capacity. Its minimal min cut selects the
+// minimal maximizer of the same gain as Goldberg's network, with a node per
+// pair instead of an arc, so it is the reference Densest must match.
+func (s *solver) selectionNetwork(in *DensestInstance) float64 {
+	totalProfit := 0.0
+	for _, b := range in.Bonus {
+		totalProfit += b
+	}
+	totalProfit += float64(len(in.Pairs))
+	inf := totalProfit + 1
+	pairNode := func(p int) int { return 2 + in.NumItems + p }
+	s.net.build(2+in.NumItems+len(in.Pairs), func(add func(u, v int, c, rc float64)) {
+		for u := 0; u < in.NumItems; u++ {
+			if in.Bonus[u] > 0 {
+				add(source, itemNode(u), in.Bonus[u], 0)
+			}
+			add(itemNode(u), sink, 0, 0)
+		}
+		for p, pr := range in.Pairs {
+			add(source, pairNode(p), 1, 0)
+			add(pairNode(p), itemNode(pr[0]), inf, 0)
+			add(pairNode(p), itemNode(pr[1]), inf, 0)
+		}
+	})
+	return totalProfit
+}
+
+// randomInstance draws a densest instance of 1-90 items with unit,
+// integer (1-16) or real costs, integer bonuses 0-3 on some items, and a
+// pair density drawn per instance.
+func randomInstance(rng *rand.Rand) *DensestInstance {
+	k := 1 + rng.Intn(90)
+	in := &DensestInstance{NumItems: k, Cost: make([]float64, k), Bonus: make([]float64, k)}
+	costs := rng.Intn(3)
+	bonusP := []float64{0, 0.1, 0.5}[rng.Intn(3)]
+	for u := 0; u < k; u++ {
+		switch costs {
+		case 0:
+			in.Cost[u] = 1
+		case 1:
+			in.Cost[u] = float64(1 + rng.Intn(16))
+		default:
+			in.Cost[u] = 0.01 + 10*rng.Float64()
+		}
+		if rng.Float64() < bonusP {
+			in.Bonus[u] = float64(rng.Intn(4))
+		}
+	}
+	p := 0.01 + 0.3*rng.Float64()*rng.Float64()
+	for a := 0; a < k; a++ {
+		for b := a + 1; b < k; b++ {
+			if rng.Float64() < p {
+				in.Pairs = append(in.Pairs, [2]int{a, b})
+			}
+		}
+	}
+	return in
+}
+
+// TestGoldbergMatchesSelectionNetwork is the differential check of the
+// network swap. On 10,000 seeded random instances it steps Dinkelbach's
+// densities through Goldberg's network and the project-selection network
+// side by side and requires the same selection at every step. Densest
+// must then return that run's final selection with the same density bits.
+func TestGoldbergMatchesSelectionNetwork(t *testing.T) {
+	const instances = 10000
+	steps, deep := 0, 0
+	for seed := int64(0); seed < instances; seed++ {
+		in := randomInstance(rand.New(rand.NewSource(seed)))
+		gs, rs := new(solver), new(solver)
+		gProfit, rProfit := gs.goldberg(in), rs.selectionNetwork(in)
+		gT, rT := make([]bool, in.NumItems), make([]bool, in.NumItems)
+		// Dinkelbach's start: the best singleton.
+		best := make([]bool, in.NumItems)
+		bestIdx := 0
+		for u := range in.Cost {
+			if in.Bonus[u]/in.Cost[u] > in.Bonus[bestIdx]/in.Cost[bestIdx] {
+				bestIdx = u
+			}
+		}
+		best[bestIdx] = true
+		g := in.Bonus[bestIdx] / in.Cost[bestIdx]
+		for step := 1; ; step++ {
+			steps++
+			gOK := in.maxGainSelection(&gs.net, gProfit, g, gT)
+			rOK := in.maxGainSelection(&rs.net, rProfit, g, rT)
+			if gOK != rOK || (gOK && !slices.Equal(gT, rT)) {
+				t.Fatalf("seed %d step %d (g=%v): Goldberg %v %v, selection network %v %v", seed, step, g, gOK, gT, rOK, rT)
+			}
+			if !gOK {
+				break
+			}
+			profit, cost := in.Value(gT)
+			if profit/cost <= g+eps {
+				break
+			}
+			copy(best, gT)
+			g = profit / cost
+			if step == 3 {
+				deep++
+			}
+		}
+		sel, d, err := Densest(in)
+		if err != nil || math.Float64bits(d) != math.Float64bits(g) || !slices.Equal(sel, best) {
+			t.Fatalf("seed %d: Densest %v %v %v, selection network %v %v", seed, sel, d, err, best, g)
+		}
+	}
+	if deep < instances/10 {
+		t.Fatalf("only %d instances took more than three steps; the comparison is too shallow", deep)
+	}
+	t.Logf("%d instances, %d min-cut steps compared, %d instances took 4+ steps", instances, steps, deep)
+}
+
+// TestDensestConcurrent calls Densest from several goroutines, each on a
+// different instance at any moment, and requires every answer to equal a
+// single-goroutine run of the same instance: pooled solvers must never be
+// shared between callers or leak state from one instance into the next.
+func TestDensestConcurrent(t *testing.T) {
+	const workers, calls = 4, 48
+	ins := make([]*DensestInstance, 12)
+	wantSel := make([][]bool, len(ins))
+	wantD := make([]float64, len(ins))
+	for i := range ins {
+		ins[i] = randomInstance(rand.New(rand.NewSource(int64(100 + i))))
+		sel, d, err := Densest(ins[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSel[i], wantD[i] = sel, d
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for c := 0; c < calls; c++ {
+				i := (w*len(ins)/workers + c) % len(ins)
+				sel, d, err := Densest(ins[i])
+				if err != nil || math.Float64bits(d) != math.Float64bits(wantD[i]) || !slices.Equal(sel, wantSel[i]) {
+					t.Errorf("worker %d instance %d: got %v %v %v, want %v %v", w, i, sel, d, err, wantSel[i], wantD[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -213,7 +213,7 @@ func collectChunks(incoming map[int]*inStream, msgs []dist.InRec) {
 			st = &inStream{kind: m.Flag}
 			incoming[m.From] = st
 		}
-		// The chunk's word tail aliases the physical inbox arena; copy.
+		// The chunk's word tail aliases the sender's arena; copy.
 		st.words = append(st.words, m.Ints...)
 		if m.A == 0 {
 			st.done = true

@@ -163,7 +163,7 @@ func TestDirViewApproxWithinFactor2(t *testing.T) {
 		sel := make([]bool, len(dv.uv.nbrs))
 		for b, id := range ids {
 			if mask&(1<<uint(b)) != 0 {
-				sel[dv.uv.pos[id]] = true
+				sel[dv.uv.position(id)] = true
 			}
 		}
 		if d := dv.dirDensity(sel); d > best {

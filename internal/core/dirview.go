@@ -21,10 +21,11 @@ type dirView struct {
 // directed edges between the center and that neighbor (1 or 2). hDir lists
 // the uncovered 2-spannable directed edges (u, w) between neighbors.
 func newDirView(nbrs map[int]int, hDir [][2]int) *dirView {
-	selectable := make(map[int]float64, len(nbrs))
+	ids := make([]int, 0, len(nbrs))
 	for id := range nbrs {
-		selectable[id] = 1
+		ids = append(ids, id)
 	}
+	sort.Ints(ids)
 	// Collapse directed edges to unordered pairs with multiplicities.
 	multByIDs := make(map[[2]int]int)
 	for _, e := range hDir {
@@ -44,19 +45,20 @@ func newDirView(nbrs map[int]int, hDir [][2]int) *dirView {
 		}
 		return pairs[i][1] < pairs[j][1]
 	})
-	uv := newLocalView(selectable, nil, pairs)
-	dv := &dirView{uv: uv, dirCnt: make([]float64, len(uv.nbrs)), mult: make(map[[2]int]int, len(multByIDs))}
-	//spanlint:ordered pos is a bijection over ids, so distinct iterations write distinct dirCnt slots
-	for id, cnt := range nbrs {
-		dv.dirCnt[uv.pos[id]] = float64(cnt)
+	// Every star edge costs 1; each pair {a, b} is listed, in order, as
+	// an uncovered edge of its lower endpoint a.
+	upper := make([][]int, len(ids))
+	for _, p := range pairs {
+		i := posOf(ids, p[0])
+		upper[i] = append(upper[i], p[1])
 	}
-	//spanlint:ordered distinct id pairs map through the pos bijection to distinct normalized position pairs
-	for p, m := range multByIDs {
-		a, b := uv.pos[p[0]], uv.pos[p[1]]
-		if a > b {
-			a, b = b, a
-		}
-		dv.mult[[2]int{a, b}] = m
+	uv := newLocalView(ids, func(int) float64 { return 1 }, upper)
+	dv := &dirView{uv: uv, dirCnt: make([]float64, len(uv.nbrs)), mult: make(map[[2]int]int, len(pairs))}
+	for p, id := range uv.nbrs {
+		dv.dirCnt[p] = float64(nbrs[id])
+	}
+	for _, p := range pairs {
+		dv.mult[[2]int{uv.position(p[0]), uv.position(p[1])}] = multByIDs[p]
 	}
 	return dv
 }

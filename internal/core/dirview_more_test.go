@@ -15,7 +15,7 @@ func TestDirViewChooseStarShrinkPath(t *testing.T) {
 	if fb {
 		t.Fatal("unexpected fallback")
 	}
-	if sel[dv.uv.pos[3]] {
+	if sel[dv.uv.position(3)] {
 		t.Fatal("shrink path escaped the previous star")
 	}
 	// With a much higher rho the previous star fails and the fallback
@@ -29,7 +29,7 @@ func TestDirViewChooseStarShrinkPath(t *testing.T) {
 func TestDirViewMaskFromIDs(t *testing.T) {
 	dv := newDirView(map[int]int{5: 1, 9: 2}, nil)
 	mask := dv.maskFromIDs([]int{9})
-	if mask[dv.uv.pos[5]] || !mask[dv.uv.pos[9]] {
+	if mask[dv.uv.position(5)] || !mask[dv.uv.position(9)] {
 		t.Fatal("maskFromIDs wrong")
 	}
 }

@@ -137,7 +137,7 @@ func TestChooseStarDensityInvariantProperty(t *testing.T) {
 				}
 			}
 		}
-		v := newLocalView(sel, nil, h)
+		v := viewOf(sel, nil, h)
 		dsel, raw := v.densestStar(nil)
 		if dsel == nil || raw == 0 {
 			return true

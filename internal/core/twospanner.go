@@ -368,7 +368,8 @@ func containsSorted(s []int, x int) bool {
 
 // mergeSorted merges the sorted, duplicate-free slice add into the sorted
 // slice dst in place (merging from the back after growing), returning the
-// merged slice. add may alias an inbox arena; its values are copied.
+// merged slice. add may be a delivered record tail; its values are
+// copied.
 func mergeSorted(dst, add []int) []int {
 	if len(add) == 0 {
 		return dst
@@ -983,7 +984,7 @@ func (nd *undirectedNode) updateCoverage() {
 // step — now run only when an input actually changed).
 func (nd *undirectedNode) rebuildView() {
 	nd.viewDirty = false
-	nd.view = nd.buildView(nd.hEdges())
+	nd.view = newLocalView(nd.nbrs, nd.starCost, nd.uncovOf)
 	sel, _ := nd.view.densestStar(nil)
 	raw, num, den := 0.0, 0, 1
 	if sel != nil {
@@ -1004,34 +1005,6 @@ func (nd *undirectedNode) rebuildView() {
 	if nd.opts.NoRounding {
 		nd.rho = raw
 	}
-}
-
-// hEdges lists the uncovered 2-spannable edges between neighbors, in the
-// same (sender ascending, endpoint ascending, owner-side only) order the
-// classic execution reads them off its round-2 inbox. The accumulated
-// uncovered lists and the neighbor list are sorted, so each sender's list
-// is merged against the neighbors above it.
-func (nd *undirectedNode) hEdges() [][2]int {
-	var out [][2]int
-	for i, u := range nd.nbrs {
-		above := nd.nbrs[i+1:]
-		j := 0
-		for _, w := range nd.uncovOf[i] {
-			if w <= u {
-				continue
-			}
-			for j < len(above) && above[j] < w {
-				j++
-			}
-			if j == len(above) {
-				break
-			}
-			if above[j] == w {
-				out = append(out, [2]int{u, w})
-			}
-		}
-	}
-	return out
 }
 
 // refoldHop recomputes the 1-hop maxima (own values first, then live
@@ -1075,24 +1048,14 @@ func (nd *undirectedNode) refoldM2() {
 	}
 }
 
-// buildView assembles the localView: selectable star edges with their
-// costs, free (zero-weight) star edges, and the uncovered H_v edges.
-func (nd *undirectedNode) buildView(hEdges [][2]int) *localView {
-	selectable := make(map[int]float64)
-	var free []int
-	for i, u := range nd.nbrs {
-		idx := nd.edgeIdx[i]
-		if !nd.v.starEdge(idx) {
-			continue
-		}
-		w := nd.g.Weight(idx)
-		if w == 0 {
-			free = append(free, u)
-		} else {
-			selectable[u] = w
-		}
+// starCost is the view's cost of the star edge to nbrs[i]: its weight
+// (zero for a free edge), or -1 when the variant's star cannot use it.
+func (nd *undirectedNode) starCost(i int) float64 {
+	idx := nd.edgeIdx[i]
+	if !nd.v.starEdge(idx) {
+		return -1
 	}
-	return newLocalView(selectable, free, hEdges)
+	return nd.g.Weight(idx)
 }
 
 func (nd *undirectedNode) emitOutput() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"distspanner/internal/flow"
@@ -14,59 +15,105 @@ import (
 // A view never changes once built, so it solves its unrestricted densest
 // star at most once.
 type localView struct {
-	nbrs   []int       // selectable neighbor ids, sorted
-	pos    map[int]int // neighbor id -> position
-	cost   []float64   // star-edge cost per position (> 0)
-	bonus  []float64   // uncovered H_v edges from this neighbor to free neighbors
-	hAdj   [][]int     // H_v adjacency among selectable positions
-	free   []int       // free (zero-cost) neighbor ids, always part of any star
-	hPairs int         // number of H_v edges between selectable neighbors
+	nbrs   []int     // selectable neighbor ids, sorted
+	cost   []float64 // star-edge cost per position (> 0)
+	bonus  []float64 // uncovered H_v edges from this neighbor to free neighbors
+	hAdj   [][]int   // H_v adjacency among selectable positions
+	free   []int     // free (zero-cost) neighbor ids, always part of any star
+	hPairs int       // number of H_v edges between selectable neighbors
 
 	star  []bool  // densestStar(nil)'s selection once solved; never handed out
 	starD float64 // its density
 }
 
-// newLocalView builds the view. selectable maps neighbor id to the star-edge
-// cost (must be > 0); free lists zero-cost neighbors; hEdges lists the
-// uncovered 2-spannable edges {a, b} between neighbors (each edge once).
-func newLocalView(selectable map[int]float64, free []int, hEdges [][2]int) *localView {
-	v := &localView{pos: make(map[int]int, len(selectable))}
-	for id := range selectable {
-		v.nbrs = append(v.nbrs, id)
-	}
-	sort.Ints(v.nbrs)
-	v.cost = make([]float64, len(v.nbrs))
-	v.bonus = make([]float64, len(v.nbrs))
-	v.hAdj = make([][]int, len(v.nbrs))
-	for i, id := range v.nbrs {
-		v.pos[id] = i
-		v.cost[i] = selectable[id]
-	}
-	v.free = append([]int(nil), free...)
-	sort.Ints(v.free)
-	freeSet := make(map[int]bool, len(free))
-	for _, id := range free {
-		freeSet[id] = true
-	}
-	for _, e := range hEdges {
-		a, ok1 := v.pos[e[0]]
-		b, ok2 := v.pos[e[1]]
-		switch {
-		case ok1 && ok2:
-			v.hAdj[a] = append(v.hAdj[a], b)
-			v.hAdj[b] = append(v.hAdj[b], a)
-			v.hPairs++
-		case ok1 && freeSet[e[1]]:
-			v.bonus[a]++
-		case ok2 && freeSet[e[0]]:
-			v.bonus[b]++
+// Neighbor classes of newLocalView's position slice besides a selectable
+// position (>= 0).
+const (
+	viewFree     = -1 // zero-cost star edge: always in the star
+	viewUnusable = -2 // no star may use the edge
+)
+
+// newLocalView builds the view of a center whose neighbor ids are nbrs,
+// sorted. cost(i) is the star-edge cost of nbrs[i]: positive for a
+// selectable neighbor, zero for a free one, negative when no star may use
+// the edge. uncov[i] lists, sorted, the far endpoints of nbrs[i]'s
+// uncovered edges; those that are neighbors above nbrs[i] are the
+// 2-spannable H_v edges, read off by one merge scan per neighbor in
+// (lower endpoint, upper endpoint) order — the order that fixes each
+// hAdj list and so every densest-star instance.
+func newLocalView(nbrs []int, cost func(i int) float64, uncov [][]int) *localView {
+	at := make([]int32, len(nbrs)) // selectable position, viewFree or viewUnusable
+	k := 0
+	for i := range nbrs {
+		switch c := cost(i); {
+		case c > 0:
+			at[i] = int32(k)
+			k++
+		case c == 0:
+			at[i] = viewFree
 		default:
-			// Edge between two free neighbors: already covered by the free
-			// star edges added at start-up, never appears in H_v; or an
-			// edge involving a non-neighbor, which cannot happen.
+			at[i] = viewUnusable
+		}
+	}
+	v := &localView{
+		nbrs:  make([]int, k),
+		cost:  make([]float64, k),
+		bonus: make([]float64, k),
+		hAdj:  make([][]int, k),
+	}
+	for i, id := range nbrs {
+		switch p := at[i]; {
+		case p >= 0:
+			v.nbrs[p], v.cost[p] = id, cost(i)
+		case p == viewFree:
+			v.free = append(v.free, id)
+		}
+	}
+	for i, u := range nbrs {
+		a := at[i]
+		if a == viewUnusable {
+			continue
+		}
+		above := nbrs[i+1:]
+		j := 0
+		for _, w := range uncov[i] {
+			if w <= u {
+				continue
+			}
+			for j < len(above) && above[j] < w {
+				j++
+			}
+			if j == len(above) {
+				break
+			}
+			if above[j] != w {
+				continue
+			}
+			switch b := at[i+1+j]; {
+			case a >= 0 && b >= 0:
+				v.hAdj[a] = append(v.hAdj[a], int(b))
+				v.hAdj[b] = append(v.hAdj[b], int(a))
+				v.hPairs++
+			case a >= 0 && b == viewFree:
+				v.bonus[a]++
+			case b >= 0 && a == viewFree:
+				v.bonus[b]++
+			}
+			// Otherwise both endpoints are free (the edge is covered by
+			// the free star edges added at start-up and never appears in
+			// H_v), or the star cannot use the edge to w.
 		}
 	}
 	return v
+}
+
+// position returns the position of the selectable neighbor id, -1 when id
+// is not one.
+func (v *localView) position(id int) int {
+	if p, ok := slices.BinarySearch(v.nbrs, id); ok {
+		return p
+	}
+	return -1
 }
 
 // starValue returns the number of H_v edges 2-spanned by the star with the
@@ -277,7 +324,7 @@ func (v *localView) starNeighborIDs(sel []bool) []int {
 func (v *localView) maskFromIDs(ids []int) []bool {
 	sel := make([]bool, len(v.nbrs))
 	for _, id := range ids {
-		if p, ok := v.pos[id]; ok {
+		if p := v.position(id); p >= 0 {
 			sel[p] = true
 		}
 	}

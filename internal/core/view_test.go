@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -23,7 +25,7 @@ func TestRoundUpPow2(t *testing.T) {
 func TestLocalViewDensity(t *testing.T) {
 	// Neighbors 10, 20, 30 with unit costs; H_v edges {10,20} and {20,30}.
 	sel := map[int]float64{10: 1, 20: 1, 30: 1}
-	v := newLocalView(sel, nil, [][2]int{{10, 20}, {20, 30}})
+	v := viewOf(sel, nil, [][2]int{{10, 20}, {20, 30}})
 	full := []bool{true, true, true}
 	s, c := v.starValue(full)
 	if s != 2 || c != 3 {
@@ -52,12 +54,12 @@ func TestLocalViewDensestPrefersCore(t *testing.T) {
 		}
 	}
 	h = append(h, [2]int{1, 5})
-	v := newLocalView(sel, nil, h)
+	v := viewOf(sel, nil, h)
 	mask, d := v.densestStar(nil)
 	if math.Abs(d-1.5) > 1e-9 {
 		t.Fatalf("densest density = %f, want 1.5", d)
 	}
-	if mask[v.pos[5]] {
+	if mask[v.position(5)] {
 		t.Fatal("pendant neighbor must not be in the densest star")
 	}
 }
@@ -66,9 +68,9 @@ func TestLocalViewFreeNeighborsBonuses(t *testing.T) {
 	// Free neighbor 99 (zero-weight star edge); selectable 1 with an H
 	// edge to 99: bonus of 1 at cost of 1's weight.
 	sel := map[int]float64{1: 2}
-	v := newLocalView(sel, []int{99}, [][2]int{{1, 99}})
-	if v.bonus[v.pos[1]] != 1 {
-		t.Fatalf("bonus = %f, want 1", v.bonus[v.pos[1]])
+	v := viewOf(sel, []int{99}, [][2]int{{1, 99}})
+	if v.bonus[v.position(1)] != 1 {
+		t.Fatalf("bonus = %f, want 1", v.bonus[v.position(1)])
 	}
 	mask, d := v.densestStar(nil)
 	if math.Abs(d-0.5) > 1e-9 {
@@ -85,7 +87,7 @@ func TestChooseStarFreshMeetsThreshold(t *testing.T) {
 	// density >= rho/4 = 0.5.
 	sel := map[int]float64{1: 1, 2: 1, 3: 1, 4: 1}
 	h := [][2]int{{1, 2}, {2, 3}, {3, 4}, {1, 4}, {1, 3}}
-	v := newLocalView(sel, nil, h)
+	v := viewOf(sel, nil, h)
 	_, raw := v.densestStar(nil)
 	rho := RoundUpPow2(raw)
 	mask, fb := v.chooseStar(rho, nil)
@@ -103,7 +105,7 @@ func TestChooseStarExtensionAddsDisjoint(t *testing.T) {
 	// extension rule must absorb the other (density 1 >= rho/4 = 0.5).
 	sel := map[int]float64{1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
 	h := [][2]int{{1, 2}, {2, 3}, {1, 3}, {4, 5}, {5, 6}, {4, 6}}
-	v := newLocalView(sel, nil, h)
+	v := viewOf(sel, nil, h)
 	_, raw := v.densestStar(nil)
 	rho := RoundUpPow2(raw) // raw = 1, rho = 2
 	mask, fb := v.chooseStar(rho, nil)
@@ -125,7 +127,7 @@ func TestChooseStarShrinkPath(t *testing.T) {
 	// Previous star {1,2,3} with old H; new H lost edge {1,2} but keeps
 	// {2,3}: density of prev under new H is 1/3 >= rho/4 when rho <= 4/3.
 	sel := map[int]float64{1: 1, 2: 1, 3: 1}
-	v := newLocalView(sel, nil, [][2]int{{2, 3}})
+	v := viewOf(sel, nil, [][2]int{{2, 3}})
 	prev := []bool{true, true, true}
 	rho := 1.0 // threshold 0.25; prev density = 1/3 >= 0.25: keep prev
 	mask, fb := v.chooseStar(rho, prev)
@@ -143,10 +145,10 @@ func TestChooseStarShrinkPath(t *testing.T) {
 	if fb2 {
 		t.Fatal("unexpected fallback on shrink")
 	}
-	if mask2[v.pos[1]] {
+	if mask2[v.position(1)] {
 		t.Fatal("shrunken star must drop neighbor 1")
 	}
-	if !mask2[v.pos[2]] || !mask2[v.pos[3]] {
+	if !mask2[v.position(2)] || !mask2[v.position(3)] {
 		t.Fatal("shrunken star must keep the dense pair {2,3}")
 	}
 }
@@ -156,13 +158,13 @@ func TestChooseStarShrinkNeverGrows(t *testing.T) {
 	// stars exist elsewhere.
 	sel := map[int]float64{1: 1, 2: 1, 3: 1, 4: 1}
 	// Dense pair {3,4} outside prev; prev = {1,2} with one edge.
-	v := newLocalView(sel, nil, [][2]int{{1, 2}, {3, 4}})
+	v := viewOf(sel, nil, [][2]int{{1, 2}, {3, 4}})
 	prev := []bool{true, true, false, false}
 	mask, fb := v.chooseStar(2, prev) // threshold 0.5; prev density 1/2: kept
 	if fb {
 		t.Fatal("unexpected fallback")
 	}
-	if mask[v.pos[3]] || mask[v.pos[4]] {
+	if mask[v.position(3)] || mask[v.position(4)] {
 		t.Fatal("shrink path escaped the previous star")
 	}
 }
@@ -173,7 +175,7 @@ func TestChooseStarShrinkNeverGrows(t *testing.T) {
 // repeated call allocates only the copy.
 func TestDensestStarMemoCopiesOut(t *testing.T) {
 	sel := map[int]float64{1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
-	v := newLocalView(sel, nil, [][2]int{{1, 2}, {1, 3}, {2, 3}, {3, 4}})
+	v := viewOf(sel, nil, [][2]int{{1, 2}, {1, 3}, {2, 3}, {3, 4}})
 	first, d1 := v.densestStar(nil)
 	second, d2 := v.densestStar(nil)
 	if d1 != d2 || !slices.Equal(first, second) {
@@ -189,5 +191,185 @@ func TestDensestStarMemoCopiesOut(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { v.densestStar(nil) }); allocs != 1 {
 		t.Fatalf("a memoized call allocates %.0f objects, want only the copy", allocs)
+	}
+}
+
+// viewOf builds a view through newLocalView from the selectable
+// neighbors' costs, the free neighbor ids, and the H_v edges as id pairs.
+func viewOf(sel map[int]float64, free []int, h [][2]int) *localView {
+	cost := make(map[int]float64, len(sel)+len(free))
+	ids := make([]int, 0, len(sel)+len(free))
+	for id, c := range sel {
+		cost[id] = c
+		ids = append(ids, id)
+	}
+	for _, id := range free {
+		cost[id] = 0
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	uncov := make([][]int, len(ids))
+	for _, e := range h {
+		a, b := min(e[0], e[1]), max(e[0], e[1])
+		i := posOf(ids, a)
+		uncov[i] = append(uncov[i], b)
+	}
+	for _, l := range uncov {
+		sort.Ints(l)
+	}
+	return newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, uncov)
+}
+
+// refLocalView is the map-based view construction newLocalView replaced,
+// kept as its reference: the selectable map and free list the undirected
+// node used to assemble, the H_v id pairs of its hEdges merge scan, and
+// the pos and freeSet maps that placed each pair.
+func refLocalView(nbrs []int, star []bool, weight []float64, uncov [][]int) *localView {
+	selectable := make(map[int]float64)
+	var free []int
+	for i, u := range nbrs {
+		if !star[i] {
+			continue
+		}
+		if weight[i] == 0 {
+			free = append(free, u)
+		} else {
+			selectable[u] = weight[i]
+		}
+	}
+	var hEdges [][2]int
+	for i, u := range nbrs {
+		above := nbrs[i+1:]
+		j := 0
+		for _, w := range uncov[i] {
+			if w <= u {
+				continue
+			}
+			for j < len(above) && above[j] < w {
+				j++
+			}
+			if j == len(above) {
+				break
+			}
+			if above[j] == w {
+				hEdges = append(hEdges, [2]int{u, w})
+			}
+		}
+	}
+	v := &localView{}
+	pos := make(map[int]int, len(selectable))
+	for id := range selectable {
+		v.nbrs = append(v.nbrs, id)
+	}
+	sort.Ints(v.nbrs)
+	v.cost = make([]float64, len(v.nbrs))
+	v.bonus = make([]float64, len(v.nbrs))
+	v.hAdj = make([][]int, len(v.nbrs))
+	for i, id := range v.nbrs {
+		pos[id] = i
+		v.cost[i] = selectable[id]
+	}
+	v.free = append([]int(nil), free...)
+	sort.Ints(v.free)
+	freeSet := make(map[int]bool, len(free))
+	for _, id := range free {
+		freeSet[id] = true
+	}
+	for _, e := range hEdges {
+		a, ok1 := pos[e[0]]
+		b, ok2 := pos[e[1]]
+		switch {
+		case ok1 && ok2:
+			v.hAdj[a] = append(v.hAdj[a], b)
+			v.hAdj[b] = append(v.hAdj[b], a)
+			v.hPairs++
+		case ok1 && freeSet[e[1]]:
+			v.bonus[a]++
+		case ok2 && freeSet[e[0]]:
+			v.bonus[b]++
+		}
+	}
+	return v
+}
+
+// TestLocalViewMatchesMapReference builds seeded random neighborhoods —
+// unit and real weights, about 20% free neighbors, a client-server
+// star-edge predicate on half the instances, and uncovered lists that
+// mix neighbors above and below, non-neighbors, and the center — through
+// newLocalView and through the map-based reference, and requires the
+// same view field by field (hAdj order included) and the same densest
+// star to the bit.
+func TestLocalViewMatchesMapReference(t *testing.T) {
+	const instances = 1200
+	rng := rand.New(rand.NewSource(17))
+	var withPairs, withBonus, withStar int
+	for inst := 0; inst < instances; inst++ {
+		universe := 8 + rng.Intn(56)
+		center := rng.Intn(universe)
+		var nbrs []int
+		density := 0.2 + 0.7*rng.Float64()
+		for id := 0; id < universe; id++ {
+			if id != center && rng.Float64() < density {
+				nbrs = append(nbrs, id)
+			}
+		}
+		unit, clientServer := rng.Intn(2) == 0, rng.Intn(2) == 0
+		star := make([]bool, len(nbrs))
+		weight := make([]float64, len(nbrs))
+		for i := range nbrs {
+			star[i] = !clientServer || rng.Float64() < 0.7
+			switch {
+			case rng.Float64() < 0.2:
+				weight[i] = 0
+			case unit:
+				weight[i] = 1
+			default:
+				weight[i] = 0.25 + 4*rng.Float64()
+			}
+		}
+		uncov := make([][]int, len(nbrs))
+		p := rng.Float64()
+		for i := range nbrs {
+			if rng.Float64() < 0.1 {
+				continue // a dead neighbor's list is dropped
+			}
+			for id := 0; id < universe+4; id++ {
+				if rng.Float64() < p {
+					uncov[i] = append(uncov[i], id)
+				}
+			}
+		}
+		cost := func(i int) float64 {
+			if !star[i] {
+				return -1
+			}
+			return weight[i]
+		}
+		got := newLocalView(nbrs, cost, uncov)
+		want := refLocalView(nbrs, star, weight, uncov)
+		if !slices.Equal(got.nbrs, want.nbrs) || !slices.Equal(got.cost, want.cost) ||
+			!slices.Equal(got.bonus, want.bonus) || !slices.Equal(got.free, want.free) ||
+			got.hPairs != want.hPairs || !slices.EqualFunc(got.hAdj, want.hAdj, slices.Equal[[]int]) {
+			t.Fatalf("instance %d: views differ\ngot:  %+v\nwant: %+v", inst, got, want)
+		}
+		gotSel, gotD := got.densestStar(nil)
+		wantSel, wantD := want.densestStar(nil)
+		if !slices.Equal(gotSel, wantSel) || math.Float64bits(gotD) != math.Float64bits(wantD) {
+			t.Fatalf("instance %d: densest star %v %v, reference %v %v", inst, gotSel, gotD, wantSel, wantD)
+		}
+		if got.hPairs > 0 {
+			withPairs++
+		}
+		if slices.ContainsFunc(got.bonus, func(b float64) bool { return b > 0 }) {
+			withBonus++
+		}
+		if gotD > 0 {
+			withStar++
+		}
+	}
+	// The generator must exercise every branch of the construction.
+	if withPairs < instances/2 || withBonus < instances/4 || withStar < instances/2 {
+		t.Fatalf("degenerate instances: %d with H_v pairs, %d with bonuses, %d with a dense star of %d",
+			withPairs, withBonus, withStar, instances)
 	}
 }

@@ -22,13 +22,14 @@ type Ctx struct {
 	done     bool  // machine retired
 	parked   bool  // parked awaiting a delivery
 
-	// Flat-buffer record arenas (see rec.go). The in arenas are written by
-	// deliver between steps and drained by takeRecs; the out arenas
-	// hold queued record sends with their packed int tails.
+	// Flat-buffer record arenas (see rec.go). The inbox is written by
+	// deliver between steps and drained by takeRecs; the out arenas hold
+	// queued record sends with their packed int tails, and prevInts the
+	// tails delivered last round, which their receivers still read.
 	inRecs     []InRec
-	inInts     []int
 	outRecs    []outRec
 	outInts    []int
+	prevInts   []int
 	lastStaged []int // backing slice of the last staged tail (broadcast reuse)
 	lastOff    int32
 }

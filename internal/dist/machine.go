@@ -17,8 +17,9 @@ package dist
 //     its last words: they are committed by the retirement itself and
 //     delivered with the round in flight — no extra flush round needed.
 //
-// Inbox views (StepIn.Recs and each record's Ints tail) alias the
-// vertex's inbox arena and are valid only during the Step call.
+// Inbox views are valid only during the Step call: StepIn.Recs aliases
+// the vertex's inbox, and each record's Ints tail the sender's arena from
+// the previous round (read-only, shared with the other receivers).
 // After quiescence, a machine that yields anyway is stepped with an
 // empty inbox and one that parks is stepped with Quiesced again, and
 // every send is discarded — the inert post-quiescence epilogue.
@@ -42,8 +43,9 @@ type StepIn struct {
 	// the inbox is empty).
 	Start bool
 	// Recs is the completed round's inbox, sorted by sender id (ties in
-	// send order). It aliases the vertex's inbox arena: valid only during
-	// this Step call (see rec.go).
+	// send order). It aliases the vertex's inbox, and each record's Ints
+	// tail the sender's arena from the previous round: read-only, and
+	// valid only during this Step call (see rec.go).
 	Recs []InRec
 	// Quiesced reports that the network went permanently silent while
 	// this machine was parked: finalize and StepDone.

@@ -15,12 +15,18 @@ import "sort"
 //     out arena (record headers in one slice, int tails packed in
 //     another). Broadcasting the same record to many neighbors stages its
 //     tail once and shares the span.
-//   - Delivery copies records straight into the receivers' in arenas —
+//   - Delivery copies each record's header into the receiver's inbox —
 //     contiguous, type-tagged, in ascending sender id with ties in send
-//     order.
-//   - Receivers iterate the arena in place via StepIn.Recs. The records
-//     alias the arena (zero-copy): a record's Ints tail is a view into
-//     the inbox buffer, valid only during the Step call. Arenas are
+//     order — and points its Ints at the tail where the sender staged
+//     it. A broadcast tail is stored once however many neighbors read it.
+//   - Receivers iterate the inbox in place via StepIn.Recs. A record's
+//     Ints tail aliases the sender's out arena from the previous round
+//     (or, sharded, the inbound RecBatch): it is shared with every other
+//     receiver of the broadcast, read-only, and valid only during the
+//     Step call. Each Ctx keeps two tail arenas and clearSends swaps
+//     them when a round commits, so a tail stays untouched while its
+//     receivers step in the next round — in parallel or on another
+//     shard — and the sender writes the other arena. Arenas are
 //     truncated, never freed, so steady-state rounds allocate nothing.
 //   - The flat header plus the packed tail is also the wire format: a
 //     record crosses shards (RecBatch) unchanged.
@@ -47,12 +53,13 @@ type Rec struct {
 }
 
 // InRec is one delivered record: the sender id plus the record. Ints
-// aliases the receiving vertex's inbox arena — it is valid only during
-// the Step call that received it and must be copied if kept longer.
+// aliases the sender's tail arena from the previous round and is shared
+// with the broadcast's other receivers: it is read-only, valid only
+// during the Step call that received it, and must be copied if kept
+// longer.
 type InRec struct {
 	From int
 	Rec
-	off, n int32 // tail span in the inbox arena, bound to Ints at read time
 }
 
 // outRec is one queued record send. The tail lives in the sender's
@@ -113,25 +120,22 @@ func (c *Ctx) stageInts(ints []int) (off, n int32) {
 	return off, int32(len(ints))
 }
 
-// takeRecs binds each delivered record's Ints view into the arena and
-// hands the batch to the vertex, truncating the arena for the next round
-// (capacity is kept: one allocation amortizes across all rounds).
+// takeRecs hands the delivered batch to the vertex, truncating the inbox
+// for the next round (capacity is kept: one allocation amortizes across
+// all rounds).
 func (c *Ctx) takeRecs() []InRec {
 	recs := c.inRecs
-	for i := range recs {
-		if recs[i].n > 0 {
-			recs[i].Ints = c.inInts[recs[i].off : recs[i].off+recs[i].n]
-		}
-	}
 	c.inRecs = c.inRecs[:0]
-	c.inInts = c.inInts[:0]
 	return recs
 }
 
-// clearSends discards all queued-but-uncommitted sends.
+// clearSends empties the send queue once its records are delivered (or
+// discarded) and swaps the tail arenas: the tails just delivered stay
+// intact for their receivers' next step while this vertex stages into
+// the other arena, which nobody reads any more.
 func (c *Ctx) clearSends() {
 	c.outRecs = c.outRecs[:0]
-	c.outInts = c.outInts[:0]
+	c.outInts, c.prevInts = c.prevInts[:0], c.outInts
 	c.lastStaged = nil
 }
 
@@ -156,15 +160,17 @@ func (c *Ctx) hasSends() bool {
 }
 
 // fill copies the queued record's header into a delivered slot (the tail
-// is bound separately, by takeRecs).
+// is set by deliverRec).
 func (o *outRec) fill(r *Rec) {
 	r.Tag, r.Flag, r.A, r.B, r.F0, r.F1, r.F2 = o.tag, o.flag, o.a, o.b, o.f0, o.f1, o.f2
 }
 
 // span returns the tail [off, off+n) of an int arena; nil when empty.
+// Its capacity ends with the tail, so a receiver appending to a shared
+// tail copies it instead of writing over the arena.
 func span(ints []int, off, n int32) []int {
 	if n == 0 {
 		return nil
 	}
-	return ints[off : off+n]
+	return ints[off : off+n : off+n]
 }

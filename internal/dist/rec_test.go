@@ -3,7 +3,10 @@ package dist
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"distspanner/internal/graph"
 )
 
 // Tests for the record path (rec.go): delivery order, metering, arena
@@ -106,32 +109,88 @@ func TestRecArenaReusedAcrossRounds(t *testing.T) {
 	// The whole point of the arena: after warm-up, steady-state rounds
 	// append into retained buffers. Assert the delivered views stay
 	// correct round over round while the backing arrays are reused
-	// (record contents must never bleed between rounds).
-	_, err := RunMachines(Config{Graph: clique(4), Seed: 1}, func(*Ctx) Machine {
+	// (record contents must never bleed between rounds). Tails alias
+	// their sender's arena, so on a 64-clique under parallel stepping
+	// and a 3-shard run receivers read last round's tails while their
+	// senders stage the next round's.
+	g := clique(64)
+	for i, cfg := range recConfigs(g, 1) {
+		_, err := RunMachines(cfg, func(*Ctx) Machine {
+			r := 0
+			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+				if !in.Start {
+					for _, rec := range in.Recs {
+						if rec.Tag != uint8(r+1) || rec.A != int64(r) {
+							t.Errorf("config %d round %d: stale header %+v", i, r, rec)
+						}
+						for _, x := range rec.Ints {
+							if x != r {
+								t.Errorf("config %d round %d: stale tail %v", i, r, rec.Ints)
+							}
+						}
+					}
+					r++
+				}
+				if r == 8 {
+					return StepDone
+				}
+				ctx.BroadcastRec(Rec{Tag: uint8(r + 1), A: int64(r), Ints: []int{r, r, r}}, 5)
+				return StepYield
+			})
+		})
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+	}
+}
+
+func TestRecTailsNotCopiedPerReceiver(t *testing.T) {
+	// A broadcast tail is staged once in the sender's arena and every
+	// receiver reads it there: the hub of a star K_{1,d} broadcasting an
+	// L-int tail costs O(L) tail bytes per round, not the d·L·8 that
+	// copying it into every leaf's inbox would allocate.
+	const d, L, rounds = 1000, 1000, 4
+	g := graph.New(d + 1)
+	for v := 1; v <= d; v++ {
+		g.AddEdge(0, v)
+	}
+	tail := make([]int, L)
+	for i := range tail {
+		tail[i] = i
+	}
+	var got [rounds]int
+	factory := func(*Ctx) Machine {
 		r := 0
 		return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
 			if !in.Start {
-				for _, rec := range in.Recs {
-					if rec.Tag != uint8(r+1) || rec.A != int64(r) {
-						t.Errorf("round %d: stale header %+v", r, rec)
-					}
-					for _, x := range rec.Ints {
-						if x != r {
-							t.Errorf("round %d: stale tail %v", r, rec.Ints)
-						}
-					}
+				if ctx.ID() == d {
+					got[r] = in.Recs[0].Ints[L-1]
 				}
 				r++
 			}
-			if r == 8 {
+			if r == rounds {
 				return StepDone
 			}
-			ctx.BroadcastRec(Rec{Tag: uint8(r + 1), A: int64(r), Ints: []int{r, r, r}}, 5)
+			if ctx.ID() == 0 {
+				tail[L-1] = r
+				ctx.BroadcastRec(Rec{Tag: 1, Ints: tail}, 64)
+			}
 			return StepYield
 		})
-	})
-	if err != nil {
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunMachines(Config{Graph: g, Seed: 1, Workers: 1}, factory); err != nil {
 		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if want := [rounds]int{0, 1, 2, 3}; got != want {
+		t.Fatalf("last leaf read tails ending %v, want %v", got, want)
+	}
+	copied := uint64(d * L * 8)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > copied/4 {
+		t.Fatalf("RunMachines allocated %d bytes; copying the tail per receiver would be %d", alloc, copied)
 	}
 }
 

@@ -236,8 +236,8 @@ func (e *engine) flushWakes() bool {
 // record narrates a Send (stamped with Stats.Rounds, the committed round
 // or, on a finish or quiesce verdict, the last one); records for other
 // shards were shipped in batches, and those for live vertices here land
-// in their inbox arenas (deliverRec). Afterwards every own sender's
-// queue is empty.
+// in their inboxes (deliverRec). Afterwards every own sender's queue is
+// empty and its tail arenas swapped.
 func (e *engine) deliver(in []RecBatch) {
 	e.deliv, e.delivBits = 0, 0
 	for s := range max(len(in), 1) { // in-process: position 0 alone, ours
@@ -268,8 +268,8 @@ func (e *engine) deliver(in []RecBatch) {
 	}
 }
 
-// deliverRec lands one record from vertex from in the inbox arena of
-// vertex to — its tail copied, its header slot returned for the caller
+// deliverRec lands one record from vertex from in the inbox of vertex
+// to — its tail shared in place, its header slot returned for the caller
 // to fill from the record's source — unless to has retired: the record
 // was metered and is simply dropped (nil). A parked receiver is flipped
 // awake and queued in e.woken.
@@ -285,11 +285,7 @@ func (e *engine) deliverRec(from, to int, tag uint8, bits int64, tail []int) *Re
 	if e.tracer != nil {
 		e.tracer.Event(TraceEvent{Kind: TraceDeliver, Round: e.stats.Rounds, V: to, Peer: from, Tag: tag, Bits: int(bits)})
 	}
-	off := int32(len(c.inInts))
-	if len(tail) > 0 {
-		c.inInts = append(c.inInts, tail...)
-	}
-	c.inRecs = append(c.inRecs, InRec{From: from, off: off, n: int32(len(tail))})
+	c.inRecs = append(c.inRecs, InRec{From: from, Rec: Rec{Ints: tail}})
 	if c.parked {
 		c.parked = false
 		e.parked--

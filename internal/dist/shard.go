@@ -22,7 +22,7 @@ import (
 // Delivery order: deliver walks source shards in index order with this
 // shard's own senders (ascending id) at its own position — with a
 // contiguous partition, exactly the in-process global ascending-sender
-// order, so per-vertex trace transcripts (and arena inbox order) come out
+// order, so per-vertex trace transcripts (and inbox order) come out
 // identical to the in-process engine.
 
 // shardRecorder buffers the worker's per-vertex trace events for the

@@ -151,7 +151,7 @@ type BatchRec struct {
 }
 
 // fill copies the record's header into a delivered slot (the tail is
-// bound separately, by takeRecs).
+// set by deliverRec).
 func (br *BatchRec) fill(r *Rec) {
 	r.Tag, r.Flag, r.A, r.B, r.F0, r.F1, r.F2 = br.Tag, br.Flag, br.A, br.B, br.F0, br.F1, br.F2
 }
@@ -159,6 +159,13 @@ func (br *BatchRec) fill(r *Rec) {
 // RecBatch is the records one shard sends to one other shard in one
 // round, ordered by (ascending sender id, send order) — the same order
 // deliver walks. Ints is the packed tail arena.
+//
+// Delivery does not copy tails: the receiving worker's records point into
+// Ints until their step returns. A transport therefore hands a delivered
+// batch's arrays over to the worker and must not reuse or overwrite them
+// before the receiving step has returned; both transports here build
+// every frame's batches fresh (chanCoord relays the sender's arrays,
+// and the wire codec decodes into new ones).
 type RecBatch struct {
 	Recs []BatchRec
 	Ints []int
@@ -350,7 +357,9 @@ func (p *chanEndpoint) recv() (*Frame, error) {
 // chanWorker / chanCoord are the reference in-process transport: frames
 // move by pointer over buffered channels. Frame payloads are built
 // fresh each iteration (batches copy record tails out of the sender
-// arenas), so sharing pointers across goroutines is safe.
+// arenas) and never touched again by their sender, so sharing pointers
+// across goroutines is safe and a delivered batch's arrays belong to the
+// receiving worker.
 type chanWorker struct {
 	down *chanEndpoint // coordinator → worker
 	up   *chanEndpoint // worker → coordinator

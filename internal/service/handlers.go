@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -74,12 +75,22 @@ func (s *Server) runJob(job *Job, abort <-chan struct{}, overlay scenario.Params
 	return body, status, err
 }
 
-// decodeJob parses and normalizes the request body.
+// decodeJob parses and normalizes the request body. The body is bounded
+// before it is read: 64 bytes per edge of the largest admissible inline
+// graph plus 1 MiB for the rest, so an oversized job is refused with a
+// 413 instead of being held in memory until MaxEdges can be checked.
 func (s *Server) decodeJob(w http.ResponseWriter, r *http.Request) *Job {
 	var req JobRequest
+	r.Body = http.MaxBytesReader(w, r.Body, 64*int64(s.opts.MaxEdges)+1<<20)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.reject(w, &reqError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("job body exceeds the server limit of %d bytes", tooLarge.Limit)})
+			return nil
+		}
 		s.reject(w, badRequest("invalid job body: %v", err))
 		return nil
 	}

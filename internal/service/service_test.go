@@ -255,7 +255,9 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 }
 
 func TestRejectedRequests(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 1})
+	// MaxEdges 1024 bounds a job body at 64 KiB + 1 MiB.
+	srv, ts := newTestServer(t, Options{Workers: 1, MaxEdges: 1 << 10})
+	oversized := `{"scenario":"twospanner","seed":1` + strings.Repeat(" ", 1<<20+1<<16) + `}`
 	for _, tc := range []struct {
 		name   string
 		body   string
@@ -270,6 +272,7 @@ func TestRejectedRequests(t *testing.T) {
 		{"endpoint out of range", `{"scenario":"twospanner","graph":{"n":2,"edges":[[0,5]]}}`, http.StatusBadRequest},
 		{"weight count mismatch", `{"scenario":"twospanner","graph":{"n":2,"edges":[[0,1]],"weights":[1,2]}}`, http.StatusBadRequest},
 		{"negative weight", `{"scenario":"twospanner","graph":{"n":2,"edges":[[0,1]],"weights":[-1]}}`, http.StatusBadRequest},
+		{"oversized body", oversized, http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -281,8 +284,8 @@ func TestRejectedRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, msg)
 		}
 	}
-	if st := srv.Stats(); st.Rejected != 9 {
-		t.Errorf("rejected = %d, want 9", st.Rejected)
+	if st := srv.Stats(); st.Rejected != 10 {
+		t.Errorf("rejected = %d, want 10", st.Rejected)
 	}
 	if st := srv.pool.Stats(); st.Executions != 0 {
 		t.Errorf("rejected requests executed %d runs", st.Executions)

@@ -386,7 +386,7 @@ func TwoSpannerCongest(g *graph.Graph, opts Options) (*CongestResult, error) {
 		return nil, errors.New("core: the CONGEST variant is unweighted (densities ship as count rationals)")
 	}
 	bandwidth := CongestBandwidth(g.N())
-	ru := newURun(g)
+	ru := newURun(g, twoSpannerVariant(false), opts)
 	subrounds := congestSubrounds(g.MaxDegree())
 	stats, err := dist.RunMachines(dist.Config{
 		Graph:     g,
@@ -399,7 +399,7 @@ func TwoSpannerCongest(g *graph.Graph, opts Options) (*CongestResult, error) {
 		Cancel:    opts.Cancel,
 		Tracer:    opts.Tracer,
 		Shards:    opts.Shards,
-	}, congestFactory(ru, opts))
+	}, congestFactory(ru))
 	if err != nil {
 		return nil, err
 	}
@@ -426,16 +426,12 @@ func congestSubrounds(maxDegree int) int {
 	return sub
 }
 
-// congestFactory wraps the undirected factory in the Section 1.3
-// fragmenting CONGEST adapter.
-func congestFactory(ru *uRun, opts Options) func(*dist.Ctx) dist.Machine {
+// congestFactory wraps the undirected factory of ru, a run of the plain
+// variant, in the Section 1.3 fragmenting CONGEST adapter.
+func congestFactory(ru *uRun) func(*dist.Ctx) dist.Machine {
 	maxDeg := ru.g.MaxDegree()
-	v := twoSpannerVariant(false)
 	return func(ctx *dist.Ctx) dist.Machine {
 		cc := newCongestCtx(ctx, maxDeg)
-		nd := newUndirectedNode(cc, ru.g, v, ru.outs, ru.iters, &ru.fallbacks)
-		nd.opts = opts
-		nd.tele = ru.tele
-		return newCongestMachine(cc, dist.NewPhasedMachine(nd))
+		return newCongestMachine(cc, dist.NewPhasedMachine(newUndirectedNode(cc, ru)))
 	}
 }

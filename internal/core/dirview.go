@@ -45,14 +45,14 @@ func newDirView(nbrs map[int]int, hDir [][2]int) *dirView {
 		}
 		return pairs[i][1] < pairs[j][1]
 	})
-	// Every star edge costs 1; each pair {a, b} is listed, in order, as
-	// an uncovered edge of its lower endpoint a.
-	upper := make([][]int, len(ids))
+	// Every star edge costs 1; each pair {a, b} is listed, in order, in
+	// the H_v row of its lower endpoint a.
+	upper := make([][]int32, len(ids))
 	for _, p := range pairs {
 		i := posOf(ids, p[0])
-		upper[i] = append(upper[i], p[1])
+		upper[i] = append(upper[i], int32(posOf(ids, p[1])))
 	}
-	uv := newLocalView(ids, func(int) float64 { return 1 }, upper)
+	uv := newLocalView(ids, func(int) float64 { return 1 }, func(i int) []int32 { return upper[i] })
 	dv := &dirView{uv: uv, dirCnt: make([]float64, len(uv.nbrs)), mult: make(map[[2]int]int, len(pairs))}
 	for p, id := range uv.nbrs {
 		dv.dirCnt[p] = float64(nbrs[id])

@@ -20,9 +20,9 @@ import (
 // weighted, chosen by g.Weighted()). Output(v) lists vertex v's
 // incident spanner edge indices, sorted.
 func TwoSpannerProgram(g *graph.Graph, opts Options) dist.ShardProgram {
-	ru := newURun(g)
+	ru := newURun(g, twoSpannerVariant(g.Weighted()), opts)
 	return dist.ShardProgram{
-		Factory: ru.factory(twoSpannerVariant(g.Weighted()), opts),
+		Factory: ru.factory(),
 		Output:  ru.output,
 	}
 }
@@ -34,9 +34,9 @@ func ClientServerTwoSpannerProgram(g *graph.Graph, clients, servers *graph.EdgeS
 	if err != nil {
 		return dist.ShardProgram{}, err
 	}
-	ru := newURun(g)
+	ru := newURun(g, v, opts)
 	return dist.ShardProgram{
-		Factory: ru.factory(v, opts),
+		Factory: ru.factory(),
 		Output:  ru.output,
 	}, nil
 }
@@ -48,9 +48,9 @@ func TwoSpannerCongestProgram(g *graph.Graph, opts Options) (dist.ShardProgram, 
 	if g.Weighted() {
 		return dist.ShardProgram{}, errors.New("core: the CONGEST variant is unweighted (densities ship as count rationals)")
 	}
-	ru := newURun(g)
+	ru := newURun(g, twoSpannerVariant(false), opts)
 	return dist.ShardProgram{
-		Factory: congestFactory(ru, opts),
+		Factory: congestFactory(ru),
 		Output:  ru.output,
 	}, nil
 }

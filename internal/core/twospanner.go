@@ -220,31 +220,35 @@ func clientServerVariant(g *graph.Graph, clients, servers *graph.EdgeSet) (varia
 	}, nil
 }
 
-// uRun owns the cross-vertex collectors of one undirected-protocol run:
-// the per-vertex outputs, iteration counts, Claim 4.4 fallback counter,
-// and iteration telemetry the machine factory closes over. It is the
-// state behind both the local runners and the exported shard programs
-// (the distributed runner reads outputs through uRun.output).
+// uRun is the per-run state of one undirected-protocol run, built once
+// and shared by pointer with every vertex: the graph, variant and options
+// the machines read, and the cross-vertex collectors they write — the
+// per-vertex outputs and iteration counts (each slot written only by its
+// own vertex), the Claim 4.4 fallback counter and the iteration telemetry
+// (both atomic). It is the state behind both the local runners and the
+// exported shard programs (the distributed runner reads outputs through
+// uRun.output).
 type uRun struct {
 	g         *graph.Graph
+	v         variant
+	opts      Options
 	outs      [][]int // per-vertex incident spanner edge indices
 	iters     []int   // per-vertex iteration counts
 	fallbacks atomic.Int64
 	tele      *telemetry
 }
 
-func newURun(g *graph.Graph) *uRun {
+func newURun(g *graph.Graph, v variant, opts Options) *uRun {
 	n := g.N()
-	return &uRun{g: g, outs: make([][]int, n), iters: make([]int, n), tele: newTelemetry()}
+	return &uRun{g: g, v: v, opts: opts, outs: make([][]int, n), iters: make([]int, n), tele: newTelemetry()}
 }
 
-// factory builds the per-vertex machines of the undirected protocol.
-func (r *uRun) factory(v variant, opts Options) func(*dist.Ctx) dist.Machine {
+// factory builds the per-vertex machines of the undirected protocol. In
+// the sharded runner several workers call it concurrently; it only reads
+// the run.
+func (r *uRun) factory() func(*dist.Ctx) dist.Machine {
 	return func(ctx *dist.Ctx) dist.Machine {
-		nd := newUndirectedNode(ctx, r.g, v, r.outs, r.iters, &r.fallbacks)
-		nd.opts = opts
-		nd.tele = r.tele
-		return dist.NewPhasedMachine(nd)
+		return dist.NewPhasedMachine(newUndirectedNode(ctx, r))
 	}
 }
 
@@ -281,12 +285,12 @@ func assembleResult(outs [][]int, iters []int, m int, total func(*graph.EdgeSet)
 }
 
 func runUndirected(g *graph.Graph, v variant, opts Options) (*Result, error) {
-	ru := newURun(g)
+	ru := newURun(g, v, opts)
 	stats, err := dist.RunMachines(dist.Config{
 		Graph: g, Seed: opts.Seed, MaxRounds: opts.MaxRounds,
 		Mode: opts.ExecMode, OnRound: opts.RoundHook, Cancel: opts.Cancel,
 		Tracer: opts.Tracer, Shards: opts.Shards,
-	}, ru.factory(v, opts))
+	}, ru.factory())
 	if err != nil {
 		return nil, err
 	}
@@ -428,108 +432,103 @@ type candRec struct {
 	r    int64
 }
 
-// undirectedNode is the per-vertex state of the protocol. All
-// per-neighbor state is held in flat slices indexed by the neighbor's
-// position in the sorted neighbor list: inbox decoding resolves sender
-// positions with a merge scan (seekPos), and the folds and broadcasts
-// scan slices with no map in sight.
-type undirectedNode struct {
-	ctx       roundCtx
-	g         *graph.Graph
-	v         variant
-	opts      Options
-	outs      [][]int
-	iters     []int
-	fallbacks *atomic.Int64
-	tele      *telemetry // may be nil (tests construct nodes directly)
+// nbrState is a vertex's state for one neighbor, kept at the neighbor's
+// position in the sorted neighbor list. A live neighbor's entry always
+// equals what the classic all-broadcast execution would have received
+// from it this iteration, kept in sync by deltas.
+type nbrState struct {
+	dens densVal // its last announced density
+	// Its last announced 1-hop maximum: the 2-hop fold reads only the
+	// density and the weight maximum of a maxMsg.
+	hopRaw, hopWmax float64
+	spanOf          []int // its incident spanner edges (far endpoint ids, sorted)
+	uncovRow              // what H_v keeps of its uncovered edges
+	edgeIdx         int   // index of the incident edge to it
 
-	me      int
-	nbrs    []int // sorted neighbor ids
-	edgeIdx []int // incident edge index per position
-	covered []bool
-	inSpan  []bool
-	myWmax  float64
+	covered   bool // the incident edge is covered
+	inSpan    bool // the incident edge is in the spanner
+	alive     bool // it has not announced termination
+	densKnown bool // dens holds an announcement
+	hopKnown  bool // hopRaw and hopWmax hold an announcement
+	// announcedUncov: the incident edge was announced uncovered, so a
+	// removal is owed once it is covered.
+	announcedUncov bool
+}
+
+// undirectedNode is the per-vertex state of the protocol. The per-run
+// state is shared through run; the per-neighbor state is one slice
+// indexed by the neighbor's position in the sorted neighbor list: inbox
+// decoding resolves sender positions with a merge scan (seekPos), and the
+// folds and broadcasts scan it with no map in sight.
+type undirectedNode struct {
+	ctx roundCtx
+	run *uRun
+
+	me     int
+	nbrs   []int      // sorted neighbor ids
+	nb     []nbrState // per neighbor position
+	myWmax float64
 
 	// Monotone star-choice state (Section 4.1).
-	wasCand  bool
 	lastRho  float64
 	prevStar []int // neighbor ids of last chosen star (selectable + free)
 
-	// Accumulated per-neighbor state, kept in sync by deltas, all indexed
-	// by neighbor position. A live neighbor's entry always equals what the
-	// classic all-broadcast execution would have received from it this
-	// iteration. spanOf/uncovOf are sorted id lists maintained by
-	// merge/remove — the flat replacement for the old map-of-sets fold.
-	alive     []bool
-	spanOf    [][]int // live neighbor -> its incident spanner edges (sorted ids)
-	uncovOf   [][]int // live neighbor -> its uncovered target edges (sorted ids)
-	densOf    []densVal
-	densKnown []bool
-	hopOf     []densVal
-	hopKnown  []bool
-
 	// Own derived quantities and the change-tracking behind the deltas.
-	pendingSpan    []int  // inSpan additions not yet announced (round 1)
-	announcedUncov []bool // per position: uncovered edge announced, removal owed when covered
-	sentUncovInit  bool
+	pendingSpan    []int // inSpan additions not yet announced (round 1)
 	view           *localView
-	viewDirty      bool // uncovOf changed since the view was built
-	hopDirty       bool // own density, a neighbor density, or liveness changed
-	m2Dirty        bool // own 1-hop max, a neighbor 1-hop max, or liveness changed
 	raw            float64
 	num, den       int
 	rho            float64
-	densSent       bool
 	lastDens       densVal
 	hopRaw         float64
 	hopNum, hopDen int
 	hopW           float64
-	hopSent        bool
 	lastHop        densVal
 	m2Raw, m2Rho   float64
 	m2W            float64
 
 	// Per-iteration scratch.
 	iter        int
-	isCand      bool
 	myStar      []int
 	mySpanCount int
 	cands       []candRec
 	myVotes     int
+
+	// Flags, kept together so they pack into one word.
+	wasCand       bool // monotone star choice: a candidate last iteration
+	sentUncovInit bool
+	viewDirty     bool // an uncovered row changed since the view was built
+	hopDirty      bool // own density, a neighbor density, or liveness changed
+	m2Dirty       bool // own 1-hop max, a neighbor 1-hop max, or liveness changed
+	densSent      bool
+	hopSent       bool
+	isCand        bool
 }
 
-func newUndirectedNode(ctx roundCtx, g *graph.Graph, v variant, outs [][]int, iters []int, fb *atomic.Int64) *undirectedNode {
+func newUndirectedNode(ctx roundCtx, run *uRun) *undirectedNode {
 	me := ctx.ID()
 	nd := &undirectedNode{
-		ctx: ctx, g: g, v: v, outs: outs, iters: iters, fallbacks: fb,
+		ctx:       ctx,
+		run:       run,
 		me:        me,
 		nbrs:      ctx.Neighbors(),
 		viewDirty: true,
 		hopDirty:  true,
 		m2Dirty:   true,
 	}
-	deg := len(nd.nbrs)
-	nd.edgeIdx = make([]int, deg)
-	nd.covered = make([]bool, deg)
-	nd.inSpan = make([]bool, deg)
-	nd.alive = make([]bool, deg)
-	nd.spanOf = make([][]int, deg)
-	nd.uncovOf = make([][]int, deg)
-	nd.densOf = make([]densVal, deg)
-	nd.densKnown = make([]bool, deg)
-	nd.hopOf = make([]densVal, deg)
-	nd.hopKnown = make([]bool, deg)
-	nd.announcedUncov = make([]bool, deg)
+	g, v := run.g, run.v
+	nd.nb = make([]nbrState, len(nd.nbrs))
 	for i, u := range nd.nbrs {
 		idx, ok := g.EdgeIndex(me, u)
 		if !ok {
 			panic("core: neighbor without edge")
 		}
-		nd.edgeIdx[i] = idx
-		nd.alive[i] = true
+		nb := &nd.nb[i]
+		nb.edgeIdx = idx
+		nb.alive = true
 		if !v.target(idx) {
 			// Non-target edges never need covering.
-			nd.covered[i] = true
+			nb.covered = true
 		}
 		if g.Weighted() && g.Weight(idx) == 0 && v.starEdge(idx) {
 			// Weighted pre-pass: all zero-weight edges join the spanner.
@@ -543,8 +542,8 @@ func newUndirectedNode(ctx roundCtx, g *graph.Graph, v variant, outs [][]int, it
 // setInSpan records the edge to the neighbor at position i as a spanner
 // member and queues the round-1 delta announcing it.
 func (nd *undirectedNode) setInSpan(i int) {
-	if !nd.inSpan[i] {
-		nd.inSpan[i] = true
+	if !nd.nb[i].inSpan {
+		nd.nb[i].inSpan = true
 		nd.pendingSpan = append(nd.pendingSpan, nd.nbrs[i])
 	}
 }
@@ -554,7 +553,7 @@ func (nd *undirectedNode) setInSpan(i int) {
 // the sender's arena and shared across the fan-out.
 func (nd *undirectedNode) bcast(r dist.Rec, bits int) {
 	for i, u := range nd.nbrs {
-		if nd.alive[i] {
+		if nd.nb[i].alive {
 			nd.ctx.SendRec(u, r, bits)
 		}
 	}
@@ -568,13 +567,13 @@ func (nd *undirectedNode) parkable() bool {
 	if len(nd.pendingSpan) > 0 || nd.viewDirty || nd.hopDirty || nd.m2Dirty {
 		return false
 	}
-	for i := range nd.announcedUncov {
-		if nd.announcedUncov[i] && nd.covered[i] {
+	for i := range nd.nb {
+		if nd.nb[i].announcedUncov && nd.nb[i].covered {
 			return false // owes an uncovered-list removal
 		}
 	}
 	// Candidacy is a pure function of the clean folds.
-	return !(nd.rho > 0 && nd.rho >= nd.m2Rho && nd.v.candidateOK(nd.raw))
+	return !(nd.rho > 0 && nd.rho >= nd.m2Rho && nd.run.v.candidateOK(nd.raw))
 }
 
 // The node implements dist.PhasedProgram: the engine (via
@@ -589,7 +588,7 @@ func (nd *undirectedNode) Phases() (int, int) { return int(phSpan), int(phAccept
 // Begin implements dist.PhasedProgram: record and bump the iteration
 // count, reset the per-iteration scratch.
 func (nd *undirectedNode) Begin() {
-	nd.iters[nd.me] = nd.iter
+	nd.run.iters[nd.me] = nd.iter
 	nd.iter++
 	nd.isCand = false
 	nd.myStar = nil
@@ -637,19 +636,18 @@ func (nd *undirectedNode) Quiesce() { nd.finalizeQuiesced() }
 // 2-neighborhood always contains an active candidate until the vertex
 // itself becomes terminal, so runs normally end by explicit termination.
 func (nd *undirectedNode) finalizeQuiesced() {
-	for i := range nd.nbrs {
-		if !nd.covered[i] && nd.v.directAdd(nd.edgeIdx[i]) {
-			nd.inSpan[i] = true
-			nd.covered[i] = true
+	for i := range nd.nb {
+		nb := &nd.nb[i]
+		if !nb.covered && nd.run.v.directAdd(nb.edgeIdx) {
+			nb.inSpan = true
+			nb.covered = true
 		}
 	}
-	if nd.tele != nil {
-		it := nd.iter
-		if it > 0 {
-			it--
-		}
-		nd.tele.bump(nd.tele.term, it)
+	it := nd.iter
+	if it > 0 {
+		it--
 	}
+	nd.run.tele.bump(nd.run.tele.term, it)
 	nd.emitOutput()
 }
 
@@ -657,6 +655,7 @@ func (nd *undirectedNode) finalizeQuiesced() {
 // ph's inbox) and performs the fold recomputations scheduled at ph. It
 // returns true when the vertex terminated (phStar only).
 func (nd *undirectedNode) emit(ph uPhase) bool {
+	run := nd.run
 	switch ph {
 	case phSpan:
 		if len(nd.pendingSpan) > 0 {
@@ -696,15 +695,14 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 		// remaining uncovered incident edges directly and halt; the
 		// termMsg doubles as the death notice that prunes this vertex
 		// from its peers' broadcasts.
-		if nd.v.terminal(nd.m2Raw, nd.m2W) {
-			if nd.tele != nil {
-				nd.tele.bump(nd.tele.term, nd.iter-1)
-			}
+		if run.v.terminal(nd.m2Raw, nd.m2W) {
+			run.tele.bump(run.tele.term, nd.iter-1)
 			var added []int
 			for i, u := range nd.nbrs {
-				if !nd.covered[i] && nd.v.directAdd(nd.edgeIdx[i]) {
-					nd.inSpan[i] = true
-					nd.covered[i] = true
+				nb := &nd.nb[i]
+				if !nb.covered && run.v.directAdd(nb.edgeIdx) {
+					nb.inSpan = true
+					nb.covered = true
 					added = append(added, u)
 				}
 			}
@@ -715,18 +713,16 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 			return true
 		}
 		// Candidacy and star choice (Section 4.1).
-		nd.isCand = nd.rho > 0 && nd.rho >= nd.m2Rho && nd.v.candidateOK(nd.raw)
+		nd.isCand = nd.rho > 0 && nd.rho >= nd.m2Rho && run.v.candidateOK(nd.raw)
 		if nd.isCand {
-			if nd.tele != nil {
-				nd.tele.bump(nd.tele.cand, nd.iter-1)
-			}
+			run.tele.bump(run.tele.cand, nd.iter-1)
 			var prev []bool
-			if !nd.opts.FreshStars && nd.wasCand && nd.lastRho == nd.rho && nd.prevStar != nil {
+			if !run.opts.FreshStars && nd.wasCand && nd.lastRho == nd.rho && nd.prevStar != nil {
 				prev = nd.view.maskFromIDs(nd.prevStar)
 			}
 			sel, fb := nd.view.chooseStar(nd.rho, prev)
 			if fb {
-				nd.fallbacks.Add(1)
+				run.fallbacks.Add(1)
 			}
 			nd.myStar = nd.view.starNeighborIDs(sel)
 			spanned, _ := nd.view.starValue(sel)
@@ -744,7 +740,7 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 		// (r, id)) that 2-spans it. Every kept candidate's star holds me.
 		var votes map[int][]int
 		for i, u := range nd.nbrs {
-			if nd.covered[i] || nd.me > u {
+			if nd.nb[i].covered || nd.me > u {
 				continue // not an owner, or nothing to vote for
 			}
 			bestV, bestR := -1, int64(0)
@@ -769,10 +765,8 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 			nd.ctx.SendRec(vid, m.rec(), m.Bits())
 		}
 	case phAccept:
-		if nd.isCand && nd.opts.voteDenominator()*nd.myVotes >= nd.mySpanCount && nd.mySpanCount > 0 {
-			if nd.tele != nil {
-				nd.tele.bump(nd.tele.accept, nd.iter-1)
-			}
+		if nd.isCand && run.opts.voteDenominator()*nd.myVotes >= nd.mySpanCount && nd.mySpanCount > 0 {
+			run.tele.bump(run.tele.accept, nd.iter-1)
 			for _, u := range nd.myStar {
 				nd.setInSpan(posOf(nd.nbrs, u))
 			}
@@ -803,9 +797,9 @@ func (nd *undirectedNode) emitUncov() {
 		nd.sentUncovInit = true
 		var full []int
 		for i, u := range nd.nbrs {
-			if !nd.covered[i] {
+			if !nd.nb[i].covered {
 				full = append(full, u)
-				nd.announcedUncov[i] = true
+				nd.nb[i].announcedUncov = true
 			}
 		}
 		m := uncovMsg{nbrs: full, full: true, n: nd.ctx.N()}
@@ -814,9 +808,9 @@ func (nd *undirectedNode) emitUncov() {
 	}
 	var dels []int
 	for i, u := range nd.nbrs {
-		if nd.announcedUncov[i] && nd.covered[i] {
+		if nb := &nd.nb[i]; nb.announcedUncov && nb.covered {
 			dels = append(dels, u)
-			nd.announcedUncov[i] = false
+			nb.announcedUncov = false
 		}
 	}
 	if len(dels) == 0 {
@@ -828,7 +822,7 @@ func (nd *undirectedNode) emitUncov() {
 
 // process decodes the records of phase ph in place: sender positions come
 // from the seekPos merge scan, scalar fields are read straight off the
-// record, and list tails are folded into the flat per-neighbor slices.
+// record, and list tails are folded into the per-neighbor state.
 func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 	j := 0
 	switch ph {
@@ -839,10 +833,9 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
-			if !nd.alive[j] {
-				continue
+			if nb := &nd.nb[j]; nb.alive {
+				nb.spanOf = mergeSorted(nb.spanOf, r.Ints)
 			}
-			nd.spanOf[j] = mergeSorted(nd.spanOf[j], r.Ints)
 		}
 		nd.updateCoverage()
 	case phUncov:
@@ -852,13 +845,14 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
-			if !nd.alive[j] {
+			nb := &nd.nb[j]
+			if !nb.alive {
 				continue
 			}
 			if r.Flag != 0 {
-				nd.uncovOf[j] = append(nd.uncovOf[j][:0], r.Ints...)
+				nb.announce(nd.nbrs, j, r.Ints)
 			} else {
-				nd.uncovOf[j] = removeSorted(nd.uncovOf[j], r.Ints)
+				nb.remove(nd.nbrs, r.Ints)
 			}
 			nd.viewDirty = true
 		}
@@ -869,12 +863,11 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
-			if !nd.alive[j] {
-				continue
+			if nb := &nd.nb[j]; nb.alive {
+				nb.dens = densVal{raw: r.F1, num: int(r.A), den: int(r.B), wmax: r.F2}
+				nb.densKnown = true
+				nd.hopDirty = true
 			}
-			nd.densOf[j] = densVal{raw: r.F1, num: int(r.A), den: int(r.B), wmax: r.F2}
-			nd.densKnown[j] = true
-			nd.hopDirty = true
 		}
 	case phMax:
 		for i := range inbox {
@@ -883,12 +876,11 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
-			if !nd.alive[j] {
-				continue
+			if nb := &nd.nb[j]; nb.alive {
+				nb.hopRaw, nb.hopWmax = r.F1, r.F2
+				nb.hopKnown = true
+				nd.m2Dirty = true
 			}
-			nd.hopOf[j] = densVal{raw: r.F1, num: int(r.A), den: int(r.B), wmax: r.F2}
-			nd.hopKnown[j] = true
-			nd.m2Dirty = true
 		}
 	case phStar:
 		for i := range inbox {
@@ -938,22 +930,24 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 // position i: record the direct-added edges naming this vertex, then
 // prune the sender from every accumulated fold — exactly the information
 // the classic execution loses when a terminated vertex stops
-// broadcasting.
+// broadcasting. The view changes exactly when the sender's announced
+// uncovered list was non-empty, whether or not H_v kept any of it.
 func (nd *undirectedNode) processDeath(i int, added []int) {
 	for _, w := range added {
 		if w == nd.me {
 			nd.setInSpan(i)
-			nd.covered[i] = true
+			nd.nb[i].covered = true
 		}
 	}
-	nd.alive[i] = false
-	nd.densKnown[i] = false
-	nd.hopKnown[i] = false
-	nd.spanOf[i] = nil
-	if len(nd.uncovOf[i]) > 0 {
+	nb := &nd.nb[i]
+	nb.alive = false
+	nb.densKnown = false
+	nb.hopKnown = false
+	nb.spanOf = nil
+	if nb.uncovLen > 0 {
 		nd.viewDirty = true
 	}
-	nd.uncovOf[i] = nil
+	nb.uncovRow = uncovRow{}
 	nd.hopDirty = true
 	nd.m2Dirty = true
 }
@@ -963,28 +957,29 @@ func (nd *undirectedNode) processDeath(i int, added []int) {
 // announced spanner edges.
 func (nd *undirectedNode) updateCoverage() {
 	for i, u := range nd.nbrs {
-		if nd.covered[i] {
+		nb := &nd.nb[i]
+		if nb.covered {
 			continue
 		}
-		if nd.inSpan[i] {
-			nd.covered[i] = true
+		if nb.inSpan {
+			nb.covered = true
 			continue
 		}
-		for x := range nd.nbrs {
-			if nd.inSpan[x] && nd.alive[x] && containsSorted(nd.spanOf[x], u) {
-				nd.covered[i] = true
+		for x := range nd.nb {
+			if w := &nd.nb[x]; w.inSpan && w.alive && containsSorted(w.spanOf, u) {
+				nb.covered = true
 				break
 			}
 		}
 	}
 }
 
-// rebuildView reassembles the localView from the accumulated uncovered
-// sets and recomputes the densest-star density (the expensive flow-oracle
-// step — now run only when an input actually changed).
+// rebuildView reassembles the localView from the H_v rows and recomputes
+// the densest-star density (the expensive flow-oracle step — now run only
+// when an input actually changed).
 func (nd *undirectedNode) rebuildView() {
 	nd.viewDirty = false
-	nd.view = newLocalView(nd.nbrs, nd.starCost, nd.uncovOf)
+	nd.view = newLocalView(nd.nbrs, nd.starCost, nd.above)
 	sel, _ := nd.view.densestStar(nil)
 	raw, num, den := 0.0, 0, 1
 	if sel != nil {
@@ -1002,7 +997,7 @@ func (nd *undirectedNode) rebuildView() {
 	}
 	nd.raw, nd.num, nd.den = raw, num, den
 	nd.rho = RoundUpPow2(raw)
-	if nd.opts.NoRounding {
+	if nd.run.opts.NoRounding {
 		nd.rho = raw
 	}
 }
@@ -1015,11 +1010,12 @@ func (nd *undirectedNode) refoldHop() {
 	oldHop := densVal{raw: nd.hopRaw, num: nd.hopNum, den: nd.hopDen, wmax: nd.hopW}
 	nd.hopRaw, nd.hopNum, nd.hopDen = nd.raw, nd.num, nd.den
 	nd.hopW = nd.myWmax
-	for i := range nd.nbrs {
-		if !nd.alive[i] || !nd.densKnown[i] {
+	for i := range nd.nb {
+		nb := &nd.nb[i]
+		if !nb.alive || !nb.densKnown {
 			continue
 		}
-		d := nd.densOf[i]
+		d := nb.dens
 		if d.raw > nd.hopRaw {
 			nd.hopRaw, nd.hopNum, nd.hopDen = d.raw, d.num, d.den
 		}
@@ -1034,16 +1030,16 @@ func (nd *undirectedNode) refoldHop() {
 func (nd *undirectedNode) refoldM2() {
 	nd.m2Dirty = false
 	nd.m2Raw, nd.m2W = nd.hopRaw, nd.hopW
-	for i := range nd.nbrs {
-		if !nd.alive[i] || !nd.hopKnown[i] {
+	for i := range nd.nb {
+		nb := &nd.nb[i]
+		if !nb.alive || !nb.hopKnown {
 			continue
 		}
-		h := nd.hopOf[i]
-		nd.m2Raw = maxf(nd.m2Raw, h.raw)
-		nd.m2W = maxf(nd.m2W, h.wmax)
+		nd.m2Raw = maxf(nd.m2Raw, nb.hopRaw)
+		nd.m2W = maxf(nd.m2W, nb.hopWmax)
 	}
 	nd.m2Rho = RoundUpPow2(nd.m2Raw)
-	if nd.opts.NoRounding {
+	if nd.run.opts.NoRounding {
 		nd.m2Rho = nd.m2Raw
 	}
 }
@@ -1051,22 +1047,25 @@ func (nd *undirectedNode) refoldM2() {
 // starCost is the view's cost of the star edge to nbrs[i]: its weight
 // (zero for a free edge), or -1 when the variant's star cannot use it.
 func (nd *undirectedNode) starCost(i int) float64 {
-	idx := nd.edgeIdx[i]
-	if !nd.v.starEdge(idx) {
+	idx := nd.nb[i].edgeIdx
+	if !nd.run.v.starEdge(idx) {
 		return -1
 	}
-	return nd.g.Weight(idx)
+	return nd.run.g.Weight(idx)
 }
+
+// above is the view's H_v row of nbrs[i].
+func (nd *undirectedNode) above(i int) []int32 { return nd.nb[i].above }
 
 func (nd *undirectedNode) emitOutput() {
 	var out []int
-	for i := range nd.nbrs {
-		if nd.inSpan[i] {
-			out = append(out, nd.edgeIdx[i])
+	for i := range nd.nb {
+		if nd.nb[i].inSpan {
+			out = append(out, nd.nb[i].edgeIdx)
 		}
 	}
 	sort.Ints(out)
-	nd.outs[nd.me] = out
+	nd.run.outs[nd.me] = out
 }
 
 func maxf(a, b float64) float64 {

@@ -36,12 +36,12 @@ const (
 // newLocalView builds the view of a center whose neighbor ids are nbrs,
 // sorted. cost(i) is the star-edge cost of nbrs[i]: positive for a
 // selectable neighbor, zero for a free one, negative when no star may use
-// the edge. uncov[i] lists, sorted, the far endpoints of nbrs[i]'s
-// uncovered edges; those that are neighbors above nbrs[i] are the
-// 2-spannable H_v edges, read off by one merge scan per neighbor in
-// (lower endpoint, upper endpoint) order — the order that fixes each
-// hAdj list and so every densest-star instance.
-func newLocalView(nbrs []int, cost func(i int) float64, uncov [][]int) *localView {
+// the edge. above(i) lists, ascending, the positions q > i of the
+// neighbors nbrs[q] that nbrs[i]'s uncovered edges reach — its row of
+// H_v (see uncovRow). Reading the rows in (lower endpoint, upper
+// endpoint) order fixes each hAdj list and so every densest-star
+// instance.
+func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int32) *localView {
 	at := make([]int32, len(nbrs)) // selectable position, viewFree or viewUnusable
 	k := 0
 	for i := range nbrs {
@@ -69,27 +69,13 @@ func newLocalView(nbrs []int, cost func(i int) float64, uncov [][]int) *localVie
 			v.free = append(v.free, id)
 		}
 	}
-	for i, u := range nbrs {
+	for i := range nbrs {
 		a := at[i]
 		if a == viewUnusable {
 			continue
 		}
-		above := nbrs[i+1:]
-		j := 0
-		for _, w := range uncov[i] {
-			if w <= u {
-				continue
-			}
-			for j < len(above) && above[j] < w {
-				j++
-			}
-			if j == len(above) {
-				break
-			}
-			if above[j] != w {
-				continue
-			}
-			switch b := at[i+1+j]; {
+		for _, q := range above(i) {
+			switch b := at[q]; {
 			case a >= 0 && b >= 0:
 				v.hAdj[a] = append(v.hAdj[a], int(b))
 				v.hAdj[b] = append(v.hAdj[b], int(a))
@@ -101,10 +87,60 @@ func newLocalView(nbrs []int, cost func(i int) float64, uncov [][]int) *localVie
 			}
 			// Otherwise both endpoints are free (the edge is covered by
 			// the free star edges added at start-up and never appears in
-			// H_v), or the star cannot use the edge to w.
+			// H_v), or the star cannot use the edge to nbrs[q].
 		}
 	}
 	return v
+}
+
+// uncovRow is what a center keeps of the uncovered list its neighbor
+// nbrs[i] announced: the list's length, and the part H_v can use — the
+// positions q > i whose neighbor nbrs[q] the list names, ascending. Each
+// H_v edge is kept once, by its lower endpoint; the ids below nbrs[i],
+// the center and the non-neighbors in the list are only counted.
+type uncovRow struct {
+	above    []int32
+	uncovLen int
+}
+
+// announce replaces the row with the full uncovered list ids (sorted) of
+// nbrs[i]: one merge scan against the neighbors above it.
+func (h *uncovRow) announce(nbrs []int, i int, ids []int) {
+	h.uncovLen = len(ids)
+	h.above = h.above[:0]
+	q := i + 1
+	for _, w := range ids {
+		for q < len(nbrs) && nbrs[q] < w {
+			q++
+		}
+		if q == len(nbrs) {
+			break
+		}
+		if nbrs[q] == w {
+			h.above = append(h.above, int32(q))
+			q++
+		}
+	}
+}
+
+// remove deletes the sorted ids, a subset of the announced list, from the
+// row. Ids the row does not hold are skipped.
+func (h *uncovRow) remove(nbrs []int, ids []int) {
+	h.uncovLen -= len(ids)
+	out := h.above[:0]
+	k := 0
+	for _, q := range h.above {
+		id := nbrs[q]
+		for k < len(ids) && ids[k] < id {
+			k++
+		}
+		if k < len(ids) && ids[k] == id {
+			k++
+			continue
+		}
+		out = append(out, q)
+	}
+	h.above = out
 }
 
 // position returns the position of the selectable neighbor id, -1 when id

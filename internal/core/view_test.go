@@ -6,6 +6,9 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"distspanner/internal/dist"
+	"distspanner/internal/graph"
 )
 
 func TestRoundUpPow2(t *testing.T) {
@@ -214,10 +217,17 @@ func viewOf(sel map[int]float64, free []int, h [][2]int) *localView {
 		i := posOf(ids, a)
 		uncov[i] = append(uncov[i], b)
 	}
-	for _, l := range uncov {
+	rows := make([]uncovRow, len(ids))
+	for i, l := range uncov {
 		sort.Ints(l)
+		rows[i].announce(ids, i, l)
 	}
-	return newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, uncov)
+	return newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, rowsAbove(rows))
+}
+
+// rowsAbove is newLocalView's H_v row accessor over a slice of rows.
+func rowsAbove(rows []uncovRow) func(int) []int32 {
+	return func(i int) []int32 { return rows[i].above }
 }
 
 // refLocalView is the map-based view construction newLocalView replaced,
@@ -295,14 +305,18 @@ func refLocalView(nbrs []int, star []bool, weight []float64, uncov [][]int) *loc
 // TestLocalViewMatchesMapReference builds seeded random neighborhoods —
 // unit and real weights, about 20% free neighbors, a client-server
 // star-edge predicate on half the instances, and uncovered lists that
-// mix neighbors above and below, non-neighbors, and the center — through
-// newLocalView and through the map-based reference, and requires the
-// same view field by field (hAdj order included) and the same densest
-// star to the bit.
+// mix neighbors above and below, non-neighbors, and the center. Each
+// list is announced in full and then thinned by one to four removal
+// batches (sorted subsets of what is left), applied to the reference id
+// lists by removeSorted and to the H_v rows by the receipt code. The
+// view built from the rows by newLocalView must equal the map-based
+// reference built from the ids field by field (hAdj order included), with
+// the same densest star to the bit, and each row must keep its list's
+// length.
 func TestLocalViewMatchesMapReference(t *testing.T) {
 	const instances = 1200
 	rng := rand.New(rand.NewSource(17))
-	var withPairs, withBonus, withStar int
+	var withPairs, withBonus, withStar, dropsHeld, skipsUnheld int
 	for inst := 0; inst < instances; inst++ {
 		universe := 8 + rng.Intn(56)
 		center := rng.Intn(universe)
@@ -328,6 +342,7 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 			}
 		}
 		uncov := make([][]int, len(nbrs))
+		rows := make([]uncovRow, len(nbrs))
 		p := rng.Float64()
 		for i := range nbrs {
 			if rng.Float64() < 0.1 {
@@ -338,6 +353,36 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 					uncov[i] = append(uncov[i], id)
 				}
 			}
+			rows[i].announce(nbrs, i, uncov[i])
+		}
+		for batch := 1 + rng.Intn(4); batch > 0; batch-- {
+			q := 0.4 * rng.Float64()
+			for i := range nbrs {
+				var del []int
+				for _, id := range uncov[i] {
+					if rng.Float64() < q {
+						del = append(del, id)
+					}
+				}
+				if len(del) == 0 {
+					continue
+				}
+				held := len(rows[i].above)
+				uncov[i] = removeSorted(uncov[i], del)
+				rows[i].remove(nbrs, del)
+				dropped := held - len(rows[i].above)
+				if dropped > 0 {
+					dropsHeld++
+				}
+				if dropped < len(del) {
+					skipsUnheld++
+				}
+			}
+		}
+		for i := range rows {
+			if rows[i].uncovLen != len(uncov[i]) {
+				t.Fatalf("instance %d: row %d keeps length %d, list has %d", inst, i, rows[i].uncovLen, len(uncov[i]))
+			}
 		}
 		cost := func(i int) float64 {
 			if !star[i] {
@@ -345,7 +390,7 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 			}
 			return weight[i]
 		}
-		got := newLocalView(nbrs, cost, uncov)
+		got := newLocalView(nbrs, cost, rowsAbove(rows))
 		want := refLocalView(nbrs, star, weight, uncov)
 		if !slices.Equal(got.nbrs, want.nbrs) || !slices.Equal(got.cost, want.cost) ||
 			!slices.Equal(got.bonus, want.bonus) || !slices.Equal(got.free, want.free) ||
@@ -367,9 +412,82 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 			withStar++
 		}
 	}
-	// The generator must exercise every branch of the construction.
+	// The generator must exercise every branch of the construction, and
+	// removal batches must both drop held positions and skip ids a row
+	// does not hold.
 	if withPairs < instances/2 || withBonus < instances/4 || withStar < instances/2 {
 		t.Fatalf("degenerate instances: %d with H_v pairs, %d with bonuses, %d with a dense star of %d",
 			withPairs, withBonus, withStar, instances)
+	}
+	if dropsHeld < instances || skipsUnheld < instances {
+		t.Fatalf("degenerate removals: %d batches dropped held positions, %d skipped unheld ids", dropsHeld, skipsUnheld)
+	}
+}
+
+// stubCtx is a roundCtx that discards sends, for driving one node's
+// receive path directly.
+type stubCtx struct {
+	id, n int
+	nbrs  []int
+}
+
+func (c *stubCtx) ID() int                    { return c.id }
+func (c *stubCtx) N() int                     { return c.n }
+func (c *stubCtx) Neighbors() []int           { return c.nbrs }
+func (c *stubCtx) Rand() *rand.Rand           { return nil }
+func (c *stubCtx) SendRec(int, dist.Rec, int) {}
+
+// TestDeathDirtiesViewIffListAnnounced drives a center's uncovered-list
+// receipts and then each neighbor's termination: the death must mark
+// the view dirty exactly when the neighbor's announced list is
+// non-empty — including a list that names no neighbor above the sender,
+// whose H_v row is empty although its length is not — because parking,
+// ActiveSteps/ParkedSteps and the transcript's park events follow the
+// dirty flag.
+func TestDeathDirtiesViewIffListAnnounced(t *testing.T) {
+	// Center 0 with neighbors 1..5; vertices 6 and 7 are not its
+	// neighbors.
+	g := graph.New(8)
+	for u := 1; u <= 5; u++ {
+		g.AddEdge(0, u)
+	}
+	for _, e := range [][2]int{{1, 2}, {1, 6}, {2, 3}, {3, 7}, {4, 5}, {5, 6}, {5, 7}} {
+		g.AddEdge(e[0], e[1])
+	}
+	cases := []struct {
+		name    string
+		from    int
+		full    []int
+		removes [][]int
+		above   int // positions the row keeps
+		dirty   bool
+	}{
+		{name: "nothing uncovered", from: 1, full: nil, dirty: false},
+		{name: "neighbor above", from: 1, full: []int{0, 2}, above: 1, dirty: true},
+		{name: "only ids below, center and non-neighbors", from: 5, full: []int{0, 4, 6, 7}, above: 0, dirty: true},
+		{name: "thinned but not empty", from: 2, full: []int{0, 1, 3}, removes: [][]int{{0, 3}}, above: 0, dirty: true},
+		{name: "emptied by removals", from: 3, full: []int{0, 2, 7}, removes: [][]int{{2}, {0, 7}}, above: 0, dirty: false},
+		{name: "removal of unheld ids keeps above", from: 1, full: []int{0, 2, 3, 6}, removes: [][]int{{0, 6}}, above: 2, dirty: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nd := newUndirectedNode(&stubCtx{id: 0, n: g.N(), nbrs: g.Neighbors(0)}, newURun(g, twoSpannerVariant(false), Options{}))
+			i := posOf(nd.nbrs, c.from)
+			nd.process(phUncov, []dist.InRec{{From: c.from, Rec: uncovMsg{nbrs: c.full, full: true, n: g.N()}.rec()}})
+			for _, del := range c.removes {
+				nd.process(phUncov, []dist.InRec{{From: c.from, Rec: uncovMsg{nbrs: del, n: g.N()}.rec()}})
+			}
+			if got := len(nd.nb[i].above); got != c.above {
+				t.Fatalf("row keeps %d positions, want %d", got, c.above)
+			}
+			nd.viewDirty = false
+			nd.process(phStar, []dist.InRec{{From: c.from, Rec: termMsg{n: g.N()}.rec()}})
+			if nd.viewDirty != c.dirty {
+				t.Fatalf("death of %d: viewDirty = %v, want %v", c.from, nd.viewDirty, c.dirty)
+			}
+			if nb := nd.nb[i]; nb.alive || nb.uncovLen != 0 || nb.above != nil {
+				t.Fatalf("death of %d left alive=%v, row %+v", c.from, nb.alive, nb.uncovRow)
+			}
+		})
 	}
 }

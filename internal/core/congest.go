@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"distspanner/internal/dist"
 	"distspanner/internal/graph"
@@ -138,10 +137,11 @@ func ratValue(num, den int) float64 {
 // into chunk records. All vertices derive `sub` from the globally known n
 // and Δ, keeping the network in lockstep.
 type congestCtx struct {
-	ctx   *dist.Ctx
-	sub   int
-	cbits int // metered size of one chunk
-	out   map[int]pendingPayload
+	ctx     *dist.Ctx
+	sub     int
+	cbits   int              // metered size of one chunk
+	out     []pendingPayload // per neighbor position; kind 0 means none
+	pending int              // payloads queued in out
 }
 
 type pendingPayload struct {
@@ -153,7 +153,8 @@ type pendingPayload struct {
 // payload: star/uncovered/spanner lists have at most Δ+2 words and vote
 // lists at most 2Δ words.
 func newCongestCtx(ctx *dist.Ctx, maxDegree int) *congestCtx {
-	return &congestCtx{ctx: ctx, sub: congestSubrounds(maxDegree), cbits: chunkBits(ctx.N()), out: make(map[int]pendingPayload)}
+	return &congestCtx{ctx: ctx, sub: congestSubrounds(maxDegree), cbits: chunkBits(ctx.N()),
+		out: make([]pendingPayload, len(ctx.Neighbors()))}
 }
 
 // Subrounds reports the physical rounds per logical round: the measured
@@ -180,7 +181,8 @@ func (c *congestCtx) SendRec(to int, r dist.Rec, _ int) {
 	if err != nil {
 		panic(err)
 	}
-	if _, dup := c.out[to]; dup {
+	p := &c.out[posOf(c.ctx.Neighbors(), to)]
+	if p.kind != 0 {
 		// The protocol sends at most one payload per (sender, receiver)
 		// per logical round, which keeps reassembly unambiguous.
 		panic("core: two payloads to one receiver in a logical round")
@@ -190,10 +192,12 @@ func (c *congestCtx) SendRec(to int, r dist.Rec, _ int) {
 	// tails requires stability until commit) — the fragment loop below
 	// reads it across sub physical rounds, so keep the reference; callers
 	// rebuild their payloads per logical round.
-	c.out[to] = pendingPayload{kind: kind, words: words}
+	*p = pendingPayload{kind: kind, words: words}
+	c.pending++
 }
 
-// inStream reassembles one sender's fragmented payload.
+// inStream reassembles one sender's fragmented payload; kind 0 means the
+// sender sent nothing in this window.
 type inStream struct {
 	kind  uint8
 	words []int
@@ -201,17 +205,19 @@ type inStream struct {
 }
 
 // collectChunks folds one physical round's chunk records into the
-// reassembly map.
-func collectChunks(incoming map[int]*inStream, msgs []dist.InRec) {
+// reassembly streams, one per neighbor position. Chunks arrive in
+// ascending sender order, so a merge scan finds each sender's stream.
+func collectChunks(nbrs []int, incoming []inStream, msgs []dist.InRec) {
+	j := 0
 	for i := range msgs {
 		m := &msgs[i]
 		if m.Tag != tagChunk {
 			panic(fmt.Sprintf("core: non-chunk record tag %d in CONGEST mode", m.Tag))
 		}
-		st := incoming[m.From]
-		if st == nil || st.done {
-			st = &inStream{kind: m.Flag}
-			incoming[m.From] = st
+		j = seekPos(nbrs, j, m.From)
+		st := &incoming[j]
+		if st.kind == 0 || st.done {
+			*st = inStream{kind: m.Flag, words: st.words[:0]}
 		}
 		// The chunk's word tail aliases the sender's arena; copy.
 		st.words = append(st.words, m.Ints...)
@@ -221,22 +227,20 @@ func collectChunks(incoming map[int]*inStream, msgs []dist.InRec) {
 	}
 }
 
-// assemble decodes the reassembled streams into the logical inbox, sorted
-// by sender.
-func (c *congestCtx) assemble(incoming map[int]*inStream) []dist.InRec {
-	froms := make([]int, 0, len(incoming))
-	for from := range incoming {
-		froms = append(froms, from)
-	}
-	sort.Ints(froms)
-	msgs := make([]dist.InRec, 0, len(froms))
-	for _, from := range froms {
-		st := incoming[from]
+// assemble decodes the reassembled streams into the logical inbox, in
+// ascending sender order.
+func (c *congestCtx) assemble(incoming []inStream) []dist.InRec {
+	var msgs []dist.InRec
+	for j := range incoming {
+		st := &incoming[j]
+		if st.kind == 0 {
+			continue
+		}
 		r, err := decodePayload(st.kind, st.words, c.ctx.N())
 		if err != nil {
 			panic(err)
 		}
-		msgs = append(msgs, dist.InRec{From: from, Rec: r})
+		msgs = append(msgs, dist.InRec{From: c.ctx.Neighbors()[j], Rec: r})
 	}
 	return msgs
 }
@@ -271,7 +275,7 @@ type congestMachine struct {
 	state    cmState
 	round    int // physical rounds already spent in the current window
 	sending  []congestStream
-	incoming map[int]*inStream
+	incoming []inStream // per neighbor position, for the current window
 }
 
 func newCongestMachine(cc *congestCtx, inner dist.Machine) *congestMachine {
@@ -292,12 +296,12 @@ func (m *congestMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 		// wake lands on round 0 of the window and the remaining sub-1
 		// physical rounds finish the collection and re-align the vertex
 		// with the network's round grid.
-		m.incoming = make(map[int]*inStream)
-		collectChunks(m.incoming, in.Recs)
+		m.openWindow()
+		collectChunks(c.Neighbors(), m.incoming, in.Recs)
 		m.round = 1
 		return m.stream(c)
 	default: // cmStream
-		collectChunks(m.incoming, in.Recs)
+		collectChunks(c.Neighbors(), m.incoming, in.Recs)
 		return m.stream(c)
 	}
 }
@@ -307,32 +311,41 @@ func (m *congestMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 func (m *congestMachine) advance(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 	switch m.inner.Step(c, in) {
 	case dist.StepDone:
-		if len(m.cc.out) != 0 {
+		if m.cc.pending != 0 {
 			panic("core: congest machine retired with queued sends")
 		}
 		return dist.StepDone
 	case dist.StepPark:
-		if len(m.cc.out) != 0 {
+		if m.cc.pending != 0 {
 			panic("core: congest park with queued sends (park only when silent)")
 		}
 		m.state = cmParked
 		return dist.StepPark
 	}
-	// Inner yield: open a new logical window over the queued payloads.
+	// Inner yield: open a new logical window over the queued payloads, in
+	// ascending receiver order.
 	m.sending = m.sending[:0]
-	tos := make([]int, 0, len(m.cc.out))
-	for to := range m.cc.out {
-		tos = append(tos, to)
+	for j := range m.cc.out {
+		if p := &m.cc.out[j]; p.kind != 0 {
+			m.sending = append(m.sending, congestStream{to: c.Neighbors()[j], kind: p.kind, words: p.words})
+			*p = pendingPayload{}
+		}
 	}
-	sort.Ints(tos)
-	for _, to := range tos {
-		p := m.cc.out[to]
-		m.sending = append(m.sending, congestStream{to: to, kind: p.kind, words: p.words})
-	}
-	m.cc.out = make(map[int]pendingPayload)
-	m.incoming = make(map[int]*inStream)
+	m.cc.pending = 0
+	m.openWindow()
 	m.round = 0
 	return m.stream(c)
+}
+
+// openWindow clears the reassembly streams for a new logical window,
+// keeping their buffers.
+func (m *congestMachine) openWindow() {
+	if m.incoming == nil {
+		m.incoming = make([]inStream, len(m.cc.out))
+	}
+	for j := range m.incoming {
+		m.incoming[j] = inStream{words: m.incoming[j].words[:0]}
+	}
 }
 
 // stream either closes the window (sub physical rounds spent: reassemble

@@ -106,10 +106,10 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 		name string
 		r    dist.Rec
 	}{
-		{"spanList", spanListMsg{nbrs: []int{1, 5, 9}, n: n}.rec()},
-		{"uncov", uncovMsg{nbrs: []int{2, 3}, n: n}.rec()},
-		{"uncov-full", uncovMsg{nbrs: []int{2, 3}, full: true, n: n}.rec()},
-		{"uncov-empty", uncovMsg{n: n}.rec()},
+		{"spanList", spanListMsg{nbrs: []int{1, 5, 9}, n: n}.rec(tagSpan)},
+		{"uncov", uncovMsg{nbrs: []int{2, 3}, n: n}.rec(tagUncov)},
+		{"uncov-full", uncovMsg{nbrs: []int{2, 3}, full: true, n: n}.rec(tagUncov)},
+		{"uncov-empty", uncovMsg{n: n}.rec(tagUncov)},
 		{"dens", densMsg{rho: 4, raw: 3.5, wmax: 1, num: 7, den: 2}.rec()},
 		{"max", maxMsg{rho: 4, raw: 7.0 / 3.0, wmax: 1, num: 7, den: 3}.rec()},
 		{"star", starMsg{star: []int{7, 8, 20}, r: (int64(3) << 31) | 12345, n: n}.rec()},

@@ -18,7 +18,13 @@ import "distspanner/internal/dist"
 // persistent per-neighbor state, so a vertex whose state did not change
 // sends nothing and a parked vertex receives nothing. Each phase has a
 // distinct record tag — that is how a vertex woken from parking re-identifies
-// the current phase (see classifyUndirected / classifyDirected).
+// the current phase (see classify).
+//
+// A directed run (Theorem 4.9) sends the same density, maximum and vote
+// records. Its span and uncovered-list records have the undirected
+// layout under their own tags, tagDirSpan and tagDirUncov; their entries
+// name out-neighbors, the heads of the sender's arcs. Its star,
+// acceptance and termination records are dirStarMsg and dirTermMsg.
 
 // Record tags. Tags within one protocol's phases are disjoint; the tag is
 // the type information a record carries.
@@ -40,19 +46,21 @@ const (
 
 // spanListMsg announces the sender's newly added incident spanner edges,
 // named by the far endpoint. Phase G'; sent only when the sender's
-// spanner membership grew since its last announcement.
+// spanner membership grew since its last announcement. rec takes the
+// run's tag: tagSpan, or tagDirSpan for out-arcs.
 type spanListMsg struct {
 	nbrs []int
 	n    int
 }
 
-func (m spanListMsg) Bits() int     { return (1 + len(m.nbrs)) * dist.IDBits(m.n) }
-func (m spanListMsg) rec() dist.Rec { return dist.Rec{Tag: tagSpan, Ints: m.nbrs} }
+func (m spanListMsg) Bits() int              { return (1 + len(m.nbrs)) * dist.IDBits(m.n) }
+func (m spanListMsg) rec(tag uint8) dist.Rec { return dist.Rec{Tag: tag, Ints: m.nbrs} }
 
 // uncovMsg announces the sender's incident uncovered target edges, named
 // by the far endpoint: the full list once at start-up (full=true), then
 // only removals as edges become covered. Phase A. The full/removal
-// distinction is one transmitted bit.
+// distinction is one transmitted bit. rec takes the run's tag: tagUncov,
+// or tagDirUncov for out-arcs.
 type uncovMsg struct {
 	nbrs []int
 	full bool
@@ -61,8 +69,8 @@ type uncovMsg struct {
 
 //spanlint:bits full — the trailing +1 is the one-bit full/removal flag
 func (m uncovMsg) Bits() int { return (1+len(m.nbrs))*dist.IDBits(m.n) + 1 }
-func (m uncovMsg) rec() dist.Rec {
-	r := dist.Rec{Tag: tagUncov, Ints: m.nbrs}
+func (m uncovMsg) rec(tag uint8) dist.Rec {
+	r := dist.Rec{Tag: tag, Ints: m.nbrs}
 	if m.full {
 		r.Flag = 1
 	}
@@ -147,3 +155,38 @@ type acceptMsg struct {
 
 func (m acceptMsg) Bits() int     { return (1 + len(m.star)) * dist.IDBits(m.n) }
 func (m acceptMsg) rec() dist.Rec { return dist.Rec{Tag: tagAccept, Ints: m.star} }
+
+// Direction bits of a packed directed-star entry nbr<<2 | bits: dirIn
+// means (nbr -> candidate) is in the star, dirOut (candidate -> nbr).
+const (
+	dirOut = 1
+	dirIn  = 2
+)
+
+// dirStarMsg announces a candidate's directed star (packed entries, in
+// ascending neighbor order) and random rank (phase D; r >= 1), or — with
+// r == -1 — that the star was accepted into the spanner (phase F). Each
+// entry is an id plus two direction bits.
+type dirStarMsg struct {
+	entries []int // packed ids: nbr<<2 | in<<1 | out
+	r       int64
+	n       int
+}
+
+//spanlint:bits r — the 4*IDBits(n) term is the rank r ∈ {1..n⁴}, four id-sized words
+func (m dirStarMsg) Bits() int {
+	return (1+len(m.entries))*(dist.IDBits(m.n)+2) + 4*dist.IDBits(m.n)
+}
+func (m dirStarMsg) rec() dist.Rec { return dist.Rec{Tag: tagDirStar, A: m.r, Ints: m.entries} }
+
+// dirTermMsg announces termination: the sender adds the listed uncovered
+// incident directed edges (flattened (tail, head) pairs) to the spanner.
+// It doubles as the death notice pruning the sender from its peers' folds
+// and broadcasts.
+type dirTermMsg struct {
+	pairs []int // flattened (tail, head) pairs; always even length
+	n     int
+}
+
+func (m dirTermMsg) Bits() int     { return (1 + len(m.pairs)) * dist.IDBits(m.n) }
+func (m dirTermMsg) rec() dist.Rec { return dist.Rec{Tag: tagDirTerm, Ints: m.pairs} }

@@ -37,11 +37,7 @@ func TestPayloadBitsConformance(t *testing.T) {
 				map[string]int{"pairs": w, "n": 0}},
 			{"acceptMsg", acceptMsg{star: []int{7}, n: n},
 				map[string]int{"star": w, "n": 0}},
-			{"dirSpanListMsg", dirSpanListMsg{outNbrs: []int{1, 2}, n: n},
-				map[string]int{"outNbrs": w, "n": 0}},
-			{"dirUncovMsg", dirUncovMsg{heads: []int{1}, full: true, n: n},
-				map[string]int{"heads": w, "full": 1, "n": 0}},
-			{"dirStarMsg", dirStarMsg{entries: []int{packDirEntry(1, true, false)}, r: 3, n: n},
+			{"dirStarMsg", dirStarMsg{entries: []int{1<<2 | dirIn}, r: 3, n: n},
 				map[string]int{"entries": w + 2, "r": 4 * w, "n": 0}},
 			{"dirTermMsg", dirTermMsg{pairs: []int{1, 2}, n: n},
 				map[string]int{"pairs": w, "n": 0}},

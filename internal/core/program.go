@@ -59,11 +59,10 @@ func TwoSpannerCongestProgram(g *graph.Graph, opts Options) (dist.ShardProgram, 
 // The engine topology is d's underlying undirected graph, carried as
 // the program's Graph override (it has the same vertex count).
 func DirectedTwoSpannerProgram(d *graph.Digraph, opts Options) dist.ShardProgram {
-	under, _ := d.Underlying()
-	dr := newDirRun(d)
+	ru := newDirectedRun(d, opts)
 	return dist.ShardProgram{
-		Graph:   under,
-		Factory: dr.factory(),
-		Output:  dr.output,
+		Graph:   ru.g,
+		Factory: ru.factory(),
+		Output:  ru.output,
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -137,7 +139,8 @@ func (t *telemetry) bump(arr []atomic.Int32, iter int) {
 
 // variant captures what differs between the undirected flavors of the
 // algorithm: plain (Theorem 1.3), weighted (Theorem 4.12), and
-// client-server (Theorem 4.15).
+// client-server (Theorem 4.15). The directed run (Theorem 4.9) uses the
+// plain predicates.
 type variant struct {
 	// target reports whether edge i needs covering (client edges in the
 	// client-server problem, every edge otherwise).
@@ -161,7 +164,7 @@ type variant struct {
 // weighted variant (Section 4.3.2) runs, including its zero-weight edge
 // pre-pass; otherwise the unweighted algorithm of Theorem 1.3 runs.
 func TwoSpanner(g *graph.Graph, opts Options) (*Result, error) {
-	return runUndirected(g, twoSpannerVariant(g.Weighted()), opts)
+	return newURun(g, twoSpannerVariant(g.Weighted()), opts).run()
 }
 
 // twoSpannerVariant is the plain (Theorem 1.3) or weighted (Theorem
@@ -196,7 +199,7 @@ func ClientServerTwoSpanner(g *graph.Graph, clients, servers *graph.EdgeSet, opt
 	if err != nil {
 		return nil, err
 	}
-	return runUndirected(g, v, opts)
+	return newURun(g, v, opts).run()
 }
 
 // clientServerVariant validates the edge sets and builds the Section
@@ -220,30 +223,52 @@ func clientServerVariant(g *graph.Graph, clients, servers *graph.EdgeSet) (varia
 	}, nil
 }
 
-// uRun is the per-run state of one undirected-protocol run, built once
-// and shared by pointer with every vertex: the graph, variant and options
-// the machines read, and the cross-vertex collectors they write — the
+// DirectedTwoSpanner runs the directed 2-spanner algorithm of Theorem 4.9
+// on the digraph d. The communication topology is d's underlying
+// undirected graph.
+func DirectedTwoSpanner(d *graph.Digraph, opts Options) (*Result, error) {
+	return newDirectedRun(d, opts).run()
+}
+
+// uRun is the per-run state of one 2-spanner run, built once and shared
+// by pointer with every vertex: the graph, variant and options the
+// machines read, and the cross-vertex collectors they write — the
 // per-vertex outputs and iteration counts (each slot written only by its
 // own vertex), the Claim 4.4 fallback counter and the iteration telemetry
 // (both atomic). It is the state behind both the local runners and the
 // exported shard programs (the distributed runner reads outputs through
 // uRun.output).
 type uRun struct {
-	g         *graph.Graph
-	v         variant
-	opts      Options
-	outs      [][]int // per-vertex incident spanner edge indices
-	iters     []int   // per-vertex iteration counts
-	fallbacks atomic.Int64
-	tele      *telemetry
+	g    *graph.Graph
+	d    *graph.Digraph // a directed run's digraph, whose underlying graph is g; nil otherwise
+	v    variant
+	opts Options
+	// The tags of the span and uncovered-list records: a directed run
+	// keeps its own, tagDirSpan and tagDirUncov.
+	spanTag, uncovTag uint8
+	outs              [][]int // per-vertex incident spanner edge indices
+	iters             []int   // per-vertex iteration counts
+	fallbacks         atomic.Int64
+	tele              *telemetry
 }
 
 func newURun(g *graph.Graph, v variant, opts Options) *uRun {
 	n := g.N()
-	return &uRun{g: g, v: v, opts: opts, outs: make([][]int, n), iters: make([]int, n), tele: newTelemetry()}
+	return &uRun{g: g, v: v, opts: opts, spanTag: tagSpan, uncovTag: tagUncov,
+		outs: make([][]int, n), iters: make([]int, n), tele: newTelemetry()}
 }
 
-// factory builds the per-vertex machines of the undirected protocol. In
+// newDirectedRun is the run of the directed variant on d: the plain
+// variant's machine on d's underlying graph, with the directed star,
+// density and records (Section 4.3.1).
+func newDirectedRun(d *graph.Digraph, opts Options) *uRun {
+	under, _ := d.Underlying()
+	r := newURun(under, twoSpannerVariant(false), opts)
+	r.d, r.spanTag, r.uncovTag = d, tagDirSpan, tagDirUncov
+	return r
+}
+
+// factory builds the per-vertex machines of the protocol. In
 // the sharded runner several workers call it concurrently; it only reads
 // the run.
 func (r *uRun) factory() func(*dist.Ctx) dist.Machine {
@@ -254,22 +279,21 @@ func (r *uRun) factory() func(*dist.Ctx) dist.Machine {
 
 func (r *uRun) output(v int) []int { return r.outs[v] }
 
+// result folds the per-vertex collectors into a Result; a directed run's
+// edge indices and cost are d's.
 func (r *uRun) result(stats *dist.Stats) *Result {
-	return assembleResult(r.outs, r.iters, r.g.M(), r.g.TotalWeight, r.tele, r.fallbacks.Load(), stats)
-}
-
-// assembleResult folds the per-vertex collectors into a Result — shared
-// by the undirected, CONGEST, and directed runners.
-func assembleResult(outs [][]int, iters []int, m int, total func(*graph.EdgeSet) float64,
-	tele *telemetry, fallbacks int64, stats *dist.Stats) *Result {
+	m, total := r.g.M(), r.g.TotalWeight
+	if r.d != nil {
+		m, total = r.d.M(), r.d.TotalWeight
+	}
 	spanner := graph.NewEdgeSet(m)
-	for _, edges := range outs {
+	for _, edges := range r.outs {
 		for _, e := range edges {
 			spanner.Add(e)
 		}
 	}
 	maxIter := 0
-	for _, it := range iters {
+	for _, it := range r.iters {
 		if it > maxIter {
 			maxIter = it
 		}
@@ -279,22 +303,23 @@ func assembleResult(outs [][]int, iters []int, m int, total func(*graph.EdgeSet)
 		Cost:         total(spanner),
 		Stats:        *stats,
 		Iterations:   maxIter,
-		PerIteration: tele.stats(maxIter),
-		Fallbacks:    fallbacks,
+		PerIteration: r.tele.stats(maxIter),
+		Fallbacks:    r.fallbacks.Load(),
 	}
 }
 
-func runUndirected(g *graph.Graph, v variant, opts Options) (*Result, error) {
-	ru := newURun(g, v, opts)
+// run executes the run on the in-process engine (or its shards).
+func (r *uRun) run() (*Result, error) {
+	o := r.opts
 	stats, err := dist.RunMachines(dist.Config{
-		Graph: g, Seed: opts.Seed, MaxRounds: opts.MaxRounds,
-		Mode: opts.ExecMode, OnRound: opts.RoundHook, Cancel: opts.Cancel,
-		Tracer: opts.Tracer, Shards: opts.Shards,
-	}, ru.factory())
+		Graph: r.g, Seed: o.Seed, MaxRounds: o.MaxRounds,
+		Mode: o.ExecMode, OnRound: o.RoundHook, Cancel: o.Cancel,
+		Tracer: o.Tracer, Shards: o.Shards,
+	}, r.factory())
 	if err != nil {
 		return nil, err
 	}
-	return ru.result(stats), nil
+	return r.result(stats), nil
 }
 
 // roundCtx is the per-vertex network surface the protocol needs: vertex
@@ -311,9 +336,9 @@ type roundCtx interface {
 	SendRec(to int, r dist.Rec, bits int)
 }
 
-// uPhase indexes the seven rounds of one iteration of the undirected
-// protocol. Each phase has disjoint record tags, which is how a vertex
-// woken from parking re-identifies the network's current phase.
+// uPhase indexes the seven rounds of one iteration of the protocol. Each
+// phase has disjoint record tags, which is how a vertex woken from
+// parking re-identifies the network's current phase.
 type uPhase int
 
 const (
@@ -321,25 +346,31 @@ const (
 	phUncov                    // round 2 (A): uncovMsg init/removals
 	phDens                     // round 3 (B): densMsg deltas
 	phMax                      // round 4 (C): maxMsg deltas
-	phStar                     // round 5 (D): starMsg / termMsg
+	phStar                     // round 5 (D): starMsg / termMsg (dirStarMsg / dirTermMsg)
 	phVote                     // round 6 (E): voteMsg (candidates only)
-	phAccept                   // round 7 (F): acceptMsg
+	phAccept                   // round 7 (F): acceptMsg (dirStarMsg with r == -1)
 )
 
-// classifyUndirected maps a wake inbox to its phase by record tag. One
-// inbox is always one phase: every sender is phase-aligned and each
-// phase's tags are disjoint.
-func classifyUndirected(msgs []dist.InRec) uPhase {
+// classify maps a wake inbox to its phase by record tag. One inbox is
+// always one phase: every sender is phase-aligned and each phase's tags
+// are disjoint. tagDirStar serves two phases and is told apart by its
+// rank: candidates announce with r >= 1, acceptances carry r == -1.
+func classify(msgs []dist.InRec) uPhase {
 	switch msgs[0].Tag {
-	case tagSpan:
+	case tagSpan, tagDirSpan:
 		return phSpan
-	case tagUncov:
+	case tagUncov, tagDirUncov:
 		return phUncov
 	case tagDens:
 		return phDens
 	case tagMax:
 		return phMax
-	case tagStar, tagTerm:
+	case tagStar, tagTerm, tagDirTerm:
+		return phStar
+	case tagDirStar:
+		if msgs[0].A == -1 {
+			return phAccept
+		}
 		return phStar
 	case tagVote:
 		return phVote
@@ -352,6 +383,13 @@ func classifyUndirected(msgs []dist.InRec) uPhase {
 // seekPos is dist.SeekPos: the monotone sender-position merge scan over
 // the sorted neighbor list that replaces per-message map lookups.
 func seekPos(nbrs []int, j, from int) int { return dist.SeekPos(nbrs, j, from) }
+
+// idxOf resolves an id to its position in the sorted neighbor list,
+// reporting whether it is a neighbor at all.
+func idxOf(nbrs []int, id int) (int, bool) {
+	i := sort.SearchInts(nbrs, id)
+	return i, i < len(nbrs) && nbrs[i] == id
+}
 
 // posOf is the cold-path id -> position lookup (binary search) for ids
 // that must be neighbors; it panics on a miss rather than silently
@@ -395,24 +433,6 @@ func mergeSorted(dst, add []int) []int {
 	return dst
 }
 
-// removeSorted deletes the sorted values of del from the sorted slice dst
-// in place, returning the shortened slice.
-func removeSorted(dst, del []int) []int {
-	if len(del) == 0 || len(dst) == 0 {
-		return dst
-	}
-	out := dst[:0]
-	k := 0
-	for _, v := range dst {
-		if k < len(del) && del[k] == v {
-			k++
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // densVal is a neighbor's last announced density or 1-hop maximum: the
 // exact rational the CONGEST adapter ships, plus the weight maximum
 // riding along for the weighted termination rule (the static incident
@@ -424,12 +444,14 @@ type densVal struct {
 }
 
 // candRec is one announced star this iteration that holds the receiving
-// vertex: the candidate's id, its sorted star neighbor ids, and its random
-// rank.
+// vertex: the candidate's id, its sorted star neighbor ids (in a directed
+// run, the heads of its out-arcs), its random rank, and the vote pairs
+// this vertex casts for it.
 type candRec struct {
-	from int
-	star []int
-	r    int64
+	from  int
+	star  []int
+	r     int64
+	votes []int
 }
 
 // nbrState is a vertex's state for one neighbor, kept at the neighbor's
@@ -453,13 +475,28 @@ type nbrState struct {
 	// announcedUncov: the incident edge was announced uncovered, so a
 	// removal is owed once it is covered.
 	announcedUncov bool
+	// arcs is zero in an undirected run. In a directed run it holds the
+	// arcs to the neighbor (dirOut: me -> it, dirIn: it -> me) and the
+	// in-arc's state (inCovered, inSpanned); the edge fields above then
+	// describe the out-arc, and an absent out-arc is covered.
+	arcs uint8
 }
 
-// undirectedNode is the per-vertex state of the protocol. The per-run
-// state is shared through run; the per-neighbor state is one slice
-// indexed by the neighbor's position in the sorted neighbor list: inbox
-// decoding resolves sender positions with a merge scan (seekPos), and the
-// folds and broadcasts scan it with no map in sight.
+// The in-arc's state bits of nbrState.arcs, beside dirOut and dirIn.
+const (
+	inCovered = 4 << iota // the in-arc is covered
+	inSpanned             // the in-arc is in the spanner
+)
+
+// undirectedNode is the per-vertex state of the protocol, for every
+// variant: undirected, weighted, client-server, CONGEST and directed. The
+// per-run state is shared through run; the per-neighbor state is one
+// slice indexed by the neighbor's position in the sorted neighbor list:
+// inbox decoding resolves sender positions with a merge scan (seekPos),
+// and the folds and broadcasts scan it with no map in sight. A directed
+// run differs in a few branches on run.d: the vote owner, the star,
+// acceptance and termination records, the in-arc half of coverage, and
+// the view with footnote 7's running minimum.
 type undirectedNode struct {
 	ctx roundCtx
 	run *uRun
@@ -536,7 +573,26 @@ func newUndirectedNode(ctx roundCtx, run *uRun) *undirectedNode {
 		}
 		nd.myWmax = maxf(nd.myWmax, g.Weight(idx))
 	}
+	if run.d != nil {
+		nd.orient()
+	}
 	return nd
+}
+
+// orient sets a directed run's arc bits and turns the edge fields into
+// out-arc fields: an absent out-arc starts covered, as a non-target edge
+// does.
+func (nd *undirectedNode) orient() {
+	for i := range nd.nb {
+		nd.nb[i].covered = true
+	}
+	for _, a := range nd.run.d.Out(nd.me) {
+		nb := &nd.nb[posOf(nd.nbrs, a.To)]
+		nb.edgeIdx, nb.covered, nb.arcs = a.Edge, false, dirOut
+	}
+	for _, a := range nd.run.d.In(nd.me) {
+		nd.nb[posOf(nd.nbrs, a.To)].arcs |= dirIn
+	}
 }
 
 // setInSpan records the edge to the neighbor at position i as a spanner
@@ -616,7 +672,7 @@ func (nd *undirectedNode) Parkable() bool { return nd.parkable() }
 func (nd *undirectedNode) ParkReset() { nd.wasCand, nd.prevStar = false, nil }
 
 // Classify implements dist.PhasedProgram.
-func (nd *undirectedNode) Classify(recs []dist.InRec) int { return int(classifyUndirected(recs)) }
+func (nd *undirectedNode) Classify(recs []dist.InRec) int { return int(classify(recs)) }
 
 // Halt implements dist.PhasedProgram; unreachable (Process never halts).
 func (nd *undirectedNode) Halt() {}
@@ -636,13 +692,7 @@ func (nd *undirectedNode) Quiesce() { nd.finalizeQuiesced() }
 // 2-neighborhood always contains an active candidate until the vertex
 // itself becomes terminal, so runs normally end by explicit termination.
 func (nd *undirectedNode) finalizeQuiesced() {
-	for i := range nd.nb {
-		nb := &nd.nb[i]
-		if !nb.covered && nd.run.v.directAdd(nb.edgeIdx) {
-			nb.inSpan = true
-			nb.covered = true
-		}
-	}
+	nd.addUncovered()
 	it := nd.iter
 	if it > 0 {
 		it--
@@ -661,7 +711,7 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 		if len(nd.pendingSpan) > 0 {
 			sort.Ints(nd.pendingSpan)
 			m := spanListMsg{nbrs: nd.pendingSpan, n: nd.ctx.N()}
-			nd.bcast(m.rec(), m.Bits())
+			nd.bcast(m.rec(run.spanTag), m.Bits())
 			nd.pendingSpan = nil
 		}
 	case phUncov:
@@ -697,19 +747,16 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 		// from its peers' broadcasts.
 		if run.v.terminal(nd.m2Raw, nd.m2W) {
 			run.tele.bump(run.tele.term, nd.iter-1)
-			var added []int
-			for i, u := range nd.nbrs {
-				nb := &nd.nb[i]
-				if !nb.covered && run.v.directAdd(nb.edgeIdx) {
-					nb.inSpan = true
-					nb.covered = true
-					added = append(added, u)
-				}
-			}
+			added := nd.addUncovered()
 			// The phased machine spends the flush round committing this
 			// announcement, then calls Terminal to output.
-			m := termMsg{added: added, n: nd.ctx.N()}
-			nd.bcast(m.rec(), m.Bits())
+			if run.d != nil {
+				m := dirTermMsg{pairs: added, n: nd.ctx.N()}
+				nd.bcast(m.rec(), m.Bits())
+			} else {
+				m := termMsg{added: added, n: nd.ctx.N()}
+				nd.bcast(m.rec(), m.Bits())
+			}
 			return true
 		}
 		// Candidacy and star choice (Section 4.1).
@@ -727,8 +774,7 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 			nd.myStar = nd.view.starNeighborIDs(sel)
 			spanned, _ := nd.view.starValue(sel)
 			nd.mySpanCount = int(spanned + 0.5)
-			m := starMsg{star: nd.myStar, r: 1 + nd.ctx.Rand().Int63n(1<<62), n: nd.ctx.N()}
-			nd.bcast(m.rec(), m.Bits())
+			nd.bcast(nd.starRec(1 + nd.ctx.Rand().Int63n(1<<62)))
 			nd.wasCand, nd.lastRho = true, nd.rho
 			nd.prevStar = nd.myStar
 		} else {
@@ -738,54 +784,112 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 	case phVote:
 		// Each owned uncovered edge votes for the first candidate (by
 		// (r, id)) that 2-spans it. Every kept candidate's star holds me.
-		var votes map[int][]int
+		// The lower endpoint owns an edge; the tail owns an arc.
 		for i, u := range nd.nbrs {
-			if nd.nb[i].covered || nd.me > u {
+			if nd.nb[i].covered || (run.d == nil && nd.me > u) {
 				continue // not an owner, or nothing to vote for
 			}
-			bestV, bestR := -1, int64(0)
+			var best *candRec
 			for ci := range nd.cands {
 				c := &nd.cands[ci]
 				if !containsSorted(c.star, u) {
 					continue
 				}
-				if bestV < 0 || c.r < bestR || (c.r == bestR && c.from < bestV) {
-					bestV, bestR = c.from, c.r
+				if best == nil || c.r < best.r || (c.r == best.r && c.from < best.from) {
+					best = c
 				}
 			}
-			if bestV >= 0 {
-				if votes == nil {
-					votes = make(map[int][]int)
-				}
-				votes[bestV] = append(votes[bestV], nd.me, u)
+			if best != nil {
+				best.votes = append(best.votes, nd.me, u)
 			}
 		}
-		for _, vid := range sortedKeys(votes) {
-			m := voteMsg{pairs: votes[vid], n: nd.ctx.N()}
-			nd.ctx.SendRec(vid, m.rec(), m.Bits())
+		// One record per voted-for candidate, in cands order: the phase-D
+		// inbox's ascending sender order.
+		for ci := range nd.cands {
+			if c := &nd.cands[ci]; len(c.votes) > 0 {
+				m := voteMsg{pairs: c.votes, n: nd.ctx.N()}
+				nd.ctx.SendRec(c.from, m.rec(), m.Bits())
+			}
 		}
 	case phAccept:
 		if nd.isCand && run.opts.voteDenominator()*nd.myVotes >= nd.mySpanCount && nd.mySpanCount > 0 {
 			run.tele.bump(run.tele.accept, nd.iter-1)
 			for _, u := range nd.myStar {
-				nd.setInSpan(posOf(nd.nbrs, u))
+				nd.addStarEdge(posOf(nd.nbrs, u))
 			}
-			m := acceptMsg{star: nd.myStar, n: nd.ctx.N()}
-			nd.bcast(m.rec(), m.Bits())
+			nd.bcast(nd.starRec(-1))
 		}
 	}
 	return false
 }
 
-// sortedKeys returns the keys of a small map in ascending order, for a
-// deterministic send order.
-func sortedKeys(m map[int][]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// starRec encodes the announcement of myStar with rank r, or with r = -1
+// its acceptance: a starMsg or acceptMsg, or in a directed run a
+// dirStarMsg whose entries pack each member's arcs to me.
+func (nd *undirectedNode) starRec(r int64) (dist.Rec, int) {
+	n := nd.ctx.N()
+	switch {
+	case nd.run.d != nil:
+		entries := make([]int, len(nd.myStar))
+		j := 0
+		for k, u := range nd.myStar {
+			j = seekPos(nd.nbrs, j, u)
+			entries[k] = u<<2 | int(nd.nb[j].arcs&(dirIn|dirOut))
+		}
+		m := dirStarMsg{entries: entries, r: r, n: n}
+		return m.rec(), m.Bits()
+	case r < 0:
+		m := acceptMsg{star: nd.myStar, n: n}
+		return m.rec(), m.Bits()
 	}
-	sort.Ints(keys)
-	return keys
+	m := starMsg{star: nd.myStar, r: r, n: n}
+	return m.rec(), m.Bits()
+}
+
+// addStarEdge puts the star edge to nbrs[i] into the spanner; in a
+// directed run, each arc between us.
+func (nd *undirectedNode) addStarEdge(i int) {
+	nb := &nd.nb[i]
+	if nb.arcs&dirIn != 0 {
+		nb.arcs |= inSpanned
+	}
+	if nd.run.d == nil || nb.arcs&dirOut != 0 {
+		nd.setInSpan(i)
+	}
+}
+
+// myEntry returns the direction bits of this vertex's entry in a directed
+// star's packed entries, 0 when the star does not name it.
+func (nd *undirectedNode) myEntry(entries []int) int {
+	k := sort.Search(len(entries), func(k int) bool { return entries[k]>>2 >= nd.me })
+	if k < len(entries) && entries[k]>>2 == nd.me {
+		return entries[k] & (dirIn | dirOut)
+	}
+	return 0
+}
+
+// addUncovered adds the uncovered incident target edges to the spanner —
+// the direct add of the paper's termination step — and returns what the
+// termination record lists: the far endpoints, or in a directed run the
+// (tail, head) pairs of the added arcs.
+func (nd *undirectedNode) addUncovered() []int {
+	var added []int
+	for i, u := range nd.nbrs {
+		nb := &nd.nb[i]
+		if !nb.covered && nd.run.v.directAdd(nb.edgeIdx) {
+			nb.inSpan = true
+			nb.covered = true
+			if nd.run.d != nil {
+				added = append(added, nd.me)
+			}
+			added = append(added, u)
+		}
+		if nb.arcs&(dirIn|inCovered) == dirIn {
+			nb.arcs |= inCovered | inSpanned
+			added = append(added, u, nd.me)
+		}
+	}
+	return added
 }
 
 // emitUncov announces the uncovered incident target edges: the full list
@@ -803,7 +907,7 @@ func (nd *undirectedNode) emitUncov() {
 			}
 		}
 		m := uncovMsg{nbrs: full, full: true, n: nd.ctx.N()}
-		nd.bcast(m.rec(), m.Bits())
+		nd.bcast(m.rec(nd.run.uncovTag), m.Bits())
 		return
 	}
 	var dels []int
@@ -817,7 +921,7 @@ func (nd *undirectedNode) emitUncov() {
 		return
 	}
 	m := uncovMsg{nbrs: dels, n: nd.ctx.N()}
-	nd.bcast(m.rec(), m.Bits())
+	nd.bcast(m.rec(nd.run.uncovTag), m.Bits())
 }
 
 // process decodes the records of phase ph in place: sender positions come
@@ -829,7 +933,7 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 	case phSpan:
 		for i := range inbox {
 			r := &inbox[i]
-			if r.Tag != tagSpan {
+			if r.Tag != nd.run.spanTag {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
@@ -841,7 +945,7 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 	case phUncov:
 		for i := range inbox {
 			r := &inbox[i]
-			if r.Tag != tagUncov {
+			if r.Tag != nd.run.uncovTag {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
@@ -850,7 +954,11 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				continue
 			}
 			if r.Flag != 0 {
-				nb.announce(nd.nbrs, j, r.Ints)
+				lo := j + 1
+				if nd.run.d != nil {
+					lo = 0 // a directed H_v arc may point below its tail
+				}
+				nb.announce(nd.nbrs, lo, r.Ints)
 			} else {
 				nb.remove(nd.nbrs, r.Ints)
 			}
@@ -887,8 +995,8 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 			r := &inbox[i]
 			j = seekPos(nd.nbrs, j, r.From)
 			switch r.Tag {
-			case tagTerm:
-				nd.processDeath(j, r.Ints)
+			case tagTerm, tagDirTerm:
+				nd.processDeath(j, r)
 			case tagStar:
 				// Only a star holding me can 2-span an edge I vote for, so
 				// the others are dropped here. A kept star list is retained
@@ -901,6 +1009,20 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 					star: append([]int(nil), r.Ints...),
 					r:    r.A,
 				})
+			case tagDirStar:
+				// Only a star holding the arc me -> candidate can 2-span an
+				// arc me -> w I vote for, through its out-arc to w: keep
+				// those out-heads.
+				if nd.myEntry(r.Ints)&dirIn == 0 {
+					continue
+				}
+				c := candRec{from: r.From, r: r.A}
+				for _, e := range r.Ints {
+					if e&dirOut != 0 {
+						c.star = append(c.star, e>>2)
+					}
+				}
+				nd.cands = append(nd.cands, c)
 			}
 		}
 	case phVote:
@@ -911,35 +1033,41 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 			}
 		}
 	case phAccept:
+		// An accepted star naming me adds the star edge to its center; a
+		// directed entry lists exactly the arcs between us.
 		for i := range inbox {
 			r := &inbox[i]
-			if r.Tag != tagAccept {
-				continue
-			}
 			j = seekPos(nd.nbrs, j, r.From)
-			for _, w := range r.Ints {
-				if w == nd.me {
-					nd.setInSpan(j)
-				}
+			if (r.Tag == tagAccept && containsSorted(r.Ints, nd.me)) || (r.Tag == tagDirStar && nd.myEntry(r.Ints) != 0) {
+				nd.addStarEdge(j)
 			}
 		}
 	}
 }
 
-// processDeath handles the termination announcement of the neighbor at
-// position i: record the direct-added edges naming this vertex, then
-// prune the sender from every accumulated fold — exactly the information
-// the classic execution loses when a terminated vertex stops
-// broadcasting. The view changes exactly when the sender's announced
-// uncovered list was non-empty, whether or not H_v kept any of it.
-func (nd *undirectedNode) processDeath(i int, added []int) {
-	for _, w := range added {
-		if w == nd.me {
-			nd.setInSpan(i)
-			nd.nb[i].covered = true
-		}
-	}
+// processDeath handles the termination announcement r of the neighbor at
+// position i: record the direct-added edges naming this vertex (in a
+// directed run, (tail, head) pairs), then prune the sender from every
+// accumulated fold — exactly the information the classic execution loses
+// when a terminated vertex stops broadcasting. The view changes exactly
+// when the sender's announced uncovered list was non-empty, whether or
+// not H_v kept any of it.
+func (nd *undirectedNode) processDeath(i int, r *dist.InRec) {
 	nb := &nd.nb[i]
+	if r.Tag == tagDirTerm {
+		for k := 0; k+1 < len(r.Ints); k += 2 {
+			if r.Ints[k] == nd.me { // me -> sender
+				nd.setInSpan(i)
+				nb.covered = true
+			}
+			if r.Ints[k+1] == nd.me { // sender -> me
+				nb.arcs |= inSpanned | inCovered
+			}
+		}
+	} else if containsSorted(r.Ints, nd.me) {
+		nd.setInSpan(i)
+		nb.covered = true
+	}
 	nb.alive = false
 	nb.densKnown = false
 	nb.hopKnown = false
@@ -954,7 +1082,9 @@ func (nd *undirectedNode) processDeath(i int, added []int) {
 
 // updateCoverage marks incident target edges covered when the spanner
 // contains them or a 2-path around them through a live neighbor's
-// announced spanner edges.
+// announced spanner edges. In a directed run these are the out-arcs
+// me -> u, bridged by me -> x -> u; the in-arcs u -> me follow, bridged by
+// u -> x (from u's announced out-arcs) and x -> me (my in-arc state).
 func (nd *undirectedNode) updateCoverage() {
 	for i, u := range nd.nbrs {
 		nb := &nd.nb[i]
@@ -972,6 +1102,25 @@ func (nd *undirectedNode) updateCoverage() {
 			}
 		}
 	}
+	if nd.run.d == nil {
+		return
+	}
+	for i := range nd.nb {
+		nb := &nd.nb[i]
+		if nb.arcs&(dirIn|inCovered) != dirIn {
+			continue
+		}
+		if nb.arcs&inSpanned != 0 {
+			nb.arcs |= inCovered
+			continue
+		}
+		for _, x := range nb.spanOf {
+			if p, ok := idxOf(nd.nbrs, x); ok && nd.nb[p].arcs&inSpanned != 0 {
+				nb.arcs |= inCovered
+				break
+			}
+		}
+	}
 }
 
 // rebuildView reassembles the localView from the H_v rows and recomputes
@@ -979,7 +1128,12 @@ func (nd *undirectedNode) updateCoverage() {
 // when an input actually changed).
 func (nd *undirectedNode) rebuildView() {
 	nd.viewDirty = false
-	nd.view = newLocalView(nd.nbrs, nd.starCost, nd.above)
+	first := nd.view == nil
+	if nd.run.d != nil {
+		nd.view = nd.directedView()
+	} else {
+		nd.view = newLocalView(nd.nbrs, nd.starCost, nd.above, false)
+	}
 	sel, _ := nd.view.densestStar(nil)
 	raw, num, den := 0.0, 0, 1
 	if sel != nil {
@@ -991,6 +1145,15 @@ func (nd *undirectedNode) rebuildView() {
 			raw = s / c
 			num, den = int(s+0.5), int(c+0.5)
 		}
+	}
+	if nd.run.d != nil {
+		// Footnote 7: the 2-approximate density may rise again, so a
+		// directed run keeps its running minimum, and the rounded density
+		// never increases. It ships no rational.
+		if !first && nd.raw < raw {
+			raw = nd.raw
+		}
+		num, den = 0, 0
 	}
 	if raw != nd.raw || num != nd.num || den != nd.den {
 		nd.hopDirty = true
@@ -1057,11 +1220,42 @@ func (nd *undirectedNode) starCost(i int) float64 {
 // above is the view's H_v row of nbrs[i].
 func (nd *undirectedNode) above(i int) []int32 { return nd.nb[i].above }
 
+// directedView builds a directed run's view (Section 4.3.1): every
+// neighbor is selectable at the cost of its arcs to me, and H_v holds
+// each uncovered arc u -> w with u -> me and me -> w, so a two-way pair
+// counts twice. Rows list each pair at its lower endpoint, ascending.
+func (nd *undirectedNode) directedView() *localView {
+	up := make([][]int32, len(nd.nb))
+	for i := range nd.nb {
+		if nd.nb[i].arcs&dirIn == 0 {
+			continue
+		}
+		for _, q := range nd.nb[i].above {
+			if nd.nb[q].arcs&dirOut != 0 {
+				lo := min(int32(i), q)
+				up[lo] = append(up[lo], max(int32(i), q))
+			}
+		}
+	}
+	for _, row := range up {
+		slices.Sort(row)
+	}
+	arcCount := func(i int) float64 { return float64(bits.OnesCount8(nd.nb[i].arcs & (dirIn | dirOut))) }
+	return newLocalView(nd.nbrs, arcCount, func(i int) []int32 { return up[i] }, true)
+}
+
 func (nd *undirectedNode) emitOutput() {
 	var out []int
 	for i := range nd.nb {
 		if nd.nb[i].inSpan {
 			out = append(out, nd.nb[i].edgeIdx)
+		}
+	}
+	if nd.run.d != nil {
+		for _, a := range nd.run.d.In(nd.me) {
+			if nd.nb[posOf(nd.nbrs, a.To)].arcs&inSpanned != 0 {
+				out = append(out, a.Edge)
+			}
 		}
 	}
 	sort.Ints(out)

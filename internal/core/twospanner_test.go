@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"distspanner/internal/gen"
 	"distspanner/internal/graph"
@@ -458,5 +459,13 @@ func TestTwoSpannerLargeScaleSmoke(t *testing.T) {
 	}
 	if res.Fallbacks != 0 {
 		t.Fatal("Claim 4.4 fallback at scale")
+	}
+}
+
+// The directed run's per-neighbor arc bits fit in nbrState's padding, so
+// an undirected run pays no memory for them.
+func TestNbrStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(nbrState{}); got > 120 {
+		t.Fatalf("nbrState is %d bytes, want at most 120", got)
 	}
 }

@@ -14,13 +14,21 @@ import (
 // chosen star includes implicitly) contribute per-item bonuses instead.
 // A view never changes once built, so it solves its unrestricted densest
 // star at most once.
+//
+// A directed view (Section 4.3.1) has the directed star's costs (1 or 2
+// arcs per neighbor) and one H_v entry per arc, so a two-way pair appears
+// twice in hAdj and starValue, density and extend compute the directed
+// value. Only two steps differ: the oracle solves the undirected
+// reduction of Claims 4.10/4.11 (unit costs, distinct pairs), a
+// 2-approximation, and the Section 4.1 thresholds are ρ/8 instead of ρ/4.
 type localView struct {
-	nbrs   []int     // selectable neighbor ids, sorted
-	cost   []float64 // star-edge cost per position (> 0)
-	bonus  []float64 // uncovered H_v edges from this neighbor to free neighbors
-	hAdj   [][]int   // H_v adjacency among selectable positions
-	free   []int     // free (zero-cost) neighbor ids, always part of any star
-	hPairs int       // number of H_v edges between selectable neighbors
+	nbrs     []int     // selectable neighbor ids, sorted
+	cost     []float64 // star-edge cost per position (> 0)
+	bonus    []float64 // uncovered H_v edges from this neighbor to free neighbors
+	hAdj     [][]int   // H_v adjacency among selectable positions, ascending
+	free     []int     // free (zero-cost) neighbor ids, always part of any star
+	hPairs   int       // number of H_v entries between selectable neighbors
+	directed bool      // the directed form below
 
 	star  []bool  // densestStar(nil)'s selection once solved; never handed out
 	starD float64 // its density
@@ -38,10 +46,10 @@ const (
 // selectable neighbor, zero for a free one, negative when no star may use
 // the edge. above(i) lists, ascending, the positions q > i of the
 // neighbors nbrs[q] that nbrs[i]'s uncovered edges reach — its row of
-// H_v (see uncovRow). Reading the rows in (lower endpoint, upper
-// endpoint) order fixes each hAdj list and so every densest-star
-// instance.
-func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int32) *localView {
+// H_v (see uncovRow); a directed view's rows repeat q for a two-way pair.
+// Reading the rows in (lower endpoint, upper endpoint) order fixes each
+// hAdj list and so every densest-star instance.
+func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int32, directed bool) *localView {
 	at := make([]int32, len(nbrs)) // selectable position, viewFree or viewUnusable
 	k := 0
 	for i := range nbrs {
@@ -56,10 +64,11 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 		}
 	}
 	v := &localView{
-		nbrs:  make([]int, k),
-		cost:  make([]float64, k),
-		bonus: make([]float64, k),
-		hAdj:  make([][]int, k),
+		nbrs:     make([]int, k),
+		cost:     make([]float64, k),
+		bonus:    make([]float64, k),
+		hAdj:     make([][]int, k),
+		directed: directed,
 	}
 	for i, id := range nbrs {
 		switch p := at[i]; {
@@ -97,18 +106,21 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 // nbrs[i] announced: the list's length, and the part H_v can use — the
 // positions q > i whose neighbor nbrs[q] the list names, ascending. Each
 // H_v edge is kept once, by its lower endpoint; the ids below nbrs[i],
-// the center and the non-neighbors in the list are only counted.
+// the center and the non-neighbors in the list are only counted. A
+// directed run's arcs have no lower endpoint to keep them, so its rows
+// hold every position the list names.
 type uncovRow struct {
 	above    []int32
 	uncovLen int
 }
 
 // announce replaces the row with the full uncovered list ids (sorted) of
-// nbrs[i]: one merge scan against the neighbors above it.
-func (h *uncovRow) announce(nbrs []int, i int, ids []int) {
+// its neighbor, keeping the positions from lo on: one merge scan against
+// the neighbors there.
+func (h *uncovRow) announce(nbrs []int, lo int, ids []int) {
 	h.uncovLen = len(ids)
 	h.above = h.above[:0]
-	q := i + 1
+	q := lo
 	for _, w := range ids {
 		for q < len(nbrs) && nbrs[q] < w {
 			q++
@@ -202,7 +214,8 @@ func (v *localView) densestStar(allowed []bool) ([]bool, float64) {
 }
 
 // solveStar runs the oracle on the sub-instance over the allowed positions
-// (nil means all).
+// (nil means all). A directed view solves the undirected reduction and
+// returns the directed density of its answer.
 func (v *localView) solveStar(allowed []bool) ([]bool, float64) {
 	// item maps a position to its index in the sub-instance, -1 when the
 	// position is not allowed.
@@ -229,11 +242,16 @@ func (v *localView) solveStar(allowed []bool) ([]bool, float64) {
 			continue
 		}
 		in.Cost[i] = v.cost[p]
+		if v.directed {
+			in.Cost[i] = 1
+		}
 		in.Bonus[i] = v.bonus[p]
+		last := -1 // hAdj[p] is ascending: repeats of a pair are adjacent
 		for _, q := range v.hAdj[p] {
-			if q > p && item[q] >= 0 {
+			if q > p && q != last && item[q] >= 0 {
 				in.Pairs = append(in.Pairs, [2]int{i, item[q]})
 			}
+			last = q
 		}
 	}
 	selSub, density, err := flow.Densest(in)
@@ -247,6 +265,9 @@ func (v *localView) solveStar(allowed []bool) ([]bool, float64) {
 			sel[p] = selSub[i]
 		}
 	}
+	if v.directed {
+		return sel, v.density(sel)
+	}
 	return sel, density
 }
 
@@ -257,6 +278,9 @@ func (v *localView) solveStar(allowed []bool) ([]bool, float64) {
 // degenerate fallback was taken (which Claim 4.4 proves never happens).
 func (v *localView) chooseStar(rho float64, prev []bool) (sel []bool, fallback bool) {
 	threshold := rho / 4
+	if v.directed {
+		threshold = rho / 8 // the oracle is a 2-approximation
+	}
 	if prev != nil {
 		// Continuation at the same rounded density: shrink within prev.
 		if v.density(prev) >= threshold {

@@ -220,9 +220,9 @@ func viewOf(sel map[int]float64, free []int, h [][2]int) *localView {
 	rows := make([]uncovRow, len(ids))
 	for i, l := range uncov {
 		sort.Ints(l)
-		rows[i].announce(ids, i, l)
+		rows[i].announce(ids, i+1, l)
 	}
-	return newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, rowsAbove(rows))
+	return newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, rowsAbove(rows), false)
 }
 
 // rowsAbove is newLocalView's H_v row accessor over a slice of rows.
@@ -302,6 +302,21 @@ func refLocalView(nbrs []int, star []bool, weight []float64, uncov [][]int) *loc
 	return v
 }
 
+// removeSorted deletes the sorted values of del from the sorted slice dst
+// in place, returning the shortened slice: the reference's list removal.
+func removeSorted(dst, del []int) []int {
+	out := dst[:0]
+	k := 0
+	for _, v := range dst {
+		if k < len(del) && del[k] == v {
+			k++
+			continue
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
 // TestLocalViewMatchesMapReference builds seeded random neighborhoods —
 // unit and real weights, about 20% free neighbors, a client-server
 // star-edge predicate on half the instances, and uncovered lists that
@@ -353,7 +368,7 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 					uncov[i] = append(uncov[i], id)
 				}
 			}
-			rows[i].announce(nbrs, i, uncov[i])
+			rows[i].announce(nbrs, i+1, uncov[i])
 		}
 		for batch := 1 + rng.Intn(4); batch > 0; batch-- {
 			q := 0.4 * rng.Float64()
@@ -390,7 +405,7 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 			}
 			return weight[i]
 		}
-		got := newLocalView(nbrs, cost, rowsAbove(rows))
+		got := newLocalView(nbrs, cost, rowsAbove(rows), false)
 		want := refLocalView(nbrs, star, weight, uncov)
 		if !slices.Equal(got.nbrs, want.nbrs) || !slices.Equal(got.cost, want.cost) ||
 			!slices.Equal(got.bonus, want.bonus) || !slices.Equal(got.free, want.free) ||
@@ -425,16 +440,17 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 }
 
 // stubCtx is a roundCtx that discards sends, for driving one node's
-// receive path directly.
+// phases directly.
 type stubCtx struct {
 	id, n int
 	nbrs  []int
+	rng   *rand.Rand // the rank source of a candidacy, when one is driven
 }
 
 func (c *stubCtx) ID() int                    { return c.id }
 func (c *stubCtx) N() int                     { return c.n }
 func (c *stubCtx) Neighbors() []int           { return c.nbrs }
-func (c *stubCtx) Rand() *rand.Rand           { return nil }
+func (c *stubCtx) Rand() *rand.Rand           { return c.rng }
 func (c *stubCtx) SendRec(int, dist.Rec, int) {}
 
 // TestDeathDirtiesViewIffListAnnounced drives a center's uncovered-list
@@ -473,9 +489,9 @@ func TestDeathDirtiesViewIffListAnnounced(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			nd := newUndirectedNode(&stubCtx{id: 0, n: g.N(), nbrs: g.Neighbors(0)}, newURun(g, twoSpannerVariant(false), Options{}))
 			i := posOf(nd.nbrs, c.from)
-			nd.process(phUncov, []dist.InRec{{From: c.from, Rec: uncovMsg{nbrs: c.full, full: true, n: g.N()}.rec()}})
+			nd.process(phUncov, []dist.InRec{{From: c.from, Rec: uncovMsg{nbrs: c.full, full: true, n: g.N()}.rec(tagUncov)}})
 			for _, del := range c.removes {
-				nd.process(phUncov, []dist.InRec{{From: c.from, Rec: uncovMsg{nbrs: del, n: g.N()}.rec()}})
+				nd.process(phUncov, []dist.InRec{{From: c.from, Rec: uncovMsg{nbrs: del, n: g.N()}.rec(tagUncov)}})
 			}
 			if got := len(nd.nb[i].above); got != c.above {
 				t.Fatalf("row keeps %d positions, want %d", got, c.above)

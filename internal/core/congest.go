@@ -279,7 +279,7 @@ type congestMachine struct {
 }
 
 func newCongestMachine(cc *congestCtx, inner dist.Machine) *congestMachine {
-	return &congestMachine{cc: cc, inner: inner}
+	return &congestMachine{cc: cc, inner: inner, incoming: make([]inStream, len(cc.out))}
 }
 
 // Step implements dist.Machine.
@@ -340,9 +340,6 @@ func (m *congestMachine) advance(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 // openWindow clears the reassembly streams for a new logical window,
 // keeping their buffers.
 func (m *congestMachine) openWindow() {
-	if m.incoming == nil {
-		m.incoming = make([]inStream, len(m.cc.out))
-	}
 	for j := range m.incoming {
 		m.incoming[j] = inStream{words: m.incoming[j].words[:0]}
 	}

@@ -1250,12 +1250,9 @@ func (nd *undirectedNode) emitOutput() {
 		if nd.nb[i].inSpan {
 			out = append(out, nd.nb[i].edgeIdx)
 		}
-	}
-	if nd.run.d != nil {
-		for _, a := range nd.run.d.In(nd.me) {
-			if nd.nb[posOf(nd.nbrs, a.To)].arcs&inSpanned != 0 {
-				out = append(out, a.Edge)
-			}
+		if nd.nb[i].arcs&inSpanned != 0 {
+			idx, _ := nd.run.d.EdgeIndex(nd.nbrs[i], nd.me)
+			out = append(out, idx)
 		}
 	}
 	sort.Ints(out)

@@ -1,15 +1,17 @@
-// Command coord is the distributed runner's coordinator. It generates
-// a graph from a named family (the same generators cmd/spanner uses),
-// waits for -workers cmd/node processes to connect over TCP, partitions
-// the vertices contiguously across them, drives the round/quiescence
-// protocol, and merges the workers' statistics, outputs, and logical
-// transcript. The merged transcript is bit-identical to an in-process
-// run of the same (algorithm, graph, seed) on the step engine — pass
-// -verify to prove it in-process, or -trace to write the JSONL
-// transcript for cmd/trace -check and digest comparison.
+// Command coord is the distributed runner's coordinator. It builds a
+// graph from key=value arguments with the scenario layer's GraphSpec
+// (the families `sweep -list` shows; the empty cell is cgnp with n=32,
+// p=0.2), waits for -workers cmd/node processes to connect over TCP,
+// partitions the vertices contiguously across them, drives the
+// round/quiescence protocol, and merges the workers' statistics,
+// outputs, and logical transcript. The merged transcript is
+// bit-identical to an in-process run of the same (algorithm, graph,
+// seed) on the step engine — pass -verify to prove it in-process, or
+// -trace to write the JSONL transcript for cmd/trace -check and digest
+// comparison. Flags go before the key=value arguments.
 //
-//	coord -listen 127.0.0.1:9131 -workers 2 -family gnp -n 32 -p 0.2 \
-//	      -algo twospanner -seed 1 -trace dist.jsonl -verify
+//	coord -listen 127.0.0.1:9131 -workers 2 -algo twospanner -seed 1 \
+//	      -trace dist.jsonl -verify family=cgnp n=32 p=0.2
 package main
 
 import (
@@ -18,14 +20,14 @@ import (
 	"log"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"distspanner/internal/dist"
 	"distspanner/internal/dist/wire"
 	"distspanner/internal/distrun"
-	"distspanner/internal/gen"
-	"distspanner/internal/graph"
+	"distspanner/internal/scenario"
 	"distspanner/internal/trace"
 )
 
@@ -37,24 +39,28 @@ func main() {
 		workers = flag.Int("workers", 2, "number of worker processes to wait for")
 		timeout = flag.Duration("timeout", 30*time.Second, "how long to wait for workers to connect")
 
-		family = flag.String("family", "gnp", "graph family: gnp, clique, grid, cycle, path, star")
-		n      = flag.Int("n", 32, "vertex count (side length for grid)")
-		p      = flag.Float64("p", 0.2, "edge probability for gnp")
-		algo   = flag.String("algo", "twospanner", "algorithm family: "+strings.Join(distrun.Names(), ", "))
-		seed   = flag.Int64("seed", 1, "random seed (drives the engine and any derived inputs)")
+		algo = flag.String("algo", "twospanner", "algorithm family: "+strings.Join(distrun.Names(), ", "))
+		seed = flag.Int64("seed", 1, "random seed (drives the generator, the engine and any derived inputs)")
 
 		traceOut = flag.String("trace", "", "write the merged logical transcript as JSONL to this file")
 		verify   = flag.Bool("verify", false, "re-run in-process and fail unless the distributed transcript matches bit-for-bit")
 	)
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: coord [flags] [key=value ...]")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	f, ok := distrun.Get(*algo)
 	if !ok {
 		log.Fatalf("unknown algorithm family %q (have: %s)", *algo, strings.Join(distrun.Names(), ", "))
 	}
-	g := buildGraph(*family, *n, *p, *seed)
-	fmt.Printf("graph: family=%s n=%d m=%d; algo=%s seed=%d workers=%d\n",
-		*family, g.N(), g.M(), *algo, *seed, *workers)
+	cell, err := scenario.ParseCell(flag.Args())
+	fail(err)
+	g, err := scenario.GraphSpec{}.Build(cell, *seed)
+	fail(err)
+	fmt.Printf("graph: [%s] n=%d m=%d; algo=%s seed=%d workers=%d\n",
+		cell.Key(), g.N(), g.M(), *algo, *seed, *workers)
 
 	ln, err := net.Listen("tcp", *listen)
 	fail(err)
@@ -78,7 +84,8 @@ func main() {
 
 	if *verify {
 		refRec := trace.NewRecorder(g.N())
-		refOuts, refStats, err := f.RunLocal(g, *seed, refRec)
+		cfg.Tracer = refRec
+		refOuts, refStats, err := f.RunLocal(cfg)
 		fail(err)
 		refD := refRec.Digest()
 		switch {
@@ -86,7 +93,7 @@ func main() {
 			log.Fatalf("verify: digest mismatch: in-process %s, distributed %s", refD.Run, d.Run)
 		case *refStats != res.Stats:
 			log.Fatalf("verify: stats mismatch:\n  in-process:  %+v\n  distributed: %+v", *refStats, res.Stats)
-		case !outputsEqual(refOuts, res.Outputs):
+		case !slices.EqualFunc(refOuts, res.Outputs, slices.Equal[[]int]):
 			log.Fatal("verify: merged outputs differ from the in-process run")
 		}
 		fmt.Println("verify: distributed transcript matches the in-process step engine bit-for-bit")
@@ -97,49 +104,12 @@ func main() {
 		fail(err)
 		fail(trace.WriteJSONL(out, trace.Meta{
 			Seed:  *seed,
-			Label: fmt.Sprintf("%s %s n=%d workers=%d", *algo, *family, g.N(), *workers),
+			Label: fmt.Sprintf("%s [%s] workers=%d", *algo, cell.Key(), *workers),
 			Mode:  "tcp",
 		}, rec))
 		fail(out.Close())
 		fmt.Printf("wrote transcript to %s\n", *traceOut)
 	}
-}
-
-func buildGraph(family string, n int, p float64, seed int64) *graph.Graph {
-	switch family {
-	case "gnp":
-		return gen.ConnectedGNP(n, p, seed)
-	case "clique":
-		return gen.Clique(n)
-	case "grid":
-		return gen.Grid(n, n)
-	case "cycle":
-		return gen.Cycle(n)
-	case "path":
-		return gen.Path(n)
-	case "star":
-		return gen.Star(n)
-	default:
-		log.Fatalf("unknown family %q", family)
-		return nil
-	}
-}
-
-func outputsEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if len(a[v]) != len(b[v]) {
-			return false
-		}
-		for i := range a[v] {
-			if a[v][i] != b[v][i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func fail(err error) {

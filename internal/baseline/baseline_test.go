@@ -82,17 +82,6 @@ func TestKortsarzPelegWeighted(t *testing.T) {
 	}
 }
 
-func TestTrivialSpanner(t *testing.T) {
-	g := gen.ConnectedGNP(15, 0.3, 2)
-	h := TrivialSpanner(g)
-	if h.Len() != g.M() {
-		t.Fatal("trivial spanner must be the whole graph")
-	}
-	if !span.IsKSpanner(g, h, 1) {
-		t.Fatal("whole graph must 1-span itself")
-	}
-}
-
 func TestGreedyMDS(t *testing.T) {
 	g := gen.Star(20)
 	ds := GreedyMDS(g)

@@ -177,14 +177,6 @@ func markDirty(g *graph.Graph, dirty []bool, newlyCovered []int) {
 	}
 }
 
-// TrivialSpanner returns the whole edge set: the communication-free
-// n-approximation the paper contrasts its lower bounds with (any k-spanner
-// of a connected graph has at least n-1 edges, the graph has at most
-// n(n-1)/2 < n · (n-1)).
-func TrivialSpanner(g *graph.Graph) *graph.EdgeSet {
-	return graph.Full(g.M())
-}
-
 // GreedyMDS is the classic sequential greedy dominating set: repeatedly
 // take the vertex dominating the most not-yet-dominated vertices. Ratio
 // ln Δ + 1.

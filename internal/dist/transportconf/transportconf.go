@@ -16,6 +16,7 @@ package transportconf
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -90,34 +91,11 @@ type outcome struct {
 // runLocal executes the reference in-process run for cfg (which must
 // have come from Family.CoordConfig, possibly with extra hooks set).
 func runLocal(f distrun.Family, cfg dist.CoordConfig) outcome {
-	prog, err := f.Program(cfg.Graph, cfg.Seed)
-	if err != nil {
-		return outcome{err: err}
-	}
-	engineG := cfg.Graph
-	if prog.Graph != nil {
-		engineG = prog.Graph
-	}
 	rec := trace.NewRecorder(cfg.Graph.N())
-	stats, err := dist.RunMachines(dist.Config{
-		Graph:     engineG,
-		Seed:      cfg.Seed,
-		Mode:      dist.ModeStep,
-		Bandwidth: cfg.Bandwidth,
-		Enforce:   cfg.Enforce,
-		MaxRounds: cfg.MaxRounds,
-		CutSide:   cfg.CutSide,
-		Cancel:    cfg.Cancel,
-		Tracer:    rec,
-	}, prog.Factory)
+	cfg.Tracer = rec
+	outs, stats, err := f.RunLocal(cfg)
 	if err != nil {
 		return outcome{err: err}
-	}
-	outs := make([][]int, cfg.Graph.N())
-	if prog.Output != nil {
-		for v := range outs {
-			outs[v] = prog.Output(v)
-		}
 	}
 	return outcome{stats: *stats, outputs: outs, digest: rec.Digest(), phases: rec.Phases()}
 }
@@ -177,22 +155,7 @@ func errString(err error) string {
 
 // equalOutputs treats nil and empty per-vertex slices as equal: the
 // wire codec does not distinguish them.
-func equalOutputs(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if len(a[v]) != len(b[v]) {
-			return false
-		}
-		for i := range a[v] {
-			if a[v][i] != b[v][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func equalOutputs(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }
 
 // Run executes the conformance suite against the transport built by
 // newCluster.

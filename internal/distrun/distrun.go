@@ -144,27 +144,30 @@ func (f Family) CoordConfig(g *graph.Graph, seed int64) dist.CoordConfig {
 }
 
 // RunLocal executes the family in-process on the step engine — the
-// reference a conformant transport must reproduce bit-for-bit. It
-// returns the per-vertex outputs (the same shape CoordResult.Outputs
-// has) and the run's Stats.
-func (f Family) RunLocal(g *graph.Graph, seed int64, tracer dist.Tracer) ([][]int, *dist.Stats, error) {
-	prog, err := f.Program(g, seed)
+// reference a conformant transport must reproduce bit-for-bit. cfg is
+// the run's coordinator configuration (from CoordConfig, possibly with
+// MaxRounds, CutSide, OnRound, Cancel or Tracer set), and RunLocal
+// honours them as the coordinator does. It returns the per-vertex outputs
+// (the same shape CoordResult.Outputs has) and the run's Stats.
+func (f Family) RunLocal(cfg dist.CoordConfig) ([][]int, *dist.Stats, error) {
+	prog, err := f.Program(cfg.Graph, cfg.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	engineG := g
+	engineG := cfg.Graph
 	if prog.Graph != nil {
 		engineG = prog.Graph
 	}
 	stats, err := dist.RunMachines(dist.Config{
-		Graph: engineG, Seed: seed,
-		Bandwidth: f.bandwidth(g.N()), Enforce: f.Enforce,
-		Tracer: tracer,
+		Graph: engineG, Seed: cfg.Seed,
+		Bandwidth: cfg.Bandwidth, Enforce: cfg.Enforce,
+		MaxRounds: cfg.MaxRounds, CutSide: cfg.CutSide,
+		OnRound: cfg.OnRound, Cancel: cfg.Cancel, Tracer: cfg.Tracer,
 	}, prog.Factory)
 	if err != nil {
 		return nil, nil, err
 	}
-	outs := make([][]int, g.N())
+	outs := make([][]int, cfg.Graph.N())
 	if prog.Output != nil {
 		for v := range outs {
 			outs[v] = prog.Output(v)

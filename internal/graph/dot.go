@@ -37,35 +37,3 @@ func ToDOT(w io.Writer, g *Graph, highlight *EdgeSet) error {
 	_, err := fmt.Fprintln(w, "}")
 	return err
 }
-
-// DigraphToDOT writes d in Graphviz DOT format with the same highlighting
-// conventions as ToDOT.
-func DigraphToDOT(w io.Writer, d *Digraph, highlight *EdgeSet) error {
-	if _, err := fmt.Fprintln(w, "digraph G {"); err != nil {
-		return err
-	}
-	for v := 0; v < d.N(); v++ {
-		if _, err := fmt.Fprintf(w, "  %d;\n", v); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < d.M(); i++ {
-		e := d.Edge(i)
-		attrs := ""
-		if highlight != nil && highlight.Has(i) {
-			attrs = ` [color=red, penwidth=2]`
-		}
-		if d.Weighted() {
-			if attrs == "" {
-				attrs = fmt.Sprintf(` [label="%g"]`, d.Weight(i))
-			} else {
-				attrs = fmt.Sprintf(` [color=red, penwidth=2, label="%g"]`, d.Weight(i))
-			}
-		}
-		if _, err := fmt.Fprintf(w, "  %d -> %d%s;\n", e.U, e.V, attrs); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}

@@ -39,25 +39,3 @@ func TestToDOTWeighted(t *testing.T) {
 		t.Fatalf("weight label missing:\n%s", sb.String())
 	}
 }
-
-func TestDigraphToDOT(t *testing.T) {
-	d := NewDigraph(3)
-	a := d.AddEdge(0, 1)
-	d.AddEdge(2, 1)
-	h := NewEdgeSet(d.M())
-	h.Add(a)
-	var sb strings.Builder
-	if err := DigraphToDOT(&sb, d, h); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "digraph G {") {
-		t.Fatal("not a digraph header")
-	}
-	if !strings.Contains(out, "0 -> 1 [color=red, penwidth=2];") {
-		t.Fatalf("highlighted arc missing:\n%s", out)
-	}
-	if !strings.Contains(out, "2 -> 1;") {
-		t.Fatalf("plain arc missing:\n%s", out)
-	}
-}

@@ -766,7 +766,7 @@ func init() {
 		Replicates: 4,
 		Run: func(p Params, seed int64, cancel <-chan struct{}) (Metrics, error) {
 			g := gen.PlantedStars(p.Int("c", 4), p.Int("s", 8), p.Float("q", 0.4), int64(p.Int("iseed", 3)))
-			opts, _, err := coreOptions(p, seed, cancel)
+			opts, _, err := coreOptions(p, g.N(), seed, cancel)
 			if err != nil {
 				return nil, err
 			}

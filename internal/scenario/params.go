@@ -229,6 +229,31 @@ func ParseGrid(s string) (Grid, error) {
 	return g, nil
 }
 
+// ParseCell parses command-line "key=value" arguments into one cell,
+// with the grid syntax (strings.Join(args, ";")). A key given more than
+// one value is an error: a cell is one point, and cmd/sweep runs grids.
+// So is a key that starts with "-": a flag placed after the arguments,
+// where Go's flag parser no longer sees it.
+func ParseCell(args []string) (Params, error) {
+	g, err := ParseGrid(strings.Join(args, ";"))
+	if err != nil {
+		return nil, err
+	}
+	cell := Params{}
+	for k, vs := range g {
+		cell[k] = vs[0]
+	}
+	for _, k := range cell.Keys() {
+		if strings.HasPrefix(k, "-") {
+			return nil, fmt.Errorf("scenario: %s is a flag after the key=value arguments; flags go first", k)
+		}
+		if len(g[k]) > 1 {
+			return nil, fmt.Errorf("scenario: %s=%s has %d values; a run takes one (cmd/sweep runs grids)", k, strings.Join(g[k], ","), len(g[k]))
+		}
+	}
+	return cell, nil
+}
+
 // Cells expands the grid into the cartesian product of its axes, in
 // deterministic order: axes sorted by name, the last axis varying fastest.
 // An empty grid yields a single empty cell.

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -75,6 +76,29 @@ func TestGridCells(t *testing.T) {
 	}
 	if got := (Grid{}).Cells(); len(got) != 1 || len(got[0]) != 0 {
 		t.Fatal("empty grid must yield one empty cell")
+	}
+}
+
+func TestParseCell(t *testing.T) {
+	cell, err := ParseCell([]string{"family=cgnp", "n=32", "p=0.2"})
+	if err != nil || cell.Key() != "family=cgnp n=32 p=0.2" {
+		t.Fatalf("ParseCell = %v, %v", cell, err)
+	}
+	if cell, err := ParseCell(nil); err != nil || len(cell) != 0 {
+		t.Fatalf("no arguments: %v, %v", cell, err)
+	}
+	for _, args := range [][]string{
+		{"n=32,64"},         // a grid axis: cmd/sweep's job
+		{"n=32", "n=64"},    // a repeated key
+		{"n"},               // not key=value
+		{"n=32", "-seed=2"}, // a flag after the arguments
+	} {
+		if _, err := ParseCell(args); err == nil {
+			t.Errorf("ParseCell(%q) accepted", args)
+		}
+	}
+	if _, err := ParseCell([]string{"n=32,64"}); err == nil || !strings.Contains(err.Error(), "cmd/sweep") {
+		t.Errorf("multi-valued key error %v does not point at cmd/sweep", err)
 	}
 }
 

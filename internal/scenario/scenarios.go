@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -72,10 +73,11 @@ func spannerReference(g *graph.Graph, ref string, k int) (float64, error) {
 
 // verifySpanner folds validity and stretch extraction into metrics in a
 // single pass over the edges, returning an error (the sweep-level failure
-// signal) when H is not a k-spanner. Stretch capped at k reports Max < 0
-// exactly when some edge's endpoints are more than k hops apart in H,
-// which for k >= 1 (every caller) means H is not a k-spanner.
-func verifySpanner(g *graph.Graph, H *graph.EdgeSet, k int, m Metrics) error {
+// signal) when H is not a k-spanner, and hands a verified H to the run's
+// observer. Stretch capped at k reports Max < 0 exactly when some edge's
+// endpoints are more than k hops apart in H, which for k >= 1 (every
+// caller) means H is not a k-spanner.
+func verifySpanner(p Params, g *graph.Graph, H *graph.EdgeSet, k int, m Metrics) error {
 	st := span.Stretch(g, H, k)
 	if st.Max < 0 {
 		m["valid"] = 0
@@ -84,6 +86,9 @@ func verifySpanner(g *graph.Graph, H *graph.EdgeSet, k int, m Metrics) error {
 	m["valid"] = 1
 	m["stretch_max"] = float64(st.Max)
 	m["stretch_mean"] = st.Mean
+	if o := observer(p); o != nil && o.Spanner != nil {
+		o.Spanner(g, H)
+	}
 	return nil
 }
 
@@ -108,45 +113,58 @@ func transportShards(p Params) (int, error) {
 	return 0, fmt.Errorf("scenario: unknown transport %q (want local or chanK)", t)
 }
 
-// coreOptions builds the shared core options plus the run's timing
-// recorder (nil unless the execution-only "timing" parameter is set —
-// see timingTracer). The recorder, when present, is already installed
-// as the options' Tracer; the caller folds it into the metrics with
-// timingMetrics after the run. It fails on a malformed "transport".
-func coreOptions(p Params, seed int64, cancel <-chan struct{}) (opts core.Options, tim *trace.TimingRecorder, err error) {
+// coreOptions builds the shared core options for a run on an n-vertex
+// instance, with the hooks runHooks resolves installed, plus the run's
+// timing recorder (nil unless "timing" is set); the caller folds it
+// into the metrics with timingMetrics after the run. It fails on a
+// malformed "transport" and on a hook conflict.
+func coreOptions(p Params, n int, seed int64, cancel <-chan struct{}) (opts core.Options, tim *trace.TimingRecorder, err error) {
 	shards, err := transportShards(p)
 	if err != nil {
 		return opts, nil, err
 	}
-	opts = core.Options{
+	onRound, tr, tim, err := runHooks(p, n)
+	if err != nil {
+		return opts, nil, err
+	}
+	return core.Options{
 		Seed:            seed,
 		VoteDenominator: p.Int("votden", 0),
 		FreshStars:      p.Bool("fresh", false),
 		NoRounding:      p.Bool("noround", false),
 		Shards:          shards,
 		Cancel:          cancel,
-		RoundHook:       roundObserver(p),
-	}
-	tim = timingTracer(p)
-	if tim != nil {
-		opts.Tracer = tim
-	}
-	return opts, tim, nil
+		RoundHook:       onRound,
+		Tracer:          tr,
+	}, tim, nil
 }
 
-// timingTracer parses the shared execution-only "timing" parameter: when
-// true, the run records its wall-clock timing channel (per-round wall
-// time and scheduler-phase split) through a trace.TimingRecorder and
-// surfaces it via timingMetrics. Like "transport", the parameter selects
-// how a run executes, not what instance it runs on: it is excluded from
-// InstanceKey, and the timing columns are nondeterministic wall-clock
-// telemetry — reports meant to be byte-reproducible should leave it off
-// (the default).
-func timingTracer(p Params) *trace.TimingRecorder {
-	if !p.Bool("timing", false) {
-		return nil
+// runHooks resolves what a simulated run on an n-vertex instance
+// installs on the engine: the observer's round hook and at most one
+// tracer, the observer's or the timing recorder. The shared
+// execution-only "timing" parameter makes the run record its wall-clock
+// channel (per-round wall time and scheduler-phase split) through a
+// trace.TimingRecorder, returned as tim for timingMetrics. Like
+// "transport", it selects how a run executes, not what instance it runs
+// on: it is excluded from InstanceKey, and the timing columns are
+// nondeterministic wall-clock telemetry — reports meant to be
+// byte-reproducible should leave it off (the default).
+func runHooks(p Params, n int) (onRound func(dist.RoundActivity), tr dist.Tracer, tim *trace.TimingRecorder, err error) {
+	var o Observer
+	if obs := observer(p); obs != nil {
+		o = *obs
 	}
-	return &trace.TimingRecorder{}
+	timing := p.Bool("timing", false)
+	switch {
+	case timing && o.Tracer != nil:
+		return nil, nil, nil, errors.New("scenario: timing=1 and an observer tracer cannot share a run")
+	case timing:
+		tim = &trace.TimingRecorder{}
+		return o.OnRound, tim, tim, nil
+	case o.Tracer != nil:
+		return o.OnRound, o.Tracer(n), nil, nil
+	}
+	return o.OnRound, nil, nil, nil
 }
 
 // timingMetrics folds a run's recorded timing channel into the metrics:
@@ -184,7 +202,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts, tim, err := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, g.N(), seed, cancel)
 			if err != nil {
 				return nil, err
 			}
@@ -200,7 +218,7 @@ func init() {
 			m["iterations"] = float64(res.Iterations)
 			m["fallbacks"] = float64(res.Fallbacks)
 			m["log_bound"] = math.Log2(math.Max(2, float64(g.M())/float64(g.N()))) + 1
-			if err := verifySpanner(g, res.Spanner, 2, m); err != nil {
+			if err := verifySpanner(p, g, res.Spanner, 2, m); err != nil {
 				return m, err
 			}
 			if res.Fallbacks != 0 {
@@ -234,7 +252,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts, tim, err := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, g.N(), seed, cancel)
 			if err != nil {
 				return nil, err
 			}
@@ -250,7 +268,7 @@ func init() {
 			m["subrounds"] = float64(res.Subrounds)
 			m["bandwidth"] = float64(res.Bandwidth)
 			m["congest_ok"] = boolMetric(res.Stats.CongestCompatible(res.Bandwidth))
-			if err := verifySpanner(g, res.Spanner, 2, m); err != nil {
+			if err := verifySpanner(p, g, res.Spanner, 2, m); err != nil {
 				return m, err
 			}
 			if !res.Stats.CongestCompatible(res.Bandwidth) {
@@ -276,7 +294,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts, tim, err := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, d.N(), seed, cancel)
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +331,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts, tim, err := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, g.N(), seed, cancel)
 			if err != nil {
 				return nil, err
 			}
@@ -328,7 +346,7 @@ func init() {
 			m["cost"] = res.Cost
 			m["iterations"] = float64(res.Iterations)
 			m["log_delta_bound"] = math.Log2(float64(g.MaxDegree())) + 1
-			if err := verifySpanner(g, res.Spanner, 2, m); err != nil {
+			if err := verifySpanner(p, g, res.Spanner, 2, m); err != nil {
 				return m, err
 			}
 			ref, err := spannerReference(g, p.Str("ref", "kp"), 2)
@@ -359,7 +377,7 @@ func init() {
 				return nil, err
 			}
 			clients, servers := gen.ClientServerSplit(g, p.Float("pc", 0.6), p.Float("ps", 0.7), instanceSeed(p, seed)+0xc5)
-			opts, tim, err := coreOptions(p, seed, cancel)
+			opts, tim, err := coreOptions(p, g.N(), seed, cancel)
 			if err != nil {
 				return nil, err
 			}
@@ -404,12 +422,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			mopts := mds.Options{Seed: seed, Bandwidth: p.Int("bandwidth", 0), Shards: shards, Cancel: cancel, RoundHook: roundObserver(p)}
-			tim := timingTracer(p)
-			if tim != nil {
-				mopts.Tracer = tim
+			onRound, tr, tim, err := runHooks(p, g.N())
+			if err != nil {
+				return nil, err
 			}
-			res, err := mds.Run(g, mopts)
+			res, err := mds.Run(g, mds.Options{Seed: seed, Bandwidth: p.Int("bandwidth", 0), Shards: shards, Cancel: cancel, RoundHook: onRound, Tracer: tr})
 			if err != nil {
 				return nil, err
 			}
@@ -487,7 +504,7 @@ func init() {
 			m := graphMetrics(g, Metrics{})
 			m["size"] = float64(H.Len())
 			m["cost"] = span.Cost(g, H)
-			if err := verifySpanner(g, H, 2, m); err != nil {
+			if err := verifySpanner(p, g, H, 2, m); err != nil {
 				return m, err
 			}
 			return m, nil
@@ -515,7 +532,7 @@ func init() {
 			m["k"] = float64(k)
 			m["size"] = float64(H.Len())
 			m["cost"] = span.Cost(g, H)
-			if err := verifySpanner(g, H, k, m); err != nil {
+			if err := verifySpanner(p, g, H, k, m); err != nil {
 				return m, err
 			}
 			return m, nil
@@ -550,7 +567,7 @@ func init() {
 			m["colors"] = float64(res.Colors)
 			m["radius"] = float64(res.Radius)
 			m["est_rounds"] = float64(res.EstimatedRounds)
-			if err := verifySpanner(g, res.Spanner, k, m); err != nil {
+			if err := verifySpanner(p, g, res.Spanner, k, m); err != nil {
 				return m, err
 			}
 			_, opt, err := exact.MinSpanner(g, exact.SpannerOptions{K: k})

@@ -184,12 +184,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rounds := make(chan dist.RoundActivity, 256)
-	token, release := scenario.RegisterObserver(func(act dist.RoundActivity) {
+	token, release := scenario.RegisterObserver(&scenario.Observer{OnRound: func(act dist.RoundActivity) {
 		select { // never block the engine; the feed is lossy by contract
 		case rounds <- act:
 		default:
 		}
-	})
+	}})
 	defer release()
 
 	stop := make(chan struct{})

@@ -81,6 +81,12 @@ func (s *Server) prepare(req *JobRequest) (*Job, *reqError) {
 	if !ok {
 		return nil, &reqError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown scenario %q (see /v1/scenarios)", req.Scenario)}
 	}
+	if _, ok := req.Params["obs"]; ok {
+		// Observer tokens are sequential: a client-set "obs" would attach
+		// its run to another caller's live stream. Only in-process
+		// callers set it.
+		return nil, badRequest(`param "obs" is reserved for the server`)
+	}
 	merged := sc.Defaults.Merge(scenario.Params(req.Params))
 	job := &Job{Scenario: sc, Seed: req.Seed}
 	if req.Graph != nil {

@@ -273,6 +273,7 @@ func TestRejectedRequests(t *testing.T) {
 		{"weight count mismatch", `{"scenario":"twospanner","graph":{"n":2,"edges":[[0,1]],"weights":[1,2]}}`, http.StatusBadRequest},
 		{"negative weight", `{"scenario":"twospanner","graph":{"n":2,"edges":[[0,1]],"weights":[-1]}}`, http.StatusBadRequest},
 		{"oversized body", oversized, http.StatusRequestEntityTooLarge},
+		{"observer token", `{"scenario":"twospanner","params":{"obs":"1"}}`, http.StatusBadRequest},
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -284,8 +285,8 @@ func TestRejectedRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, msg)
 		}
 	}
-	if st := srv.Stats(); st.Rejected != 10 {
-		t.Errorf("rejected = %d, want 10", st.Rejected)
+	if st := srv.Stats(); st.Rejected != 11 {
+		t.Errorf("rejected = %d, want 11", st.Rejected)
 	}
 	if st := srv.pool.Stats(); st.Executions != 0 {
 		t.Errorf("rejected requests executed %d runs", st.Executions)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"distspanner/internal/dist"
 	"distspanner/internal/graph"
@@ -142,6 +143,8 @@ type congestCtx struct {
 	cbits   int              // metered size of one chunk
 	out     []pendingPayload // per neighbor position; kind 0 means none
 	pending int              // payloads queued in out
+	recs    []dist.Rec       // the reassembled records, reused per window
+	inbox   []dist.InRec     // the logical inbox, pointing into recs
 }
 
 type pendingPayload struct {
@@ -228,9 +231,11 @@ func collectChunks(nbrs []int, incoming []inStream, msgs []dist.InRec) {
 }
 
 // assemble decodes the reassembled streams into the logical inbox, in
-// ascending sender order.
+// ascending sender order. The inbox and its records are reused by the
+// next window, like the engine's: valid only during the inner step.
 func (c *congestCtx) assemble(incoming []inStream) []dist.InRec {
-	var msgs []dist.InRec
+	c.recs = slices.Grow(c.recs[:0], len(incoming)) // rows stay put while the inbox points at them
+	c.inbox = c.inbox[:0]
 	for j := range incoming {
 		st := &incoming[j]
 		if st.kind == 0 {
@@ -240,9 +245,10 @@ func (c *congestCtx) assemble(incoming []inStream) []dist.InRec {
 		if err != nil {
 			panic(err)
 		}
-		msgs = append(msgs, dist.InRec{From: c.ctx.Neighbors()[j], Rec: r})
+		c.recs = append(c.recs, r)
+		c.inbox = append(c.inbox, dist.InRec{From: c.ctx.Neighbors()[j], Rec: &c.recs[len(c.recs)-1]})
 	}
-	return msgs
+	return c.inbox
 }
 
 // congestMachine state: between physical rounds the machine is either

@@ -303,14 +303,14 @@ func TestDirectedFreshStarsSkipsContinuation(t *testing.T) {
 				}
 			}
 			heads = append([]int{0}, heads...)
-			recs = append(recs, dist.InRec{From: u, Rec: uncovMsg{nbrs: heads, full: true, n: d.N()}.rec(tagDirUncov)})
+			recs = append(recs, inRec(u, uncovMsg{nbrs: heads, full: true, n: d.N()}.rec(tagDirUncov)))
 		}
 		return recs
 	}
 	first := k4(1)
 	var second []dist.InRec
 	for _, r := range first { // 1..4 announce their lists covered
-		second = append(second, dist.InRec{From: r.From, Rec: uncovMsg{nbrs: r.Ints, n: d.N()}.rec(tagDirUncov)})
+		second = append(second, inRec(r.From, uncovMsg{nbrs: r.Ints, n: d.N()}.rec(tagDirUncov)))
 	}
 	second = append(second, k4(deg-3)...)
 	for _, fresh := range []bool{false, true} {
@@ -537,7 +537,7 @@ func TestDirectedViewMatchesMapReference(t *testing.T) {
 					lists[i] = append(lists[i], w)
 				}
 			}
-			full = append(full, dist.InRec{From: u, Rec: uncovMsg{nbrs: lists[i], full: true, n: universe}.rec(tagDirUncov)})
+			full = append(full, inRec(u, uncovMsg{nbrs: lists[i], full: true, n: universe}.rec(tagDirUncov)))
 			var del []int
 			for _, w := range lists[i] {
 				if rng.Float64() < 0.2 {
@@ -546,7 +546,7 @@ func TestDirectedViewMatchesMapReference(t *testing.T) {
 			}
 			if len(del) > 0 {
 				lists[i] = removeSorted(lists[i], del)
-				dels = append(dels, dist.InRec{From: u, Rec: uncovMsg{nbrs: del, n: universe}.rec(tagDirUncov)})
+				dels = append(dels, inRec(u, uncovMsg{nbrs: del, n: universe}.rec(tagDirUncov)))
 			}
 		}
 		nd.process(phUncov, full)

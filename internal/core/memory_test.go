@@ -172,7 +172,7 @@ func TestLiveBytesPerVertexPinned(t *testing.T) {
 
 // The pinned peaks, in KB per vertex, and their relative tolerance.
 const (
-	twoSpannerLiveKBPerVertex = 4.295
-	mdsLiveKBPerVertex        = 6.524
+	twoSpannerLiveKBPerVertex = 3.839
+	mdsLiveKBPerVertex        = 6.057
 	liveTolerance             = 0.01
 )

@@ -197,6 +197,9 @@ func TestDensestStarMemoCopiesOut(t *testing.T) {
 	}
 }
 
+// inRec delivers r from vertex from, as the engine's inbox would.
+func inRec(from int, r dist.Rec) dist.InRec { return dist.InRec{From: from, Rec: &r} }
+
 // viewOf builds a view through newLocalView from the selectable
 // neighbors' costs, the free neighbor ids, and the H_v edges as id pairs.
 func viewOf(sel map[int]float64, free []int, h [][2]int) *localView {
@@ -489,15 +492,15 @@ func TestDeathDirtiesViewIffListAnnounced(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			nd := newUndirectedNode(&stubCtx{id: 0, n: g.N(), nbrs: g.Neighbors(0)}, newURun(g, twoSpannerVariant(false), Options{}))
 			i := posOf(nd.nbrs, c.from)
-			nd.process(phUncov, []dist.InRec{{From: c.from, Rec: uncovMsg{nbrs: c.full, full: true, n: g.N()}.rec(tagUncov)}})
+			nd.process(phUncov, []dist.InRec{inRec(c.from, uncovMsg{nbrs: c.full, full: true, n: g.N()}.rec(tagUncov))})
 			for _, del := range c.removes {
-				nd.process(phUncov, []dist.InRec{{From: c.from, Rec: uncovMsg{nbrs: del, n: g.N()}.rec(tagUncov)}})
+				nd.process(phUncov, []dist.InRec{inRec(c.from, uncovMsg{nbrs: del, n: g.N()}.rec(tagUncov))})
 			}
 			if got := len(nd.nb[i].above); got != c.above {
 				t.Fatalf("row keeps %d positions, want %d", got, c.above)
 			}
 			nd.viewDirty = false
-			nd.process(phStar, []dist.InRec{{From: c.from, Rec: termMsg{n: g.N()}.rec()}})
+			nd.process(phStar, []dist.InRec{inRec(c.from, termMsg{n: g.N()}.rec())})
 			if nd.viewDirty != c.dirty {
 				t.Fatalf("death of %d: viewDirty = %v, want %v", c.from, nd.viewDirty, c.dirty)
 			}

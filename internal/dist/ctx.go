@@ -19,15 +19,13 @@ type Ctx struct {
 
 	edgeBits []int // metering scratch, parallel to nbrs
 	touched  []int // edgeBits indices written this round (metering scratch)
-	done     bool  // machine retired
-	parked   bool  // parked awaiting a delivery
 
-	// Flat-buffer record arenas (see rec.go). The inbox is written by
-	// deliver between steps and drained by takeRecs; the out arenas hold
-	// queued record sends with their packed int tails, and prevInts the
-	// tails delivered last round, which their receivers still read.
-	inRecs     []InRec
-	outRecs    []outRec
+	// Flat-buffer out arenas (see rec.go): one header per sent record,
+	// the records' runs of destination neighbor positions, their packed
+	// int tails, and prevInts, the tails delivered last round, which their
+	// receivers still read.
+	outHdrs    []outHdr
+	outTo      []int32
 	outInts    []int
 	prevInts   []int
 	lastStaged []int // backing slice of the last staged tail (broadcast reuse)

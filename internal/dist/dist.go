@@ -170,15 +170,28 @@ type engine struct {
 
 	ctxs     []*Ctx // indexed by vertex id; nil outside [lo, hi)
 	machines []Machine
-	status   []StepStatus
-	ins      []StepIn
-	active   []*Ctx // vertices stepped this iteration
-	yielded  []*Ctx // active vertices that asked for the next round
-	dirty    []*Ctx // the iteration's senders, ascending id
-	woken    []*Ctx // parked vertices the last delivery woke
-	parked   int    // vertices parked awaiting a delivery
-	retired  int    // vertices whose machine returned StepDone
-	abort    error
+	// status is each vertex's scheduling state: what its last step
+	// returned, flipped from StepPark to StepYield by the delivery that
+	// wakes it. StepPark marks a parked vertex and StepDone a retired one.
+	status  []StepStatus
+	ins     []StepIn // each vertex's next step input; deliver carves its Recs
+	active  []*Ctx   // vertices stepped this iteration
+	yielded []*Ctx   // active vertices that asked for the next round
+	dirty   []*Ctx   // the iteration's senders, ascending id
+	woken   []*Ctx   // parked vertices the last delivery woke
+	parked  int      // vertices parked awaiting a delivery
+	retired int      // vertices whose machine returned StepDone
+	abort   error
+
+	// Delivery scratch (deliver): each vertex's delivery count in the
+	// round being delivered (zero between rounds), the receivers in
+	// first-delivery order, the arena every inbox is carved from, and the
+	// round's table of delivered records, one per sent record, that the
+	// inbox entries point at.
+	inCnt []int32
+	recv  []int32
+	inbox []InRec
+	table []Rec
 
 	// Delivery counters of the last deliver call (meterDlv only), folded
 	// into RoundActivity.
@@ -232,6 +245,7 @@ func (e *engine) start(seed int64, factory func(*Ctx) Machine) {
 	e.machines = make([]Machine, e.n)
 	e.status = make([]StepStatus, e.n)
 	e.ins = make([]StepIn, e.n)
+	e.inCnt = make([]int32, e.n)
 	e.active = make([]*Ctx, 0, e.hi-e.lo)
 	for v := e.lo; v < e.hi; v++ {
 		c := newCtx(e, v, seed)
@@ -286,29 +300,34 @@ func vertexPanicError(id int, r any) error {
 
 // meterSender sizes one sender's round of records: global aggregates plus
 // the per-directed-edge accumulation behind MaxEdgeRoundBits and the
-// bandwidth check. It touches only the sender's own state and does not
+// bandwidth check. Every destination counts as one message of its
+// record's size. It touches only the sender's own state and does not
 // depend on the round number, so a round can be metered before it is
-// decided. Records carry their size from SendRec and their neighbor slot
-// from validation time, and only the edge slots actually written this
-// round are revisited (and re-zeroed), so the cost is O(#records) rather
-// than O(degree) — a vertex of degree Δ that pings one neighbor does not
-// pay a Δ-wide scan.
+// decided. Records carry their size and destination neighbor positions
+// from SendRec, and only the edge slots actually written this round are
+// revisited (and re-zeroed), so the cost is O(#destinations) rather than
+// O(degree) — a vertex of degree Δ that pings one neighbor does not pay a
+// Δ-wide scan.
 func (e *engine) meterSender(c *Ctx) MeterReport {
 	r := MeterReport{ViolSender: -1}
-	for ri := range c.outRecs {
-		o := &c.outRecs[ri]
-		b := int(max(o.bits, 0))
-		r.Msgs++
-		r.Bits += int64(b)
+	lo := int32(0)
+	for hi := range c.outHdrs {
+		h := &c.outHdrs[hi]
+		b := int(max(h.bits, 0))
+		run := c.outTo[lo:h.end]
+		lo = h.end
+		r.Msgs += int64(len(run))
+		r.Bits += int64(b) * int64(len(run))
 		r.MaxMsg = max(r.MaxMsg, b)
-		if e.cut != nil && e.cut[c.id] != e.cut[o.to] {
-			r.CutBits += int64(b)
+		for _, p := range run {
+			if e.cut != nil && e.cut[c.id] != e.cut[c.nbrs[p]] {
+				r.CutBits += int64(b)
+			}
+			if b > 0 && c.edgeBits[p] == 0 {
+				c.touched = append(c.touched, int(p))
+			}
+			c.edgeBits[p] += b
 		}
-		i := int(o.nbrIdx)
-		if b > 0 && c.edgeBits[i] == 0 {
-			c.touched = append(c.touched, i)
-		}
-		c.edgeBits[i] += b
 	}
 	for _, i := range c.touched {
 		eb := c.edgeBits[i]

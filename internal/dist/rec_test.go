@@ -2,8 +2,10 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"distspanner/internal/graph"
@@ -305,5 +307,148 @@ func TestRecTailHeavyCrossMode(t *testing.T) {
 		if ref != *stats {
 			t.Fatalf("config %d: tail-heavy stats diverged:\nref: %+v\ngot: %+v", i, ref, stats)
 		}
+	}
+}
+
+// TestRecCoalescedSendsKeepEveryRecord: consecutive sends of records that
+// differ in one thing only — the sign of a zero float, Tag, Flag, a
+// scalar word, the metered size, or the tail (equal contents in another backing array, or other
+// contents) — must each reach their receiver as sent, in send order, and
+// be metered per send, with repeats to one neighbor interleaved among
+// them. Floats are compared by bit pattern, so -0 arriving as +0 fails.
+func TestRecCoalescedSendsKeepEveryRecord(t *testing.T) {
+	type send struct {
+		to   int
+		rec  Rec
+		bits int
+	}
+	negZero := math.Copysign(0, -1)
+	tail, sameTail, otherTail := []int{7, 8}, []int{7, 8}, []int{7, 9}
+	base := Rec{Tag: 5, Flag: 1, A: 3, B: -4, Ints: tail}
+	with := func(f func(*Rec)) Rec { r := base; f(&r); return r }
+	variants := []send{
+		{rec: with(func(r *Rec) { r.F0 = negZero }), bits: 10},
+		{rec: with(func(r *Rec) { r.F1 = negZero }), bits: 10},
+		{rec: with(func(r *Rec) { r.F2 = negZero }), bits: 10},
+		{rec: with(func(r *Rec) { r.Tag = 6 }), bits: 10},
+		{rec: with(func(r *Rec) { r.Flag = 2 }), bits: 10},
+		{rec: with(func(r *Rec) { r.B = 4 }), bits: 10},
+		{rec: base, bits: 11},
+		{rec: with(func(r *Rec) { r.Ints = sameTail }), bits: 10},
+		{rec: with(func(r *Rec) { r.Ints = otherTail }), bits: 10},
+	}
+	var sends []send
+	for _, v := range variants {
+		sends = append(sends,
+			send{1, base, 10}, send{1, v.rec, v.bits}, send{2, v.rec, v.bits},
+			send{2, base, 10}, send{3, base, 10}, send{3, base, 10})
+	}
+	sameRec := func(a, b *Rec) bool {
+		return a.Tag == b.Tag && a.Flag == b.Flag && a.A == b.A && a.B == b.B &&
+			math.Float64bits(a.F0) == math.Float64bits(b.F0) &&
+			math.Float64bits(a.F1) == math.Float64bits(b.F1) &&
+			math.Float64bits(a.F2) == math.Float64bits(b.F2) &&
+			slices.Equal(a.Ints, b.Ints)
+	}
+	g := graph.New(4) // star K_{1,3}, hub 0
+	for v := 1; v < 4; v++ {
+		g.AddEdge(0, v)
+	}
+	var msgs, bits int64
+	edge := make([]int, 4)
+	for _, s := range sends {
+		msgs++
+		bits += int64(s.bits)
+		edge[s.to] += s.bits
+	}
+	for i, cfg := range recConfigs(g, 1) {
+		got := make([][]Rec, 4)
+		stats, err := RunMachines(cfg, func(*Ctx) Machine {
+			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+				if in.Start {
+					if ctx.ID() == 0 {
+						for _, s := range sends {
+							ctx.SendRec(s.to, s.rec, s.bits)
+						}
+					}
+					return StepYield
+				}
+				for _, r := range in.Recs {
+					if r.From != 0 {
+						t.Errorf("config %d: vertex %d got a record from %d", i, ctx.ID(), r.From)
+					}
+					c := *r.Rec
+					c.Ints = slices.Clone(r.Ints)
+					got[ctx.ID()] = append(got[ctx.ID()], c)
+				}
+				return StepDone
+			})
+		})
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		for v := 1; v < 4; v++ {
+			var want []Rec
+			for _, s := range sends {
+				if s.to == v {
+					want = append(want, s.rec)
+				}
+			}
+			if len(got[v]) != len(want) {
+				t.Fatalf("config %d: vertex %d got %d records, want %d", i, v, len(got[v]), len(want))
+			}
+			for k := range want {
+				if !sameRec(&got[v][k], &want[k]) {
+					t.Fatalf("config %d: vertex %d record %d = %+v, want %+v", i, v, k, got[v][k], want[k])
+				}
+			}
+		}
+		if stats.Messages != msgs || stats.TotalBits != bits || stats.MaxMessageBits != 11 ||
+			stats.MaxEdgeRoundBits != slices.Max(edge) {
+			t.Fatalf("config %d: metering %+v, want %d messages, %d bits, max message 11, max edge-round %d",
+				i, stats, msgs, bits, slices.Max(edge))
+		}
+	}
+}
+
+// TestRecBroadcastAllocationPerDestination bounds what the record path
+// allocates per destination: a run in which the hub of a star K_{1,4096}
+// broadcasts a tail-less record for 4 rounds may allocate at most 160
+// bytes per leaf more than the same run with no sends. Arenas that keep
+// a header per destination, on the send side and again in every
+// receiver's inbox, cost about 400.
+func TestRecBroadcastAllocationPerDestination(t *testing.T) {
+	const d, rounds = 4096, 4
+	g := graph.New(d + 1)
+	for v := 1; v <= d; v++ {
+		g.AddEdge(0, v)
+	}
+	run := func(send bool) uint64 {
+		factory := func(*Ctx) Machine {
+			r := 0
+			return machineFunc(func(ctx *Ctx, in StepIn) StepStatus {
+				if r == rounds {
+					return StepDone
+				}
+				r++
+				if send && ctx.ID() == 0 {
+					ctx.BroadcastRec(Rec{Tag: 1, A: int64(r)}, 8)
+				}
+				return StepYield
+			})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunMachines(Config{Graph: g, Seed: 1, Workers: 1}, factory); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	quiet, busy := run(false), run(true)
+	perDest := (float64(busy) - float64(quiet)) / d
+	t.Logf("%.1f bytes allocated per destination (%d quiet, %d busy)", perDest, quiet, busy)
+	if perDest > 160 {
+		t.Fatalf("record path allocated %.1f bytes per destination, budget 160", perDest)
 	}
 }

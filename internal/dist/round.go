@@ -150,11 +150,9 @@ func (e *engine) classify() {
 		case StepYield:
 			e.yielded = append(e.yielded, c)
 		case StepPark:
-			c.parked = true
 			e.parked++
 			e.traceBlocked(TracePark, c.id)
 		case StepDone:
-			c.done = true
 			e.retired++
 			e.traceBlocked(TraceRetire, c.id)
 		}
@@ -218,8 +216,8 @@ func inParallel(n, workers int, fn func(part, lo, hi int)) {
 // a shard worker answers the same question for its range in wakeScan.
 func (e *engine) flushWakes() bool {
 	for _, c := range e.dirty {
-		for ri := range c.outRecs {
-			if !e.ctxs[c.outRecs[ri].to].done {
+		for _, p := range c.outTo {
+			if e.status[c.nbrs[p]] != StepDone {
 				return true
 			}
 		}
@@ -229,54 +227,100 @@ func (e *engine) flushWakes() bool {
 
 // deliver carries out a decided round's sends in global ascending-sender
 // order: the inbound batches in (indexed by source shard; nil
-// in-process), with this engine's own senders at its own shard position.
-// Under a contiguous partition that is exactly the ascending order of
-// every sender in the run, which is what makes each vertex's transcript
-// and inbox order identical however the run is partitioned. Every own
-// record narrates a Send (stamped with Stats.Rounds, the committed round
-// or, on a finish or quiesce verdict, the last one); records for other
-// shards were shipped in batches, and those for live vertices here land
-// in their inboxes (deliverRec). Afterwards every own sender's queue is
-// empty and its tail arenas swapped.
+// in-process), with this engine's own senders, each in send order, at
+// its own shard position. Under a contiguous partition that is exactly
+// the ascending order of every sender in the run, which is what makes
+// each vertex's transcript and inbox order identical however the run is
+// partitioned. It walks that order twice:
+//
+//   - The sizing pass narrates every own send (a Send event stamped with
+//     Stats.Rounds, the committed round or, on a finish or quiesce
+//     verdict, the last one; records for other shards were shipped in
+//     batches) and counts every delivery to a live vertex here (count),
+//     waking parked receivers in first-delivery order. Deliveries to
+//     retired vertices were metered and are simply dropped.
+//   - carve then cuts every receiver's inbox from the engine's one inbox
+//     arena, and the fill pass copies each delivered record once into the
+//     round's table and writes the receivers' InRec entries pointing at
+//     it.
+//
+// Afterwards every own sender's queue is empty and its tail arenas
+// swapped.
 func (e *engine) deliver(in []RecBatch) {
 	e.deliv, e.delivBits = 0, 0
+	// rows bounds the table rows the fill pass writes.
+	rows := 0
 	for s := range max(len(in), 1) { // in-process: position 0 alone, ours
 		if s != e.shard {
 			b := &in[s]
 			for ri := range b.Recs {
 				br := &b.Recs[ri]
-				if r := e.deliverRec(int(br.From), int(br.To), br.Tag, br.Bits, span(b.Ints, br.Off, br.N)); r != nil {
-					br.fill(r)
+				e.count(int(br.From), int(br.To), br.Tag, br.Bits)
+			}
+			rows += len(b.Recs)
+			continue
+		}
+		for _, c := range e.dirty {
+			for hi := range c.outHdrs {
+				h := &c.outHdrs[hi]
+				for _, p := range c.run(hi) {
+					to := c.nbrs[p]
+					if e.tracer != nil {
+						e.tracer.Event(TraceEvent{Kind: TraceSend, Round: e.stats.Rounds, V: c.id, Peer: to, Tag: h.tag, Bits: int(h.bits)})
+					}
+					if to >= e.lo && to < e.hi {
+						e.count(c.id, to, h.tag, h.bits)
+					}
+				}
+			}
+			rows += len(c.outHdrs)
+		}
+	}
+	e.carve(rows)
+	for s := range max(len(in), 1) {
+		if s != e.shard {
+			b := &in[s]
+			for ri := range b.Recs {
+				br := &b.Recs[ri]
+				if to := int(br.To); e.status[to] != StepDone {
+					e.table = append(e.table, br.rec(b.Ints))
+					e.land(int(br.From), to, &e.table[len(e.table)-1])
 				}
 			}
 			continue
 		}
 		for _, c := range e.dirty {
-			for ri := range c.outRecs {
-				o := &c.outRecs[ri]
-				if e.tracer != nil {
-					e.tracer.Event(TraceEvent{Kind: TraceSend, Round: e.stats.Rounds, V: c.id, Peer: int(o.to), Tag: o.tag, Bits: int(o.bits)})
-				}
-				if to := int(o.to); to >= e.lo && to < e.hi {
-					if r := e.deliverRec(c.id, to, o.tag, o.bits, span(c.outInts, o.off, o.n)); r != nil {
-						o.fill(r)
+			for hi := range c.outHdrs {
+				var r *Rec // the record's table row, written on first delivery
+				for _, p := range c.run(hi) {
+					to := c.nbrs[p]
+					if to < e.lo || to >= e.hi || e.status[to] == StepDone {
+						continue
 					}
+					if r == nil {
+						e.table = append(e.table, c.outHdrs[hi].rec(c.outInts))
+						r = &e.table[len(e.table)-1]
+					}
+					e.land(c.id, to, r)
 				}
 			}
 			c.clearSends()
 		}
 	}
+	for _, v := range e.recv {
+		e.inCnt[v] = 0
+	}
+	e.recv = e.recv[:0]
 }
 
-// deliverRec lands one record from vertex from in the inbox of vertex
-// to — its tail shared in place, its header slot returned for the caller
-// to fill from the record's source — unless to has retired: the record
-// was metered and is simply dropped (nil). A parked receiver is flipped
-// awake and queued in e.woken.
-func (e *engine) deliverRec(from, to int, tag uint8, bits int64, tail []int) *Rec {
-	c := e.ctxs[to]
-	if c.done {
-		return nil
+// count is the sizing pass's step for one record from vertex from to
+// vertex to: unless to has retired, it counts the delivery (and, when
+// metering deliveries, its bits), narrates it, and wakes a parked
+// receiver, queuing it in e.woken.
+func (e *engine) count(from, to int, tag uint8, bits int64) {
+	st := e.status[to]
+	if st == StepDone {
+		return
 	}
 	if e.meterDlv {
 		e.deliv++
@@ -285,26 +329,54 @@ func (e *engine) deliverRec(from, to int, tag uint8, bits int64, tail []int) *Re
 	if e.tracer != nil {
 		e.tracer.Event(TraceEvent{Kind: TraceDeliver, Round: e.stats.Rounds, V: to, Peer: from, Tag: tag, Bits: int(bits)})
 	}
-	c.inRecs = append(c.inRecs, InRec{From: from, Rec: Rec{Ints: tail}})
-	if c.parked {
-		c.parked = false
+	if e.inCnt[to] == 0 {
+		e.recv = append(e.recv, int32(to))
+	}
+	e.inCnt[to]++
+	if st == StepPark {
+		e.status[to] = StepYield
 		e.parked--
-		e.woken = append(e.woken, c)
+		e.woken = append(e.woken, e.ctxs[to])
 		if e.tracer != nil {
 			e.tracer.Event(TraceEvent{Kind: TraceWake, Round: e.stats.Rounds, V: to, Peer: from})
 		}
 	}
-	return &c.inRecs[len(c.inRecs)-1].Rec
+}
+
+// carve sizes the inbox arena to the round's deliveries and the record
+// table to rows, hands every receiver its inbox — a slice of the arena,
+// in first-delivery order — and turns each receiver's count into its
+// fill cursor. Growing the arena or the table only drops last round's
+// copies, which no step reads any more.
+func (e *engine) carve(rows int) {
+	total := 0
+	for _, v := range e.recv {
+		total += int(e.inCnt[v])
+	}
+	e.inbox = slices.Grow(e.inbox[:0], total)[:total]
+	e.table = slices.Grow(e.table[:0], rows)
+	off := int32(0)
+	for _, v := range e.recv {
+		end := off + e.inCnt[v]
+		e.ins[v].Recs = e.inbox[off:end:end]
+		e.inCnt[v] = off
+		off = end
+	}
+}
+
+// land writes one delivery into receiver to's inbox at its fill cursor.
+// The table must not grow while inboxes point into it: carve reserved
+// every row the fill pass writes.
+func (e *engine) land(from, to int, r *Rec) {
+	e.inbox[e.inCnt[to]] = InRec{From: from, Rec: r}
+	e.inCnt[to]++
 }
 
 // rebuild forms the next round's active set after a commit: the
-// yielders, then the vertices the round's deliveries woke, each handed
-// its inbox.
+// yielders, then the vertices the round's deliveries woke. deliver has
+// already handed every receiver its inbox.
 func (e *engine) rebuild() {
 	e.active = append(append(e.active[:0], e.yielded...), e.woken...)
-	for _, c := range e.active {
-		e.ins[c.id] = StepIn{Recs: c.takeRecs()}
-	}
 	e.woken = e.woken[:0]
 }
 
@@ -313,10 +385,9 @@ func (e *engine) rebuild() {
 // verdict. A machine panic there becomes e.abort.
 func (e *engine) quiesce() {
 	for _, c := range e.ctxs[e.lo:e.hi] {
-		if !c.parked {
+		if e.status[c.id] != StepPark {
 			continue
 		}
-		c.parked = false
 		e.stepEpilogue(e.machines[c.id], c)
 		if e.abort != nil {
 			return

@@ -253,10 +253,12 @@ func (w *shardWorker) report() *RoundFrame {
 		Out:   make([]RecBatch, w.workers),
 	}
 	for _, c := range e.dirty {
-		for ri := range c.outRecs {
-			o := &c.outRecs[ri]
-			if dst := shardOf(w.cuts, int(o.to)); dst != e.shard {
-				rf.Out[dst].add(c.id, o, span(c.outInts, o.off, o.n))
+		for hi := range c.outHdrs {
+			for _, p := range c.run(hi) {
+				to := c.nbrs[p]
+				if dst := shardOf(w.cuts, to); dst != e.shard {
+					rf.Out[dst].add(c.id, to, &c.outHdrs[hi].recKey, c.outInts)
+				}
 			}
 		}
 	}
@@ -272,22 +274,24 @@ func (w *shardWorker) wakeScan(in []RecBatch) *WakeFrame {
 	w.iterNo++
 	wf := &WakeFrame{}
 	scan := func(to int, bits int64) {
-		c := e.ctxs[to]
-		if c.done {
+		st := e.status[to]
+		if st == StepDone {
 			return
 		}
 		wf.WouldWake = true
 		wf.Delivered++
 		wf.DeliveredBits += bits
-		if c.parked && w.wakeStamp[to-e.lo] != w.iterNo {
+		if st == StepPark && w.wakeStamp[to-e.lo] != w.iterNo {
 			w.wakeStamp[to-e.lo] = w.iterNo
 			wf.Woken++
 		}
 	}
 	for _, c := range e.dirty {
-		for ri := range c.outRecs {
-			if to := int(c.outRecs[ri].to); to >= e.lo && to < e.hi {
-				scan(to, c.outRecs[ri].bits)
+		for hi := range c.outHdrs {
+			for _, p := range c.run(hi) {
+				if to := c.nbrs[p]; to >= e.lo && to < e.hi {
+					scan(to, c.outHdrs[hi].bits)
+				}
 			}
 		}
 	}

@@ -97,6 +97,7 @@ func (e *engine) stepMachines() {
 func (e *engine) stepOne(c *Ctx) error {
 	st, err := stepSafe(e.machines[c.id], c, e.ins[c.id])
 	e.status[c.id] = st
+	e.ins[c.id] = StepIn{}
 	return err
 }
 
@@ -128,7 +129,7 @@ func (e *engine) stepEpilogue(m Machine, c *Ctx) {
 		}
 		switch st {
 		case StepDone:
-			c.done = true
+			e.status[c.id] = StepDone
 			e.traceBlocked(TraceRetire, c.id)
 			return
 		case StepYield:

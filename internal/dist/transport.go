@@ -150,10 +150,9 @@ type BatchRec struct {
 	Off, N    int32
 }
 
-// fill copies the record's header into a delivered slot (the tail is
-// set by deliverRec).
-func (br *BatchRec) fill(r *Rec) {
-	r.Tag, r.Flag, r.A, r.B, r.F0, r.F1, r.F2 = br.Tag, br.Flag, br.A, br.B, br.F0, br.F1, br.F2
+// rec rebuilds the record, its tail spanning the batch arena ints.
+func (br *BatchRec) rec(ints []int) Rec {
+	return Rec{Tag: br.Tag, Flag: br.Flag, A: br.A, B: br.B, F0: br.F0, F1: br.F1, F2: br.F2, Ints: span(ints, br.Off, br.N)}
 }
 
 // RecBatch is the records one shard sends to one other shard in one
@@ -171,15 +170,16 @@ type RecBatch struct {
 	Ints []int
 }
 
-// add appends one record, copying its tail into the batch arena.
-func (b *RecBatch) add(from int, o *outRec, tail []int) {
-	off := int32(len(b.Ints))
-	b.Ints = append(b.Ints, tail...)
+// add appends one record send from vertex from to vertex to, copying its
+// tail out of the sender's arena ints into the batch arena.
+func (b *RecBatch) add(from, to int, k *recKey, ints []int) {
+	r := k.rec(ints)
 	b.Recs = append(b.Recs, BatchRec{
-		From: int32(from), To: o.to, Tag: o.tag, Flag: o.flag, Bits: o.bits,
-		A: o.a, B: o.b, F0: o.f0, F1: o.f1, F2: o.f2,
-		Off: off, N: o.n,
+		From: int32(from), To: int32(to), Tag: r.Tag, Flag: r.Flag, Bits: k.bits,
+		A: r.A, B: r.B, F0: r.F0, F1: r.F1, F2: r.F2,
+		Off: int32(len(b.Ints)), N: k.n,
 	})
+	b.Ints = append(b.Ints, r.Ints...)
 }
 
 // RoundFrame is a worker's phase-1 report for one iteration.

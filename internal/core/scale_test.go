@@ -81,15 +81,14 @@ func TestTwoSpannerMillionVertexStep(t *testing.T) {
 }
 
 // scaleTestMemory is what TestTwoSpannerMillionVertexStep needs, about
-// 1.5x its peak RSS. Run alone under go test (Go 1.24, 2 cores, 7.8 GiB)
-// the test binary's VmHWM was 4.77-5.00 GB over six runs, at most
-// 5.0 KB per vertex; it was 5.80 GB before the 2-spanner node kept H_v
-// rows instead of its neighbors' uncovered lists.
+// 1.5x its peak RSS. On Go 1.24, 2 cores, 7.8 GiB, the test binary's
+// VmHWM was 4.36-4.40 GB over six runs alone and 4.40 GB inside
+// go test ./..., at most 4.4 KB per vertex.
 const scaleTestMemory = 7 << 30
 
 // scaleTestPeakKBPerVertex is the run's peak-RSS budget in KB (10^3
-// bytes) per vertex: the measured 5.0 KB plus 14%.
-const scaleTestPeakKBPerVertex = 5.7
+// bytes) per vertex: the measured 4.4 KB plus 14%.
+const scaleTestPeakKBPerVertex = 5.0
 
 // usableMemory returns the memory this process may use and where that
 // figure came from: the cgroup v2 limit in memory.max when one is set,

@@ -186,8 +186,8 @@ type engine struct {
 	// Delivery scratch (deliver): each vertex's delivery count in the
 	// round being delivered (zero between rounds), the receivers in
 	// first-delivery order, the arena every inbox is carved from, and the
-	// round's table of delivered records, one per sent record, that the
-	// inbox entries point at.
+	// round's table of delivered records, one row per record however many
+	// receivers it has, that the inbox entries point at.
 	inCnt []int32
 	recv  []int32
 	inbox []InRec
@@ -310,12 +310,9 @@ func vertexPanicError(id int, r any) error {
 // Δ-wide scan.
 func (e *engine) meterSender(c *Ctx) MeterReport {
 	r := MeterReport{ViolSender: -1}
-	lo := int32(0)
 	for hi := range c.outHdrs {
-		h := &c.outHdrs[hi]
-		b := int(max(h.bits, 0))
-		run := c.outTo[lo:h.end]
-		lo = h.end
+		b := int(max(c.outHdrs[hi].bits, 0))
+		run := c.run(hi)
 		r.Msgs += int64(len(run))
 		r.Bits += int64(b) * int64(len(run))
 		r.MaxMsg = max(r.MaxMsg, b)

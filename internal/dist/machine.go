@@ -17,9 +17,11 @@ package dist
 //     its last words: they are committed by the retirement itself and
 //     delivered with the round in flight — no extra flush round needed.
 //
-// Inbox views are valid only during the Step call: StepIn.Recs aliases
-// the vertex's inbox, and each record's Ints tail the sender's arena from
-// the previous round (read-only, shared with the other receivers).
+// Inbox views are valid only during the Step call: StepIn.Recs is the
+// vertex's slice of the engine's inbox arena, each entry points at the
+// round's one delivered copy of its record, and each record's Ints tail
+// aliases the sender's arena from the previous round. Records and tails
+// are shared with every other receiver of the send and read-only.
 // After quiescence, a machine that yields anyway is stepped with an
 // empty inbox and one that parks is stepped with Quiesced again, and
 // every send is discarded — the inert post-quiescence epilogue.
@@ -43,9 +45,11 @@ type StepIn struct {
 	// the inbox is empty).
 	Start bool
 	// Recs is the completed round's inbox, sorted by sender id (ties in
-	// send order). It aliases the vertex's inbox, and each record's Ints
-	// tail the sender's arena from the previous round: read-only, and
-	// valid only during this Step call (see rec.go).
+	// send order). It is a slice of the engine's inbox arena; each entry
+	// points at a record shared with every receiver of the send, whose
+	// Ints tail aliases the sender's arena from the previous round. The
+	// slice, the records and the tails are read-only and valid only
+	// during this Step call (see rec.go).
 	Recs []InRec
 	// Quiesced reports that the network went permanently silent while
 	// this machine was parked: finalize and StepDone.

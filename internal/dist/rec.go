@@ -27,9 +27,9 @@ import (
 //     sender's in send order, twice. The first pass counts each live
 //     receiver's deliveries and wakes parked receivers; the engine then
 //     carves every inbox from one per-engine arena. The second pass copies
-//     each sent record's header once into a per-round table and writes
-//     16-byte InRec entries, sender id plus a pointer into that table,
-//     into the receivers' inboxes.
+//     each delivered record's header once into a per-round table and
+//     writes 16-byte InRec entries, sender id plus a pointer into that
+//     table, into the receivers' inboxes.
 //   - Receivers iterate their inbox in place via StepIn.Recs. The record
 //     an InRec points at, and its Ints tail, are shared with every other
 //     receiver of the send: read-only, and valid only during the Step
@@ -78,8 +78,8 @@ type InRec struct {
 
 // recKey is a staged record as coalescing compares it: the header, the
 // metered size and the staged tail span [off, off+n) in the sender's
-// outInts arena. Floats are kept as their bit patterns, so == is
-// bitwise: +0 and -0, or two NaN payloads, are different records.
+// outInts arena. Floats are kept as their bit patterns, so == compares
+// them bitwise: +0 and -0 are different records.
 type recKey struct {
 	tag, flag  uint8
 	off, n     int32

@@ -16,7 +16,8 @@ import (
 // Concurrency: only the loop's goroutine touches engine state, so no
 // locks are taken. Machine steps themselves are sharded across worker
 // goroutines when the active set is large — safe because a step only
-// writes its own vertex's Ctx arenas and status slot.
+// writes its own vertex's Ctx arenas, status slot and input slot, and
+// only reads the inbox arena and record table deliver filled.
 
 // runStep drives the machines to completion. On return e.stats and
 // e.abort hold the result; the caller (RunMachines) packages them.
@@ -64,8 +65,8 @@ func (e *engine) timeInto(ns *int64, f func()) {
 
 // stepMachines steps every active machine, serially for small active
 // sets and sharded across workers for large ones. Each shard writes
-// only its own vertices' status slots and Ctx arenas, so no locking is
-// needed; the first panic in active-set order becomes e.abort.
+// only its own vertices' status and input slots and Ctx arenas, so no
+// locking is needed; the first panic in active-set order becomes e.abort.
 func (e *engine) stepMachines() {
 	if e.stepPar <= 1 || len(e.active) < parallelThreshold {
 		for _, c := range e.active {
@@ -93,7 +94,8 @@ func (e *engine) stepMachines() {
 }
 
 // stepOne steps vertex c's machine with its prepared input, recording
-// the returned status.
+// the returned status and clearing the input: a later round hands the
+// vertex an inbox only if it delivers to it.
 func (e *engine) stepOne(c *Ctx) error {
 	st, err := stepSafe(e.machines[c.id], c, e.ins[c.id])
 	e.status[c.id] = st

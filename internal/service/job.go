@@ -142,8 +142,8 @@ func (s *Server) buildInline(in *InlineGraph) (*graph.Graph, *reqError) {
 
 // jobKey derives the content-addressed cache key. The fingerprint is
 // the merged cell's instance identity (execution-only parameters —
-// engine, transport, timing, obs — excluded, exactly as sweep seed
-// derivation excludes them) with the raw inline edge encoding replaced
+// timing, transport, obs — excluded, exactly as sweep seed derivation
+// excludes them) with the raw inline edge encoding replaced
 // by the canonical graph hash, so the key stays short and the hash
 // scheme pinned by hash_test.go is load-bearing for every inline job.
 func jobKey(scenarioName string, merged scenario.Params, graphHash string, seed int64) string {

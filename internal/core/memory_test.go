@@ -106,12 +106,7 @@ func peakLive(t *testing.T, n int, run func(hook func(dist.RoundActivity)) error
 		})
 		if testing.Verbose() {
 			t.Logf("round %d: %.3f KB live per vertex", a.Round, float64(total)/1e3/float64(n))
-			for _, r := range rows {
-				if r.bytes*100 < total {
-					break
-				}
-				t.Logf("  %-48s %7.3f KB/vertex", r.owner, float64(r.bytes)/1e3/float64(n))
-			}
+			logOwners(t, n, total, rows)
 		}
 		if total > peak.total {
 			peak = liveProfile{round: a.Round, total: total, owners: rows}
@@ -121,6 +116,18 @@ func peakLive(t *testing.T, n int, run func(hook func(dist.RoundActivity)) error
 		t.Fatal(err)
 	}
 	return peak
+}
+
+// logOwners logs the owners holding at least 1% of total live bytes, in
+// KB per vertex.
+func logOwners(t *testing.T, n int, total int64, rows []ownerRow) {
+	t.Helper()
+	for _, r := range rows {
+		if r.bytes*100 < total {
+			return
+		}
+		t.Logf("  %-48s %7.3f KB/vertex", r.owner, float64(r.bytes)/1e3/float64(n))
+	}
 }
 
 // TestLiveBytesPerVertexPinned pins the exact live heap per vertex at the
@@ -156,12 +163,7 @@ func TestLiveBytesPerVertexPinned(t *testing.T) {
 			peak := peakLive(t, n, tc.run)
 			got := float64(peak.total) / 1e3 / n
 			t.Logf("peak at round %d: %.3f KB live per vertex (pinned %.3f)", peak.round, got, tc.want)
-			for _, r := range peak.owners {
-				if r.bytes*100 < peak.total {
-					break
-				}
-				t.Logf("  %-48s %7.3f KB/vertex", r.owner, float64(r.bytes)/1e3/n)
-			}
+			logOwners(t, n, peak.total, peak.owners)
 			if math.Abs(got/tc.want-1) > liveTolerance {
 				t.Fatalf("live heap %.3f KB per vertex at round %d, pinned %.3f (±%.0f%%)",
 					got, peak.round, tc.want, liveTolerance*100)

@@ -312,10 +312,11 @@ func TestRecTailHeavyCrossMode(t *testing.T) {
 
 // TestRecCoalescedSendsKeepEveryRecord: consecutive sends of records that
 // differ in one thing only — the sign of a zero float, Tag, Flag, a
-// scalar word, the metered size, or the tail (equal contents in another backing array, or other
-// contents) — must each reach their receiver as sent, in send order, and
-// be metered per send, with repeats to one neighbor interleaved among
-// them. Floats are compared by bit pattern, so -0 arriving as +0 fails.
+// scalar word, the metered size, or the tail (equal contents in another
+// backing array, or other contents) — must each reach their receiver as
+// sent, in send order, and be metered per send, with repeats to one
+// neighbor interleaved among them. Floats are compared by bit pattern,
+// so -0 arriving as +0 fails.
 func TestRecCoalescedSendsKeepEveryRecord(t *testing.T) {
 	type send struct {
 		to   int
@@ -354,10 +355,9 @@ func TestRecCoalescedSendsKeepEveryRecord(t *testing.T) {
 	for v := 1; v < 4; v++ {
 		g.AddEdge(0, v)
 	}
-	var msgs, bits int64
+	msgs, bits := int64(len(sends)), int64(0)
 	edge := make([]int, 4)
 	for _, s := range sends {
-		msgs++
 		bits += int64(s.bits)
 		edge[s.to] += s.bits
 	}

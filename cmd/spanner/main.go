@@ -21,11 +21,12 @@
 // that runs no transcript (a sequential baseline) or verifies no
 // spanner fails the flag and no file is written.
 // -cpuprofile/-memprofile/-exectrace write standard Go profiles of the
-// whole process. The exit status is 2 on a usage error and 1 when the
-// run fails, as for cmd/sweep.
+// whole process. The exit status is 2 on a usage error, a malformed
+// parameter value included, and 1 when the run fails, as for cmd/sweep.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -87,6 +88,10 @@ func main() {
 	m, err := sweep.Single(sc, cell.Merge(scenario.Params{"obs": token}), *seed, 0, nil)
 	stopProfiles()
 	release()
+	var perr *scenario.ParamError
+	if errors.As(err, &perr) {
+		exit(2, "%v", err)
+	}
 
 	fmt.Printf("%s: %s\ncell: %s seed=%d\n", sc.Name, sc.Title, cell.Key(), *seed)
 	for _, k := range m.Names() {

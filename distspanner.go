@@ -119,8 +119,10 @@ func BuildMDS(g *Graph, opts MDSOptions) (*MDSResult, error) {
 // EpsilonOptions configures the (1+ε)-approximation.
 type EpsilonOptions = localmodel.Options
 
-// EpsilonResult reports the (1+ε) spanner and the LOCAL-model accounting
-// of its network-decomposition simulation.
+// EpsilonResult reports the (1+ε) spanner and its LOCAL-model round
+// accounting: the decomposition protocol's measured rounds plus a
+// per-color formula for the neighborhood collection (see
+// EstimatedRounds).
 type EpsilonResult = localmodel.Result
 
 // BuildEpsilonSpanner runs the LOCAL-model (1+ε)-approximation for minimum

@@ -6,14 +6,6 @@ import (
 	"distspanner/internal/gen"
 )
 
-func BenchmarkLinialSaks(b *testing.B) {
-	g := gen.ConnectedGNP(300, 0.02, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LinialSaks(g, int64(i))
-	}
-}
-
 func BenchmarkDistributedLinialSaks(b *testing.B) {
 	g := gen.ConnectedGNP(60, 0.08, 2)
 	b.ResetTimer()

@@ -3,15 +3,12 @@
 // low-diameter decomposition of Linial and Saks [52], which partitions a
 // graph into clusters of weak diameter O(log n) colored with O(log n)
 // colors w.h.p., plus power-graph construction (the algorithm decomposes
-// G^r for r = O(log n / ε)).
+// G^r for r = O(log n / ε)). DistributedLinialSaks runs the
+// decomposition as a message-passing protocol on the round engine, so
+// its round count is measured, not estimated.
 package decomp
 
-import (
-	"math"
-	"math/rand"
-
-	"distspanner/internal/graph"
-)
+import "distspanner/internal/graph"
 
 // Decomposition is a clustering of the vertices with a proper coloring of
 // the cluster graph: clusters of the same color are non-adjacent (in the
@@ -73,122 +70,4 @@ func PowerGraph(g *graph.Graph, r int) *graph.Graph {
 		}
 	}
 	return p
-}
-
-// LinialSaks computes a randomized Linial-Saks decomposition of g. Each
-// phase, every remaining vertex draws a radius from a geometric
-// distribution (p = 1/2) truncated at O(log n); vertices are captured by
-// the highest-id vertex whose ball covers them, and interior vertices
-// (strictly inside the ball) are clustered with this phase's color. With
-// high probability both the number of phases (colors) and every cluster's
-// weak diameter are O(log n).
-func LinialSaks(g *graph.Graph, seed int64) *Decomposition {
-	n := g.N()
-	rng := rand.New(rand.NewSource(seed))
-	d := &Decomposition{
-		Cluster: make([]int, n),
-		Color:   make([]int, n),
-	}
-	for v := range d.Cluster {
-		d.Cluster[v] = -1
-		d.Color[v] = -1
-	}
-	if n == 0 {
-		return d
-	}
-	maxRadius := 2*int(math.Ceil(math.Log2(float64(n+1)))) + 1
-	remaining := make([]bool, n)
-	left := n
-	for v := range remaining {
-		remaining[v] = true
-	}
-	maxPhases := 50 + 10*int(math.Ceil(math.Log2(float64(n+1))))
-	phase := 0
-	for ; left > 0 && phase < maxPhases; phase++ {
-		// Draw truncated geometric radii.
-		radius := make([]int, n)
-		for v := 0; v < n; v++ {
-			if !remaining[v] {
-				continue
-			}
-			r := 0
-			for r < maxRadius && rng.Intn(2) == 0 {
-				r++
-			}
-			radius[v] = r
-		}
-		// For every remaining vertex, find its capturing candidate: the
-		// highest-id remaining vertex whose ball (in the remaining-induced
-		// subgraph) covers it, together with the distance to it.
-		captor := make([]int, n)
-		capDist := make([]int, n)
-		for v := range captor {
-			captor[v] = -1
-		}
-		for v := 0; v < n; v++ {
-			if !remaining[v] {
-				continue
-			}
-			for u, du := range ballDistances(g, v, radius[v], remaining) {
-				if captor[u] < v || captor[u] == -1 {
-					captor[u] = v
-					capDist[u] = du
-				}
-			}
-		}
-		// Strictly interior vertices join this phase's clusters. Adjacent
-		// interior vertices necessarily share a captor (the max-id rule),
-		// which is what makes same-color clusters non-adjacent.
-		for u := 0; u < n; u++ {
-			if !remaining[u] || captor[u] == -1 {
-				continue
-			}
-			if capDist[u] < radius[captor[u]] {
-				d.Cluster[u] = captor[u]
-				d.Color[u] = phase
-			}
-		}
-		for u := 0; u < n; u++ {
-			if remaining[u] && d.Cluster[u] != -1 {
-				remaining[u] = false
-				left--
-			}
-		}
-		d.NumColors = phase + 1
-	}
-	// Safety net for astronomically unlucky seeds: any stragglers become
-	// singleton clusters with fresh distinct colors, preserving the
-	// proper-coloring property deterministically.
-	for u := 0; u < n; u++ {
-		if remaining[u] {
-			d.Cluster[u] = u
-			d.Color[u] = d.NumColors
-			d.NumColors++
-		}
-	}
-	return d
-}
-
-// ballDistances returns hop distances from v up to depth r inside the
-// subgraph induced on the alive vertices.
-func ballDistances(g *graph.Graph, v, r int, alive []bool) map[int]int {
-	dist := map[int]int{v: 0}
-	queue := []int{v}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		if dist[x] >= r {
-			continue
-		}
-		for _, arc := range g.Adj(x) {
-			if !alive[arc.To] {
-				continue
-			}
-			if _, ok := dist[arc.To]; !ok {
-				dist[arc.To] = dist[x] + 1
-				queue = append(queue, arc.To)
-			}
-		}
-	}
-	return dist
 }

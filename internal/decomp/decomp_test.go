@@ -1,7 +1,6 @@
 package decomp
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -23,93 +22,6 @@ func TestPowerGraph(t *testing.T) {
 		t.Fatalf("P5^10 has %d edges, want 10", p10.M())
 	}
 	mustPanic(t, func() { PowerGraph(g, 0) })
-}
-
-func TestLinialSaksCoversAllVertices(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := gen.ConnectedGNP(60, 0.08, seed)
-		d := LinialSaks(g, seed)
-		for v := 0; v < g.N(); v++ {
-			if d.Cluster[v] == -1 || d.Color[v] == -1 {
-				t.Fatalf("seed %d: vertex %d unclustered", seed, v)
-			}
-			if d.Color[v] >= d.NumColors {
-				t.Fatalf("color out of range")
-			}
-		}
-	}
-}
-
-func TestLinialSaksProperColoring(t *testing.T) {
-	// Adjacent vertices in different clusters must have different colors:
-	// that is the property letting same-color clusters run in parallel.
-	for seed := int64(0); seed < 8; seed++ {
-		g := gen.ConnectedGNP(50, 0.1, seed+100)
-		d := LinialSaks(g, seed)
-		for i := 0; i < g.M(); i++ {
-			e := g.Edge(i)
-			if d.Cluster[e.U] != d.Cluster[e.V] && d.Color[e.U] == d.Color[e.V] {
-				t.Fatalf("seed %d: adjacent clusters %d and %d share color %d",
-					seed, d.Cluster[e.U], d.Cluster[e.V], d.Color[e.U])
-			}
-		}
-	}
-}
-
-func TestLinialSaksLogarithmicGuarantees(t *testing.T) {
-	// Colors and weak diameter should be O(log n); allow generous
-	// constants.
-	g := gen.ConnectedGNP(120, 0.05, 3)
-	d := LinialSaks(g, 7)
-	logn := math.Log2(float64(g.N()))
-	if float64(d.NumColors) > 10*logn {
-		t.Fatalf("%d colors exceeds O(log n) = %.1f", d.NumColors, 10*logn)
-	}
-	if wd := d.WeakDiameter(g); wd == -1 || float64(wd) > 12*logn {
-		t.Fatalf("weak diameter %d exceeds O(log n)", wd)
-	}
-}
-
-func TestLinialSaksClusterIdsAreMembersCaptors(t *testing.T) {
-	g := gen.Grid(6, 6)
-	d := LinialSaks(g, 2)
-	clusters := d.Clusters()
-	if len(clusters) == 0 {
-		t.Fatal("no clusters")
-	}
-	total := 0
-	for _, members := range clusters {
-		total += len(members)
-	}
-	if total != g.N() {
-		t.Fatalf("clusters cover %d of %d vertices", total, g.N())
-	}
-}
-
-func TestLinialSaksSingletonAndEmpty(t *testing.T) {
-	d0 := LinialSaks(gen.Path(0), 1)
-	if d0.NumColors != 0 {
-		t.Fatalf("empty graph NumColors = %d", d0.NumColors)
-	}
-	d1 := LinialSaks(gen.Path(1), 1)
-	if d1.Cluster[0] != 0 && d1.Cluster[0] != -1 {
-		// vertex must be clustered, necessarily by itself
-		t.Fatalf("singleton cluster = %d", d1.Cluster[0])
-	}
-	if d1.Color[0] == -1 {
-		t.Fatal("singleton vertex unclustered")
-	}
-}
-
-func TestLinialSaksDeterministic(t *testing.T) {
-	g := gen.ConnectedGNP(40, 0.1, 9)
-	a := LinialSaks(g, 5)
-	b := LinialSaks(g, 5)
-	for v := 0; v < g.N(); v++ {
-		if a.Cluster[v] != b.Cluster[v] || a.Color[v] != b.Color[v] {
-			t.Fatal("decomposition not deterministic for fixed seed")
-		}
-	}
 }
 
 func mustPanic(t *testing.T, fn func()) {

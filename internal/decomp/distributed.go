@@ -52,9 +52,9 @@ func (lsClusteredMsg) rec() dist.Rec { return dist.Rec{Tag: tagClustered} }
 
 // DistributedLinialSaks executes the Linial-Saks decomposition as a
 // message-passing protocol and returns the decomposition plus the
-// communication statistics. Results match the guarantees of LinialSaks;
-// the exact clustering differs because radii are drawn from per-vertex
-// RNG streams.
+// communication statistics. Each vertex draws its radii from its own
+// RNG stream, so a (graph, seed) pair fixes the decomposition and the
+// Stats exactly.
 func DistributedLinialSaks(g *graph.Graph, seed int64) (*Decomposition, *dist.Stats, error) {
 	return linialSaks(dist.Config{Graph: g, Seed: seed})
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Digraph is a simple directed graph with indexed edges and optional
 // non-negative edge weights. Edge i is directed Edge(i).U -> Edge(i).V.
@@ -204,17 +201,6 @@ func (g *Digraph) Underlying() (*Graph, []int) {
 func (g *Digraph) DistWithin(u, v int, H *EdgeSet, maxDepth int) int {
 	var s Searcher
 	return s.DirectedDistWithin(g, u, v, H, maxDepth)
-}
-
-// OutNeighbors returns the sorted out-neighbor ids of v.
-func (g *Digraph) OutNeighbors(v int) []int {
-	arcs := g.Out(v)
-	out := make([]int, len(arcs))
-	for i, a := range arcs {
-		out[i] = a.To
-	}
-	sort.Ints(out)
-	return out
 }
 
 func (g *Digraph) checkVertex(v int) {

@@ -1,10 +1,6 @@
 package lb
 
-import (
-	"testing"
-
-	"distspanner/internal/span"
-)
+import "testing"
 
 func TestFig2CutSideAndDisjoint(t *testing.T) {
 	l := 3
@@ -34,8 +30,8 @@ func TestFig2CutSideAndDisjoint(t *testing.T) {
 	if fu.Disjoint() {
 		t.Fatal("intersecting undirected inputs misreported")
 	}
-	// DirectedCost on the weighted construction.
-	cost := span.DirectedCost(f.G, f.D)
+	// The cost of D on the weighted construction.
+	cost := f.G.TotalWeight(f.D)
 	if cost != float64(l*l) {
 		t.Fatalf("D costs %f, want ℓ² = %d", cost, l*l)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"distspanner/internal/decomp"
 	"distspanner/internal/exact"
 	"distspanner/internal/gen"
 	"distspanner/internal/graph"
@@ -66,7 +67,11 @@ func TestSequentialMatchesGuaranteeAnyOrder(t *testing.T) {
 	// must satisfy it too.
 	g := gen.ConnectedGNP(9, 0.4, 7)
 	eps := 0.3
-	res, err := SequentialEpsilonSpanner(g, Options{K: 2, Eps: eps})
+	order := make([]int, g.N())
+	for i := range order {
+		order[i] = i
+	}
+	res, err := sequential(g, Options{K: 2, Eps: eps}, order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,29 +87,48 @@ func TestSequentialMatchesGuaranteeAnyOrder(t *testing.T) {
 	}
 }
 
+// The decomposition EpsilonSpanner orders by is the protocol's run on
+// G^Radius, and its round charge is that run's measured rounds plus the
+// per-color collection formula.
 func TestEpsilonSpannerAccounting(t *testing.T) {
-	g := gen.ConnectedGNP(12, 0.3, 4)
-	res, err := EpsilonSpanner(g, Options{K: 2, Eps: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Colors < 1 {
-		t.Fatal("decomposition reported no colors")
-	}
-	if res.Radius < 1 {
-		t.Fatal("power radius must be >= 1")
-	}
-	if res.EstimatedRounds <= 0 {
-		t.Fatal("round estimate missing")
-	}
-	if len(res.Steps) != g.N() {
-		t.Fatalf("steps = %d, want one per vertex", len(res.Steps))
-	}
-	// Every vertex's chosen radius is bounded by the pigeonhole bound.
-	bound := maxRadiusBound(g, 2, 0.5)
-	for _, s := range res.Steps {
-		if s.Radius > bound {
-			t.Fatalf("vertex %d chose radius %d > bound %d", s.Vertex, s.Radius, bound)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		k    int
+		seed int64
+	}{
+		{"gnp12-k2", gen.ConnectedGNP(12, 0.3, 4), 2, 3},
+		{"clique8-k2", gen.Clique(8), 2, 1},
+		{"gnp9-k3", gen.ConnectedGNP(9, 0.35, 5), 3, 2},
+	} {
+		res, err := EpsilonSpanner(c.g, Options{K: c.k, Eps: 0.5, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Radius < 1 {
+			t.Fatalf("%s: power radius must be >= 1", c.name)
+		}
+		dec, stats, err := decomp.DistributedLinialSaks(decomp.PowerGraph(c.g, res.Radius), c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Colors < 1 || res.Colors != dec.NumColors {
+			t.Fatalf("%s: Colors = %d, the decomposition has %d", c.name, res.Colors, dec.NumColors)
+		}
+		want := res.Radius*stats.Rounds + res.Colors*res.Radius*(res.WeakDiameter+2)
+		if res.EstimatedRounds != want {
+			t.Fatalf("%s: EstimatedRounds = %d, want %d·%d + %d·%d·(%d+2) = %d", c.name, res.EstimatedRounds,
+				res.Radius, stats.Rounds, res.Colors, res.Radius, res.WeakDiameter, want)
+		}
+		if len(res.Steps) != c.g.N() {
+			t.Fatalf("%s: steps = %d, want one per vertex", c.name, len(res.Steps))
+		}
+		// Every vertex's chosen radius is bounded by the pigeonhole bound.
+		bound := maxRadiusBound(c.g, c.k, 0.5)
+		for _, s := range res.Steps {
+			if s.Radius > bound {
+				t.Fatalf("%s: vertex %d chose radius %d > bound %d", c.name, s.Vertex, s.Radius, bound)
+			}
 		}
 	}
 }

@@ -137,7 +137,7 @@ func (gs GraphSpec) Build(p Params, seed int64) (*graph.Graph, error) {
 	}
 	f, ok := families[name]
 	if !ok {
-		return nil, fmt.Errorf("scenario: unknown graph family %q", name)
+		return nil, &ParamError{Key: "family", Value: name, Want: "a registered graph family"}
 	}
 	g := f.Build(merged, seed)
 	if whi := merged.Float("whi", 0); whi > 0 {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,10 +27,10 @@ import (
 //	edges  comma-separated "u-v" pairs (default "0-1,1-2", the P3 path)
 //	wts    optional comma-separated weights aligned with edges
 //
-// Like every family builder, malformed values panic: the encoder below
-// is the supported producer, and a hand-written spec with bad syntax is
-// a spec bug, not a runtime condition. The service layer validates
-// submissions before encoding, so its requests can never trip these.
+// Like every family builder, it panics with a *ParamError on a malformed
+// value: the encoder below is the supported producer, so only a
+// hand-written spec can trip these. The service layer validates
+// submissions before encoding, so its inline graphs never do.
 func init() {
 	registerFamily(&Family{
 		Name:   "inline",
@@ -86,34 +87,24 @@ func InlineParams(g *graph.Graph) Params {
 func buildInline(p Params, seed int64) *graph.Graph {
 	type pair struct{ u, v int }
 	var pairs []pair
-	var edgeList []string
 	if es := p.Str("edges", "0-1,1-2"); es != "" {
-		edgeList = strings.Split(es, ",")
-		for _, e := range edgeList {
+		for _, e := range strings.Split(es, ",") {
 			u, v, ok := strings.Cut(e, "-")
-			if !ok {
-				panic(fmt.Sprintf("scenario: inline edge %q is not u-v", e))
-			}
 			ui, err1 := strconv.Atoi(u)
 			vi, err2 := strconv.Atoi(v)
-			if err1 != nil || err2 != nil {
-				panic(fmt.Sprintf("scenario: inline edge %q is not u-v", e))
+			if !ok || err1 != nil || err2 != nil || ui < 0 || vi < 0 || ui == vi {
+				panic(&ParamError{Key: "edges", Value: e, Want: "a u-v pair of distinct vertices"})
 			}
 			pairs = append(pairs, pair{ui, vi})
 		}
 	}
 	maxEnd := -1
 	for _, e := range pairs {
-		if e.u > maxEnd {
-			maxEnd = e.u
-		}
-		if e.v > maxEnd {
-			maxEnd = e.v
-		}
+		maxEnd = max(maxEnd, e.u, e.v)
 	}
 	nv := p.Int("n", maxEnd+1)
-	if nv < 0 {
-		panic(fmt.Sprintf("scenario: inline n=%d is not a vertex count", nv))
+	if nv <= maxEnd {
+		panic(&ParamError{Key: "n", Value: strconv.Itoa(nv), Want: "a vertex count above every endpoint"})
 	}
 	g := graph.New(nv)
 	for _, e := range pairs {
@@ -121,13 +112,13 @@ func buildInline(p Params, seed int64) *graph.Graph {
 	}
 	if ws := p.Str("wts", ""); ws != "" {
 		wts := strings.Split(ws, ",")
-		if len(wts) != len(edgeList) {
-			panic(fmt.Sprintf("scenario: inline wts has %d values for %d edges", len(wts), len(edgeList)))
+		if len(wts) != g.M() {
+			panic(&ParamError{Key: "wts", Value: ws, Want: fmt.Sprintf("one weight per edge (%d)", g.M())})
 		}
 		for i, w := range wts {
 			wv, err := strconv.ParseFloat(w, 64)
-			if err != nil {
-				panic(fmt.Sprintf("scenario: inline weight %q is not a float", w))
+			if err != nil || wv < 0 || math.IsNaN(wv) || math.IsInf(wv, 0) {
+				panic(&ParamError{Key: "wts", Value: w, Want: "a finite non-negative float"})
 			}
 			g.SetWeight(i, wv)
 		}

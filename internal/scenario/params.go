@@ -15,8 +15,24 @@ import (
 // same way — while the accessors give scenarios typed views with defaults.
 type Params map[string]string
 
+// ParamError is a parameter value that a scenario or graph family cannot
+// use: malformed for the type its reader asked for, or naming nothing
+// registered. The caller's input is at fault, not the run. The typed
+// accessors panic with it, because scenarios read parameters wherever
+// they need them; sweep.Single recovers it and returns it as the run's
+// error, so callers can tell it apart from a failed run with errors.As.
+type ParamError struct {
+	Key   string // parameter name
+	Value string // the offending value
+	Want  string // what the reader expected, e.g. "an int"
+}
+
+func (e *ParamError) Error() string {
+	return fmt.Sprintf("scenario: param %s=%q is not %s", e.Key, e.Value, e.Want)
+}
+
 // Int returns the parameter k as an int, or def when absent. A present
-// but malformed value panics: it is a spec bug, not a runtime condition.
+// but malformed value panics with a *ParamError.
 func (p Params) Int(k string, def int) int {
 	s, ok := p[k]
 	if !ok {
@@ -24,12 +40,13 @@ func (p Params) Int(k string, def int) int {
 	}
 	v, err := strconv.Atoi(s)
 	if err != nil {
-		panic(fmt.Sprintf("scenario: param %s=%q is not an int", k, s))
+		panic(&ParamError{Key: k, Value: s, Want: "an int"})
 	}
 	return v
 }
 
-// Float returns the parameter k as a float64, or def when absent.
+// Float returns the parameter k as a float64, or def when absent. A
+// present but malformed value panics with a *ParamError.
 func (p Params) Float(k string, def float64) float64 {
 	s, ok := p[k]
 	if !ok {
@@ -37,7 +54,7 @@ func (p Params) Float(k string, def float64) float64 {
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		panic(fmt.Sprintf("scenario: param %s=%q is not a float", k, s))
+		panic(&ParamError{Key: k, Value: s, Want: "a float"})
 	}
 	return v
 }
@@ -51,7 +68,8 @@ func (p Params) Str(k, def string) string {
 }
 
 // Bool returns the parameter k as a bool ("1"/"true" vs "0"/"false"), or
-// def when absent.
+// def when absent. A present but malformed value panics with a
+// *ParamError.
 func (p Params) Bool(k string, def bool) bool {
 	s, ok := p[k]
 	if !ok {
@@ -59,7 +77,7 @@ func (p Params) Bool(k string, def bool) bool {
 	}
 	v, err := strconv.ParseBool(s)
 	if err != nil {
-		panic(fmt.Sprintf("scenario: param %s=%q is not a bool", k, s))
+		panic(&ParamError{Key: k, Value: s, Want: "a bool"})
 	}
 	return v
 }

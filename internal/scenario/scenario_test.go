@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -21,6 +22,49 @@ func TestParamsAccessors(t *testing.T) {
 	if !p.Bool("flag", false) || p.Bool("missing", true) != true {
 		t.Fatal("Bool")
 	}
+}
+
+// Every malformed value a graph source reads raises a *ParamError naming
+// the key: the typed accessors and the inline builder panic with it,
+// and Build returns it for an unknown family.
+func TestMalformedParamsRaiseParamError(t *testing.T) {
+	for _, c := range []struct {
+		p   Params
+		key string
+	}{
+		{Params{"n": "abc"}, "n"},
+		{Params{"p": "0.x"}, "p"},
+		{Params{"whi": "heavy"}, "whi"},
+		{Params{"family": "no-such"}, "family"},
+		{Params{"family": "inline", "edges": "0-1,2"}, "edges"},
+		{Params{"family": "inline", "edges": "1-1"}, "edges"},
+		{Params{"family": "inline", "edges": "0-1,1-0", "wts": "1,2"}, "wts"},
+		{Params{"family": "inline", "n": "1", "edges": "0-1"}, "n"},
+		{Params{"family": "inline", "edges": "0-1", "wts": "1,2"}, "wts"},
+		{Params{"family": "inline", "edges": "0-1", "wts": "-1"}, "wts"},
+	} {
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err, _ = r.(error)
+				}
+			}()
+			_, err = GraphSpec{}.Build(c.p, 1)
+			return err
+		}()
+		var perr *ParamError
+		if !errors.As(err, &perr) || perr.Key != c.key {
+			t.Errorf("%v: err = %v (%T), want a *ParamError for key %s", c.p, err, err, c.key)
+		}
+	}
+	func() {
+		defer func() {
+			if perr, ok := recover().(*ParamError); !ok || perr.Error() != `scenario: param flag="maybe" is not a bool` {
+				t.Errorf("Bool panicked with %v", perr)
+			}
+		}()
+		Params{"flag": "maybe"}.Bool("flag", false)
+	}()
 }
 
 func TestParamsMergeAndKey(t *testing.T) {

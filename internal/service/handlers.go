@@ -46,7 +46,10 @@ func encodeResult(job *Job, m scenario.Metrics) ([]byte, error) {
 // the pool. status is "hit", "miss", or "coalesced"; overlay, when
 // non-nil, is merged into the cell only for the execution this caller
 // launches (the stream handler's observer token rides here — it is
-// execution-only, so it never reaches the key or the document).
+// execution-only, so it never reaches the key or the document). A run
+// that stops at a malformed parameter value counts as rejected, not as
+// a run error: scenarios declare no parameter types, so such a job is
+// admitted and fails at its first read of the bad key.
 func (s *Server) runJob(job *Job, abort <-chan struct{}, overlay scenario.Params) (body []byte, status string, err error) {
 	if body, ok := s.cache.Get(job.Key); ok {
 		return body, "hit", nil
@@ -58,7 +61,11 @@ func (s *Server) runJob(job *Job, abort <-chan struct{}, overlay scenario.Params
 		}
 		m, runErr := s.pool.Run(job.Scenario, params, job.Seed, cancel)
 		if runErr != nil {
-			atomic.AddUint64(&s.runErrors, 1)
+			if isParamError(runErr) {
+				atomic.AddUint64(&s.rejected, 1)
+			} else {
+				atomic.AddUint64(&s.runErrors, 1)
+			}
 			return nil, runErr
 		}
 		b, encErr := encodeResult(job, m)
@@ -116,10 +123,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// isParamError reports whether a run stopped at a malformed parameter
+// value: the request was bad, not the run.
+func isParamError(err error) bool {
+	var perr *scenario.ParamError
+	return errors.As(err, &perr)
+}
+
 // handleRun serves POST /v1/run: one synchronous job. The cache outcome
 // rides in the X-Spannerd-Cache header (hit | miss | coalesced) so the
 // body stays byte-identical across hits and misses; X-Spannerd-Key
-// echoes the cache key.
+// echoes the cache key. A malformed parameter value is answered 400, any
+// other run failure 422.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	job := s.decodeJob(w, r)
 	if job == nil {
@@ -132,7 +147,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Spannerd-Cache", status)
 	w.Header().Set("X-Spannerd-Key", job.Key)
 	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{
+		code := http.StatusUnprocessableEntity
+		if isParamError(err) {
+			code = http.StatusBadRequest
+		}
+		writeJSON(w, code, map[string]string{
 			"error": err.Error(),
 			"key":   job.Key,
 		})
@@ -143,7 +162,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// roundEvent is the SSE rendering of one dist.RoundActivity snapshot.
+// roundEvent is the SSE rendering of one dist.RoundActivity snapshot: the
+// same fields with wire names, so a conversion renders one, and a field
+// added to RoundActivity fails to compile here until the event gains it.
 type roundEvent struct {
 	Round         int   `json:"round"`
 	Active        int   `json:"active"`
@@ -194,27 +215,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	stop := make(chan struct{})
 	drained := make(chan struct{})
+	writeRound := func(act dist.RoundActivity) {
+		ev, _ := json.Marshal(roundEvent(act))
+		writeEvent(w, flusher, "round", ev)
+	}
 	go func() {
 		defer close(drained)
 		for {
 			select {
 			case act := <-rounds:
-				ev, _ := json.Marshal(roundEvent{
-					Round: act.Round, Active: act.Active, Parked: act.Parked,
-					Senders: act.Senders, Delivered: act.Delivered, DeliveredBits: act.DeliveredBits,
-				})
-				writeEvent(w, flusher, "round", ev)
+				writeRound(act)
 			case <-stop:
 				// Flush whatever the engine queued before the run
 				// finished, so short runs still show their curve.
 				for {
 					select {
 					case act := <-rounds:
-						ev, _ := json.Marshal(roundEvent{
-							Round: act.Round, Active: act.Active, Parked: act.Parked,
-							Senders: act.Senders, Delivered: act.Delivered, DeliveredBits: act.DeliveredBits,
-						})
-						writeEvent(w, flusher, "round", ev)
+						writeRound(act)
 					default:
 						return
 					}

@@ -62,7 +62,7 @@ type Server struct {
 	start   time.Time
 
 	requests  uint64 // requests accepted on any endpoint
-	rejected  uint64 // malformed/unknown requests (4xx before running)
+	rejected  uint64 // malformed/unknown requests: 4xx before running, or a run stopped at a malformed parameter value
 	runErrors uint64 // valid jobs whose run failed (verification, timeout, cancel)
 }
 

@@ -293,6 +293,37 @@ func TestRejectedRequests(t *testing.T) {
 	}
 }
 
+// TestMalformedParamRejected: scenarios declare no parameter types, so a
+// job whose params hold a value its scenario cannot parse is admitted,
+// and its run stops at the first read of the bad key. The server answers
+// 400 naming the key and value, counts the job as rejected rather than a
+// run error, and caches nothing.
+func TestMalformedParamRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	req := JobRequest{Scenario: "twospanner", Params: map[string]string{"n": "abc"}, Seed: 1}
+	for i := 0; i < 2; i++ {
+		status, _, body := postRun(t, ts, req)
+		if status != http.StatusBadRequest {
+			t.Fatalf("attempt %d: status %d, want 400 (%s)", i, status, body)
+		}
+		var doc map[string]string
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if want := `scenario: param n="abc" is not an int`; doc["error"] != want {
+			t.Fatalf("attempt %d: error %q, want %q", i, doc["error"], want)
+		}
+	}
+	st := srv.Stats()
+	if st.Rejected != 2 || st.RunErrors != 0 {
+		t.Errorf("rejected = %d, run_errors = %d; want 2 and 0", st.Rejected, st.RunErrors)
+	}
+	// Nothing is cached, so the second attempt ran again.
+	if st.Cache.Entries != 0 || st.Pool.Executions != 2 {
+		t.Errorf("cache entries = %d, executions = %d; want 0 and 2", st.Cache.Entries, st.Pool.Executions)
+	}
+}
+
 // sseEvent is one parsed server-sent event.
 type sseEvent struct {
 	name string

@@ -80,21 +80,6 @@ func DirectedViolations(d *graph.Digraph, H *graph.EdgeSet, k, max int) []int {
 	return out
 }
 
-// IsSpannerOf reports whether H is a k-spanner of the sub-edge-set target:
-// every edge of target is covered by H with stretch k. This is the
-// "k-spanner of a subgraph" notion (used by client-server and the (1+ε)
-// algorithm's partial covers).
-func IsSpannerOf(g *graph.Graph, target, H *graph.EdgeSet, k int) bool {
-	var s graph.Searcher
-	ok := true
-	target.ForEach(func(i int) {
-		if ok && !Covered(&s, g, H, i, k) {
-			ok = false
-		}
-	})
-	return ok
-}
-
 // ClientServerValid reports whether H is a valid solution to the
 // client-server k-spanner instance: H uses only server edges and covers
 // every coverable client edge. Client edges that no server subset can cover
@@ -133,31 +118,6 @@ func CoverableClients(g *graph.Graph, clients, servers *graph.EdgeSet, k int) *g
 // edge count for unweighted ones (Weight reports 1 per edge then).
 func Cost(g *graph.Graph, H *graph.EdgeSet) float64 {
 	return g.TotalWeight(H)
-}
-
-// DirectedCost returns the cost of H in the digraph d.
-func DirectedCost(d *graph.Digraph, H *graph.EdgeSet) float64 {
-	return d.TotalWeight(H)
-}
-
-// MaxStretch returns the maximum over edges e = {u,v} of g of the distance
-// between u and v inside H, i.e. the actual stretch of H. It returns -1 if
-// some edge's endpoints are disconnected in H. Distances are capped at
-// cap (pass cap <= 0 for uncapped search).
-func MaxStretch(g *graph.Graph, H *graph.EdgeSet, cap int) int {
-	var s graph.Searcher
-	max := 0
-	for i := 0; i < g.M(); i++ {
-		e := g.Edge(i)
-		d := s.DistWithin(g, e.U, e.V, H, cap)
-		if d < 0 {
-			return -1
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // SpannerOPTLowerBound returns the trivial lower bound on the size of any
@@ -199,21 +159,4 @@ func clientVertexCount(g *graph.Graph, clients *graph.EdgeSet) int {
 		}
 	}
 	return count
-}
-
-// TwoSpanOK reports whether edge i = {u, w} is "2-spanned" in the paper's
-// star sense by the subset H: there is a vertex x with both {u, x} and
-// {x, w} in H. Unlike Covered this never counts i ∈ H itself.
-func TwoSpanOK(g *graph.Graph, H *graph.EdgeSet, i int) bool {
-	e := g.Edge(i)
-	return g.DistWithin(e.U, e.V, hWithout(H, i), 2) == 2
-}
-
-func hWithout(H *graph.EdgeSet, i int) *graph.EdgeSet {
-	if !H.Has(i) {
-		return H
-	}
-	c := H.Clone()
-	c.Remove(i)
-	return c
 }

@@ -42,28 +42,3 @@ func Stretch(g *graph.Graph, H *graph.EdgeSet, cap int) StretchStats {
 	}
 	return st
 }
-
-// DirectedStretch is the digraph analogue of Stretch.
-func DirectedStretch(d *graph.Digraph, H *graph.EdgeSet, cap int) StretchStats {
-	var s graph.Searcher
-	st := StretchStats{Histogram: make(map[int]int)}
-	total := 0
-	for i := 0; i < d.M(); i++ {
-		e := d.Edge(i)
-		dist := s.DirectedDistWithin(d, e.U, e.V, H, cap)
-		if dist < 0 {
-			st.Max = -1
-			st.Mean = 0
-			return st
-		}
-		st.Histogram[dist]++
-		if dist > st.Max {
-			st.Max = dist
-		}
-		total += dist
-	}
-	if d.M() > 0 {
-		st.Mean = float64(total) / float64(d.M())
-	}
-	return st
-}

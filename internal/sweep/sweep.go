@@ -255,7 +255,10 @@ var ErrCanceled = errors.New("sweep: run canceled")
 // the service layer's job pool reuses to serve one request.
 //
 // The run happens on its own goroutine with a recover wrapper, so a
-// panicking cell surfaces as an error rather than killing the caller.
+// panicking cell surfaces as an error rather than killing the caller. A
+// *scenario.ParamError panic (a malformed parameter value) is returned
+// as it is, so callers can reject the input with errors.As; any other
+// panic is returned as "panic: <value>".
 // When timeout > 0 and the run exceeds it, or when the caller's cancel
 // channel fires first, the scenario's cancel channel is closed
 // (dist-engine scenarios plumb it into dist.Config.Cancel, stopping
@@ -271,7 +274,11 @@ func Single(sc *scenario.Scenario, p scenario.Params, seed int64, timeout time.D
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				done <- runOutcome{err: fmt.Errorf("panic: %v", r)}
+				var err error = fmt.Errorf("panic: %v", r)
+				if perr, ok := r.(*scenario.ParamError); ok {
+					err = perr
+				}
+				done <- runOutcome{err: err}
 			}
 		}()
 		m, err := sc.Run(p, seed, inner)

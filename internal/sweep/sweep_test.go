@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -137,6 +138,20 @@ func TestPanicRecovered(t *testing.T) {
 	}
 	if !rep.Failed() || !strings.Contains(rep.Runs[0].Error, "boom") {
 		t.Fatalf("panic not recorded: %+v", rep.Runs)
+	}
+}
+
+// A malformed parameter value reaches the caller as the run's
+// *scenario.ParamError, not as a "panic:" string, so front ends can
+// reject the input instead of reporting a failed run.
+func TestSingleReturnsParamError(t *testing.T) {
+	_, err := Single(synthetic(), scenario.Params{"x": "abc"}, 1, 0, nil)
+	var perr *scenario.ParamError
+	if !errors.As(err, &perr) {
+		t.Fatalf("err = %v (%T), want a *scenario.ParamError", err, err)
+	}
+	if perr.Key != "x" || perr.Value != "abc" || strings.HasPrefix(err.Error(), "panic:") {
+		t.Fatalf("err = %q (key %q, value %q), want the bad key and value without a panic prefix", err, perr.Key, perr.Value)
 	}
 }
 

@@ -8,7 +8,9 @@
 // bit-identical to an in-process run of the same (algorithm, graph,
 // seed) on the step engine — pass -verify to prove it in-process, or
 // -trace to write the JSONL transcript for cmd/trace -check and digest
-// comparison. Flags go before the key=value arguments.
+// comparison. Flags go before the key=value arguments. An unknown -algo
+// or a malformed cell argument or value exits 2; any other failure
+// exits 1.
 //
 //	coord -listen 127.0.0.1:9131 -workers 2 -algo twospanner -seed 1 \
 //	      -trace dist.jsonl -verify family=cgnp n=32 p=0.2
@@ -53,12 +55,12 @@ func main() {
 
 	f, ok := distrun.Get(*algo)
 	if !ok {
-		log.Fatalf("unknown algorithm family %q (have: %s)", *algo, strings.Join(distrun.Names(), ", "))
+		usage(fmt.Errorf("unknown algorithm family %q (have: %s)", *algo, strings.Join(distrun.Names(), ", ")))
 	}
 	cell, err := scenario.ParseCell(flag.Args())
-	fail(err)
+	usage(err)
 	g, err := scenario.GraphSpec{}.Build(cell, *seed)
-	fail(err)
+	usage(err)
 	fmt.Printf("graph: [%s] n=%d m=%d; algo=%s seed=%d workers=%d\n",
 		cell.Key(), g.N(), g.M(), *algo, *seed, *workers)
 
@@ -115,5 +117,13 @@ func main() {
 func fail(err error) {
 	if err != nil {
 		log.Fatal(err)
+	}
+}
+
+// usage reports a bad flag or cell argument on one line and exits 2.
+func usage(err error) {
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
 	}
 }

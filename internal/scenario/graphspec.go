@@ -128,8 +128,10 @@ func init() {
 // Build resolves and constructs the instance for one cell. The optional
 // "whi" parameter (with "wlo", default 1) layers uniform random weights in
 // [wlo, whi] over any unweighted family, exercising the weighted
-// algorithms on arbitrary topologies.
-func (gs GraphSpec) Build(p Params, seed int64) (*graph.Graph, error) {
+// algorithms on arbitrary topologies. A value the family builder or a
+// parameter reader cannot use is returned as a *ParamError.
+func (gs GraphSpec) Build(p Params, seed int64) (_ *graph.Graph, err error) {
+	defer recoverParamError(&err)
 	merged := gs.Fixed.Merge(p)
 	name := gs.Family
 	if name == "" {
@@ -149,8 +151,10 @@ func (gs GraphSpec) Build(p Params, seed int64) (*graph.Graph, error) {
 // BuildDigraph resolves a directed instance: family "rdg" is a random
 // simple digraph (n, p), anything else is interpreted as an undirected
 // family oriented uniformly at random with a "twoway" fraction of
-// bidirected edges.
-func (gs GraphSpec) BuildDigraph(p Params, seed int64) (*graph.Digraph, error) {
+// bidirected edges. Like Build, it returns a malformed value as a
+// *ParamError.
+func (gs GraphSpec) BuildDigraph(p Params, seed int64) (_ *graph.Digraph, err error) {
+	defer recoverParamError(&err)
 	merged := gs.Fixed.Merge(p)
 	name := gs.Family
 	if name == "" {
@@ -166,4 +170,16 @@ func (gs GraphSpec) BuildDigraph(p Params, seed int64) (*graph.Digraph, error) {
 		return nil, err
 	}
 	return gen.OrientRandomly(g, merged.Float("twoway", 0.5), instanceSeed(merged, seed)+0x0d1), nil
+}
+
+// recoverParamError turns a *ParamError panic, raised by a family builder
+// or a parameter reader, into the error *err; any other panic goes on.
+func recoverParamError(err *error) {
+	if r := recover(); r != nil {
+		perr, ok := r.(*ParamError)
+		if !ok {
+			panic(r)
+		}
+		*err = perr
+	}
 }

@@ -1,9 +1,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -14,9 +15,9 @@ import (
 // list through the ordinary parameter plane, so any scenario that builds
 // its instance via GraphSpec can run on a submitted graph instead of a
 // generated one — the seam the service layer uses for inline job
-// submissions. The encoding is canonical: InlineParams sorts the edge
-// list (endpoints low-high, edges lexicographic) before rendering it,
-// so two submissions of the same edge set in any order produce the same
+// submissions. The encoding is canonical: the edge list is rendered in
+// SortInline's order (endpoints low-high, edges lexicographic), so two
+// submissions of the same edge set in any order produce the same
 // parameters, the same cell identity (Params.InstanceKey), and — since
 // edge indices follow the canonical order — byte-identical results.
 //
@@ -28,7 +29,8 @@ import (
 //	wts    optional comma-separated weights aligned with edges
 //
 // Like every family builder, it panics with a *ParamError on a malformed
-// value: the encoder below is the supported producer, so only a
+// value, which GraphSpec.Build returns as its error: the encoder below is
+// the supported producer, so only a
 // hand-written spec can trip these. The service layer validates
 // submissions before encoding, so its inline graphs never do.
 func init() {
@@ -40,47 +42,81 @@ func init() {
 	})
 }
 
-// InlineParams encodes g in the canonical parameter form of the
-// "inline" family: family/n/edges (and wts when g is weighted), with the
-// edge list sorted so that submission order never reaches the instance
-// identity. Build(InlineParams(g), seed) reconstructs a graph equal to g
-// up to edge-index renumbering into canonical order.
-func InlineParams(g *graph.Graph) Params {
-	edges := g.Edges()
-	idx := make([]int, len(edges))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ea, eb := edges[idx[a]], edges[idx[b]]
-		if ea.U != eb.U {
-			return ea.U < eb.U
+// InlineEdge is one edge of an inline graph in canonical form: U < V,
+// with its weight (1 on an unweighted graph).
+type InlineEdge struct {
+	U, V int
+	W    float64
+}
+
+// SortInline puts edges into the canonical order of the "inline" family,
+// ascending by (U, V), and returns the position of the first edge equal
+// to its predecessor, or -1 when every edge is distinct. Every canonical
+// encoding of an edge list, the service's graph hash included, walks the
+// edges in this order.
+func SortInline(edges []InlineEdge) (dup int) {
+	slices.SortFunc(edges, func(a, b InlineEdge) int {
+		if a.U != b.U {
+			return cmp.Compare(a.U, b.U)
 		}
-		return ea.V < eb.V
+		return cmp.Compare(a.V, b.V)
 	})
-	var sb strings.Builder
-	for i, id := range idx {
-		if i > 0 {
-			sb.WriteByte(',')
+	for i := 1; i < len(edges); i++ {
+		if edges[i].U == edges[i-1].U && edges[i].V == edges[i-1].V {
+			return i
 		}
-		fmt.Fprintf(&sb, "%d-%d", edges[id].U, edges[id].V)
+	}
+	return -1
+}
+
+// InlineEdges returns g's edges with their weights in canonical order.
+func InlineEdges(g *graph.Graph) []InlineEdge {
+	es := make([]InlineEdge, g.M())
+	for i, e := range g.Edges() {
+		es[i] = InlineEdge{U: e.U, V: e.V, W: g.Weight(i)}
+	}
+	SortInline(es)
+	return es
+}
+
+// EncodeInline renders n vertices and edges, already in canonical order
+// (SortInline), in the parameter form of the "inline" family:
+// family/n/edges, and wts when weighted.
+func EncodeInline(n int, edges []InlineEdge, weighted bool) Params {
+	ns := strconv.Itoa(n)
+	buf := make([]byte, 0, len(edges)*(2*len(ns)+2))
+	for i, e := range edges {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(e.U), 10)
+		buf = append(buf, '-')
+		buf = strconv.AppendInt(buf, int64(e.V), 10)
 	}
 	p := Params{
 		"family": "inline",
-		"n":      strconv.Itoa(g.N()),
-		"edges":  sb.String(),
+		"n":      ns,
+		"edges":  string(buf),
 	}
-	if g.Weighted() {
-		var wb strings.Builder
-		for i, id := range idx {
+	if weighted {
+		buf = buf[:0]
+		for i, e := range edges {
 			if i > 0 {
-				wb.WriteByte(',')
+				buf = append(buf, ',')
 			}
-			wb.WriteString(strconv.FormatFloat(g.Weight(id), 'g', -1, 64))
+			buf = strconv.AppendFloat(buf, e.W, 'g', -1, 64)
 		}
-		p["wts"] = wb.String()
+		p["wts"] = string(buf)
 	}
 	return p
+}
+
+// InlineParams encodes g in the canonical parameter form of the
+// "inline" family, so that submission order never reaches the instance
+// identity. Build(InlineParams(g), seed) reconstructs a graph equal to g
+// up to edge-index renumbering into canonical order.
+func InlineParams(g *graph.Graph) Params {
+	return EncodeInline(g.N(), InlineEdges(g), g.Weighted())
 }
 
 // buildInline reconstructs the graph from the inline parameter form.

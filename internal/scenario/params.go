@@ -19,8 +19,9 @@ type Params map[string]string
 // use: malformed for the type its reader asked for, or naming nothing
 // registered. The caller's input is at fault, not the run. The typed
 // accessors panic with it, because scenarios read parameters wherever
-// they need them; sweep.Single recovers it and returns it as the run's
-// error, so callers can tell it apart from a failed run with errors.As.
+// they need them; GraphSpec.Build and sweep.Single recover it and return
+// it as their error, so callers can tell it apart from a failed run with
+// errors.As.
 type ParamError struct {
 	Key   string // parameter name
 	Value string // the offending value

@@ -24,9 +24,9 @@ func TestParamsAccessors(t *testing.T) {
 	}
 }
 
-// Every malformed value a graph source reads raises a *ParamError naming
-// the key: the typed accessors and the inline builder panic with it,
-// and Build returns it for an unknown family.
+// Every malformed value a graph source reads is a *ParamError naming the
+// key: the typed accessors and the inline builder panic with it, and
+// Build and BuildDigraph return it, with no graph.
 func TestMalformedParamsRaiseParamError(t *testing.T) {
 	for _, c := range []struct {
 		p   Params
@@ -43,18 +43,24 @@ func TestMalformedParamsRaiseParamError(t *testing.T) {
 		{Params{"family": "inline", "edges": "0-1", "wts": "1,2"}, "wts"},
 		{Params{"family": "inline", "edges": "0-1", "wts": "-1"}, "wts"},
 	} {
-		err := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err, _ = r.(error)
-				}
-			}()
-			_, err = GraphSpec{}.Build(c.p, 1)
-			return err
-		}()
+		g, err := GraphSpec{}.Build(c.p, 1)
 		var perr *ParamError
-		if !errors.As(err, &perr) || perr.Key != c.key {
-			t.Errorf("%v: err = %v (%T), want a *ParamError for key %s", c.p, err, err, c.key)
+		if !errors.As(err, &perr) || perr.Key != c.key || g != nil {
+			t.Errorf("%v: Build = %v, %v (%T), want a *ParamError for key %s", c.p, g, err, err, c.key)
+		}
+	}
+	for _, c := range []struct {
+		p   Params
+		key string
+	}{
+		{Params{"family": "rdg", "n": "abc"}, "n"},
+		{Params{"family": "cgnp", "twoway": "half"}, "twoway"},
+		{Params{"family": "no-such"}, "family"},
+	} {
+		d, err := GraphSpec{}.BuildDigraph(c.p, 1)
+		var perr *ParamError
+		if !errors.As(err, &perr) || perr.Key != c.key || d != nil {
+			t.Errorf("%v: BuildDigraph = %v, %v (%T), want a *ParamError for key %s", c.p, d, err, err, c.key)
 		}
 	}
 	func() {

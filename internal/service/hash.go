@@ -2,9 +2,9 @@ package service
 
 import (
 	"math"
-	"sort"
 
 	"distspanner/internal/graph"
+	"distspanner/internal/scenario"
 )
 
 // Canonical graph hashing: the content-addressed half of a job's cache
@@ -53,24 +53,18 @@ func hex64(h uint64) string {
 // same graph with every weight explicitly 1 hash equal — they are the
 // same instance to every algorithm.
 func GraphHash(g *graph.Graph) string {
-	edges := g.Edges()
-	idx := make([]int, len(edges))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ea, eb := edges[idx[a]], edges[idx[b]]
-		if ea.U != eb.U {
-			return ea.U < eb.U
-		}
-		return ea.V < eb.V
-	})
-	h := mix(fnvOffset, uint64(g.N()))
-	h = mix(h, uint64(g.M()))
-	for _, id := range idx {
-		h = mix(h, uint64(edges[id].U))
-		h = mix(h, uint64(edges[id].V))
-		h = mix(h, math.Float64bits(g.Weight(id)))
+	return hashInline(g.N(), scenario.InlineEdges(g))
+}
+
+// hashInline folds n, the edge count, and each edge's endpoints and
+// weight bits, with edges in canonical order (scenario.SortInline).
+func hashInline(n int, edges []scenario.InlineEdge) string {
+	h := mix(fnvOffset, uint64(n))
+	h = mix(h, uint64(len(edges)))
+	for _, e := range edges {
+		h = mix(h, uint64(e.U))
+		h = mix(h, uint64(e.V))
+		h = mix(h, math.Float64bits(e.W))
 	}
 	return hex64(h)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 
-	"distspanner/internal/graph"
 	"distspanner/internal/scenario"
 )
 
@@ -35,7 +34,7 @@ type InlineGraph struct {
 	N int `json:"n"`
 	// Edges are undirected [u, v] pairs, in any order (the server
 	// canonicalizes, so order never changes the result or the cache key).
-	Edges [][2]int `json:"edges"`
+	Edges EdgeList `json:"edges"`
 	// Weights, when present, assigns Weights[i] to Edges[i].
 	Weights []float64 `json:"weights,omitempty"`
 }
@@ -90,54 +89,59 @@ func (s *Server) prepare(req *JobRequest) (*Job, *reqError) {
 	merged := sc.Defaults.Merge(scenario.Params(req.Params))
 	job := &Job{Scenario: sc, Seed: req.Seed}
 	if req.Graph != nil {
-		g, err := s.buildInline(req.Graph)
-		if err != nil {
-			return nil, err
+		hash, inline, rerr := s.prepareInline(req.Graph)
+		if rerr != nil {
+			return nil, rerr
 		}
-		job.GraphHash = GraphHash(g)
-		merged = merged.Merge(scenario.InlineParams(g))
+		job.GraphHash = hash
+		merged = merged.Merge(inline)
 	}
 	job.Params = merged
 	job.Key = jobKey(sc.Name, merged, job.GraphHash, req.Seed)
 	return job, nil
 }
 
-// buildInline validates the submission and constructs the graph.
-func (s *Server) buildInline(in *InlineGraph) (*graph.Graph, *reqError) {
+// prepareInline validates a submitted graph and encodes it from one
+// sorted list, building no graph: each edge is checked and normalized to
+// (low, high) with its weight, the list is sorted once into canonical
+// order (scenario.SortInline), where a duplicate shows as two equal
+// neighbours, and both the graph hash and the inline family's
+// parameters are read off that list.
+func (s *Server) prepareInline(in *InlineGraph) (string, scenario.Params, *reqError) {
 	if in.N < 1 {
-		return nil, badRequest("inline graph: n must be >= 1 (got %d)", in.N)
+		return "", nil, badRequest("inline graph: n must be >= 1 (got %d)", in.N)
 	}
 	if in.N > s.opts.MaxVertices {
-		return nil, badRequest("inline graph: n=%d exceeds the server limit of %d vertices", in.N, s.opts.MaxVertices)
+		return "", nil, badRequest("inline graph: n=%d exceeds the server limit of %d vertices", in.N, s.opts.MaxVertices)
 	}
 	if len(in.Edges) > s.opts.MaxEdges {
-		return nil, badRequest("inline graph: %d edges exceed the server limit of %d", len(in.Edges), s.opts.MaxEdges)
+		return "", nil, badRequest("inline graph: %d edges exceed the server limit of %d", len(in.Edges), s.opts.MaxEdges)
 	}
 	if in.Weights != nil && len(in.Weights) != len(in.Edges) {
-		return nil, badRequest("inline graph: %d weights for %d edges", len(in.Weights), len(in.Edges))
+		return "", nil, badRequest("inline graph: %d weights for %d edges", len(in.Weights), len(in.Edges))
 	}
-	g := graph.New(in.N)
+	edges := make([]scenario.InlineEdge, len(in.Edges))
 	for i, e := range in.Edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= in.N || v < 0 || v >= in.N {
-			return nil, badRequest("inline graph: edge %d endpoints [%d, %d] out of range [0, %d)", i, u, v, in.N)
+			return "", nil, badRequest("inline graph: edge %d endpoints [%d, %d] out of range [0, %d)", i, u, v, in.N)
 		}
 		if u == v {
-			return nil, badRequest("inline graph: edge %d is a self-loop at %d", i, u)
+			return "", nil, badRequest("inline graph: edge %d is a self-loop at %d", i, u)
 		}
-		if g.HasEdge(u, v) {
-			return nil, badRequest("inline graph: duplicate edge [%d, %d]", u, v)
-		}
-		idx := g.AddEdge(u, v)
+		w := 1.0
 		if in.Weights != nil {
-			w := in.Weights[i]
+			w = in.Weights[i]
 			if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, badRequest("inline graph: edge %d weight %v is not a finite non-negative number", i, w)
+				return "", nil, badRequest("inline graph: edge %d weight %v is not a finite non-negative number", i, w)
 			}
-			g.SetWeight(idx, w)
 		}
+		edges[i] = scenario.InlineEdge{U: min(u, v), V: max(u, v), W: w}
 	}
-	return g, nil
+	if i := scenario.SortInline(edges); i >= 0 {
+		return "", nil, badRequest("inline graph: duplicate edge [%d, %d]", edges[i].U, edges[i].V)
+	}
+	return hashInline(in.N, edges), scenario.EncodeInline(in.N, edges, len(in.Weights) > 0), nil
 }
 
 // jobKey derives the content-addressed cache key. The fingerprint is

@@ -139,8 +139,10 @@ func DeriveSeed(base int64, scenarioName string, cell scenario.Params, replicate
 }
 
 // Execute runs the sweep and returns the aggregated report. An error is
-// returned only for misconfiguration; individual run failures are recorded
-// in the report (check Report.Failed()).
+// returned only for misconfiguration: a nil scenario, or a parameter
+// value the scenario cannot parse, returned as the first such run's
+// *scenario.ParamError wrapped with its cell. Individual run failures
+// are recorded in the report (check Report.Failed()).
 func Execute(opts Options) (*Report, error) {
 	sc := opts.Scenario
 	if sc == nil {
@@ -181,6 +183,7 @@ func Execute(opts Options) (*Report, error) {
 		}
 	}
 
+	errs := make([]error, len(runs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -188,7 +191,7 @@ func Execute(opts Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				executeRun(sc, &runs[idx], opts.Timeout)
+				errs[idx] = executeRun(sc, &runs[idx], opts.Timeout)
 			}
 		}()
 	}
@@ -197,6 +200,13 @@ func Execute(opts Options) (*Report, error) {
 	}
 	close(jobs)
 	wg.Wait()
+	for idx, err := range errs {
+		var perr *scenario.ParamError
+		if errors.As(err, &perr) {
+			ci := runs[idx].Cell
+			return nil, fmt.Errorf("cell %d [%s]: %w", ci, cells[ci].Key(), err)
+		}
+	}
 
 	rep := &Report{
 		Scenario:   sc.Name,
@@ -235,13 +245,16 @@ func Execute(opts Options) (*Report, error) {
 }
 
 // executeRun performs one run in place, converting panics and timeouts
-// into recorded failures so a single bad cell cannot kill the sweep.
-func executeRun(sc *scenario.Scenario, run *Run, timeout time.Duration) {
+// into recorded failures so a single bad cell cannot kill the sweep. It
+// returns the run's error as well, so Execute can tell a malformed
+// parameter value from a failed run.
+func executeRun(sc *scenario.Scenario, run *Run, timeout time.Duration) error {
 	m, err := Single(sc, run.Params, run.Seed, timeout, nil)
 	run.Metrics = m
 	if err != nil {
 		run.Error = err.Error()
 	}
+	return err
 }
 
 // ErrCanceled is returned by Single when the caller's cancel signal

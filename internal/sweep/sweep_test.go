@@ -155,6 +155,37 @@ func TestSingleReturnsParamError(t *testing.T) {
 	}
 }
 
+// A malformed grid value is misconfiguration, not a failed run: Execute
+// returns the first such run's *scenario.ParamError, naming its cell,
+// and no report. A well-formed grid whose runs fail still yields a
+// report and no error.
+func TestExecuteReturnsParamError(t *testing.T) {
+	rep, err := Execute(Options{
+		Scenario:   synthetic(),
+		Cells:      []scenario.Params{{"x": "2"}, {"x": "abc"}, {"x": "0.x"}},
+		Replicates: 2,
+		Workers:    2,
+		BaseSeed:   1,
+	})
+	var perr *scenario.ParamError
+	if !errors.As(err, &perr) || perr.Key != "x" || perr.Value != "abc" || rep != nil {
+		t.Fatalf("Execute = %v, %v (%T); want no report and the *scenario.ParamError of x=abc", rep, err, err)
+	}
+	if want := `cell 1 [x=abc]: scenario: param x="abc" is not a float`; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+
+	rep, err = Execute(Options{
+		Scenario:   synthetic(),
+		Cells:      []scenario.Params{{"x": "2", "fail": "true"}},
+		Replicates: 2,
+		BaseSeed:   1,
+	})
+	if err != nil || rep == nil || !rep.Failed() {
+		t.Fatalf("failing grid: Execute = %v, %v; want a failed report and no error", rep, err)
+	}
+}
+
 func TestTimeout(t *testing.T) {
 	sc := &scenario.Scenario{
 		Name: "slow",

@@ -30,9 +30,9 @@ import (
 //
 // Like every family builder, it panics with a *ParamError on a malformed
 // value, which GraphSpec.Build returns as its error: the encoder below is
-// the supported producer, so only a
-// hand-written spec can trip these. The service layer validates
-// submissions before encoding, so its inline graphs never do.
+// the supported producer, so only a hand-written spec can trip these.
+// The service layer validates submissions before encoding, so its inline
+// graphs never do.
 func init() {
 	registerFamily(&Family{
 		Name:   "inline",
@@ -84,6 +84,7 @@ func InlineEdges(g *graph.Graph) []InlineEdge {
 // family/n/edges, and wts when weighted.
 func EncodeInline(n int, edges []InlineEdge, weighted bool) Params {
 	ns := strconv.Itoa(n)
+	// An edge "u-v," takes at most twice the digits of n plus two bytes.
 	buf := make([]byte, 0, len(edges)*(2*len(ns)+2))
 	for i, e := range edges {
 		if i > 0 {

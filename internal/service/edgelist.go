@@ -30,7 +30,7 @@ func (l *EdgeList) UnmarshalJSON(b []byte) error {
 		*l = nil
 		return nil
 	}
-	if !d.byte('[') {
+	if !d.eat('[') {
 		return errNotEdgeList
 	}
 	// A valid list opens one bracket per pair after its own and spends at
@@ -38,7 +38,7 @@ func (l *EdgeList) UnmarshalJSON(b []byte) error {
 	// valid input and bounded by the body for any other.
 	out := make(EdgeList, 0, min(bytes.Count(b, []byte{'['})-1, len(b)/6))
 	d.space()
-	if !d.byte(']') {
+	if !d.eat(']') {
 		for {
 			e, ok := d.pair()
 			if !ok {
@@ -46,10 +46,10 @@ func (l *EdgeList) UnmarshalJSON(b []byte) error {
 			}
 			out = append(out, e)
 			d.space()
-			if d.byte(']') {
+			if d.eat(']') {
 				break
 			}
-			if !d.byte(',') {
+			if !d.eat(',') {
 				return errNotEdgeList
 			}
 			d.space()
@@ -81,8 +81,8 @@ func (d *edgeDecoder) space() {
 	}
 }
 
-// byte consumes c if it is next.
-func (d *edgeDecoder) byte(c byte) bool {
+// eat consumes c if it is next.
+func (d *edgeDecoder) eat(c byte) bool {
 	if d.i < len(d.b) && d.b[d.i] == c {
 		d.i++
 		return true
@@ -101,29 +101,29 @@ func (d *edgeDecoder) literal(s string) bool {
 
 // pair decodes one "[u, v]" element.
 func (d *edgeDecoder) pair() (e [2]int, ok bool) {
-	if !d.byte('[') {
+	if !d.eat('[') {
 		return e, false
 	}
 	for k := range e {
-		if k > 0 && !d.byte(',') {
+		if k > 0 && !d.eat(',') {
 			return e, false
 		}
 		d.space()
-		if e[k], ok = d.int(); !ok {
+		if e[k], ok = d.integer(); !ok {
 			return e, false
 		}
 		d.space()
 	}
-	return e, d.byte(']')
+	return e, d.eat(']')
 }
 
-// int decodes one JSON integer within the int range; null decodes as 0,
+// integer decodes one JSON integer within the int range; null decodes as 0,
 // as encoding/json leaves an int untouched by null.
-func (d *edgeDecoder) int() (int, bool) {
+func (d *edgeDecoder) integer() (int, bool) {
 	if d.i < len(d.b) && d.b[d.i] == 'n' {
 		return 0, d.literal("null")
 	}
-	neg := d.byte('-')
+	neg := d.eat('-')
 	limit := uint64(math.MaxInt)
 	if neg {
 		limit++

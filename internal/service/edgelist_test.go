@@ -96,9 +96,9 @@ func TestEdgeListDecode(t *testing.T) {
 }
 
 // TestEdgeListStrictElements: an element that is not a pair of integers
-// is refused with 400 before anything runs. Before the edge list had its
-// own decoder, [[0,1,2]] was accepted as the edge [0, 1] and [[0,1],null]
-// reached validation as a self-loop at 0.
+// is refused with 400 before anything runs. encoding/json decoding into
+// [][2]int would drop the third integer of [[0,1,2]] and serve the edge
+// [0, 1], and would turn the null of [[0,1],null] into the pair [0, 0].
 func TestEdgeListStrictElements(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 1})
 	for _, edges := range []string{`[[0,1,2]]`, `[[0,1],null]`, `[[0,1.5]]`, `[[0,1e0]]`, `[[0,9223372036854775808]]`} {

@@ -1,9 +1,13 @@
 // Package flow provides the maximum-flow machinery the paper's algorithms
 // rely on: a Dinic max-flow solver and a Dinkelbach-style densest-selection
 // oracle whose steps are min cuts of Goldberg's densest-subgraph network.
-// Kortsarz-Peleg's sequential greedy and the paper's distributed 2-spanner
-// algorithm both compute densest stars "in polynomial time using flow
-// techniques [36]"; this package is that substrate.
+// The oracle answers an instance with no profit on offer without a
+// network, peels every other instance down to the items a densest
+// selection can hold, and starts Dinkelbach at the peeled set's density
+// when that beats the best singleton. Kortsarz-Peleg's sequential greedy
+// and the paper's distributed 2-spanner algorithm both compute densest
+// stars "in polynomial time using flow techniques [36]"; this package is
+// that substrate.
 package flow
 
 import (
@@ -47,13 +51,19 @@ func NewDinic(n int) *Dinic {
 	}
 }
 
-// build makes d the network on n nodes holding the arcs emit adds, reusing
-// d's buffers where they are large enough. emit runs twice: first to count
-// each node's arcs, so that all arcs are carved from one backing array,
-// then to add them. Each node's arcs therefore keep their insertion order.
-// An arc u -> v of capacity c comes with a reverse arc of capacity rc: 0
-// for a directed edge, c for an undirected one.
-func (d *Dinic) build(n int, emit func(add func(u, v int, c, rc float64))) {
+// netArc is one arc of a network that build lays out: u -> v of capacity
+// c, with a reverse arc of capacity rc (0 for a directed edge, c for an
+// undirected one).
+type netArc struct {
+	u, v  int
+	c, rc float64
+}
+
+// build makes d the network on n nodes holding arcs, reusing d's buffers
+// where they are large enough. It counts each node's arcs first, so that
+// all arcs are carved from one backing array; each node's arcs keep the
+// order of the list.
+func (d *Dinic) build(n int, arcs []netArc) {
 	d.n = n
 	d.adj = resize(d.adj, n)
 	d.level = resize(d.level, n)
@@ -61,19 +71,19 @@ func (d *Dinic) build(n int, emit func(add func(u, v int, c, rc float64))) {
 	// iter doubles as the arc counter: MaxFlow clears it before each phase.
 	deg := d.iter
 	clear(deg)
-	total := 0
-	emit(func(u, v int, _, _ float64) {
-		deg[u]++
-		deg[v]++
-		total += 2
-	})
-	d.arcs = resize(d.arcs, total)
-	arcs := d.arcs
-	for v, k := range deg {
-		d.adj[v] = arcs[:0:k]
-		arcs = arcs[k:]
+	for _, a := range arcs {
+		deg[a.u]++
+		deg[a.v]++
 	}
-	emit(d.addArc)
+	d.arcs = resize(d.arcs, 2*len(arcs))
+	rest := d.arcs
+	for v, k := range deg {
+		d.adj[v] = rest[:0:k]
+		rest = rest[k:]
+	}
+	for _, a := range arcs {
+		d.addArc(a.u, a.v, a.c, a.rc)
+	}
 }
 
 // resize returns s with length n, reallocating only when its capacity is

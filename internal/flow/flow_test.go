@@ -232,10 +232,11 @@ func TestDensestValidation(t *testing.T) {
 	}
 }
 
-// Property: Densest matches brute-force enumeration on random instances of
-// up to 12 items with unit costs. Some instances must need several min-cut
-// solves, so the reuse of one flow network across Dinkelbach steps is
-// exercised.
+// Property: Densest, and the singleton start it falls back to, match
+// brute-force enumeration on random instances of up to 12 items with unit
+// costs. Some instances must take the singleton start through several
+// min-cut solves, so the reuse of one flow network across Dinkelbach steps
+// is exercised.
 func TestDensestMatchesBruteProperty(t *testing.T) {
 	maxSolves := 0
 	f := func(seed int64) bool {
@@ -271,18 +272,30 @@ func TestDensestMatchesBruteProperty(t *testing.T) {
 
 // matchesBrute reports whether Densest's density equals the best density
 // over all non-empty selections, and whether the returned selection
-// achieves it. It raises *maxSolves to the instance's solve count.
+// achieves it; the same for the singleton start, which Densest falls back
+// to. It raises *maxSolves to the singleton start's solve count.
 func matchesBrute(in *DensestInstance, maxSolves *int) bool {
 	sel, got, err := Densest(in)
 	if err != nil {
 		return false
 	}
-	if solves := solveCount(in); solves > *maxSolves {
-		*maxSolves = solves
+	ref, refDensity, solves := singletonStart(in)
+	*maxSolves = max(*maxSolves, solves)
+	best := bruteDensity(in)
+	for _, c := range []struct {
+		sel     []bool
+		density float64
+	}{{sel, got}, {ref, refDensity}} {
+		if p, cost := in.Value(c.sel); math.Abs(p/cost-c.density) > 1e-9 || math.Abs(c.density-best) >= 1e-6 {
+			return false
+		}
 	}
-	if p, c := in.Value(sel); math.Abs(p/c-got) > 1e-9 {
-		return false
-	}
+	return true
+}
+
+// bruteDensity returns the best density over all non-empty selections of
+// a small instance.
+func bruteDensity(in *DensestInstance) float64 {
 	n := in.NumItems
 	best := 0.0
 	T := make([]bool, n)
@@ -295,7 +308,7 @@ func matchesBrute(in *DensestInstance, maxSolves *int) bool {
 			best = d
 		}
 	}
-	return math.Abs(got-best) < 1e-6
+	return best
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {
@@ -308,8 +321,9 @@ func mustPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// Property: Densest with non-unit costs matches brute force on up to 12
-// items, again with some instances needing several min-cut solves.
+// Property: Densest and its singleton start match brute force with
+// non-unit costs on up to 12 items, again with some instances taking the
+// singleton start through several min-cut solves.
 func TestDensestWeightedMatchesBruteProperty(t *testing.T) {
 	maxSolves := 0
 	f := func(seed int64) bool {
@@ -341,31 +355,35 @@ func TestDensestWeightedMatchesBruteProperty(t *testing.T) {
 	}
 }
 
-// Densest builds its flow network once per call, so what it allocates does
-// not depend on how many Dinkelbach steps it takes: an instance needing
-// three min-cut solves allocates exactly as much as one that stops after
-// the first. A warm solver also reuses every buffer, leaving only the
-// network builder's closures. The solver is held directly rather than
-// drawn from Densest's pool, whose reuse the race detector randomizes.
+// Densest builds at most one flow network per call, in buffers its
+// pooled solver keeps, so once they have grown a call allocates nothing
+// beyond the selection it returns, whatever path the instance takes: no
+// profit on offer, the peeled start answered at its first solve or
+// needing more, or the singleton start. The solver is held directly
+// rather than drawn from Densest's pool, whose reuse the race detector
+// randomizes.
 func TestDensestAllocsIndependentOfSteps(t *testing.T) {
-	multi := unitInstance(40, 0.3, 2)
-	if solves := solveCount(multi); solves < 3 {
-		t.Fatalf("fixture takes %d min-cut solves, want >= 3", solves)
-	}
-	single := unitInstance(40, 0, 2) // no pairs: the first solve finds no gain
-	if solves := solveCount(single); solves != 1 {
-		t.Fatalf("pairless fixture takes %d min-cut solves, want 1", solves)
+	fixtures := []struct {
+		name   string
+		in     *DensestInstance
+		peeled bool
+		solves int
+	}{
+		{"no profit", unitInstance(40, 0, 2), false, 0},
+		{"peeled, first solve", unitInstance(40, 0.3, 2), true, 1},
+		{"peeled, more solves", randomInstance(rand.New(rand.NewSource(19))), true, 4},
+		{"singleton start", randomInstance(rand.New(rand.NewSource(47))), false, 3},
 	}
 	s := new(solver)
-	allocs := func(in *DensestInstance) float64 {
-		return testing.AllocsPerRun(20, func() { s.dinkelbach(in, s.goldberg(in)) })
+	for _, f := range fixtures {
+		if _, _, peeled, solves := s.densest(f.in); peeled != f.peeled || solves != f.solves {
+			t.Fatalf("%s fixture: peeled start %v after %d min-cut solves, want %v after %d", f.name, peeled, solves, f.peeled, f.solves)
+		}
 	}
-	got, base := allocs(multi), allocs(single)
-	if got != base {
-		t.Fatalf("a solver allocates %.0f objects over 3+ solves but %.0f over one", got, base)
-	}
-	if got > 4 {
-		t.Fatalf("a warm solver allocates %.0f objects per call, want at most 4", got)
+	for _, f := range fixtures {
+		if got := testing.AllocsPerRun(20, func() { s.densest(f.in) }); got != 0 {
+			t.Errorf("%s: a warm solver allocates %.0f objects per call, want 0", f.name, got)
+		}
 	}
 }
 
@@ -387,11 +405,17 @@ func unitInstance(k int, p float64, seed int64) *DensestInstance {
 	return in
 }
 
-// solveCount returns the number of min-cut solves Densest takes on in.
-func solveCount(in *DensestInstance) int {
+// singletonStart runs Dinkelbach from the best singleton over the network
+// of the whole instance, as Densest does when the peeled set is not
+// denser, and as it did on every instance before it peeled. It also
+// returns the number of min-cut solves taken. Densest must return exactly
+// what it returns.
+func singletonStart(in *DensestInstance) (best []bool, density float64, solves int) {
 	s := new(solver)
-	_, _, solves := s.dinkelbach(in, s.goldberg(in))
-	return solves
+	single, g := bestSingleton(in)
+	s.best = make([]bool, in.NumItems)
+	s.best[single] = true
+	return s.dinkelbach(in, s.goldberg(in, nil), g)
 }
 
 // selectionNetwork builds into s.net the project-selection network for the
@@ -409,19 +433,22 @@ func (s *solver) selectionNetwork(in *DensestInstance) float64 {
 	totalProfit += float64(len(in.Pairs))
 	inf := totalProfit + 1
 	pairNode := func(p int) int { return 2 + in.NumItems + p }
-	s.net.build(2+in.NumItems+len(in.Pairs), func(add func(u, v int, c, rc float64)) {
-		for u := 0; u < in.NumItems; u++ {
-			if in.Bonus[u] > 0 {
-				add(source, itemNode(u), in.Bonus[u], 0)
-			}
-			add(itemNode(u), sink, 0, 0)
+	var arcs []netArc
+	s.items = s.items[:0]
+	for u := 0; u < in.NumItems; u++ {
+		if in.Bonus[u] > 0 {
+			arcs = append(arcs, netArc{source, itemNode(u), in.Bonus[u], 0})
 		}
-		for p, pr := range in.Pairs {
-			add(source, pairNode(p), 1, 0)
-			add(pairNode(p), itemNode(pr[0]), inf, 0)
-			add(pairNode(p), itemNode(pr[1]), inf, 0)
-		}
-	})
+		arcs = append(arcs, netArc{itemNode(u), sink, 0, 0})
+		s.items = append(s.items, u)
+	}
+	for p, pr := range in.Pairs {
+		arcs = append(arcs,
+			netArc{source, pairNode(p), 1, 0},
+			netArc{pairNode(p), itemNode(pr[0]), inf, 0},
+			netArc{pairNode(p), itemNode(pr[1]), inf, 0})
+	}
+	s.net.build(2+in.NumItems+len(in.Pairs), arcs)
 	return totalProfit
 }
 
@@ -461,14 +488,21 @@ func randomInstance(rng *rand.Rand) *DensestInstance {
 // network swap. On 10,000 seeded random instances it steps Dinkelbach's
 // densities through Goldberg's network and the project-selection network
 // side by side and requires the same selection at every step. Densest
-// must then return that run's final selection with the same density bits.
+// must then return that run's final selection with the same density bits,
+// and every path Densest can take must be taken by enough instances: no
+// profit on offer, the singleton start, and the peeled start answered at
+// its first solve or needing more.
 func TestGoldbergMatchesSelectionNetwork(t *testing.T) {
 	const instances = 10000
 	steps, deep := 0, 0
+	paths := []struct {
+		name        string
+		count, want int
+	}{{"no profit", 0, 200}, {"singleton start", 0, 2000}, {"peeled, first solve", 0, 800}, {"peeled, more solves", 0, 1500}}
 	for seed := int64(0); seed < instances; seed++ {
 		in := randomInstance(rand.New(rand.NewSource(seed)))
 		gs, rs := new(solver), new(solver)
-		gProfit, rProfit := gs.goldberg(in), rs.selectionNetwork(in)
+		gProfit, rProfit := gs.goldberg(in, nil), rs.selectionNetwork(in)
 		gT, rT := make([]bool, in.NumItems), make([]bool, in.NumItems)
 		// Dinkelbach's start: the best singleton.
 		best := make([]bool, in.NumItems)
@@ -482,8 +516,8 @@ func TestGoldbergMatchesSelectionNetwork(t *testing.T) {
 		g := in.Bonus[bestIdx] / in.Cost[bestIdx]
 		for step := 1; ; step++ {
 			steps++
-			gOK := in.maxGainSelection(&gs.net, gProfit, g, gT)
-			rOK := in.maxGainSelection(&rs.net, rProfit, g, rT)
+			gOK := gs.maxGainSelection(in, gProfit, g, gT)
+			rOK := rs.maxGainSelection(in, rProfit, g, rT)
 			if gOK != rOK || (gOK && !slices.Equal(gT, rT)) {
 				t.Fatalf("seed %d step %d (g=%v): Goldberg %v %v, selection network %v %v", seed, step, g, gOK, gT, rOK, rT)
 			}
@@ -504,11 +538,26 @@ func TestGoldbergMatchesSelectionNetwork(t *testing.T) {
 		if err != nil || math.Float64bits(d) != math.Float64bits(g) || !slices.Equal(sel, best) {
 			t.Fatalf("seed %d: Densest %v %v %v, selection network %v %v", seed, sel, d, err, best, g)
 		}
+		switch _, _, peeled, solves := new(solver).densest(in); {
+		case solves == 0:
+			paths[0].count++
+		case !peeled:
+			paths[1].count++
+		case solves == 1:
+			paths[2].count++
+		default:
+			paths[3].count++
+		}
 	}
 	if deep < instances/10 {
 		t.Fatalf("only %d instances took more than three steps; the comparison is too shallow", deep)
 	}
-	t.Logf("%d instances, %d min-cut steps compared, %d instances took 4+ steps", instances, steps, deep)
+	for _, p := range paths {
+		if p.count < p.want {
+			t.Errorf("only %d instances took the path %q, want at least %d", p.count, p.name, p.want)
+		}
+	}
+	t.Logf("%d instances, %d min-cut steps compared, %d instances took 4+ steps; paths %v", instances, steps, deep, paths)
 }
 
 // TestDensestConcurrent calls Densest from several goroutines, each on a

@@ -8,6 +8,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"distspanner/internal/graph"
@@ -220,9 +221,10 @@ func OrientRandomly(g *graph.Graph, twoWay float64, seed int64) *graph.Digraph {
 }
 
 // RandomWeights assigns each edge of g an independent weight drawn
-// uniformly from [lo, hi]. It mutates g and returns it for chaining.
+// uniformly from [lo, hi]. It mutates g and returns it for chaining. It
+// panics unless 0 <= lo <= hi and hi is finite.
 func RandomWeights(g *graph.Graph, lo, hi float64, seed int64) *graph.Graph {
-	if lo < 0 || hi < lo {
+	if !(lo >= 0 && lo <= hi) || math.IsInf(hi, 1) {
 		panic("gen: invalid weight range")
 	}
 	rng := rand.New(rand.NewSource(seed))

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -179,6 +180,21 @@ func TestRandomWeights(t *testing.T) {
 		if w < 1 || w > 10 {
 			t.Fatalf("weight %f outside [1,10]", w)
 		}
+	}
+}
+
+// RandomWeights refuses a range it cannot draw from: a negative or NaN
+// bound, lo above hi, or an infinite hi.
+func TestRandomWeightsRejectsBadRange(t *testing.T) {
+	for _, r := range [][2]float64{{-1, 4}, {8, 2}, {math.NaN(), 4}, {1, math.NaN()}, {1, math.Inf(1)}, {math.Inf(1), math.Inf(1)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RandomWeights(lo=%v, hi=%v) did not panic", r[0], r[1])
+				}
+			}()
+			RandomWeights(GNP(5, 0.5, 1), r[0], r[1], 1)
+		}()
 	}
 }
 

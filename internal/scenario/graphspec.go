@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"distspanner/internal/gen"
@@ -128,8 +129,10 @@ func init() {
 // Build resolves and constructs the instance for one cell. The optional
 // "whi" parameter (with "wlo", default 1) layers uniform random weights in
 // [wlo, whi] over any unweighted family, exercising the weighted
-// algorithms on arbitrary topologies. A value the family builder or a
-// parameter reader cannot use is returned as a *ParamError.
+// algorithms on arbitrary topologies; whi must be finite and at least 0
+// (0, the default, leaves the graph unweighted), and when it is positive
+// wlo must lie in [0, whi]. A value the family builder or a parameter
+// reader cannot use is returned as a *ParamError.
 func (gs GraphSpec) Build(p Params, seed int64) (_ *graph.Graph, err error) {
 	defer recoverParamError(&err)
 	merged := gs.Fixed.Merge(p)
@@ -141,9 +144,18 @@ func (gs GraphSpec) Build(p Params, seed int64) (_ *graph.Graph, err error) {
 	if !ok {
 		return nil, &ParamError{Key: "family", Value: name, Want: "a registered graph family"}
 	}
+	whi, wlo := merged.Float("whi", 0), 1.0
+	if !(whi >= 0) || math.IsInf(whi, 1) {
+		return nil, &ParamError{Key: "whi", Value: merged.Str("whi", ""), Want: "a finite weight >= 0"}
+	}
+	if whi > 0 {
+		if wlo = merged.Float("wlo", wlo); !(wlo >= 0 && wlo <= whi) {
+			return nil, &ParamError{Key: "wlo", Value: merged.Str("wlo", "1"), Want: "a weight in [0, whi]"}
+		}
+	}
 	g := f.Build(merged, seed)
-	if whi := merged.Float("whi", 0); whi > 0 {
-		gen.RandomWeights(g, merged.Float("wlo", 1), whi, instanceSeed(merged, seed)+0x5eed)
+	if whi > 0 {
+		gen.RandomWeights(g, wlo, whi, instanceSeed(merged, seed)+0x5eed)
 	}
 	return g, nil
 }

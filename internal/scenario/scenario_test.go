@@ -35,6 +35,14 @@ func TestMalformedParamsRaiseParamError(t *testing.T) {
 		{Params{"n": "abc"}, "n"},
 		{Params{"p": "0.x"}, "p"},
 		{Params{"whi": "heavy"}, "whi"},
+		{Params{"whi": "inf"}, "whi"},
+		{Params{"whi": "nan"}, "whi"},
+		{Params{"whi": "-2"}, "whi"},
+		{Params{"wlo": "-1", "whi": "4"}, "wlo"},
+		{Params{"wlo": "8", "whi": "2"}, "wlo"},
+		{Params{"wlo": "nan", "whi": "4"}, "wlo"},
+		{Params{"wlo": "inf", "whi": "4"}, "wlo"},
+		{Params{"whi": "0.5"}, "wlo"},
 		{Params{"family": "no-such"}, "family"},
 		{Params{"family": "inline", "edges": "0-1,2"}, "edges"},
 		{Params{"family": "inline", "edges": "1-1"}, "edges"},

@@ -324,6 +324,37 @@ func TestMalformedParamRejected(t *testing.T) {
 	}
 }
 
+// TestMalformedWeightRangeRejected: a weight range Build cannot draw
+// from is a parameter error, not a failed run. Each request gets 400 with
+// one line naming the key, no goroutine dump, and counts as rejected.
+func TestMalformedWeightRangeRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	cases := []struct {
+		params map[string]string
+		want   string
+	}{
+		{map[string]string{"whi": "inf"}, `scenario: param whi="inf" is not a finite weight >= 0`},
+		{map[string]string{"wlo": "8", "whi": "2"}, `scenario: param wlo="8" is not a weight in [0, whi]`},
+		{map[string]string{"wlo": "nan", "whi": "4"}, `scenario: param wlo="nan" is not a weight in [0, whi]`},
+	}
+	for _, c := range cases {
+		status, _, body := postRun(t, ts, JobRequest{Scenario: "twospanner-weighted", Params: c.params, Seed: 1})
+		if status != http.StatusBadRequest || strings.Contains(string(body), "goroutine") {
+			t.Fatalf("%v: status %d, want 400 without a stack (%s)", c.params, status, body)
+		}
+		var doc map[string]string
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc["error"] != c.want {
+			t.Errorf("%v: error %q, want %q", c.params, doc["error"], c.want)
+		}
+	}
+	if st := srv.Stats(); st.Rejected != uint64(len(cases)) || st.RunErrors != 0 {
+		t.Errorf("rejected = %d, run_errors = %d; want %d and 0", st.Rejected, st.RunErrors, len(cases))
+	}
+}
+
 // sseEvent is one parsed server-sent event.
 type sseEvent struct {
 	name string

@@ -116,6 +116,7 @@ func main() {
 
 func fail(err error) {
 	if err != nil {
+		os.Stderr.Write(dist.PanicStack(err))
 		log.Fatal(err)
 	}
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"log"
+	"os"
 	"time"
 
 	"distspanner/internal/dist"
@@ -34,6 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := dist.ServeShard(wt, distrun.Resolver()); err != nil {
+		os.Stderr.Write(dist.PanicStack(err))
 		log.Fatal(err)
 	}
 	log.Printf("shard served, exiting")

@@ -98,6 +98,7 @@ func main() {
 		fmt.Printf("  %-20s %s\n", k, strconv.FormatFloat(m[k], 'f', -1, 64))
 	}
 	if err != nil {
+		os.Stderr.Write(dist.PanicStack(err))
 		exit(1, "%v", err)
 	}
 	if *traceOut != "" {

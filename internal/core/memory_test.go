@@ -174,7 +174,7 @@ func TestLiveBytesPerVertexPinned(t *testing.T) {
 
 // The pinned peaks, in KB per vertex, and their relative tolerance.
 const (
-	twoSpannerLiveKBPerVertex = 3.839
+	twoSpannerLiveKBPerVertex = 3.484
 	mdsLiveKBPerVertex        = 6.057
 	liveTolerance             = 0.01
 )

@@ -444,12 +444,11 @@ type densVal struct {
 }
 
 // candRec is one announced star this iteration that holds the receiving
-// vertex: the candidate's id, its sorted star neighbor ids (in a directed
-// run, the heads of its out-arcs), its random rank, and the vote pairs
-// this vertex casts for it.
+// vertex: the candidate's id, its random rank, and the vote pairs this
+// vertex casts for it. The star itself is not kept: decoding it marks the
+// edges it 2-spans (nbrState.mark).
 type candRec struct {
 	from  int
-	star  []int
 	r     int64
 	votes []int
 }
@@ -465,7 +464,14 @@ type nbrState struct {
 	hopRaw, hopWmax float64
 	spanOf          []int // its incident spanner edges (far endpoint ids, sorted)
 	uncovRow              // what H_v keeps of its uncovered edges
-	edgeIdx         int   // index of the incident edge to it
+	// edgeIdx is the index of the incident edge to it. An int32 holds
+	// it: 2^31 edges would need 2^32 of these 120-byte entries.
+	edgeIdx int32
+	// mark is 1 + the index in cands of the first candidate, by (r, id),
+	// whose star 2-spans the incident edge, or 0. The star inbox sets it
+	// on the edges this vertex votes with, and the vote phase of the same
+	// step reads and clears it.
+	mark int32
 
 	covered   bool // the incident edge is covered
 	inSpan    bool // the incident edge is in the spanner
@@ -561,7 +567,7 @@ func newUndirectedNode(ctx roundCtx, run *uRun) *undirectedNode {
 			panic("core: neighbor without edge")
 		}
 		nb := &nd.nb[i]
-		nb.edgeIdx = idx
+		nb.edgeIdx = int32(idx)
 		nb.alive = true
 		if !v.target(idx) {
 			// Non-target edges never need covering.
@@ -588,7 +594,7 @@ func (nd *undirectedNode) orient() {
 	}
 	for _, a := range nd.run.d.Out(nd.me) {
 		nb := &nd.nb[posOf(nd.nbrs, a.To)]
-		nb.edgeIdx, nb.covered, nb.arcs = a.Edge, false, dirOut
+		nb.edgeIdx, nb.covered, nb.arcs = int32(a.Edge), false, dirOut
 	}
 	for _, a := range nd.run.d.In(nd.me) {
 		nd.nb[posOf(nd.nbrs, a.To)].arcs |= dirIn
@@ -783,24 +789,20 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 		}
 	case phVote:
 		// Each owned uncovered edge votes for the first candidate (by
-		// (r, id)) that 2-spans it. Every kept candidate's star holds me.
-		// The lower endpoint owns an edge; the tail owns an arc.
-		for i, u := range nd.nbrs {
-			if nd.nb[i].covered || (run.d == nil && nd.me > u) {
-				continue // not an owner, or nothing to vote for
+		// (r, id)) that 2-spans it: the one the star inbox marked there.
+		// A termination later in that inbox may have covered the edge.
+		if len(nd.cands) == 0 {
+			break
+		}
+		for i := range nd.nb {
+			nb := &nd.nb[i]
+			if nb.mark == 0 {
+				continue
 			}
-			var best *candRec
-			for ci := range nd.cands {
-				c := &nd.cands[ci]
-				if !containsSorted(c.star, u) {
-					continue
-				}
-				if best == nil || c.r < best.r || (c.r == best.r && c.from < best.from) {
-					best = c
-				}
-			}
-			if best != nil {
-				best.votes = append(best.votes, nd.me, u)
+			c := &nd.cands[nb.mark-1]
+			nb.mark = 0
+			if !nb.covered {
+				c.votes = append(c.votes, nd.me, nd.nbrs[i])
 			}
 		}
 		// One record per voted-for candidate, in cands order: the phase-D
@@ -868,6 +870,41 @@ func (nd *undirectedNode) myEntry(entries []int) int {
 	return 0
 }
 
+// addCand appends the candidate of the kept star record r to cands and
+// returns its index.
+func (nd *undirectedNode) addCand(r *dist.InRec) int {
+	nd.cands = append(nd.cands, candRec{from: r.From, r: r.A})
+	return len(nd.cands) - 1
+}
+
+// markEdge marks the edge to u, a member of the star of cands[c], when
+// this vertex votes with it, and returns where the seek for the star's
+// next, larger member resumes: u is found by a monotone seek from
+// position q of the sorted neighbor list, so at len(nbrs) no later
+// member can match. The caller passes only members whose edge it would
+// own. An uncovered one keeps the mark of whichever candidate ranks
+// first; a directed run's absent out-arc counts as covered.
+func (nd *undirectedNode) markEdge(q, u, c int) int {
+	if q < len(nd.nbrs) && nd.nbrs[q] < u {
+		q++
+		if q < len(nd.nbrs) && nd.nbrs[q] < u {
+			q += sort.SearchInts(nd.nbrs[q:], u)
+		}
+	}
+	if q == len(nd.nbrs) || nd.nbrs[q] != u {
+		return q
+	}
+	if nb := &nd.nb[q]; !nb.covered && (nb.mark == 0 || nd.cands[c].before(&nd.cands[nb.mark-1])) {
+		nb.mark = int32(c + 1)
+	}
+	return q + 1
+}
+
+// before reports whether c ranks before o in the vote: by rank, then id.
+func (c *candRec) before(o *candRec) bool {
+	return c.r < o.r || (c.r == o.r && c.from < o.from)
+}
+
 // addUncovered adds the uncovered incident target edges to the spanner —
 // the direct add of the paper's termination step — and returns what the
 // termination record lists: the far endpoints, or in a directed run the
@@ -876,7 +913,7 @@ func (nd *undirectedNode) addUncovered() []int {
 	var added []int
 	for i, u := range nd.nbrs {
 		nb := &nd.nb[i]
-		if !nb.covered && nd.run.v.directAdd(nb.edgeIdx) {
+		if !nb.covered && nd.run.v.directAdd(int(nb.edgeIdx)) {
 			nb.inSpan = true
 			nb.covered = true
 			if nd.run.d != nil {
@@ -998,31 +1035,35 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 			case tagTerm, tagDirTerm:
 				nd.processDeath(j, r)
 			case tagStar:
-				// Only a star holding me can 2-span an edge I vote for, so
-				// the others are dropped here. A kept star list is retained
-				// across the iteration; copy it out of the arena.
-				if !containsSorted(r.Ints, nd.me) {
+				// Only a star holding me can 2-span an edge I vote for: the
+				// edges to its members above me, the ones I own.
+				k, ok := slices.BinarySearch(r.Ints, nd.me)
+				if !ok {
 					continue
 				}
-				nd.cands = append(nd.cands, candRec{
-					from: r.From,
-					star: append([]int(nil), r.Ints...),
-					r:    r.A,
-				})
+				c := nd.addCand(r)
+				q := 0
+				for _, u := range r.Ints[k+1:] {
+					if q = nd.markEdge(q, u, c); q == len(nd.nbrs) {
+						break
+					}
+				}
 			case tagDirStar:
 				// Only a star holding the arc me -> candidate can 2-span an
-				// arc me -> w I vote for, through its out-arc to w: keep
-				// those out-heads.
+				// arc me -> w I vote for, through its out-arc to w.
 				if nd.myEntry(r.Ints)&dirIn == 0 {
 					continue
 				}
-				c := candRec{from: r.From, r: r.A}
+				c := nd.addCand(r)
+				q := 0
 				for _, e := range r.Ints {
-					if e&dirOut != 0 {
-						c.star = append(c.star, e>>2)
+					if e&dirOut == 0 {
+						continue
+					}
+					if q = nd.markEdge(q, e>>2, c); q == len(nd.nbrs) {
+						break
 					}
 				}
-				nd.cands = append(nd.cands, c)
 			}
 		}
 	case phVote:
@@ -1210,7 +1251,7 @@ func (nd *undirectedNode) refoldM2() {
 // starCost is the view's cost of the star edge to nbrs[i]: its weight
 // (zero for a free edge), or -1 when the variant's star cannot use it.
 func (nd *undirectedNode) starCost(i int) float64 {
-	idx := nd.nb[i].edgeIdx
+	idx := int(nd.nb[i].edgeIdx)
 	if !nd.run.v.starEdge(idx) {
 		return -1
 	}
@@ -1248,7 +1289,7 @@ func (nd *undirectedNode) emitOutput() {
 	var out []int
 	for i := range nd.nb {
 		if nd.nb[i].inSpan {
-			out = append(out, nd.nb[i].edgeIdx)
+			out = append(out, int(nd.nb[i].edgeIdx))
 		}
 		if nd.nb[i].arcs&inSpanned != 0 {
 			idx, _ := nd.run.d.EdgeIndex(nd.nbrs[i], nd.me)

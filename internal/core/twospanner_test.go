@@ -462,8 +462,9 @@ func TestTwoSpannerLargeScaleSmoke(t *testing.T) {
 	}
 }
 
-// The directed run's per-neighbor arc bits fit in nbrState's padding, so
-// an undirected run pays no memory for them.
+// The directed run's per-neighbor arc bits fit in nbrState's padding, and
+// the vote mark shares a word with the narrowed edge index, so neither
+// costs an entry any memory.
 func TestNbrStateSize(t *testing.T) {
 	if got := unsafe.Sizeof(nbrState{}); got > 120 {
 		t.Fatalf("nbrState is %d bytes, want at most 120", got)

@@ -442,19 +442,29 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 	}
 }
 
-// stubCtx is a roundCtx that discards sends, for driving one node's
-// phases directly.
+// stubCtx is a roundCtx for driving one node's phases directly. It
+// records the node's sends.
 type stubCtx struct {
 	id, n int
 	nbrs  []int
 	rng   *rand.Rand // the rank source of a candidacy, when one is driven
+	sent  []sentRec
 }
 
-func (c *stubCtx) ID() int                    { return c.id }
-func (c *stubCtx) N() int                     { return c.n }
-func (c *stubCtx) Neighbors() []int           { return c.nbrs }
-func (c *stubCtx) Rand() *rand.Rand           { return c.rng }
-func (c *stubCtx) SendRec(int, dist.Rec, int) {}
+// sentRec is one send a stubCtx recorded, its tail copied.
+type sentRec struct {
+	to   int
+	tag  uint8
+	ints []int
+}
+
+func (c *stubCtx) ID() int          { return c.id }
+func (c *stubCtx) N() int           { return c.n }
+func (c *stubCtx) Neighbors() []int { return c.nbrs }
+func (c *stubCtx) Rand() *rand.Rand { return c.rng }
+func (c *stubCtx) SendRec(to int, r dist.Rec, _ int) {
+	c.sent = append(c.sent, sentRec{to: to, tag: r.Tag, ints: slices.Clone(r.Ints)})
+}
 
 // TestDeathDirtiesViewIffListAnnounced drives a center's uncovered-list
 // receipts and then each neighbor's termination: the death must mark

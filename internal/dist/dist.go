@@ -292,10 +292,34 @@ func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 	return e.result()
 }
 
+// VertexPanicError is the run error of a machine that panicked. Its text
+// names the vertex and the panic value only, so it can be handed to a
+// client or shipped in a shard frame; Stack keeps the panicking
+// goroutine's stack for a command to print to its own stderr.
+type VertexPanicError struct {
+	Vertex int
+	Value  any
+	Stack  []byte
+}
+
+func (e *VertexPanicError) Error() string {
+	return fmt.Sprintf("dist: vertex %d panicked: %v", e.Vertex, e.Value)
+}
+
+// PanicStack returns the stack of the machine panic behind err, or nil
+// when err is not one.
+func PanicStack(err error) []byte {
+	var perr *VertexPanicError
+	if errors.As(err, &perr) {
+		return perr.Stack
+	}
+	return nil
+}
+
 // vertexPanicError converts a recovered machine panic into the run
 // error.
 func vertexPanicError(id int, r any) error {
-	return fmt.Errorf("dist: vertex %d panicked: %v\n%s", id, r, debug.Stack())
+	return &VertexPanicError{Vertex: id, Value: r, Stack: debug.Stack()}
 }
 
 // meterSender sizes one sender's round of records: global aggregates plus

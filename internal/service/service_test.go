@@ -355,6 +355,34 @@ func TestMalformedWeightRangeRejected(t *testing.T) {
 	}
 }
 
+// TestVertexPanicAnswersWithoutStack: a run whose machine panics fails
+// with 422 on /v1/run and with an error event on /v1/stream. Both name
+// the panic, and neither carries the goroutine dump the error keeps for
+// the operator's log.
+func TestVertexPanicAnswersWithoutStack(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	req := JobRequest{Scenario: "svc-test-panic", Seed: 1}
+	status, _, body := postRun(t, ts, req)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(string(body), "panicked") ||
+		strings.Contains(string(body), "goroutine ") {
+		t.Fatalf("status %d, want 422 naming the panic without a stack (%s)", status, body)
+	}
+	payload, _ := json.Marshal(req)
+	resp, err := ts.Client().Post(ts.URL+"/v1/stream", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatalf("POST /v1/stream: %v", err)
+	}
+	defer resp.Body.Close()
+	events := readSSE(t, resp.Body)
+	last := events[len(events)-1]
+	if last.name != "error" || !strings.Contains(last.data, "panicked") || strings.Contains(last.data, "goroutine ") {
+		t.Fatalf("last event %s %s, want an error naming the panic without a stack", last.name, last.data)
+	}
+	if st := srv.Stats(); st.RunErrors != 2 || st.Cache.Entries != 0 {
+		t.Errorf("run_errors = %d, cache entries = %d; want 2 and 0", st.RunErrors, st.Cache.Entries)
+	}
+}
+
 // sseEvent is one parsed server-sent event.
 type sseEvent struct {
 	name string

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 
+	"distspanner/internal/dist"
+	"distspanner/internal/graph"
 	"distspanner/internal/scenario"
 )
 
@@ -61,6 +63,31 @@ func init() {
 				c.stopOnce.Do(func() { close(c.canceled) })
 				return nil, errors.New("svc-test-block: canceled")
 			}
+		},
+	})
+}
+
+// panicMachine panics in its first step.
+type panicMachine struct{}
+
+func (panicMachine) Step(*dist.Ctx, dist.StepIn) dist.StepStatus {
+	panic("svc-test-panic: boom")
+}
+
+// svc-test-panic: a synthetic scenario whose machines panic, for
+// exercising how a vertex panic reaches clients. It is registered only
+// in this test binary.
+func init() {
+	scenario.Register(&scenario.Scenario{
+		Name:  "svc-test-panic",
+		Title: "service test: every machine panics",
+		Model: "LOCAL",
+		Run: func(p scenario.Params, seed int64, cancel <-chan struct{}) (scenario.Metrics, error) {
+			g := graph.New(2)
+			g.AddEdge(0, 1)
+			_, err := dist.RunMachines(dist.Config{Graph: g, Seed: seed, Cancel: cancel},
+				func(*dist.Ctx) dist.Machine { return panicMachine{} })
+			return nil, err
 		},
 	})
 }

@@ -1,22 +1,26 @@
-// Command coord is the distributed runner's coordinator. It builds a
-// graph from key=value arguments with the scenario layer's GraphSpec
-// (the families `sweep -list` shows; the empty cell is cgnp with n=32,
-// p=0.2), waits for -workers cmd/node processes to connect over TCP,
-// partitions the vertices contiguously across them, drives the
-// round/quiescence protocol, and merges the workers' statistics,
-// outputs, and logical transcript. The merged transcript is
-// bit-identical to an in-process run of the same (algorithm, graph,
-// seed) on the step engine — pass -verify to prove it in-process, or
-// -trace to write the JSONL transcript for cmd/trace -check and digest
-// comparison. Flags go before the key=value arguments. An unknown -algo
-// or a malformed cell argument or value exits 2; any other failure
-// exits 1.
+// Command coord is the distributed runner's coordinator. It runs one
+// cell of a scenario that builds a dist-engine program (-algo: the
+// 2-spanner scenarios and mds) across TCP-connected cmd/node workers:
+// the key=value arguments are layered over the scenario's defaults, so
+// the empty cell is the scenario's default cell, and the instance is
+// the one cmd/spanner runs for the same cell and seed. coord waits for
+// -workers processes to connect, partitions the vertices contiguously
+// across them, ships the scenario cell in the setup frame (each worker
+// rebuilds the program from it), drives the round/quiescence protocol,
+// and merges the workers' statistics, outputs, and logical transcript.
+// The merged transcript is bit-identical to an in-process run of the
+// same program on the step engine — pass -verify to prove it
+// in-process, or -trace to write the JSONL transcript for cmd/trace
+// -check and digest comparison. Flags go before the key=value
+// arguments. An unknown -algo or a malformed cell argument or value
+// exits 2; any other failure exits 1.
 //
 //	coord -listen 127.0.0.1:9131 -workers 2 -algo twospanner -seed 1 \
 //	      -trace dist.jsonl -verify family=cgnp n=32 p=0.2
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -28,7 +32,6 @@ import (
 
 	"distspanner/internal/dist"
 	"distspanner/internal/dist/wire"
-	"distspanner/internal/distrun"
 	"distspanner/internal/scenario"
 	"distspanner/internal/trace"
 )
@@ -36,12 +39,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("coord: ")
+	names := strings.Join(scenario.ProgramNames(), ", ")
 	var (
 		listen  = flag.String("listen", "127.0.0.1:9131", "address to accept workers on")
 		workers = flag.Int("workers", 2, "number of worker processes to wait for")
 		timeout = flag.Duration("timeout", 30*time.Second, "how long to wait for workers to connect")
 
-		algo = flag.String("algo", "twospanner", "algorithm family: "+strings.Join(distrun.Names(), ", "))
+		algo = flag.String("algo", "twospanner", "scenario to run: "+names)
 		seed = flag.Int64("seed", 1, "random seed (drives the generator, the engine and any derived inputs)")
 
 		traceOut = flag.String("trace", "", "write the merged logical transcript as JSONL to this file")
@@ -53,14 +57,20 @@ func main() {
 	}
 	flag.Parse()
 
-	f, ok := distrun.Get(*algo)
-	if !ok {
-		usage(fmt.Errorf("unknown algorithm family %q (have: %s)", *algo, strings.Join(distrun.Names(), ", ")))
+	sc, ok := scenario.Get(*algo)
+	if !ok || sc.Program == nil {
+		usage(fmt.Errorf("unknown -algo %q (have: %s)", *algo, names))
 	}
-	cell, err := scenario.ParseCell(flag.Args())
+	args, err := scenario.ParseCell(flag.Args())
 	usage(err)
-	g, err := scenario.GraphSpec{}.Build(cell, *seed)
-	usage(err)
+	cell := sc.Defaults.Merge(args)
+	prog, cfg, err := scenario.Distributed(sc, cell, *seed)
+	var perr *scenario.ParamError
+	if errors.As(err, &perr) {
+		usage(err)
+	}
+	fail(err)
+	g := cfg.Graph
 	fmt.Printf("graph: [%s] n=%d m=%d; algo=%s seed=%d workers=%d\n",
 		cell.Key(), g.N(), g.M(), *algo, *seed, *workers)
 
@@ -72,7 +82,6 @@ func main() {
 	fail(err)
 
 	rec := trace.NewRecorder(g.N())
-	cfg := f.CoordConfig(g, *seed)
 	cfg.Tracer = rec
 	res, err := dist.Coordinate(ct, cfg)
 	ct.Close()
@@ -86,9 +95,12 @@ func main() {
 
 	if *verify {
 		refRec := trace.NewRecorder(g.N())
-		cfg.Tracer = refRec
-		refOuts, refStats, err := f.RunLocal(cfg)
+		refStats, err := dist.RunLocal(prog, dist.Config{Seed: *seed, Tracer: refRec})
 		fail(err)
+		refOuts := make([][]int, g.N())
+		for v := range refOuts {
+			refOuts[v] = prog.Output(v)
+		}
 		refD := refRec.Digest()
 		switch {
 		case !refD.Equal(d):

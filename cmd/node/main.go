@@ -1,11 +1,12 @@
 // Command node is the distributed runner's worker process. It dials
 // the coordinator (cmd/coord), receives its shard assignment — graph,
-// algorithm family, seed, vertex range — over the wire protocol, steps
-// its vertices with the state-machine engine, and streams record
-// batches, metering reports, and wake scans back each round. One
-// process serves one run, then exits; the algorithm registry is
-// internal/distrun, so the worker is oblivious to which family it will
-// be asked to run until the setup frame arrives.
+// scenario cell, seed, vertex range — over the wire protocol, rebuilds
+// the cell's program through the scenario registry
+// (scenario.Resolver), steps its vertices with the state-machine
+// engine, and streams record batches, metering reports, and wake scans
+// back each round. One process serves one run, then exits; the worker
+// is oblivious to which scenario it will be asked to run until the
+// setup frame arrives.
 //
 //	node -addr 127.0.0.1:9131
 package main
@@ -18,7 +19,7 @@ import (
 
 	"distspanner/internal/dist"
 	"distspanner/internal/dist/wire"
-	"distspanner/internal/distrun"
+	"distspanner/internal/scenario"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dist.ServeShard(wt, distrun.Resolver()); err != nil {
+	if err := dist.ServeShard(wt, scenario.Resolver()); err != nil {
 		os.Stderr.Write(dist.PanicStack(err))
 		log.Fatal(err)
 	}

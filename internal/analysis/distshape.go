@@ -18,7 +18,7 @@ import (
 // packages whose map iteration order, clock reads, or RNG choices would
 // leak into run output, trace digests, cache identity, or transport
 // verification. Matched as import-path suffixes.
-const CriticalPackages = "internal/core,internal/mds,internal/baseline,internal/dist,internal/dist/wire,internal/dist/transportconf,internal/gen,internal/trace,internal/scenario,internal/service,internal/distrun"
+const CriticalPackages = "internal/core,internal/mds,internal/baseline,internal/dist,internal/dist/wire,internal/dist/transportconf,internal/gen,internal/trace,internal/scenario,internal/service"
 
 // AlgoPackages is the default set of packages whose entire code is
 // vertex-step code (algorithm receivers and their helpers): detsource

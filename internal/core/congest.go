@@ -398,31 +398,18 @@ type CongestResult struct {
 // bandwidth. The price is Θ(Δ) physical rounds per logical round,
 // demonstrating the overhead the paper's discussion section describes.
 func TwoSpannerCongest(g *graph.Graph, opts Options) (*CongestResult, error) {
-	if g.Weighted() {
-		return nil, errors.New("core: the CONGEST variant is unweighted (densities ship as count rationals)")
+	ru, prog, err := newCongestRun(g, opts)
+	if err != nil {
+		return nil, err
 	}
-	bandwidth := CongestBandwidth(g.N())
-	ru := newURun(g, twoSpannerVariant(false), opts)
-	subrounds := congestSubrounds(g.MaxDegree())
-	stats, err := dist.RunMachines(dist.Config{
-		Graph:     g,
-		Seed:      opts.Seed,
-		Mode:      opts.ExecMode,
-		Bandwidth: bandwidth,
-		Enforce:   true,
-		MaxRounds: opts.MaxRounds,
-		OnRound:   opts.RoundHook,
-		Cancel:    opts.Cancel,
-		Tracer:    opts.Tracer,
-		Shards:    opts.Shards,
-	}, congestFactory(ru))
+	res, err := ru.run(prog)
 	if err != nil {
 		return nil, err
 	}
 	return &CongestResult{
-		Result:    *ru.result(stats),
-		Subrounds: subrounds,
-		Bandwidth: bandwidth,
+		Result:    *res,
+		Subrounds: congestSubrounds(g.MaxDegree()),
+		Bandwidth: prog.Bandwidth,
 	}, nil
 }
 

@@ -8,23 +8,25 @@ import (
 )
 
 // Shard-program exports for the distributed runner (dist.ServeShard):
-// each constructor returns the same machine factory the local runners
-// use, plus a per-vertex output reader, packaged as a dist.ShardProgram.
-// A worker resolves its program deterministically from (graph, seed) —
-// every auxiliary input (orientations, edge-set splits) must be derived
-// the same way on every worker — and the coordinator merges the outputs.
-// The algorithm code is transport-oblivious: these factories are exactly
-// the ones RunMachines gets; only the delivery layer differs.
+// each constructor returns the program its local runner runs — the
+// machine factory, the engine topology, the bandwidth budget and a
+// per-vertex output reader, packaged as a dist.ShardProgram. A worker
+// resolves its program deterministically from the instance and seed,
+// and the coordinator merges the outputs. The algorithm code is
+// transport-oblivious: the local runners hand these same programs to
+// dist.RunLocal; only the delivery layer differs.
+
+// program is the shard program of r's machines with the plain LOCAL
+// factory. Output(v) lists vertex v's incident spanner edge indices,
+// sorted.
+func (r *uRun) program() dist.ShardProgram {
+	return dist.ShardProgram{Graph: r.g, Factory: r.factory(), Output: r.output}
+}
 
 // TwoSpannerProgram is the shard program of TwoSpanner (plain or
-// weighted, chosen by g.Weighted()). Output(v) lists vertex v's
-// incident spanner edge indices, sorted.
+// weighted, chosen by g.Weighted()).
 func TwoSpannerProgram(g *graph.Graph, opts Options) dist.ShardProgram {
-	ru := newURun(g, twoSpannerVariant(g.Weighted()), opts)
-	return dist.ShardProgram{
-		Factory: ru.factory(),
-		Output:  ru.output,
-	}
+	return newURun(g, twoSpannerVariant(g.Weighted()), opts).program()
 }
 
 // ClientServerTwoSpannerProgram is the shard program of
@@ -34,35 +36,34 @@ func ClientServerTwoSpannerProgram(g *graph.Graph, clients, servers *graph.EdgeS
 	if err != nil {
 		return dist.ShardProgram{}, err
 	}
-	ru := newURun(g, v, opts)
-	return dist.ShardProgram{
-		Factory: ru.factory(),
-		Output:  ru.output,
-	}, nil
+	return newURun(g, v, opts).program(), nil
 }
 
-// TwoSpannerCongestProgram is the shard program of TwoSpannerCongest.
-// The engine running it must enforce CongestBandwidth(g.N()) to
-// reproduce the local runner bit-for-bit.
+// TwoSpannerCongestProgram is the shard program of TwoSpannerCongest:
+// the fragmenting CONGEST adapter under the enforced budget
+// CongestBandwidth(g.N()).
 func TwoSpannerCongestProgram(g *graph.Graph, opts Options) (dist.ShardProgram, error) {
+	_, prog, err := newCongestRun(g, opts)
+	return prog, err
+}
+
+// newCongestRun builds the run and program of the CONGEST variant.
+func newCongestRun(g *graph.Graph, opts Options) (*uRun, dist.ShardProgram, error) {
 	if g.Weighted() {
-		return dist.ShardProgram{}, errors.New("core: the CONGEST variant is unweighted (densities ship as count rationals)")
+		return nil, dist.ShardProgram{}, errors.New("core: the CONGEST variant is unweighted (densities ship as count rationals)")
 	}
 	ru := newURun(g, twoSpannerVariant(false), opts)
-	return dist.ShardProgram{
-		Factory: congestFactory(ru),
-		Output:  ru.output,
+	return ru, dist.ShardProgram{
+		Graph:     g,
+		Bandwidth: CongestBandwidth(g.N()),
+		Factory:   congestFactory(ru),
+		Output:    ru.output,
 	}, nil
 }
 
 // DirectedTwoSpannerProgram is the shard program of DirectedTwoSpanner.
-// The engine topology is d's underlying undirected graph, carried as
-// the program's Graph override (it has the same vertex count).
+// The engine topology is d's underlying undirected graph (it has the
+// same vertex count), and Output(v) lists arc indices of d.
 func DirectedTwoSpannerProgram(d *graph.Digraph, opts Options) dist.ShardProgram {
-	ru := newDirectedRun(d, opts)
-	return dist.ShardProgram{
-		Graph:   ru.g,
-		Factory: ru.factory(),
-		Output:  ru.output,
-	}
+	return newDirectedRun(d, opts).program()
 }

@@ -18,8 +18,6 @@ type Options struct {
 	// Seed drives all per-vertex randomness; runs are deterministic
 	// functions of (instance, Seed).
 	Seed int64
-	// MaxRounds aborts runaway executions; zero uses the engine default.
-	MaxRounds int
 	// ExecMode is passed to dist.Config.Mode: ModeAuto (the zero value)
 	// and ModeStep both run the step engine, the only scheduler, and any
 	// other value is an error. It is kept for source compatibility.
@@ -164,7 +162,8 @@ type variant struct {
 // weighted variant (Section 4.3.2) runs, including its zero-weight edge
 // pre-pass; otherwise the unweighted algorithm of Theorem 1.3 runs.
 func TwoSpanner(g *graph.Graph, opts Options) (*Result, error) {
-	return newURun(g, twoSpannerVariant(g.Weighted()), opts).run()
+	ru := newURun(g, twoSpannerVariant(g.Weighted()), opts)
+	return ru.run(ru.program())
 }
 
 // twoSpannerVariant is the plain (Theorem 1.3) or weighted (Theorem
@@ -199,7 +198,8 @@ func ClientServerTwoSpanner(g *graph.Graph, clients, servers *graph.EdgeSet, opt
 	if err != nil {
 		return nil, err
 	}
-	return newURun(g, v, opts).run()
+	ru := newURun(g, v, opts)
+	return ru.run(ru.program())
 }
 
 // clientServerVariant validates the edge sets and builds the Section
@@ -227,7 +227,8 @@ func clientServerVariant(g *graph.Graph, clients, servers *graph.EdgeSet) (varia
 // on the digraph d. The communication topology is d's underlying
 // undirected graph.
 func DirectedTwoSpanner(d *graph.Digraph, opts Options) (*Result, error) {
-	return newDirectedRun(d, opts).run()
+	ru := newDirectedRun(d, opts)
+	return ru.run(ru.program())
 }
 
 // uRun is the per-run state of one 2-spanner run, built once and shared
@@ -308,14 +309,14 @@ func (r *uRun) result(stats *dist.Stats) *Result {
 	}
 }
 
-// run executes the run on the in-process engine (or its shards).
-func (r *uRun) run() (*Result, error) {
+// run executes prog, a program of r's machines, on the in-process
+// engine (or its shards) and folds r's collectors into the Result.
+func (r *uRun) run(prog dist.ShardProgram) (*Result, error) {
 	o := r.opts
-	stats, err := dist.RunMachines(dist.Config{
-		Graph: r.g, Seed: o.Seed, MaxRounds: o.MaxRounds,
-		Mode: o.ExecMode, OnRound: o.RoundHook, Cancel: o.Cancel,
-		Tracer: o.Tracer, Shards: o.Shards,
-	}, r.factory())
+	stats, err := dist.RunLocal(prog, dist.Config{
+		Seed: o.Seed, Mode: o.ExecMode, OnRound: o.RoundHook,
+		Cancel: o.Cancel, Tracer: o.Tracer, Shards: o.Shards,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -936,7 +937,7 @@ func (nd *undirectedNode) addUncovered() []int {
 func (nd *undirectedNode) emitUncov() {
 	if !nd.sentUncovInit {
 		nd.sentUncovInit = true
-		var full []int
+		full := make([]int, 0, len(nd.nbrs))
 		for i, u := range nd.nbrs {
 			if !nd.nb[i].covered {
 				full = append(full, u)
@@ -1286,7 +1287,16 @@ func (nd *undirectedNode) directedView() *localView {
 }
 
 func (nd *undirectedNode) emitOutput() {
-	var out []int
+	k := 0
+	for i := range nd.nb {
+		if nd.nb[i].inSpan {
+			k++
+		}
+		if nd.nb[i].arcs&inSpanned != 0 {
+			k++
+		}
+	}
+	out := make([]int, 0, k)
 	for i := range nd.nb {
 		if nd.nb[i].inSpan {
 			out = append(out, int(nd.nb[i].edgeIdx))

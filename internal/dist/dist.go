@@ -292,6 +292,22 @@ func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 	return e.result()
 }
 
+// RunLocal runs prog in-process on the step engine: the one reference
+// every execution of a program reproduces, whether a local runner's,
+// the sharded runner's (cfg.Shards) or a coordinator's over TCP workers.
+// The topology is prog.Graph when set, cfg.Graph otherwise, and a
+// positive prog.Bandwidth is the enforced budget. After the run,
+// prog.Output reads each vertex's result.
+func RunLocal(prog ShardProgram, cfg Config) (*Stats, error) {
+	if prog.Graph != nil {
+		cfg.Graph = prog.Graph
+	}
+	if prog.Bandwidth > 0 {
+		cfg.Bandwidth, cfg.Enforce = prog.Bandwidth, true
+	}
+	return RunMachines(cfg, prog.Factory)
+}
+
 // VertexPanicError is the run error of a machine that panicked. Its text
 // names the vertex and the panic value only, so it can be handed to a
 // client or shipped in a shard frame; Stack keeps the panicking

@@ -87,11 +87,13 @@ type SetupFrame struct {
 	// Graph is the communication topology (the full graph — workers need
 	// every vertex's neighborhood to validate sends and meter edges).
 	Graph *graph.Graph
-	// Algo names the program for the worker's resolver; the in-process
-	// sharded path leaves it empty (the resolver closes over the factory).
+	// Algo names the program for the worker's resolver (cmd/node reads
+	// a scenario cell from it); the in-process sharded path leaves it
+	// empty (the resolver closes over the factory).
 	Algo string
 	// Seed is the run seed; all per-vertex randomness and any auxiliary
-	// inputs (orientations, weights, splits) derive from (Graph, Seed).
+	// inputs (orientations, weights, splits) derive from (Algo, Graph,
+	// Seed).
 	Seed int64
 	// Bandwidth is the per-edge per-round bit budget metered by the
 	// worker (violations are decided by the coordinator).
@@ -296,12 +298,16 @@ func shardOf(cuts []int, v int) int {
 }
 
 // ShardProgram is what a worker runs: a machine factory over the
-// shard's vertices plus an optional per-vertex output reader.
+// shard's vertices plus an optional per-vertex output reader, with the
+// topology and bandwidth budget the protocol runs under.
 type ShardProgram struct {
 	// Graph, when non-nil, overrides the engine's communication topology
 	// (e.g. a derived underlying graph); it must have the same vertex
 	// count as the setup graph.
 	Graph *graph.Graph
+	// Bandwidth, when positive, is the per-edge per-round bit budget the
+	// run enforces (a CONGEST protocol); zero means unmetered.
+	Bandwidth int
 	// Factory builds the machine for one vertex, exactly like the
 	// RunMachines factory.
 	Factory func(*Ctx) Machine
@@ -310,9 +316,9 @@ type ShardProgram struct {
 	Output func(v int) []int
 }
 
-// ProgramResolver maps a SetupFrame's algorithm name to the shard
-// program, deriving any auxiliary inputs deterministically from
-// (g, seed) so every worker reconstructs the same instance.
+// ProgramResolver maps a SetupFrame's Algo to the shard program,
+// deriving any auxiliary inputs deterministically from (algo, g, seed)
+// so every worker reconstructs the same instance.
 type ProgramResolver func(algo string, g *graph.Graph, seed int64) (ShardProgram, error)
 
 // chanEndpoint is one direction of an in-process transport: a buffered

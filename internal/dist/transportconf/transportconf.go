@@ -2,12 +2,12 @@
 // implementation must pass. A conformant transport is invisible: a
 // distributed run over it reproduces the in-process step engine
 // bit-for-bit — identical per-vertex trace digests, identical Stats
-// (message/bit metering included), identical merged outputs — across
-// every algorithm family in the distrun registry, and it quiesces,
-// cancels, and aborts exactly where the local engine does.
+// (message/bit metering included), identical merged outputs — for the
+// program of every scenario that builds one (scenario.ProgramNames), and
+// it quiesces, cancels, and aborts exactly where the local engine does.
 //
 // Call Run with a Factory that builds a connected cluster whose
-// workers serve distrun.Resolver(). The package's own tests run the
+// workers serve scenario.Resolver(). The package's own tests run the
 // suite against the in-process channel transport and verify the suite
 // detects deliberately broken transports (record duplication and
 // reordering fixtures); the wire package runs it against TCP.
@@ -24,14 +24,12 @@ import (
 	"time"
 
 	"distspanner/internal/dist"
-	"distspanner/internal/distrun"
-	"distspanner/internal/gen"
-	"distspanner/internal/graph"
+	"distspanner/internal/scenario"
 	"distspanner/internal/trace"
 )
 
 // Factory builds a connected cluster with the given number of workers,
-// each serving distrun.Resolver(). The returned wait must tear the
+// each serving scenario.Resolver(). The returned wait must tear the
 // cluster down, block until every worker has exited (failing tb if
 // that takes unreasonably long), and return each worker's ServeShard
 // error by slot; the suite decides which errors a case permits.
@@ -48,36 +46,43 @@ func joinClean(t *testing.T, wait func() []error) {
 	}
 }
 
-// namedGraph pairs a conformance graph with its subtest label; the suite
+// namedCell pairs a conformance cell with its subtest label; the suite
 // iterates the slice so subtest order (and any shared-cluster scheduling
 // it implies) is deterministic — a map here made the matrix order vary
 // run to run.
-type namedGraph struct {
+type namedCell struct {
 	name string
-	g    *graph.Graph
+	cell scenario.Params
 }
 
-// suiteGraphs is the conformance graph matrix — the same trio the
-// trace-level cross-mode tests pin.
-func suiteGraphs() []namedGraph {
-	return []namedGraph{
-		{"gnp48", gen.ConnectedGNP(48, 0.15, 1)},
-		{"clique12", gen.Clique(12)},
-		{"grid6", gen.Grid(6, 6)},
-	}
-}
+// The conformance cells, each layered over every scenario's defaults: a
+// connected G(n, p) pinned by iseed, a clique, a grid, and an inline
+// graph whose 40 isolated vertices park at once.
+var (
+	gnp48    = scenario.Params{"family": "cgnp", "n": "48", "p": "0.15", "iseed": "1"}
+	clique12 = scenario.Params{"family": "clique", "n": "12"}
+	grid6    = scenario.Params{"family": "grid", "rows": "6", "cols": "6"}
+	idle42   = scenario.Params{"family": "inline", "n": "42", "edges": "0-1"}
 
-// suiteGraph returns the named graph from the matrix.
-func suiteGraph(name string) *graph.Graph {
-	for _, ng := range suiteGraphs() {
-		if ng.name == name {
-			return ng.g
-		}
-	}
-	panic("transportconf: unknown suite graph " + name)
-}
+	suiteCells = []namedCell{{"gnp48", gnp48}, {"clique12", clique12}, {"grid6", grid6}, {"idle42", idle42}}
+)
 
 var suiteSeeds = []int64{1, 2}
+
+// distributed returns the program and coordinator configuration of the
+// named scenario on cell (layered over its defaults) and seed.
+func distributed(tb testing.TB, name string, cell scenario.Params, seed int64) (dist.ShardProgram, dist.CoordConfig) {
+	tb.Helper()
+	sc, ok := scenario.Get(name)
+	if !ok {
+		tb.Fatalf("scenario %q not registered", name)
+	}
+	prog, cfg, err := scenario.Distributed(sc, sc.Defaults.Merge(cell), seed)
+	if err != nil {
+		tb.Fatalf("%s [%s] seed %d: %v", name, cell.Key(), seed, err)
+	}
+	return prog, cfg
+}
 
 // outcome is one run's observable surface: what conformance compares.
 type outcome struct {
@@ -88,14 +93,20 @@ type outcome struct {
 	err     error
 }
 
-// runLocal executes the reference in-process run for cfg (which must
-// have come from Family.CoordConfig, possibly with extra hooks set).
-func runLocal(f distrun.Family, cfg dist.CoordConfig) outcome {
+// runLocal executes prog in-process under cfg (from
+// scenario.Distributed, possibly with extra hooks set): the reference.
+func runLocal(prog dist.ShardProgram, cfg dist.CoordConfig) outcome {
 	rec := trace.NewRecorder(cfg.Graph.N())
-	cfg.Tracer = rec
-	outs, stats, err := f.RunLocal(cfg)
+	stats, err := dist.RunLocal(prog, dist.Config{
+		Graph: cfg.Graph, Seed: cfg.Seed, MaxRounds: cfg.MaxRounds,
+		CutSide: cfg.CutSide, OnRound: cfg.OnRound, Cancel: cfg.Cancel, Tracer: rec,
+	})
 	if err != nil {
 		return outcome{err: err}
+	}
+	outs := make([][]int, cfg.Graph.N())
+	for v := range outs {
+		outs[v] = prog.Output(v)
 	}
 	return outcome{stats: *stats, outputs: outs, digest: rec.Digest(), phases: rec.Phases()}
 }
@@ -169,18 +180,18 @@ func Run(t *testing.T, newCluster Factory) {
 	t.Run("UnknownAlgo", func(t *testing.T) { unknownAlgo(t, newCluster) })
 }
 
-// equivalence pins the headline property: for every (family, graph,
+// equivalence pins the headline property: for every (scenario, cell,
 // seed) in the matrix, a 2-worker distributed run is bit-identical to
-// the in-process step engine.
+// the in-process step engine. Subtests are labeled by the scenario name
+// without its shared "twospanner-" prefix.
 func equivalence(t *testing.T, newCluster Factory) {
-	graphs := suiteGraphs()
-	for _, name := range distrun.Names() {
-		f, _ := distrun.Get(name)
-		for _, ng := range graphs {
+	for _, name := range scenario.ProgramNames() {
+		for _, nc := range suiteCells {
 			for _, seed := range suiteSeeds {
-				t.Run(name+"/"+ng.name+"/"+itoa(seed), func(t *testing.T) {
-					cfg := f.CoordConfig(ng.g, seed)
-					ref := runLocal(f, cfg)
+				label := strings.TrimPrefix(name, "twospanner-")
+				t.Run(label+"/"+nc.name+"/"+itoa(seed), func(t *testing.T) {
+					prog, cfg := distributed(t, name, nc.cell, seed)
+					ref := runLocal(prog, cfg)
 					if ref.err != nil {
 						t.Fatalf("reference run failed: %v", ref.err)
 					}
@@ -196,10 +207,8 @@ func equivalence(t *testing.T, newCluster Factory) {
 // workerCounts pins shard-count invariance on the transport: the same
 // instance over 1, 2, 3, and 5 workers produces the same transcript.
 func workerCounts(t *testing.T, newCluster Factory) {
-	g := suiteGraph("gnp48")
-	f, _ := distrun.Get("twospanner")
-	cfg := f.CoordConfig(g, 1)
-	ref := runLocal(f, cfg)
+	prog, cfg := distributed(t, "twospanner", gnp48, 1)
+	ref := runLocal(prog, cfg)
 	if ref.err != nil {
 		t.Fatalf("reference run failed: %v", ref.err)
 	}
@@ -215,15 +224,14 @@ func workerCounts(t *testing.T, newCluster Factory) {
 // cutMetering pins Stats.CutBits over the wire: the coordinator's cut
 // assignment reaches the workers and their metering folds back.
 func cutMetering(t *testing.T, newCluster Factory) {
-	g := suiteGraph("grid6")
-	cut := make([]bool, g.N())
-	for v := g.N() / 2; v < g.N(); v++ {
+	prog, cfg := distributed(t, "twospanner", grid6, 1)
+	n := cfg.Graph.N()
+	cut := make([]bool, n)
+	for v := n / 2; v < n; v++ {
 		cut[v] = true
 	}
-	f, _ := distrun.Get("twospanner")
-	cfg := f.CoordConfig(g, 1)
 	cfg.CutSide = cut
-	ref := runLocal(f, cfg)
+	ref := runLocal(prog, cfg)
 	if ref.err != nil {
 		t.Fatalf("reference run failed: %v", ref.err)
 	}
@@ -240,11 +248,8 @@ func cutMetering(t *testing.T, newCluster Factory) {
 // so two of the three shards contribute nothing. The run must still
 // terminate with the reference transcript.
 func idleQuiescence(t *testing.T, newCluster Factory) {
-	g := graph.New(42)
-	g.AddEdge(0, 1)
-	f, _ := distrun.Get("twospanner")
-	cfg := f.CoordConfig(g, 1)
-	ref := runLocal(f, cfg)
+	prog, cfg := distributed(t, "twospanner", idle42, 1)
+	ref := runLocal(prog, cfg)
 	if ref.err != nil {
 		t.Fatalf("reference run failed: %v", ref.err)
 	}
@@ -264,21 +269,19 @@ func idleQuiescence(t *testing.T, newCluster Factory) {
 // aborts the run with the local engine's exact error, the transcript
 // stays empty (no partial round), and the cluster tears down.
 func cancellation(t *testing.T, newCluster Factory) {
-	g := suiteGraph("clique12")
-	f, _ := distrun.Get("twospanner")
+	prog, cfg := distributed(t, "twospanner", clique12, 1)
 	cancel := make(chan struct{})
 	close(cancel)
-	cfg := f.CoordConfig(g, 1)
 	cfg.Cancel = cancel
 
-	ref := runLocal(f, cfg)
+	ref := runLocal(prog, cfg)
 	if !errors.Is(ref.err, dist.ErrCanceled) {
 		t.Fatalf("reference cancellation error = %v", ref.err)
 	}
 
 	ct, wait := newCluster(t, 2)
 	defer joinClean(t, wait)
-	rec := trace.NewRecorder(g.N())
+	rec := trace.NewRecorder(cfg.Graph.N())
 	cfg.Tracer = rec
 	done := make(chan error, 1)
 	go func() {
@@ -306,11 +309,9 @@ func cancellation(t *testing.T, newCluster Factory) {
 // roundLimit pins abort-path equality: the distributed run hits
 // MaxRounds with the local engine's exact error text.
 func roundLimit(t *testing.T, newCluster Factory) {
-	g := suiteGraph("clique12")
-	f, _ := distrun.Get("twospanner")
-	cfg := f.CoordConfig(g, 1)
+	prog, cfg := distributed(t, "twospanner", clique12, 1)
 	cfg.MaxRounds = 2
-	ref := runLocal(f, cfg)
+	ref := runLocal(prog, cfg)
 	if !errors.Is(ref.err, dist.ErrRoundLimit) {
 		t.Fatalf("reference round-limit error = %v", ref.err)
 	}
@@ -325,25 +326,31 @@ func roundLimit(t *testing.T, newCluster Factory) {
 	}
 }
 
-// unknownAlgo pins resolver-failure propagation: a family name the
-// workers cannot resolve surfaces as a ShardError, not a hang.
+// unknownAlgo pins resolver-failure propagation: a scenario the
+// coordinator names but the workers do not know surfaces as a
+// ShardError, not a hang.
 func unknownAlgo(t *testing.T, newCluster Factory) {
-	g := suiteGraph("clique12")
+	sc, _ := scenario.Get("twospanner")
+	unknown := *sc
+	unknown.Name = "no-such-scenario"
+	_, cfg, err := scenario.Distributed(&unknown, clique12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ct, wait := newCluster(t, 2)
 	defer func() {
 		for i, werr := range wait() {
 			if werr != nil && !errors.Is(werr, dist.ErrTransport) &&
-				!strings.Contains(werr.Error(), "unknown family") {
+				!strings.Contains(werr.Error(), "unknown scenario") {
 				t.Errorf("worker %d exited with %v", i, werr)
 			}
 		}
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := dist.Coordinate(ct, dist.CoordConfig{Graph: g, Seed: 1, Algo: "no-such-family"})
+		_, err := dist.Coordinate(ct, cfg)
 		done <- err
 	}()
-	var err error
 	select {
 	case err = <-done:
 	case <-time.After(30 * time.Second):
@@ -367,7 +374,7 @@ func ChanFactory(tb testing.TB, workers int) (dist.CoordTransport, func() []erro
 		wg.Add(1)
 		go func(i int, wt dist.WorkerTransport) {
 			defer wg.Done()
-			errs[i] = dist.ServeShard(wt, distrun.Resolver())
+			errs[i] = dist.ServeShard(wt, scenario.Resolver())
 		}(i, wt)
 	}
 	wait := func() []error {

@@ -5,8 +5,7 @@ import (
 	"testing"
 
 	"distspanner/internal/dist"
-	"distspanner/internal/distrun"
-	"distspanner/internal/gen"
+	"distspanner/internal/scenario"
 )
 
 // TestChanTransportConformance runs the suite against the in-process
@@ -75,13 +74,8 @@ func diverges(ref, got outcome) bool {
 // transport that duplicates or reorders records must show up as a
 // divergence from the in-process reference.
 func TestSuiteDetectsBrokenTransport(t *testing.T) {
-	g := gen.Clique(12)
-	f, ok := distrun.Get("twospanner")
-	if !ok {
-		t.Fatal("twospanner family missing")
-	}
-	cfg := f.CoordConfig(g, 1)
-	ref := runLocal(f, cfg)
+	prog, cfg := distributed(t, "twospanner", clique12, 1)
+	ref := runLocal(prog, cfg)
 	if ref.err != nil {
 		t.Fatalf("reference run failed: %v", ref.err)
 	}
@@ -101,17 +95,11 @@ func TestSuiteDetectsBrokenTransport(t *testing.T) {
 	}
 }
 
-// TestRegistryNames pins the family registry surface the suite (and
-// cmd tooling) iterate over.
+// TestRegistryNames pins the scenarios that build a distributed program:
+// the names the suite (and cmd/coord's -algo) iterate over.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"twospanner", "congest", "directed", "cs", "weighted", "mds"}
-	if got := distrun.Names(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("distrun.Names() = %v, want %v", got, want)
-	}
-	if _, ok := distrun.Get("nope"); ok {
-		t.Fatal("Get accepted an unknown family")
-	}
-	if _, err := distrun.Resolver()("nope", gen.Clique(4), 1); err == nil {
-		t.Fatal("Resolver accepted an unknown family")
+	want := []string{"twospanner", "twospanner-congest", "twospanner-directed", "twospanner-weighted", "twospanner-cs", "mds"}
+	if got := scenario.ProgramNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scenario.ProgramNames() = %v, want %v", got, want)
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 	"distspanner/internal/dist"
 	"distspanner/internal/dist/transportconf"
-	"distspanner/internal/distrun"
+	"distspanner/internal/scenario"
 )
 
 // tcpFactory builds a localhost TCP cluster whose workers serve the
-// real algorithm registry — the transportconf Factory for this
+// scenario registry's resolver — the transportconf Factory for this
 // package's transport.
 func tcpFactory(tb testing.TB, workers int) (dist.CoordTransport, func() []error) {
 	tb.Helper()
@@ -31,7 +31,7 @@ func tcpFactory(tb testing.TB, workers int) (dist.CoordTransport, func() []error
 				errs[i] = err
 				return
 			}
-			errs[i] = dist.ServeShard(wt, distrun.Resolver())
+			errs[i] = dist.ServeShard(wt, scenario.Resolver())
 		}(i)
 	}
 	ct, err := AcceptWorkers(ln, workers, 10*time.Second)
@@ -54,7 +54,7 @@ func tcpFactory(tb testing.TB, workers int) (dist.CoordTransport, func() []error
 }
 
 // TestTCPTransportConformance runs the full transport conformance
-// suite — digest/stats/output equivalence across the algorithm-family
+// suite — digest/stats/output equivalence across the scenario × cell
 // matrix, quiescence, cancellation, abort parity — over real sockets.
 func TestTCPTransportConformance(t *testing.T) {
 	transportconf.Run(t, tcpFactory)

@@ -57,8 +57,6 @@ import (
 type Options struct {
 	// Seed drives the per-vertex randomness.
 	Seed int64
-	// MaxRounds aborts runaway executions; zero uses the engine default.
-	MaxRounds int
 	// Bandwidth is the CONGEST per-edge bit budget to enforce; zero
 	// defaults to 8 words of ceil(log2 n) bits. Enforcement is always on:
 	// exceeding the budget is an error, demonstrating CONGEST legality.
@@ -178,23 +176,11 @@ func (joinMsg) rec() dist.Rec { return dist.Rec{Tag: tagJoin} }
 
 // Run executes the MDS algorithm on the connected graph g.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
-	bandwidth := opts.Bandwidth
-	if bandwidth <= 0 {
-		bandwidth = DefaultBandwidth(g.N())
-	}
-	mr := newMDSRun(g.N())
-	stats, err := dist.RunMachines(dist.Config{
-		Graph:     g,
-		Seed:      opts.Seed,
-		Mode:      opts.ExecMode,
-		Bandwidth: bandwidth,
-		Enforce:   true,
-		MaxRounds: opts.MaxRounds,
-		OnRound:   opts.RoundHook,
-		Cancel:    opts.Cancel,
-		Tracer:    opts.Tracer,
-		Shards:    opts.Shards,
-	}, mr.factory)
+	mr, prog := newProgram(g, opts)
+	stats, err := dist.RunLocal(prog, dist.Config{
+		Seed: opts.Seed, Mode: opts.ExecMode, OnRound: opts.RoundHook,
+		Cancel: opts.Cancel, Tracer: opts.Tracer, Shards: opts.Shards,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -239,15 +225,26 @@ func (r *mdsRun) result(stats *dist.Stats) *Result {
 	return &Result{DominatingSet: ds, Stats: *stats, Iterations: maxIter}
 }
 
-// Program is the shard program of Run for the distributed runner
-// (dist.ServeShard). Output(v) is [1] when v joined the dominating set,
-// nil otherwise. The engine running it must enforce
-// DefaultBandwidth(g.N()) (or the same custom budget on every worker)
-// to reproduce the local runner bit-for-bit.
+// Program is the shard program Run runs, for the distributed runner
+// (dist.ServeShard): the machines on g under the enforced budget
+// (Options.Bandwidth, or DefaultBandwidth(g.N()) when zero). Output(v)
+// is [1] when v joined the dominating set, nil otherwise.
 func Program(g *graph.Graph, opts Options) dist.ShardProgram {
+	_, prog := newProgram(g, opts)
+	return prog
+}
+
+// newProgram builds the collectors of one run and its program.
+func newProgram(g *graph.Graph, opts Options) (*mdsRun, dist.ShardProgram) {
+	bandwidth := opts.Bandwidth
+	if bandwidth <= 0 {
+		bandwidth = DefaultBandwidth(g.N())
+	}
 	mr := newMDSRun(g.N())
-	return dist.ShardProgram{
-		Factory: mr.factory,
+	return mr, dist.ShardProgram{
+		Graph:     g,
+		Bandwidth: bandwidth,
+		Factory:   mr.factory,
 		Output: func(v int) []int {
 			if mr.inDS[v] {
 				return []int{1}

@@ -541,7 +541,7 @@ func init() {
 				if err != nil {
 					return m, err
 				}
-				clients, servers := gen.ClientServerSplit(g, pp.Float("pc", 0.6), pp.Float("ps", 0.7), instanceSeed(pp, seed)+0xc5)
+				clients, servers := csSplit(pp, g, seed)
 				coverable := span.CoverableClients(g, clients, servers, 2)
 				_, opt, err := exact.MinSpanner(g, exact.SpannerOptions{K: 2, Target: coverable, Allowed: servers})
 				if err != nil {

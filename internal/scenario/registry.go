@@ -10,7 +10,10 @@
 // arbitrary parameter grid via internal/sweep, and cmd/experiments replays
 // the paper's E1–E15 reproduction suite, each experiment being nothing
 // more than a registered scenario with default cases. Adding a workload is
-// adding a Register call — no driver code changes.
+// adding a Register call — no driver code changes. The scenarios that run
+// one dist-engine protocol also build its shard program (Scenario.Program),
+// which cmd/coord and cmd/node run distributed over TCP (Distributed,
+// Resolver).
 //
 // Every scenario that executes on the internal/dist engine (the spanner
 // variants, MDS, and the E1–E15 experiments built on them) runs it on the
@@ -26,6 +29,8 @@ package scenario
 import (
 	"fmt"
 	"sort"
+
+	"distspanner/internal/dist"
 )
 
 // Scenario is one registered workload.
@@ -62,6 +67,13 @@ type Scenario struct {
 	// ignore it): it is how sweep timeouts stop the losing run instead of
 	// abandoning its goroutine mid-flight.
 	Run func(p Params, seed int64, cancel <-chan struct{}) (Metrics, error)
+	// Program, set on the scenarios that run one dist-engine protocol,
+	// builds that protocol's shard program for a cell and seed with the
+	// same instance derivation Run uses, so a distributed run of the
+	// program (Distributed, Resolver) is the run Run makes. The
+	// program's Graph must be set: it is the topology the coordinator
+	// ships.
+	Program func(p Params, seed int64) (dist.ShardProgram, error)
 }
 
 // DefaultCells returns the scenario's default cell list: Cases when set,
@@ -130,6 +142,18 @@ func Names() []string {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	return names
+}
+
+// ProgramNames lists the scenarios with a Program hook in registration
+// order: the names cmd/coord's -algo takes.
+func ProgramNames() []string {
+	var names []string
+	for _, name := range order {
+		if registry[name].Program != nil {
+			names = append(names, name)
+		}
+	}
 	return names
 }
 

@@ -114,10 +114,10 @@ func transportShards(p Params) (int, error) {
 }
 
 // coreOptions builds the shared core options for a run on an n-vertex
-// instance, with the hooks runHooks resolves installed, plus the run's
-// timing recorder (nil unless "timing" is set); the caller folds it
-// into the metrics with timingMetrics after the run. It fails on a
-// malformed "transport" and on a hook conflict.
+// instance: ablationOptions with the hooks runHooks resolves installed,
+// plus the run's timing recorder (nil unless "timing" is set); the
+// caller folds it into the metrics with timingMetrics after the run. It
+// fails on a malformed "transport" and on a hook conflict.
 func coreOptions(p Params, n int, seed int64, cancel <-chan struct{}) (opts core.Options, tim *trace.TimingRecorder, err error) {
 	shards, err := transportShards(p)
 	if err != nil {
@@ -127,16 +127,89 @@ func coreOptions(p Params, n int, seed int64, cancel <-chan struct{}) (opts core
 	if err != nil {
 		return opts, nil, err
 	}
+	opts = ablationOptions(p, seed)
+	opts.Shards, opts.Cancel, opts.RoundHook, opts.Tracer = shards, cancel, onRound, tr
+	return opts, tim, nil
+}
+
+// ablationOptions reads the 2-spanner's ablation knobs (votden, fresh,
+// noround): the options that decide what a run computes, which a
+// scenario's Run and Program share.
+func ablationOptions(p Params, seed int64) core.Options {
 	return core.Options{
 		Seed:            seed,
 		VoteDenominator: p.Int("votden", 0),
 		FreshStars:      p.Bool("fresh", false),
 		NoRounding:      p.Bool("noround", false),
-		Shards:          shards,
-		Cancel:          cancel,
-		RoundHook:       onRound,
-		Tracer:          tr,
-	}, tim, nil
+	}
+}
+
+// csSplit derives a client-server cell's client and server edge sets
+// from g (params pc, ps).
+func csSplit(p Params, g *graph.Graph, seed int64) (clients, servers *graph.EdgeSet) {
+	return gen.ClientServerSplit(g, p.Float("pc", 0.6), p.Float("ps", 0.7), instanceSeed(p, seed)+0xc5)
+}
+
+// runTwoSpanner is the Run of twospanner (weighted false) and
+// twospanner-weighted: one protocol, plain or weighted by the cell's
+// graph, verified and priced against the chosen reference. The plain
+// scenario also fails a run with a Claim 4.4 fallback and reports the
+// O(log m/n) bound; the weighted one reports the O(log Δ) bound.
+func runTwoSpanner(weighted bool) func(p Params, seed int64, cancel <-chan struct{}) (Metrics, error) {
+	return func(p Params, seed int64, cancel <-chan struct{}) (Metrics, error) {
+		g, err := GraphSpec{}.Build(p, seed)
+		if err != nil {
+			return nil, err
+		}
+		opts, tim, err := coreOptions(p, g.N(), seed, cancel)
+		if err != nil {
+			return nil, err
+		}
+		res, err := core.TwoSpanner(g, opts)
+		if err != nil {
+			return nil, err
+		}
+		m := graphMetrics(g, Metrics{})
+		statsMetrics(res.Stats, m)
+		timingMetrics(tim, m)
+		m["size"] = float64(res.Spanner.Len())
+		m["cost"] = res.Cost
+		m["iterations"] = float64(res.Iterations)
+		ref := "lb"
+		if weighted {
+			ref = "kp"
+			m["log_delta_bound"] = math.Log2(float64(g.MaxDegree())) + 1
+		} else {
+			m["fallbacks"] = float64(res.Fallbacks)
+			m["log_bound"] = math.Log2(math.Max(2, float64(g.M())/float64(g.N()))) + 1
+		}
+		if err := verifySpanner(p, g, res.Spanner, 2, m); err != nil {
+			return m, err
+		}
+		if !weighted && res.Fallbacks != 0 {
+			return m, fmt.Errorf("Claim 4.4 fallback taken %d times", res.Fallbacks)
+		}
+		refCost, err := spannerReference(g, p.Str("ref", ref), 2)
+		if err != nil {
+			return m, err
+		}
+		m["ref_cost"] = refCost
+		if refCost > 0 {
+			m["ratio"] = res.Cost / refCost
+		}
+		return m, nil
+	}
+}
+
+// twoSpannerProgram is the Program of the twospanner and
+// twospanner-weighted scenarios: the plain or weighted protocol, by
+// whether the cell's graph is weighted.
+func twoSpannerProgram(p Params, seed int64) (dist.ShardProgram, error) {
+	g, err := GraphSpec{}.Build(p, seed)
+	if err != nil {
+		return dist.ShardProgram{}, err
+	}
+	return core.TwoSpannerProgram(g, ablationOptions(p, seed)), nil
 }
 
 // runHooks resolves what a simulated run on an n-vertex instance
@@ -197,43 +270,8 @@ func init() {
 		Defaults:   Params{"family": "cgnp", "n": "48", "p": "0.15", "ref": "lb"},
 		Grid:       Grid{"n": {"32", "64"}, "p": {"0.1", "0.2"}},
 		Replicates: 3,
-		Run: func(p Params, seed int64, cancel <-chan struct{}) (Metrics, error) {
-			g, err := GraphSpec{}.Build(p, seed)
-			if err != nil {
-				return nil, err
-			}
-			opts, tim, err := coreOptions(p, g.N(), seed, cancel)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.TwoSpanner(g, opts)
-			if err != nil {
-				return nil, err
-			}
-			m := graphMetrics(g, Metrics{})
-			statsMetrics(res.Stats, m)
-			timingMetrics(tim, m)
-			m["size"] = float64(res.Spanner.Len())
-			m["cost"] = res.Cost
-			m["iterations"] = float64(res.Iterations)
-			m["fallbacks"] = float64(res.Fallbacks)
-			m["log_bound"] = math.Log2(math.Max(2, float64(g.M())/float64(g.N()))) + 1
-			if err := verifySpanner(p, g, res.Spanner, 2, m); err != nil {
-				return m, err
-			}
-			if res.Fallbacks != 0 {
-				return m, fmt.Errorf("Claim 4.4 fallback taken %d times", res.Fallbacks)
-			}
-			ref, err := spannerReference(g, p.Str("ref", "lb"), 2)
-			if err != nil {
-				return m, err
-			}
-			m["ref_cost"] = ref
-			if ref > 0 {
-				m["ratio"] = res.Cost / ref
-			}
-			return m, nil
-		},
+		Run:        runTwoSpanner(false),
+		Program:    twoSpannerProgram,
 	})
 
 	Register(&Scenario{
@@ -276,6 +314,13 @@ func init() {
 			}
 			return m, nil
 		},
+		Program: func(p Params, seed int64) (dist.ShardProgram, error) {
+			g, err := GraphSpec{}.Build(p, seed)
+			if err != nil {
+				return dist.ShardProgram{}, err
+			}
+			return core.TwoSpannerCongestProgram(g, ablationOptions(p, seed))
+		},
 	})
 
 	Register(&Scenario{
@@ -314,6 +359,13 @@ func init() {
 			m["valid"] = 1
 			return m, nil
 		},
+		Program: func(p Params, seed int64) (dist.ShardProgram, error) {
+			d, err := GraphSpec{}.BuildDigraph(p, seed)
+			if err != nil {
+				return dist.ShardProgram{}, err
+			}
+			return core.DirectedTwoSpannerProgram(d, ablationOptions(p, seed)), nil
+		},
 	})
 
 	Register(&Scenario{
@@ -326,39 +378,8 @@ func init() {
 		Defaults:   Params{"family": "cgnp", "n": "30", "p": "0.25", "whi": "16", "ref": "kp"},
 		Grid:       Grid{"whi": {"2", "16", "128"}},
 		Replicates: 3,
-		Run: func(p Params, seed int64, cancel <-chan struct{}) (Metrics, error) {
-			g, err := GraphSpec{}.Build(p, seed)
-			if err != nil {
-				return nil, err
-			}
-			opts, tim, err := coreOptions(p, g.N(), seed, cancel)
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.TwoSpanner(g, opts)
-			if err != nil {
-				return nil, err
-			}
-			m := graphMetrics(g, Metrics{})
-			statsMetrics(res.Stats, m)
-			timingMetrics(tim, m)
-			m["size"] = float64(res.Spanner.Len())
-			m["cost"] = res.Cost
-			m["iterations"] = float64(res.Iterations)
-			m["log_delta_bound"] = math.Log2(float64(g.MaxDegree())) + 1
-			if err := verifySpanner(p, g, res.Spanner, 2, m); err != nil {
-				return m, err
-			}
-			ref, err := spannerReference(g, p.Str("ref", "kp"), 2)
-			if err != nil {
-				return m, err
-			}
-			m["ref_cost"] = ref
-			if ref > 0 {
-				m["ratio"] = res.Cost / ref
-			}
-			return m, nil
-		},
+		Run:        runTwoSpanner(true),
+		Program:    twoSpannerProgram,
 	})
 
 	Register(&Scenario{
@@ -376,7 +397,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			clients, servers := gen.ClientServerSplit(g, p.Float("pc", 0.6), p.Float("ps", 0.7), instanceSeed(p, seed)+0xc5)
+			clients, servers := csSplit(p, g, seed)
 			opts, tim, err := coreOptions(p, g.N(), seed, cancel)
 			if err != nil {
 				return nil, err
@@ -399,6 +420,14 @@ func init() {
 			}
 			m["valid"] = 1
 			return m, nil
+		},
+		Program: func(p Params, seed int64) (dist.ShardProgram, error) {
+			g, err := GraphSpec{}.Build(p, seed)
+			if err != nil {
+				return dist.ShardProgram{}, err
+			}
+			clients, servers := csSplit(p, g, seed)
+			return core.ClientServerTwoSpannerProgram(g, clients, servers, ablationOptions(p, seed))
 		},
 	})
 
@@ -450,6 +479,13 @@ func init() {
 				m["ratio"] = m["size"] / ref
 			}
 			return m, nil
+		},
+		Program: func(p Params, seed int64) (dist.ShardProgram, error) {
+			g, err := GraphSpec{}.Build(p, seed)
+			if err != nil {
+				return dist.ShardProgram{}, err
+			}
+			return mds.Program(g, mds.Options{Seed: seed, Bandwidth: p.Int("bandwidth", 0)}), nil
 		},
 	})
 

@@ -13,15 +13,15 @@ import (
 // Step code runs once per vertex per round under three different
 // schedulers and, through the sharded runner, on different processes; the
 // transcripts must be byte-identical everywhere. The only legal
-// randomness is the per-vertex seeded RNG (Ctx.Rand), the only legal
-// clock is the round counter, and the only legal concurrency is what the
-// engine serializes. Therefore, inside scope:
+// randomness is the per-vertex seeded stream (Ctx.Int63n, Ctx.Intn), the
+// only legal clock is the round counter, and the only legal concurrency
+// is what the engine serializes. Therefore, inside scope:
 //
 //   - time.Now / Since / Until / Sleep / After / Tick / NewTimer /
 //     NewTicker read or wait on the wall clock;
 //   - package-level math/rand and math/rand/v2 functions draw from the
 //     process-global generator (methods on a *rand.Rand value are fine —
-//     that is exactly what Ctx.Rand hands out);
+//     the engine's pooled vertex sources are exactly that);
 //   - os.Getenv / LookupEnv / Environ smuggle host state into the run;
 //   - `go` statements spawn concurrency the engine does not serialize,
 //     so interleaving — and with it send order — becomes scheduling-
@@ -106,7 +106,7 @@ func checkStepBody(pass *Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			if !pass.waived(x.Pos(), "impure") {
-				pass.Reportf(x.Pos(), "%s.%s in step code %s: only the per-vertex seeded RNG (Ctx.Rand) and round-count time are deterministic under replay (//spanlint:impure <why> to waive)", pkg, name, where)
+				pass.Reportf(x.Pos(), "%s.%s in step code %s: only the per-vertex seeded stream (Ctx.Int63n, Ctx.Intn) and round-count time are deterministic under replay (//spanlint:impure <why> to waive)", pkg, name, where)
 			}
 		}
 		return true

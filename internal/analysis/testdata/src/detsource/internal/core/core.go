@@ -34,8 +34,8 @@ func Spawn(ch chan int) {
 	go func() { ch <- 1 }() // want `goroutine spawned in step code Spawn`
 }
 
-// SeededDraw draws from an injected generator — exactly what Ctx.Rand
-// hands out: clean.
+// SeededDraw draws from an injected generator, as the engine's pooled
+// vertex sources do: clean.
 func SeededDraw(r *rand.Rand) int {
 	return r.Intn(10)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"distspanner/internal/dist"
@@ -173,8 +172,8 @@ func (c *congestCtx) N() int { return c.ctx.N() }
 // Neighbors implements roundCtx.
 func (c *congestCtx) Neighbors() []int { return c.ctx.Neighbors() }
 
-// Rand implements roundCtx.
-func (c *congestCtx) Rand() *rand.Rand { return c.ctx.Rand() }
+// Int63n implements roundCtx.
+func (c *congestCtx) Int63n(n int64) int64 { return c.ctx.Int63n(n) }
 
 // SendRec implements roundCtx by queuing the record for fragmentation.
 // The bits argument (the LOCAL accounting) is discarded: physical chunks

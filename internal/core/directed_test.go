@@ -396,9 +396,9 @@ func (dv *refDirView) dirValue(sel []bool) (spanned, size float64) {
 			continue
 		}
 		size += dv.dirCnt[p]
-		for _, q := range dv.uv.hAdj[p] {
-			if q > p && sel[q] {
-				spanned += float64(dv.mult[[2]int{p, q}])
+		for _, q := range dv.uv.row(p) {
+			if int(q) > p && sel[q] {
+				spanned += float64(dv.mult[[2]int{p, int(q)}])
 			}
 		}
 	}
@@ -455,9 +455,9 @@ func (dv *refDirView) extend(sel []bool, threshold float64, within []bool) {
 				continue
 			}
 			gain := 0.0
-			for _, q := range dv.uv.hAdj[p] {
+			for _, q := range dv.uv.row(p) {
 				if sel[q] {
-					gain += float64(dv.mult[[2]int{min(p, q), max(p, q)}])
+					gain += float64(dv.mult[[2]int{min(p, int(q)), max(p, int(q))}])
 				}
 			}
 			if (spanned+gain)/(size+dv.dirCnt[p]) >= threshold {

@@ -80,15 +80,17 @@ func TestTwoSpannerMillionVertexStep(t *testing.T) {
 	}
 }
 
-// scaleTestMemory is what TestTwoSpannerMillionVertexStep needs, about
-// 1.5x its peak RSS. On Go 1.24, 2 cores, 7.8 GiB, the test binary's
-// VmHWM was 4.36-4.40 GB over six runs alone and 4.40 GB inside
-// go test ./..., at most 4.4 KB per vertex.
+// scaleTestMemory is the memory TestTwoSpannerMillionVertexStep needs
+// before it runs: more than twice the peak RSS its budget allows, so the
+// run leaves room for the rest of go test ./... beside it.
 const scaleTestMemory = 7 << 30
 
 // scaleTestPeakKBPerVertex is the run's peak-RSS budget in KB (10^3
-// bytes) per vertex: the measured 4.4 KB plus 14%.
-const scaleTestPeakKBPerVertex = 5.0
+// bytes) per vertex. On Go 1.24, 2 cores, 7.8 GiB, the test binary's
+// VmHWM was 2.81-2.91 GB over two runs alone and 3.05 GB inside
+// go test ./..., at most 3.05 KB per vertex; the budget is that plus
+// 14%, rounded to a tenth.
+const scaleTestPeakKBPerVertex = 3.5
 
 // usableMemory returns the memory this process may use and where that
 // figure came from: the cgroup v2 limit in memory.max when one is set,

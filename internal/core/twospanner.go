@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -324,16 +323,17 @@ func (r *uRun) run(prog dist.ShardProgram) (*Result, error) {
 }
 
 // roundCtx is the per-vertex network surface the protocol needs: vertex
-// identity plus the record send primitive. It is satisfied by *dist.Ctx
-// (the LOCAL implementation) and by *congestCtx (the fragmenting CONGEST
-// adapter of Section 1.3's discussion). The protocols only send on it —
-// they are PhasedPrograms whose round boundaries the engine drives, and
-// their inboxes arrive as StepIn.
+// identity, the candidacy's random draw, and the record send primitive.
+// It is satisfied by *dist.Ctx (the LOCAL implementation) and by
+// *congestCtx (the fragmenting CONGEST adapter of Section 1.3's
+// discussion). The protocols only draw and send on it — they are
+// PhasedPrograms whose round boundaries the engine drives, and their
+// inboxes arrive as StepIn.
 type roundCtx interface {
 	ID() int
 	N() int
 	Neighbors() []int
-	Rand() *rand.Rand
+	Int63n(n int64) int64
 	SendRec(to int, r dist.Rec, bits int)
 }
 
@@ -385,19 +385,12 @@ func classify(msgs []dist.InRec) uPhase {
 // the sorted neighbor list that replaces per-message map lookups.
 func seekPos(nbrs []int, j, from int) int { return dist.SeekPos(nbrs, j, from) }
 
-// idxOf resolves an id to its position in the sorted neighbor list,
-// reporting whether it is a neighbor at all.
-func idxOf(nbrs []int, id int) (int, bool) {
-	i := sort.SearchInts(nbrs, id)
-	return i, i < len(nbrs) && nbrs[i] == id
-}
-
 // posOf is the cold-path id -> position lookup (binary search) for ids
 // that must be neighbors; it panics on a miss rather than silently
-// resolving to the insertion slot. Use idxOf when absence is legitimate.
+// resolving to the insertion slot.
 func posOf(nbrs []int, id int) int {
-	i, ok := idxOf(nbrs, id)
-	if !ok {
+	i := sort.SearchInts(nbrs, id)
+	if i == len(nbrs) || nbrs[i] != id {
 		panic("core: id is not a neighbor")
 	}
 	return i
@@ -409,26 +402,20 @@ func containsSorted(s []int, x int) bool {
 	return i < len(s) && s[i] == x
 }
 
-// mergeSorted merges the sorted, duplicate-free slice add into the sorted
-// slice dst in place (merging from the back after growing), returning the
-// merged slice. add may be a delivered record tail; its values are
-// copied.
-func mergeSorted(dst, add []int) []int {
-	if len(add) == 0 {
-		return dst
-	}
-	if len(dst) == 0 || dst[len(dst)-1] < add[0] {
-		return append(dst, add...)
-	}
-	i, j := len(dst)-1, len(add)-1
-	dst = append(dst, add...)
-	for k := len(dst) - 1; j >= 0; k-- {
-		if i >= 0 && dst[i] > add[j] {
-			dst[k] = dst[i]
-			i--
-		} else {
-			dst[k] = add[j]
-			j--
+// appendPositions appends to dst the positions, from q on, of the sorted
+// neighbor list nbrs whose ids the sorted list ids names: one merge scan.
+// Ids that are not neighbors there are skipped.
+func appendPositions(dst []int32, nbrs []int, q int, ids []int) []int32 {
+	for _, w := range ids {
+		for q < len(nbrs) && nbrs[q] < w {
+			q++
+		}
+		if q == len(nbrs) {
+			break
+		}
+		if nbrs[q] == w {
+			dst = append(dst, int32(q))
+			q++
 		}
 	}
 	return dst
@@ -463,8 +450,11 @@ type nbrState struct {
 	// Its last announced 1-hop maximum: the 2-hop fold reads only the
 	// density and the weight maximum of a maxMsg.
 	hopRaw, hopWmax float64
-	spanOf          []int // its incident spanner edges (far endpoint ids, sorted)
-	uncovRow              // what H_v keeps of its uncovered edges
+	// spanOf holds its announced spanner edges that end at my neighbors:
+	// the far endpoints' positions in my neighbor list, in arrival order.
+	// Coverage asks about no other endpoint.
+	spanOf   []int32
+	uncovRow // what H_v keeps of its uncovered edges
 	// edgeIdx is the index of the incident edge to it. An int32 holds
 	// it: 2^31 edges would need 2^32 of these 120-byte entries.
 	edgeIdx int32
@@ -781,7 +771,7 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 			nd.myStar = nd.view.starNeighborIDs(sel)
 			spanned, _ := nd.view.starValue(sel)
 			nd.mySpanCount = int(spanned + 0.5)
-			nd.bcast(nd.starRec(1 + nd.ctx.Rand().Int63n(1<<62)))
+			nd.bcast(nd.starRec(1 + nd.ctx.Int63n(1<<62)))
 			nd.wasCand, nd.lastRho = true, nd.rho
 			nd.prevStar = nd.myStar
 		} else {
@@ -976,7 +966,7 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 			}
 			j = seekPos(nd.nbrs, j, r.From)
 			if nb := &nd.nb[j]; nb.alive {
-				nb.spanOf = mergeSorted(nb.spanOf, r.Ints)
+				nb.spanOf = appendPositions(nb.spanOf, nd.nbrs, 0, r.Ints)
 			}
 		}
 		nd.updateCoverage()
@@ -1124,23 +1114,29 @@ func (nd *undirectedNode) processDeath(i int, r *dist.InRec) {
 
 // updateCoverage marks incident target edges covered when the spanner
 // contains them or a 2-path around them through a live neighbor's
-// announced spanner edges. In a directed run these are the out-arcs
+// announced spanner edges: each live neighbor whose edge is in the
+// spanner covers the edges to the positions its list names, until no
+// incident edge is open. In a directed run these are the out-arcs
 // me -> u, bridged by me -> x -> u; the in-arcs u -> me follow, bridged by
 // u -> x (from u's announced out-arcs) and x -> me (my in-arc state).
 func (nd *undirectedNode) updateCoverage() {
-	for i, u := range nd.nbrs {
+	open := 0
+	for i := range nd.nb {
 		nb := &nd.nb[i]
-		if nb.covered {
-			continue
-		}
 		if nb.inSpan {
 			nb.covered = true
-			continue
 		}
-		for x := range nd.nb {
-			if w := &nd.nb[x]; w.inSpan && w.alive && containsSorted(w.spanOf, u) {
-				nb.covered = true
-				break
+		if !nb.covered {
+			open++
+		}
+	}
+	for x := 0; x < len(nd.nb) && open > 0; x++ {
+		if w := &nd.nb[x]; w.inSpan && w.alive {
+			for _, p := range w.spanOf {
+				if nb := &nd.nb[p]; !nb.covered {
+					nb.covered = true
+					open--
+				}
 			}
 		}
 	}
@@ -1156,8 +1152,8 @@ func (nd *undirectedNode) updateCoverage() {
 			nb.arcs |= inCovered
 			continue
 		}
-		for _, x := range nb.spanOf {
-			if p, ok := idxOf(nd.nbrs, x); ok && nd.nb[p].arcs&inSpanned != 0 {
+		for _, p := range nb.spanOf {
+			if nd.nb[p].arcs&inSpanned != 0 {
 				nb.arcs |= inCovered
 				break
 			}

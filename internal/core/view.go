@@ -15,17 +15,21 @@ import (
 // A view never changes once built, so it solves its unrestricted densest
 // star at most once.
 //
+// H_v's adjacency among selectable positions is one int32 array: row p
+// is adj[off[p]:off[p+1]] (see row), ascending.
+//
 // A directed view (Section 4.3.1) has the directed star's costs (1 or 2
 // arcs per neighbor) and one H_v entry per arc, so a two-way pair appears
-// twice in hAdj and starValue, density and extend compute the directed
-// value. Only two steps differ: the oracle solves the undirected
+// twice in its rows and starValue, density and extend compute the
+// directed value. Only two steps differ: the oracle solves the undirected
 // reduction of Claims 4.10/4.11 (unit costs, distinct pairs), a
 // 2-approximation, and the Section 4.1 thresholds are ρ/8 instead of ρ/4.
 type localView struct {
 	nbrs     []int     // selectable neighbor ids, sorted
 	cost     []float64 // star-edge cost per position (> 0)
 	bonus    []float64 // uncovered H_v edges from this neighbor to free neighbors
-	hAdj     [][]int   // H_v adjacency among selectable positions, ascending
+	adj      []int32   // H_v rows among selectable positions, concatenated
+	off      []int32   // row p of adj starts at off[p]; len(off) = len(nbrs)+1
 	free     []int     // free (zero-cost) neighbor ids, always part of any star
 	hPairs   int       // number of H_v entries between selectable neighbors
 	directed bool      // the directed form below
@@ -48,7 +52,9 @@ const (
 // neighbors nbrs[q] that nbrs[i]'s uncovered edges reach — its row of
 // H_v (see uncovRow); a directed view's rows repeat q for a two-way pair.
 // Reading the rows in (lower endpoint, upper endpoint) order fixes each
-// hAdj list and so every densest-star instance.
+// adjacency row and so every densest-star instance. Two passes over the
+// rows in that order build it: the first counts each row and the bonuses,
+// the second fills the rows.
 func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int32, directed bool) *localView {
 	at := make([]int32, len(nbrs)) // selectable position, viewFree or viewUnusable
 	k := 0
@@ -67,7 +73,7 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 		nbrs:     make([]int, k),
 		cost:     make([]float64, k),
 		bonus:    make([]float64, k),
-		hAdj:     make([][]int, k),
+		off:      make([]int32, k+1),
 		directed: directed,
 	}
 	for i, id := range nbrs {
@@ -78,6 +84,7 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 			v.free = append(v.free, id)
 		}
 	}
+	// Count: off[p+1] is row p's length.
 	for i := range nbrs {
 		a := at[i]
 		if a == viewUnusable {
@@ -86,8 +93,8 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 		for _, q := range above(i) {
 			switch b := at[q]; {
 			case a >= 0 && b >= 0:
-				v.hAdj[a] = append(v.hAdj[a], int(b))
-				v.hAdj[b] = append(v.hAdj[b], int(a))
+				v.off[a+1]++
+				v.off[b+1]++
 				v.hPairs++
 			case a >= 0 && b == viewFree:
 				v.bonus[a]++
@@ -99,8 +106,33 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 			// H_v), or the star cannot use the edge to nbrs[q].
 		}
 	}
+	// off[p+1] becomes row p's end; filling then advances off[p], row p's
+	// cursor, from row p's start to its end, and the shift restores the
+	// starts.
+	for p := 1; p <= k; p++ {
+		v.off[p] += v.off[p-1]
+	}
+	v.adj = make([]int32, v.off[k])
+	for i := range nbrs {
+		a := at[i]
+		if a < 0 {
+			continue
+		}
+		for _, q := range above(i) {
+			if b := at[q]; b >= 0 {
+				v.adj[v.off[a]], v.adj[v.off[b]] = b, a
+				v.off[a]++
+				v.off[b]++
+			}
+		}
+	}
+	copy(v.off[1:], v.off[:k])
+	v.off[0] = 0
 	return v
 }
+
+// row returns H_v's adjacency row of selectable position p, ascending.
+func (v *localView) row(p int) []int32 { return v.adj[v.off[p]:v.off[p+1]] }
 
 // uncovRow is what a center keeps of the uncovered list its neighbor
 // nbrs[i] announced: the list's length, and the part H_v can use — the
@@ -119,20 +151,7 @@ type uncovRow struct {
 // the neighbors there.
 func (h *uncovRow) announce(nbrs []int, lo int, ids []int) {
 	h.uncovLen = len(ids)
-	h.above = h.above[:0]
-	q := lo
-	for _, w := range ids {
-		for q < len(nbrs) && nbrs[q] < w {
-			q++
-		}
-		if q == len(nbrs) {
-			break
-		}
-		if nbrs[q] == w {
-			h.above = append(h.above, int32(q))
-			q++
-		}
-	}
+	h.above = appendPositions(h.above[:0], nbrs, lo, ids)
 }
 
 // remove deletes the sorted ids, a subset of the announced list, from the
@@ -175,8 +194,8 @@ func (v *localView) starValue(sel []bool) (spanned, cost float64) {
 		cost += v.cost[p]
 		spanned += v.bonus[p]
 		// Each H_v pair {p, q} is counted once, at its lower endpoint.
-		for _, q := range v.hAdj[p] {
-			if q > p && sel[q] {
+		for _, q := range v.row(p) {
+			if int(q) > p && sel[q] {
 				spanned++
 			}
 		}
@@ -246,9 +265,9 @@ func (v *localView) solveStar(allowed []bool) ([]bool, float64) {
 			in.Cost[i] = 1
 		}
 		in.Bonus[i] = v.bonus[p]
-		last := -1 // hAdj[p] is ascending: repeats of a pair are adjacent
-		for _, q := range v.hAdj[p] {
-			if q > p && q != last && item[q] >= 0 {
+		last := int32(-1) // the row is ascending: repeats of a pair are adjacent
+		for _, q := range v.row(p) {
+			if int(q) > p && q != last && item[q] >= 0 {
 				in.Pairs = append(in.Pairs, [2]int{i, item[q]})
 			}
 			last = q
@@ -324,7 +343,7 @@ func (v *localView) extend(sel []bool, threshold float64, within []bool) {
 				continue
 			}
 			gain := v.bonus[p]
-			for _, q := range v.hAdj[p] {
+			for _, q := range v.row(p) {
 				if sel[q] {
 					gain++
 				}

@@ -236,7 +236,8 @@ func rowsAbove(rows []uncovRow) func(int) []int32 {
 // refLocalView is the map-based view construction newLocalView replaced,
 // kept as its reference: the selectable map and free list the undirected
 // node used to assemble, the H_v id pairs of its hEdges merge scan, and
-// the pos and freeSet maps that placed each pair.
+// the pos and freeSet maps that placed each pair in per-position
+// adjacency lists, concatenated at the end into the view's rows.
 func refLocalView(nbrs []int, star []bool, weight []float64, uncov [][]int) *localView {
 	selectable := make(map[int]float64)
 	var free []int
@@ -277,7 +278,7 @@ func refLocalView(nbrs []int, star []bool, weight []float64, uncov [][]int) *loc
 	sort.Ints(v.nbrs)
 	v.cost = make([]float64, len(v.nbrs))
 	v.bonus = make([]float64, len(v.nbrs))
-	v.hAdj = make([][]int, len(v.nbrs))
+	lists := make([][]int32, len(v.nbrs))
 	for i, id := range v.nbrs {
 		pos[id] = i
 		v.cost[i] = selectable[id]
@@ -293,14 +294,19 @@ func refLocalView(nbrs []int, star []bool, weight []float64, uncov [][]int) *loc
 		b, ok2 := pos[e[1]]
 		switch {
 		case ok1 && ok2:
-			v.hAdj[a] = append(v.hAdj[a], b)
-			v.hAdj[b] = append(v.hAdj[b], a)
+			lists[a] = append(lists[a], int32(b))
+			lists[b] = append(lists[b], int32(a))
 			v.hPairs++
 		case ok1 && freeSet[e[1]]:
 			v.bonus[a]++
 		case ok2 && freeSet[e[0]]:
 			v.bonus[b]++
 		}
+	}
+	v.off = []int32{0}
+	for _, l := range lists {
+		v.adj = append(v.adj, l...)
+		v.off = append(v.off, int32(len(v.adj)))
 	}
 	return v
 }
@@ -328,7 +334,7 @@ func removeSorted(dst, del []int) []int {
 // batches (sorted subsets of what is left), applied to the reference id
 // lists by removeSorted and to the H_v rows by the receipt code. The
 // view built from the rows by newLocalView must equal the map-based
-// reference built from the ids field by field (hAdj order included), with
+// reference built from the ids field by field (row order included), with
 // the same densest star to the bit, and each row must keep its list's
 // length.
 func TestLocalViewMatchesMapReference(t *testing.T) {
@@ -412,7 +418,7 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 		want := refLocalView(nbrs, star, weight, uncov)
 		if !slices.Equal(got.nbrs, want.nbrs) || !slices.Equal(got.cost, want.cost) ||
 			!slices.Equal(got.bonus, want.bonus) || !slices.Equal(got.free, want.free) ||
-			got.hPairs != want.hPairs || !slices.EqualFunc(got.hAdj, want.hAdj, slices.Equal[[]int]) {
+			got.hPairs != want.hPairs || !slices.Equal(got.adj, want.adj) || !slices.Equal(got.off, want.off) {
 			t.Fatalf("instance %d: views differ\ngot:  %+v\nwant: %+v", inst, got, want)
 		}
 		gotSel, gotD := got.densestStar(nil)
@@ -458,10 +464,10 @@ type sentRec struct {
 	ints []int
 }
 
-func (c *stubCtx) ID() int          { return c.id }
-func (c *stubCtx) N() int           { return c.n }
-func (c *stubCtx) Neighbors() []int { return c.nbrs }
-func (c *stubCtx) Rand() *rand.Rand { return c.rng }
+func (c *stubCtx) ID() int              { return c.id }
+func (c *stubCtx) N() int               { return c.n }
+func (c *stubCtx) Neighbors() []int     { return c.nbrs }
+func (c *stubCtx) Int63n(n int64) int64 { return c.rng.Int63n(n) }
 func (c *stubCtx) SendRec(to int, r dist.Rec, _ int) {
 	c.sent = append(c.sent, sentRec{to: to, tag: r.Tag, ints: slices.Clone(r.Ints)})
 }

@@ -168,7 +168,7 @@ func (m *lsMachine) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 // flood with the vertex's own token.
 func (m *lsMachine) beginPhase(c *dist.Ctx) {
 	r := 0
-	for r < m.maxRadius && c.Rand().Intn(2) == 0 {
+	for r < m.maxRadius && c.Intn(2) == 0 {
 		r++
 	}
 	me := c.ID()

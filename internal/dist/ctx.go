@@ -7,15 +7,19 @@ import (
 )
 
 // Ctx is the per-vertex surface of the engine: identity, topology access,
-// a private deterministic RNG, and the send primitives (SendRec,
-// BroadcastRec). Only the vertex's own machine uses its Ctx, from inside
-// Step.
+// draws from a private deterministic random stream (Int63n, Intn), and
+// the send primitives (SendRec, BroadcastRec). Only the vertex's own
+// machine uses its Ctx, from inside Step.
 type Ctx struct {
 	eng  *engine
 	id   int
-	nbrs []int      // sorted neighbor ids
-	rng  *rand.Rand // lazily built on first Rand call
-	seed int64      // run seed, for the lazy RNG derivation
+	nbrs []int // sorted neighbor ids
+
+	// rs is the stepper's pooled source while this vertex's machine
+	// steps, nil otherwise; steps counts the source steps the vertex's
+	// stream has consumed, which is all a vertex keeps of it.
+	rs    *stepRand
+	steps uint64
 
 	edgeBits []int // metering scratch, parallel to nbrs
 	touched  []int // edgeBits indices written this round (metering scratch)
@@ -32,16 +36,15 @@ type Ctx struct {
 	lastOff    int32
 }
 
-func newCtx(e *engine, id int, seed int64) *Ctx {
-	// The RNG state (~5KB, seeded with hundreds of multiplications) and
-	// the metering scratch are built lazily on first use: a vertex that
-	// never draws randomness or sends costs O(degree) to set up, which is
-	// what keeps a run's fixed cost low on huge, mostly-quiet networks.
+func newCtx(e *engine, id int) *Ctx {
+	// The metering scratch is built lazily on first send, and a vertex
+	// keeps no random source (see stepRand): a vertex costs O(degree) to
+	// set up, which is what keeps a run's fixed cost low on huge,
+	// mostly-quiet networks.
 	return &Ctx{
 		eng:  e,
 		id:   id,
 		nbrs: e.g.Neighbors(id), // freshly allocated and sorted
-		seed: seed,
 	}
 }
 
@@ -69,15 +72,85 @@ func (c *Ctx) Neighbors() []int { return c.nbrs }
 // Degree returns the number of neighbors.
 func (c *Ctx) Degree() int { return len(c.nbrs) }
 
-// Rand returns this vertex's private RNG. Its stream is a deterministic
-// function of (Config.Seed, vertex id), which is what makes whole runs
-// reproducible.
-func (c *Ctx) Rand() *rand.Rand {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(vertexSeed(c.seed, c.id)))
-	}
-	return c.rng
+// Int63n returns, as rand.Rand.Int63n does, the next draw in [0, n) of
+// this vertex's private random stream: the stream of
+// rand.New(rand.NewSource(s)) for a seed s derived from (Config.Seed,
+// vertex id), which is what makes whole runs reproducible. It panics
+// outside the vertex's Step.
+func (c *Ctx) Int63n(n int64) int64 {
+	r := c.stream()
+	v := r.Int63n(n)
+	c.steps = c.rs.steps
+	return v
 }
+
+// Intn returns, as rand.Rand.Intn does, the next draw in [0, n) of this
+// vertex's random stream (see Int63n).
+func (c *Ctx) Intn(n int) int {
+	r := c.stream()
+	v := r.Intn(n)
+	c.steps = c.rs.steps
+	return v
+}
+
+// stream positions the stepper's pooled source at this vertex's stream.
+func (c *Ctx) stream() *rand.Rand {
+	if c.rs == nil {
+		panic(fmt.Sprintf("dist: vertex %d drew randomness outside its step", c.id))
+	}
+	return c.rs.at(c)
+}
+
+// stepRand is one stepper's pooled random source. A vertex's stream is
+// the one math/rand source seeded with vertexSeed would produce, and
+// the vertex keeps only how many source steps it has consumed: a draw
+// re-seeds the pooled source for the drawing vertex and advances it past
+// those steps, unless the source is already positioned there. Steps are
+// counted at the source (stepRand is the rand.Rand's Source64), because
+// Intn with a bound that is not a power of two rejection-samples. The
+// source is built on the stepper's first draw.
+type stepRand struct {
+	src   rand.Source64
+	r     *rand.Rand // draws through this stepRand
+	owner *Ctx       // the vertex whose stream src is positioned in
+	steps uint64     // src's steps since it was seeded for owner
+}
+
+// at positions the source at c's stream and returns the rand.Rand that
+// draws from it.
+func (s *stepRand) at(c *Ctx) *rand.Rand {
+	if s.owner == c && s.steps == c.steps {
+		return s.r
+	}
+	seed := vertexSeed(c.eng.seed, c.id)
+	if s.src == nil {
+		s.src = rand.NewSource(seed).(rand.Source64)
+		s.r = rand.New(s)
+	} else {
+		s.src.Seed(seed)
+	}
+	s.owner = c
+	for s.steps = 0; s.steps < c.steps; s.steps++ {
+		s.src.Uint64()
+	}
+	return s.r
+}
+
+// Int63 implements rand.Source, counting the step.
+func (s *stepRand) Int63() int64 {
+	s.steps++
+	return s.src.Int63()
+}
+
+// Uint64 implements rand.Source64, counting the step.
+func (s *stepRand) Uint64() uint64 {
+	s.steps++
+	return s.src.Uint64()
+}
+
+// Seed implements rand.Source. Nothing calls it: at seeds the wrapped
+// source.
+func (s *stepRand) Seed(int64) { panic("dist: a vertex stream is not re-seeded") }
 
 // ensureScratch lazily builds the per-edge metering scratch the first
 // time this vertex sends anything.

@@ -36,10 +36,10 @@
 //     full per-round curve.
 //
 // Executions are deterministic functions of (Config.Graph, Config.Seed):
-// each vertex gets a private RNG derived from the seed, and inboxes are
-// delivered sorted by sender id, so neither the step-shard width
-// (Config.Workers) nor the shard count (Config.Shards) leaks into
-// results, statistics, or trace digests.
+// each vertex draws from a private random stream derived from the seed
+// (Ctx.Int63n, Ctx.Intn), and inboxes are delivered sorted by sender id,
+// so neither the step-shard width (Config.Workers) nor the shard count
+// (Config.Shards) leaks into results, statistics, or trace digests.
 //
 // # Execution
 //
@@ -170,6 +170,11 @@ type engine struct {
 
 	ctxs     []*Ctx // indexed by vertex id; nil outside [lo, hi)
 	machines []Machine
+	seed     int64 // the run seed, from which every vertex stream derives
+	// rands holds one pooled random source per stepper: rands[p] serves
+	// part p of a parallel stepMachines, and rands[0] the serial steps
+	// and the quiescence epilogue.
+	rands []stepRand
 	// status is each vertex's scheduling state: what its last step
 	// returned, flipped from StepPark to StepYield by the delivery that
 	// wakes it. StepPark marks a parked vertex and StepDone a retired one.
@@ -241,6 +246,8 @@ func newEngine(cfg Config) *engine {
 // per vertex, sequentially in id order — and makes them all active for
 // the first step.
 func (e *engine) start(seed int64, factory func(*Ctx) Machine) {
+	e.seed = seed
+	e.rands = make([]stepRand, max(e.stepPar, 1))
 	e.ctxs = make([]*Ctx, e.n)
 	e.machines = make([]Machine, e.n)
 	e.status = make([]StepStatus, e.n)
@@ -248,7 +255,7 @@ func (e *engine) start(seed int64, factory func(*Ctx) Machine) {
 	e.inCnt = make([]int32, e.n)
 	e.active = make([]*Ctx, 0, e.hi-e.lo)
 	for v := e.lo; v < e.hi; v++ {
-		c := newCtx(e, v, seed)
+		c := newCtx(e, v)
 		e.ctxs[v] = c
 		e.machines[v] = factory(c)
 		e.ins[v] = StepIn{Start: true}

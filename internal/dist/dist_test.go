@@ -70,7 +70,7 @@ func gossipMachines(rounds int, out []int64) func(*Ctx) Machine {
 				out[ctx.ID()] = acc
 				return StepDone
 			}
-			blob{val: ctx.Rand().Intn(1 << 20), size: 32}.broadcast(ctx)
+			blob{val: ctx.Intn(1 << 20), size: 32}.broadcast(ctx)
 			return StepYield
 		})
 	}

@@ -49,17 +49,17 @@ func (m *chaosMachine) Step(c *Ctx, in StepIn) StepStatus {
 		m.out[c.ID()] = m.h
 		return StepDone
 	}
-	if c.Rand().Intn(16) == 0 {
+	if c.Intn(16) == 0 {
 		m.h = m.h*31 + 13 // fault: retire early
 		m.out[c.ID()] = m.h
 		return StepDone
 	}
-	roll := c.Rand().Intn(8)
+	roll := c.Intn(8)
 	switch {
 	case roll == 0 && c.Degree() > 0:
 		c.BroadcastRec(Rec{Tag: 2, A: int64(m.r), Ints: []int{m.r, c.ID()}}, 32)
 	case roll < 3 && c.Degree() > 0:
-		to := c.Neighbors()[c.Rand().Intn(c.Degree())]
+		to := c.Neighbors()[c.Intn(c.Degree())]
 		c.SendRec(to, Rec{Tag: 1, B: int64(to), F1: float64(m.r)}, 16)
 	}
 	if roll >= 6 {

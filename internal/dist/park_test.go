@@ -284,15 +284,15 @@ func (m *boxedChaosMachine) Step(ctx *Ctx, in StepIn) StepStatus {
 		m.out[ctx.ID()] = m.h
 		return StepDone
 	}
-	if deg := ctx.Degree(); deg > 0 && ctx.Rand().Intn(3) > 0 {
-		for k := ctx.Rand().Intn(3); k > 0; k-- {
-			to := ctx.Neighbors()[ctx.Rand().Intn(deg)]
-			v := ctx.Rand().Intn(1 << 16)
+	if deg := ctx.Degree(); deg > 0 && ctx.Intn(3) > 0 {
+		for k := ctx.Intn(3); k > 0; k-- {
+			to := ctx.Neighbors()[ctx.Intn(deg)]
+			v := ctx.Intn(1 << 16)
 			blob{val: v, size: 8 + v%9}.send(ctx, to)
 			m.h = m.h*31 + int64(v)
 		}
 	}
-	if ctx.Rand().Intn(4) == 0 {
+	if ctx.Intn(4) == 0 {
 		return StepPark
 	}
 	return StepYield

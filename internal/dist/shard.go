@@ -2,7 +2,10 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+
+	"distspanner/internal/graph"
 )
 
 // The worker half of the sharded runner: ServeShard owns a contiguous
@@ -137,8 +140,8 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 	}
 	g := su.Graph
 	if prog.Graph != nil {
-		if prog.Graph.N() != n {
-			return nil, fmt.Errorf("dist: program graph has %d vertices, setup graph %d", prog.Graph.N(), n)
+		if err := sameGraph(prog.Graph, su.Graph); err != nil {
+			return nil, err
 		}
 		g = prog.Graph
 	}
@@ -164,6 +167,31 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 		collect:   su.Collect,
 		output:    prog.Output,
 	}, nil
+}
+
+// sameGraph checks that the graph a program rebuilt is the one the setup
+// frame carries: the same vertex count, the same edge at every index and
+// the same weights, bit for bit. A worker that rebuilt another instance
+// would run another protocol on its shard.
+func sameGraph(built, sent *graph.Graph) error {
+	if built.N() != sent.N() {
+		return fmt.Errorf("dist: program graph has %d vertices, setup graph %d", built.N(), sent.N())
+	}
+	if built.M() != sent.M() {
+		return fmt.Errorf("dist: program graph has %d edges, setup graph %d", built.M(), sent.M())
+	}
+	if built.Weighted() != sent.Weighted() {
+		return fmt.Errorf("dist: program graph weighted %v, setup graph %v", built.Weighted(), sent.Weighted())
+	}
+	for i := 0; i < sent.M(); i++ {
+		if b, s := built.Edge(i), sent.Edge(i); b != s {
+			return fmt.Errorf("dist: program graph's edge %d is %v, setup graph's %v", i, b, s)
+		}
+		if b, s := built.Weight(i), sent.Weight(i); math.Float64bits(b) != math.Float64bits(s) {
+			return fmt.Errorf("dist: program graph's edge %d weighs %v, setup graph's %v", i, b, s)
+		}
+	}
+	return nil
 }
 
 // run is the worker's protocol loop.

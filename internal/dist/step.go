@@ -70,7 +70,7 @@ func (e *engine) timeInto(ns *int64, f func()) {
 func (e *engine) stepMachines() {
 	if e.stepPar <= 1 || len(e.active) < parallelThreshold {
 		for _, c := range e.active {
-			if err := e.stepOne(c); err != nil {
+			if err := e.stepOne(c, &e.rands[0]); err != nil {
 				e.abort = err
 				return
 			}
@@ -80,7 +80,7 @@ func (e *engine) stepMachines() {
 	errs := make([]error, e.stepPar)
 	inParallel(len(e.active), e.stepPar, func(p, lo, hi int) {
 		for _, c := range e.active[lo:hi] {
-			if err := e.stepOne(c); err != nil && errs[p] == nil {
+			if err := e.stepOne(c, &e.rands[p]); err != nil && errs[p] == nil {
 				errs[p] = err
 			}
 		}
@@ -93,20 +93,23 @@ func (e *engine) stepMachines() {
 	}
 }
 
-// stepOne steps vertex c's machine with its prepared input, recording
-// the returned status and clearing the input: a later round hands the
-// vertex an inbox only if it delivers to it.
-func (e *engine) stepOne(c *Ctx) error {
-	st, err := stepSafe(e.machines[c.id], c, e.ins[c.id])
+// stepOne steps vertex c's machine with its prepared input and the
+// stepper's random source rs, recording the returned status and clearing
+// the input: a later round hands the vertex an inbox only if it delivers
+// to it.
+func (e *engine) stepOne(c *Ctx, rs *stepRand) error {
+	st, err := stepSafe(e.machines[c.id], c, e.ins[c.id], rs)
 	e.status[c.id] = st
 	e.ins[c.id] = StepIn{}
 	return err
 }
 
-// stepSafe runs one machine step, converting a panic into the run's
-// abort error.
-func stepSafe(m Machine, c *Ctx, in StepIn) (st StepStatus, err error) {
+// stepSafe runs one machine step drawing from rs, converting a panic
+// into the run's abort error. c holds rs only during the step.
+func stepSafe(m Machine, c *Ctx, in StepIn, rs *stepRand) (st StepStatus, err error) {
+	c.rs = rs
 	defer func() {
+		c.rs = nil
 		if r := recover(); r != nil {
 			st, err = StepDone, vertexPanicError(c.id, r)
 		}
@@ -121,7 +124,7 @@ func stepSafe(m Machine, c *Ctx, in StepIn) (st StepStatus, err error) {
 func (e *engine) stepEpilogue(m Machine, c *Ctx) {
 	in := StepIn{Quiesced: true}
 	for {
-		st, err := stepSafe(m, c, in)
+		st, err := stepSafe(m, c, in, &e.rands[0])
 		c.clearSends()
 		if err != nil {
 			if e.abort == nil {

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,6 +222,67 @@ func TestShardedWorkerFailures(t *testing.T) {
 	if se.Shard != 1 || !strings.Contains(se.Msg, "vertex 6 panicked") || !strings.Contains(se.Msg, "shard boom") ||
 		strings.Contains(se.Msg, "goroutine ") {
 		t.Fatalf("ShardError = %+v", se)
+	}
+}
+
+// TestShardSetupChecksRebuiltGraph runs a coordinator and two workers
+// whose resolver rebuilds a program graph beside the setup frame's. A
+// graph with one edge moved keeps both counts, so only the edge-by-edge
+// check sees it; every mismatch must refuse the setup on both workers
+// and fail the run with its reason, and an identical rebuild must run.
+func TestShardSetupChecksRebuiltGraph(t *testing.T) {
+	weigh := func(g *graph.Graph) *graph.Graph {
+		for i := 0; i < g.M(); i++ {
+			g.SetWeight(i, 1+float64(i)/4)
+		}
+		return g
+	}
+	sent := weigh(path(6))
+	moved := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 4}, {3, 4}, {4, 5}} {
+		moved.AddEdge(e[0], e[1])
+	}
+	reweighed := sent.Clone()
+	reweighed.SetWeight(3, math.Nextafter(sent.Weight(3), 2))
+	cases := []struct {
+		name  string
+		built *graph.Graph
+		want  string // "" when the setup must be accepted
+	}{
+		{"identical", sent.Clone(), ""},
+		{"edge moved", weigh(moved), "edge 2 is {2 4}, setup graph's {2 3}"},
+		{"fewer vertices", weigh(path(5)), "has 5 vertices, setup graph 6"},
+		{"edge added", weigh(func() *graph.Graph { g := path(6); g.AddEdge(0, 5); return g }()), "has 6 edges, setup graph 5"},
+		{"weight bits", reweighed, "edge 3 weighs"},
+		{"unweighted", path(6), "weighted false, setup graph true"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resolve := func(string, *graph.Graph, int64) (ShardProgram, error) {
+				return ShardProgram{Graph: tc.built, Factory: func(*Ctx) Machine {
+					return machineFunc(func(*Ctx, StepIn) StepStatus { return StepDone })
+				}}, nil
+			}
+			ct, wts := NewChanCluster(2)
+			werrs := make(chan error, len(wts))
+			for _, wt := range wts {
+				go func(wt WorkerTransport) { werrs <- ServeShard(wt, resolve) }(wt)
+			}
+			_, err := Coordinate(ct, CoordConfig{Graph: sent, Seed: 1})
+			ct.Close()
+			for range wts {
+				if werr := <-werrs; (werr == nil) != (tc.want == "") || (werr != nil && !strings.Contains(werr.Error(), tc.want)) {
+					t.Errorf("worker: err = %v, want %q", werr, tc.want)
+				}
+			}
+			var se *ShardError
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("identical rebuild: %v", err)
+			case tc.want != "" && (!errors.As(err, &se) || !strings.Contains(se.Msg, tc.want)):
+				t.Fatalf("coordinator: err = %v, want a ShardError naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -42,12 +42,12 @@ func (m *gossip) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 		m.out[c.ID()] = m.sum
 		return dist.StepDone
 	}
-	switch c.Rand().Intn(4) {
+	switch c.Intn(4) {
 	case 0:
 		c.BroadcastRec(dist.Rec{Tag: 1, A: int64(m.r), Ints: []int{m.r, c.ID()}}, 48)
 	case 1:
 		nbrs := c.Neighbors()
-		c.SendRec(nbrs[c.Rand().Intn(len(nbrs))], dist.Rec{Tag: 2, A: m.sum % 97}, 16)
+		c.SendRec(nbrs[c.Intn(len(nbrs))], dist.Rec{Tag: 2, A: m.sum % 97}, 16)
 	case 2:
 		return dist.StepPark
 	}

@@ -108,7 +108,7 @@ func (m *classicMachine) Step(ctx *dist.Ctx, in dist.StepIn) dist.StepStatus {
 		m.isCand = roundUpPow2Int(m.count) >= m.m2
 		m.myR = 0
 		if m.isCand {
-			m.myR = 1 + ctx.Rand().Int63n(1<<62)
+			m.myR = 1 + ctx.Int63n(1<<62)
 			cm := candMsg{r: m.myR, n: ctx.N()}
 			for i, u := range nbrs {
 				if !m.nbrCovered[i] {

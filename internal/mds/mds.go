@@ -509,7 +509,7 @@ func (v *node) emit(ph phase) {
 	case phCand:
 		v.isCand = roundUpPow2Int(v.count) >= v.m2
 		if v.isCand {
-			v.myR = 1 + v.ctx.Rand().Int63n(1<<62)
+			v.myR = 1 + v.ctx.Int63n(1<<62)
 			// Only uncovered vertices vote; covered neighbors would
 			// discard the announcement, so it is not sent to them.
 			m := candMsg{r: v.myR, n: v.n}

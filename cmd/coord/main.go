@@ -5,12 +5,13 @@
 // the empty cell is the scenario's default cell, and the instance is
 // the one cmd/spanner runs for the same cell and seed. coord waits for
 // -workers processes to connect, partitions the vertices contiguously
-// across them, ships the scenario cell in the setup frame (each worker
-// rebuilds the program from it), drives the round/quiescence protocol,
-// and merges the workers' statistics, outputs, and logical transcript.
-// The merged transcript is bit-identical to an in-process run of the
-// same program on the step engine — pass -verify to prove it
-// in-process, or -trace to write the JSONL transcript for cmd/trace
+// across them, ships the scenario cell and its graph's fingerprint in
+// the setup frame (each worker rebuilds the program from the cell and
+// refuses the run if its graph differs), drives the round/quiescence
+// protocol, and merges the workers' statistics, outputs, and logical
+// transcript. The merged transcript is bit-identical to an in-process
+// run of the same program on the step engine — pass -verify to prove
+// it in-process, or -trace to write the JSONL transcript for cmd/trace
 // -check and digest comparison. Flags go before the key=value
 // arguments. An unknown -algo or a malformed cell argument or value
 // exits 2; any other failure exits 1.
@@ -70,7 +71,7 @@ func main() {
 		usage(err)
 	}
 	fail(err)
-	g := cfg.Graph
+	g := prog.Graph
 	fmt.Printf("graph: [%s] n=%d m=%d; algo=%s seed=%d workers=%d\n",
 		cell.Key(), g.N(), g.M(), *algo, *seed, *workers)
 
@@ -83,7 +84,7 @@ func main() {
 
 	rec := trace.NewRecorder(g.N())
 	cfg.Tracer = rec
-	res, err := dist.Coordinate(ct, cfg)
+	res, err := dist.Coordinate(ct, prog, cfg)
 	ct.Close()
 	fail(err)
 

@@ -1,12 +1,13 @@
 // Command node is the distributed runner's worker process. It dials
-// the coordinator (cmd/coord), receives its shard assignment — graph,
-// scenario cell, seed, vertex range — over the wire protocol, rebuilds
-// the cell's program through the scenario registry
-// (scenario.Resolver), steps its vertices with the state-machine
-// engine, and streams record batches, metering reports, and wake scans
-// back each round. One process serves one run, then exits; the worker
-// is oblivious to which scenario it will be asked to run until the
-// setup frame arrives.
+// the coordinator (cmd/coord), receives its shard assignment — scenario
+// cell, seed, vertex range, and the fingerprint of the coordinator's
+// graph — over the wire protocol, rebuilds the cell's program, graph
+// included, through the scenario registry (scenario.Resolver), refuses
+// the run if the rebuilt graph's fingerprint differs, steps its
+// vertices with the state-machine engine, and streams record batches,
+// metering reports, and wake scans back each round. One process serves
+// one run, then exits; the worker is oblivious to which scenario it
+// will be asked to run until the setup frame arrives.
 //
 //	node -addr 127.0.0.1:9131
 package main

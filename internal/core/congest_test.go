@@ -63,9 +63,6 @@ func TestCongestBandwidthRespected(t *testing.T) {
 		t.Fatalf("max edge-round bits %d exceed enforced budget %d",
 			res.Stats.MaxEdgeRoundBits, res.Bandwidth)
 	}
-	if res.Stats.BandwidthViolations != 0 {
-		t.Fatal("bandwidth violations recorded despite enforcement")
-	}
 }
 
 func TestCongestOverheadIsThetaDelta(t *testing.T) {

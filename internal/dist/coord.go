@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"distspanner/internal/graph"
 )
 
 // The coordinator half of the sharded runner. Coordinate owns the global
@@ -29,14 +27,11 @@ type ShardError struct {
 func (e *ShardError) Error() string { return fmt.Sprintf("dist: shard %d: %s", e.Shard, e.Msg) }
 
 // CoordConfig configures a Coordinate run. The engine-semantics fields
-// (Graph, Seed, Bandwidth, Enforce, MaxRounds, CutSide, OnRound, Cancel,
-// Tracer) mean exactly what they mean on Config.
+// (Seed, MaxRounds, CutSide, OnRound, Cancel, Tracer) mean exactly what
+// they mean on Config; the topology and budget are the program's.
 type CoordConfig struct {
-	Graph     *graph.Graph
 	Seed      int64
 	Algo      string
-	Bandwidth int
-	Enforce   bool
 	MaxRounds int
 	CutSide   []bool
 	OnRound   func(RoundActivity)
@@ -59,18 +54,21 @@ type CoordResult struct {
 	Outputs [][]int
 }
 
-// Coordinate drives one distributed run over the workers connected by
-// ct: it partitions the graph contiguously, ships setup frames, runs
-// the round/quiescence protocol, and merges Stats, activity, outputs,
-// and trace events. On any abort — including a transport failure — it
-// drains every worker's final frame (best effort) so no worker is left
-// mid-protocol, and replays nothing into the tracer: a failed run's
-// transcript contains no partial round.
-func Coordinate(ct CoordTransport, cfg CoordConfig) (*CoordResult, error) {
-	if cfg.Graph == nil {
-		return nil, errors.New("dist: CoordConfig.Graph is nil")
+// Coordinate drives one distributed run of prog over the workers
+// connected by ct, each of which rebuilds prog from cfg.Algo and
+// cfg.Seed: it partitions prog.Graph contiguously, ships setup frames
+// carrying the graph's fingerprint and prog.Bandwidth, runs the
+// round/quiescence protocol, and merges Stats, activity, outputs, and
+// trace events. Only prog's Graph and Bandwidth are read here. On any
+// abort — including a transport failure — it drains every worker's
+// final frame (best effort) so no worker is left mid-protocol, and
+// replays nothing into the tracer: a failed run's transcript contains
+// no partial round.
+func Coordinate(ct CoordTransport, prog ShardProgram, cfg CoordConfig) (*CoordResult, error) {
+	if prog.Graph == nil {
+		return nil, errors.New("dist: ShardProgram.Graph is nil")
 	}
-	n := cfg.Graph.N()
+	n := prog.Graph.N()
 	if cfg.CutSide != nil && len(cfg.CutSide) != n {
 		return nil, fmt.Errorf("dist: CutSide has %d entries for %d vertices", len(cfg.CutSide), n)
 	}
@@ -80,10 +78,11 @@ func Coordinate(ct CoordTransport, cfg CoordConfig) (*CoordResult, error) {
 	}
 	cuts := PartitionEven(n, w)
 	trace := cfg.Tracer != nil
+	fp := prog.Graph.Fingerprint()
 	for i := 0; i < w; i++ {
 		su := &SetupFrame{
-			Shard: i, Workers: w, Cuts: cuts, Graph: cfg.Graph,
-			Algo: cfg.Algo, Seed: cfg.Seed, Bandwidth: cfg.Bandwidth,
+			Shard: i, Workers: w, Cuts: cuts, Algo: cfg.Algo, Seed: cfg.Seed,
+			Fingerprint: fp, Bandwidth: prog.Bandwidth,
 			Cut: cfg.CutSide, Trace: trace, Collect: cfg.Collect,
 		}
 		if err := ct.Send(i, &Frame{Type: FrameSetup, Setup: su}); err != nil {
@@ -92,7 +91,7 @@ func Coordinate(ct CoordTransport, cfg CoordConfig) (*CoordResult, error) {
 	}
 
 	l := &ledger{
-		maxRounds: cfg.MaxRounds, bandwidth: cfg.Bandwidth, enforce: cfg.Enforce,
+		maxRounds: cfg.MaxRounds, bandwidth: prog.Bandwidth,
 		cancel: cfg.Cancel, onRound: cfg.OnRound, tracer: cfg.Tracer,
 	}
 	var (
@@ -263,11 +262,11 @@ protocol:
 // runSharded is RunMachines' Config.Shards path: the same machines, run
 // distributed over an in-process channel transport — Coordinate on the
 // calling goroutine, one ServeShard goroutine per shard, all sharing the
-// caller's factory through a resolver closure. cfg is already validated.
+// caller's graph, budget and factory through a resolver closure. cfg is
+// already validated.
 func runSharded(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
-	resolver := func(string, *graph.Graph, int64) (ShardProgram, error) {
-		return ShardProgram{Factory: factory}, nil
-	}
+	prog := ShardProgram{Graph: cfg.Graph, Bandwidth: cfg.Bandwidth, Factory: factory}
+	resolver := func(string, int64) (ShardProgram, error) { return prog, nil }
 	ct, wts := NewChanCluster(cfg.Shards)
 	var wg sync.WaitGroup
 	for i := range wts {
@@ -277,10 +276,8 @@ func runSharded(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 			ServeShard(wt, resolver)
 		}(wts[i])
 	}
-	res, err := Coordinate(ct, CoordConfig{
-		Graph: cfg.Graph, Seed: cfg.Seed,
-		Bandwidth: cfg.Bandwidth, Enforce: cfg.Enforce,
-		MaxRounds: cfg.MaxRounds, CutSide: cfg.CutSide,
+	res, err := Coordinate(ct, prog, CoordConfig{
+		Seed: cfg.Seed, MaxRounds: cfg.MaxRounds, CutSide: cfg.CutSide,
 		OnRound: cfg.OnRound, Cancel: cfg.Cancel, Tracer: cfg.Tracer,
 	})
 	ct.Close()

@@ -9,7 +9,7 @@
 // with Ctx.SendRec) metered at the bit size their sender declares, so
 // the same protocol can be classified as LOCAL (unbounded messages) or
 // CONGEST (O(log n) bits per edge per round) from its measured Stats —
-// and with Config.Enforce set, exceeding the bandwidth budget is a
+// and under a positive Config.Bandwidth, exceeding the budget is a
 // runtime error, making CONGEST legality a checked property rather than
 // an assumption.
 //
@@ -26,7 +26,7 @@
 //   - Stats.MaxEdgeRoundBits is the maximum, over every directed edge and
 //     round, of the bits sent across that edge in that round. A protocol
 //     is CONGEST-legal for budget B iff MaxEdgeRoundBits <= B; that is
-//     what Stats.CongestCompatible reports and Config.Enforce enforces.
+//     what Stats.CongestCompatible reports and Config.Bandwidth enforces.
 //   - With Config.CutSide set, Stats.CutBits additionally totals the bits
 //     crossing the two-party cut, which is what converts runs on the
 //     lower-bound constructions into communication-complexity arguments.
@@ -88,13 +88,10 @@ type Config struct {
 	// the step engine, the only scheduler. Any other value is an error.
 	Mode Mode
 	// Bandwidth is the per-directed-edge per-round bit budget. Zero means
-	// unlimited (pure LOCAL); a positive value defines what counts as a
-	// bandwidth violation.
+	// unlimited (pure LOCAL); under a positive budget, the first round in
+	// which a directed edge carries more bits aborts the run with an
+	// error wrapping ErrBandwidth.
 	Bandwidth int
-	// Enforce makes a bandwidth violation abort the run with an error
-	// wrapping ErrBandwidth. Without it, violations are only counted in
-	// Stats.BandwidthViolations.
-	Enforce bool
 	// MaxRounds aborts runaway executions with an error wrapping
 	// ErrRoundLimit; zero uses DefaultMaxRounds.
 	MaxRounds int
@@ -146,8 +143,8 @@ const DefaultMaxRounds = 1 << 20
 // exceeded.
 var ErrRoundLimit = errors.New("dist: round limit exceeded")
 
-// ErrBandwidth is wrapped by RunMachines' error when an enforced
-// bandwidth budget is violated.
+// ErrBandwidth is wrapped by RunMachines' error when a directed edge
+// carries more than a positive Config.Bandwidth in one round.
 var ErrBandwidth = errors.New("dist: bandwidth exceeded")
 
 // ErrCanceled is wrapped by RunMachines' error when Config.Cancel fires.
@@ -226,7 +223,6 @@ func newEngine(cfg Config) *engine {
 		ledger: ledger{
 			maxRounds: cfg.MaxRounds,
 			bandwidth: cfg.Bandwidth,
-			enforce:   cfg.Enforce,
 			cancel:    cfg.Cancel,
 			onRound:   cfg.OnRound,
 			tracer:    cfg.Tracer,
@@ -277,8 +273,8 @@ func (e *engine) result() (*Stats, error) {
 // statistics. factory is called once per vertex, sequentially in id
 // order, before the first round. It returns an error when a machine
 // panics, when the round limit is exceeded, when cfg.Cancel fires, or,
-// with cfg.Enforce set, when any directed edge carries more than
-// cfg.Bandwidth bits in one round.
+// under a positive cfg.Bandwidth, when any directed edge carries more
+// than cfg.Bandwidth bits in one round.
 func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
@@ -302,16 +298,10 @@ func RunMachines(cfg Config, factory func(*Ctx) Machine) (*Stats, error) {
 // RunLocal runs prog in-process on the step engine: the one reference
 // every execution of a program reproduces, whether a local runner's,
 // the sharded runner's (cfg.Shards) or a coordinator's over TCP workers.
-// The topology is prog.Graph when set, cfg.Graph otherwise, and a
-// positive prog.Bandwidth is the enforced budget. After the run,
-// prog.Output reads each vertex's result.
+// The topology and the budget are prog's: they replace cfg.Graph and
+// cfg.Bandwidth. After the run, prog.Output reads each vertex's result.
 func RunLocal(prog ShardProgram, cfg Config) (*Stats, error) {
-	if prog.Graph != nil {
-		cfg.Graph = prog.Graph
-	}
-	if prog.Bandwidth > 0 {
-		cfg.Bandwidth, cfg.Enforce = prog.Bandwidth, true
-	}
+	cfg.Graph, cfg.Bandwidth = prog.Graph, prog.Bandwidth
 	return RunMachines(cfg, prog.Factory)
 }
 
@@ -377,11 +367,8 @@ func (e *engine) meterSender(c *Ctx) MeterReport {
 		eb := c.edgeBits[i]
 		c.edgeBits[i] = 0
 		r.MaxEdge = max(r.MaxEdge, eb)
-		if e.bandwidth > 0 && eb > e.bandwidth {
-			r.Violations++
-			if r.ViolSender < 0 {
-				r.ViolSender, r.ViolTo, r.ViolBits = c.id, c.nbrs[i], eb
-			}
+		if e.bandwidth > 0 && eb > e.bandwidth && r.ViolSender < 0 {
+			r.ViolSender, r.ViolTo, r.ViolBits = c.id, c.nbrs[i], eb
 		}
 	}
 	c.touched = c.touched[:0]

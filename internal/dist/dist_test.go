@@ -235,21 +235,13 @@ func TestEnforceRejectsOversizedPayload(t *testing.T) {
 			return StepYield
 		})
 	}
-	_, err := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, factory)
+	_, err := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64}, factory)
 	if !errors.Is(err, ErrBandwidth) {
-		t.Fatalf("enforced oversized payload: err = %v, want ErrBandwidth", err)
-	}
-	// Unenforced, the same run completes and only counts the violation.
-	stats, err := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64}, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.BandwidthViolations != 1 {
-		t.Fatalf("BandwidthViolations = %d, want 1", stats.BandwidthViolations)
+		t.Fatalf("oversized payload: err = %v, want ErrBandwidth", err)
 	}
 	// Two payloads within budget individually but not together also
 	// violate: the budget is per edge per round, not per message.
-	_, err = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64, Enforce: true}, sendOnceThenDone(func(ctx *Ctx) {
+	_, err = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 64}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
 			blob{size: 40}.send(ctx, 1)
 			blob{size: 40}.send(ctx, 1)

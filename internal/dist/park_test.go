@@ -202,7 +202,7 @@ func TestEventModeErrors(t *testing.T) {
 		t.Fatalf("round limit: err = %v", err)
 	}
 
-	_, err = RunMachines(Config{Graph: path(3), Seed: 1, Bandwidth: 8, Enforce: true}, each(func(ctx *Ctx, in StepIn) StepStatus {
+	_, err = RunMachines(Config{Graph: path(3), Seed: 1, Bandwidth: 8}, each(func(ctx *Ctx, in StepIn) StepStatus {
 		if ctx.ID() == 0 {
 			if !in.Start {
 				return StepDone

@@ -83,7 +83,7 @@ func fourRounds(send func(ctx *Ctx, r int)) func(*Ctx) Machine {
 func TestRecBandwidthEnforced(t *testing.T) {
 	// Record bits count against the per-edge budget exactly like payload
 	// bits, including accumulation across records on one edge.
-	_, err := RunMachines(Config{Graph: path(2), Seed: 1, Bandwidth: 64, Enforce: true}, sendOnceThenDone(func(ctx *Ctx) {
+	_, err := RunMachines(Config{Graph: path(2), Seed: 1, Bandwidth: 64}, sendOnceThenDone(func(ctx *Ctx) {
 		if ctx.ID() == 0 {
 			ctx.SendRec(1, Rec{Tag: 1}, 40)
 			ctx.SendRec(1, Rec{Tag: 2}, 40)

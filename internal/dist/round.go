@@ -35,7 +35,6 @@ const parallelThreshold = 64
 type ledger struct {
 	maxRounds int // <= 0: DefaultMaxRounds
 	bandwidth int
-	enforce   bool
 	cancel    <-chan struct{} // nil: never canceled
 	onRound   func(RoundActivity)
 	tracer    Tracer // nil: tracing disabled (zero cost)
@@ -60,9 +59,9 @@ type ledger struct {
 // are then last words to retired vertices: metered and dropped without
 // charging a round), and otherwise DecideCommit of round Stats.Rounds+1.
 // A commit first checks the round limit, then Config.Cancel; every
-// verdict then aborts on an enforced bandwidth violation in m, stamped
-// with the round its sends ride. A verdict that does not abort folds m
-// into Stats.
+// verdict then aborts on a bandwidth violation in m, stamped with the
+// round its sends ride. A verdict that does not abort folds m into
+// Stats.
 func (l *ledger) decide(retired, yielded, wakes bool, m *MeterReport) (DecisionKind, error) {
 	kind, round := DecideCommit, l.stats.Rounds
 	switch {
@@ -83,7 +82,7 @@ func (l *ledger) decide(retired, yielded, wakes bool, m *MeterReport) (DecisionK
 			return DecideAbort, fmt.Errorf("%w after %d rounds", ErrCanceled, round)
 		}
 	}
-	if l.enforce && m.ViolSender >= 0 {
+	if m.ViolSender >= 0 {
 		return DecideAbort, fmt.Errorf("%w: vertex %d sent %d bits to %d in round %d (budget %d)",
 			ErrBandwidth, m.ViolSender, m.ViolBits, m.ViolTo, round, l.bandwidth)
 	}
@@ -94,7 +93,6 @@ func (l *ledger) decide(retired, yielded, wakes bool, m *MeterReport) (DecisionK
 	s.CutBits += m.CutBits
 	s.MaxMessageBits = max(s.MaxMessageBits, m.MaxMsg)
 	s.MaxEdgeRoundBits = max(s.MaxEdgeRoundBits, m.MaxEdge)
-	s.BandwidthViolations += m.Violations
 	return kind, nil
 }
 

@@ -2,10 +2,7 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-
-	"distspanner/internal/graph"
 )
 
 // The worker half of the sharded runner: ServeShard owns a contiguous
@@ -113,13 +110,29 @@ func drainToAbort(wt WorkerTransport) {
 }
 
 func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver) (*shardWorker, error) {
-	if su.Graph == nil {
-		return nil, fmt.Errorf("%w: setup frame without a graph", ErrTransport)
-	}
-	n := su.Graph.N()
 	if su.Workers < 1 || su.Shard < 0 || su.Shard >= su.Workers {
 		return nil, fmt.Errorf("%w: shard %d of %d workers", ErrTransport, su.Shard, su.Workers)
 	}
+	prog, err := resolve(su.Algo, su.Seed)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case prog.Graph == nil:
+		return nil, fmt.Errorf("dist: program %q resolved without a graph", su.Algo)
+	case prog.Factory == nil:
+		return nil, fmt.Errorf("dist: program %q resolved without a machine factory", su.Algo)
+	}
+	// A worker that rebuilt another instance would run another protocol
+	// on its shard.
+	if fp := prog.Graph.Fingerprint(); fp != su.Fingerprint {
+		return nil, fmt.Errorf("dist: program graph fingerprint %016x, setup's %016x", fp, su.Fingerprint)
+	}
+	if prog.Bandwidth != su.Bandwidth {
+		return nil, fmt.Errorf("dist: program budget %d bits, setup's %d", prog.Bandwidth, su.Bandwidth)
+	}
+	g := prog.Graph
+	n := g.N()
 	if len(su.Cuts) != su.Workers+1 || su.Cuts[0] != 0 || su.Cuts[su.Workers] != n {
 		return nil, fmt.Errorf("%w: malformed partition (cuts %v over %d vertices)", ErrTransport, su.Cuts, n)
 	}
@@ -131,20 +144,6 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 	if su.Cut != nil && len(su.Cut) != n {
 		return nil, fmt.Errorf("dist: CutSide has %d entries for %d vertices", len(su.Cut), n)
 	}
-	prog, err := resolve(su.Algo, su.Graph, su.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if prog.Factory == nil {
-		return nil, fmt.Errorf("dist: program %q resolved without a machine factory", su.Algo)
-	}
-	g := su.Graph
-	if prog.Graph != nil {
-		if err := sameGraph(prog.Graph, su.Graph); err != nil {
-			return nil, err
-		}
-		g = prog.Graph
-	}
 	lo, hi := su.Cuts[su.Shard], su.Cuts[su.Shard+1]
 	var rec *shardRecorder
 	var tr Tracer
@@ -153,7 +152,7 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 		tr = rec
 	}
 	e := &engine{
-		ledger: ledger{bandwidth: su.Bandwidth, tracer: tr},
+		ledger: ledger{bandwidth: prog.Bandwidth, tracer: tr},
 		g:      g, n: n, lo: lo, hi: hi, shard: su.Shard,
 		cut:      su.Cut,
 		routePar: 1,
@@ -167,31 +166,6 @@ func newShardWorker(wt WorkerTransport, su *SetupFrame, resolve ProgramResolver)
 		collect:   su.Collect,
 		output:    prog.Output,
 	}, nil
-}
-
-// sameGraph checks that the graph a program rebuilt is the one the setup
-// frame carries: the same vertex count, the same edge at every index and
-// the same weights, bit for bit. A worker that rebuilt another instance
-// would run another protocol on its shard.
-func sameGraph(built, sent *graph.Graph) error {
-	if built.N() != sent.N() {
-		return fmt.Errorf("dist: program graph has %d vertices, setup graph %d", built.N(), sent.N())
-	}
-	if built.M() != sent.M() {
-		return fmt.Errorf("dist: program graph has %d edges, setup graph %d", built.M(), sent.M())
-	}
-	if built.Weighted() != sent.Weighted() {
-		return fmt.Errorf("dist: program graph weighted %v, setup graph %v", built.Weighted(), sent.Weighted())
-	}
-	for i := 0; i < sent.M(); i++ {
-		if b, s := built.Edge(i), sent.Edge(i); b != s {
-			return fmt.Errorf("dist: program graph's edge %d is %v, setup graph's %v", i, b, s)
-		}
-		if b, s := built.Weight(i), sent.Weight(i); math.Float64bits(b) != math.Float64bits(s) {
-			return fmt.Errorf("dist: program graph's edge %d weighs %v, setup graph's %v", i, b, s)
-		}
-	}
-	return nil
 }
 
 // run is the worker's protocol loop.

@@ -23,10 +23,6 @@ type Stats struct {
 	// zero when no cut was configured. This is the measurable quantity
 	// behind the paper's two-party simulation lower bounds.
 	CutBits int64
-	// BandwidthViolations counts (directed edge, round) pairs whose
-	// traffic exceeded Config.Bandwidth. With Config.Enforce the first
-	// violation aborts the run instead.
-	BandwidthViolations int64
 	// ActiveSteps is the total number of vertex steps over all completed
 	// rounds: each round contributes the number of vertices that ran
 	// during it (ended the round by yielding, parking, or retiring). A

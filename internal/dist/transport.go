@@ -44,8 +44,8 @@ var ErrTransport = errors.New("dist: transport failure")
 type FrameType uint8
 
 const (
-	// FrameSetup (coordinator → worker, once): graph, partition, shard
-	// identity, and run parameters.
+	// FrameSetup (coordinator → worker, once): program name, graph
+	// fingerprint, partition, shard identity, and run parameters.
 	FrameSetup FrameType = iota + 1
 	// FrameRound (worker → coordinator, each iteration): the shard's
 	// classification/metering report plus its outbound record batches.
@@ -84,20 +84,19 @@ type SetupFrame struct {
 	Shard, Workers int
 	// Cuts is the contiguous partition: shard i owns [Cuts[i], Cuts[i+1]).
 	Cuts []int
-	// Graph is the communication topology (the full graph — workers need
-	// every vertex's neighborhood to validate sends and meter edges).
-	Graph *graph.Graph
 	// Algo names the program for the worker's resolver (cmd/node reads
 	// a scenario cell from it); the in-process sharded path leaves it
 	// empty (the resolver closes over the factory).
 	Algo string
-	// Seed is the run seed; all per-vertex randomness and any auxiliary
-	// inputs (orientations, weights, splits) derive from (Algo, Graph,
-	// Seed).
+	// Seed is the run seed; the program's graph, per-vertex randomness
+	// and any auxiliary inputs (orientations, weights, splits) derive
+	// from (Algo, Seed).
 	Seed int64
-	// Bandwidth is the per-edge per-round bit budget metered by the
-	// worker (violations are decided by the coordinator).
-	Bandwidth int
+	// Fingerprint is the Fingerprint of the coordinator's program graph
+	// and Bandwidth its program's budget, which workers meter against; a
+	// worker whose rebuilt program differs in either refuses the setup.
+	Fingerprint uint64
+	Bandwidth   int
 	// Cut is Config.CutSide (nil when unset).
 	Cut []bool
 	// Trace asks the worker to buffer per-vertex trace events and ship
@@ -113,10 +112,9 @@ type SetupFrame struct {
 type MeterReport struct {
 	Msgs, Bits, CutBits int64
 	MaxMsg, MaxEdge     int
-	// Violations counts budget violations; ViolSender/ViolTo/ViolBits
-	// describe the first violation by ascending sender id (ViolSender is
-	// -1 when none), which is what the enforced abort reports.
-	Violations int64
+	// ViolSender/ViolTo/ViolBits describe the first budget violation by
+	// ascending sender id (ViolSender is -1 when none), which is what the
+	// abort reports.
 	ViolSender int
 	ViolTo     int
 	ViolBits   int
@@ -132,7 +130,6 @@ func (m *MeterReport) merge(o *MeterReport) {
 	m.CutBits += o.CutBits
 	m.MaxMsg = max(m.MaxMsg, o.MaxMsg)
 	m.MaxEdge = max(m.MaxEdge, o.MaxEdge)
-	m.Violations += o.Violations
 	if m.ViolSender < 0 && o.ViolSender >= 0 {
 		m.ViolSender, m.ViolTo, m.ViolBits = o.ViolSender, o.ViolTo, o.ViolBits
 	}
@@ -233,8 +230,8 @@ const (
 	DecideQuiesce
 	// DecideFinish: every vertex retired; meter-and-drop last words.
 	DecideFinish
-	// DecideAbort: the run aborted (round limit, cancellation, enforced
-	// bandwidth violation, worker error); discard and shut down.
+	// DecideAbort: the run aborted (round limit, cancellation, bandwidth
+	// violation, worker error); discard and shut down.
 	DecideAbort
 )
 
@@ -297,13 +294,13 @@ func shardOf(cuts []int, v int) int {
 	return sort.SearchInts(cuts, v+1) - 1
 }
 
-// ShardProgram is what a worker runs: a machine factory over the
-// shard's vertices plus an optional per-vertex output reader, with the
-// topology and bandwidth budget the protocol runs under.
+// ShardProgram is what a run executes, in-process (RunLocal), sharded or
+// over a wire transport: a machine factory plus an optional per-vertex
+// output reader, with the topology and bandwidth budget the protocol runs
+// under.
 type ShardProgram struct {
-	// Graph, when non-nil, overrides the engine's communication topology
-	// (e.g. a derived underlying graph); it must have the same vertex
-	// count as the setup graph.
+	// Graph is the communication topology (required): every vertex's
+	// neighborhood, which sends are validated and edges metered against.
 	Graph *graph.Graph
 	// Bandwidth, when positive, is the per-edge per-round bit budget the
 	// run enforces (a CONGEST protocol); zero means unmetered.
@@ -317,9 +314,9 @@ type ShardProgram struct {
 }
 
 // ProgramResolver maps a SetupFrame's Algo to the shard program,
-// deriving any auxiliary inputs deterministically from (algo, g, seed)
-// so every worker reconstructs the same instance.
-type ProgramResolver func(algo string, g *graph.Graph, seed int64) (ShardProgram, error)
+// deriving its graph and any auxiliary inputs deterministically from
+// (algo, seed) so every worker reconstructs the coordinator's instance.
+type ProgramResolver func(algo string, seed int64) (ShardProgram, error)
 
 // chanEndpoint is one direction of an in-process transport: a buffered
 // frame channel with idempotent close and panic-safe send.

@@ -160,23 +160,15 @@ func TestShardedErrorEquality(t *testing.T) {
 		t.Fatalf("sharded round-limit error lost its type: %v", shErr)
 	}
 
-	// Enforced bandwidth violation: same first violator, same round.
-	_, refErr = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, Enforce: true}, busy)
-	_, shErr = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, Enforce: true, Shards: 3}, busy)
+	// Bandwidth violation: same first violator, same round.
+	_, refErr = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32}, busy)
+	_, shErr = RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, Shards: 3}, busy)
 	if refErr == nil || shErr == nil || refErr.Error() != shErr.Error() {
 		t.Fatalf("bandwidth errors differ:\nref: %v\ngot: %v", refErr, shErr)
 	}
 	if !errors.Is(shErr, ErrBandwidth) {
 		t.Fatalf("sharded bandwidth error lost its type: %v", shErr)
 	}
-
-	// Unenforced violations only count, identically.
-	refStats, err1 := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, MaxRounds: 3}, busy)
-	shStats, err2 := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: 32, MaxRounds: 3, Shards: 2}, busy)
-	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
-		t.Fatalf("round-limited runs differ: %v vs %v", err1, err2)
-	}
-	_, _ = refStats, shStats
 
 	// Cancellation: pre-closed cancel aborts before round 1.
 	pre := make(chan struct{})
@@ -225,11 +217,13 @@ func TestShardedWorkerFailures(t *testing.T) {
 	}
 }
 
-// TestShardSetupChecksRebuiltGraph runs a coordinator and two workers
-// whose resolver rebuilds a program graph beside the setup frame's. A
-// graph with one edge moved keeps both counts, so only the edge-by-edge
-// check sees it; every mismatch must refuse the setup on both workers
-// and fail the run with its reason, and an identical rebuild must run.
+// TestShardSetupChecksRebuiltGraph runs a coordinator whose program has
+// one graph and two workers whose resolver rebuilds another. A graph with
+// one edge moved keeps both counts, and one with a weight one ulp off
+// differs in one bit; every mismatch must refuse the setup on both
+// workers and fail the run with a ShardError naming both fingerprints. A
+// program without a graph or with another budget must fail it too, and
+// an identical rebuild must run.
 func TestShardSetupChecksRebuiltGraph(t *testing.T) {
 	weigh := func(g *graph.Graph) *graph.Graph {
 		for i := 0; i < g.M(); i++ {
@@ -245,42 +239,63 @@ func TestShardSetupChecksRebuiltGraph(t *testing.T) {
 	reweighed := sent.Clone()
 	reweighed.SetWeight(3, math.Nextafter(sent.Weight(3), 2))
 	cases := []struct {
-		name  string
-		built *graph.Graph
-		want  string // "" when the setup must be accepted
+		name   string
+		built  *graph.Graph
+		budget int
+		accept bool
 	}{
-		{"identical", sent.Clone(), ""},
-		{"edge moved", weigh(moved), "edge 2 is {2 4}, setup graph's {2 3}"},
-		{"fewer vertices", weigh(path(5)), "has 5 vertices, setup graph 6"},
-		{"edge added", weigh(func() *graph.Graph { g := path(6); g.AddEdge(0, 5); return g }()), "has 6 edges, setup graph 5"},
-		{"weight bits", reweighed, "edge 3 weighs"},
-		{"unweighted", path(6), "weighted false, setup graph true"},
+		{"identical", sent.Clone(), 0, true},
+		{"edge moved", weigh(moved), 0, false},
+		{"fewer vertices", weigh(path(5)), 0, false},
+		{"edge added", weigh(func() *graph.Graph { g := path(6); g.AddEdge(0, 5); return g }()), 0, false},
+		{"weight bits", reweighed, 0, false},
+		{"unweighted", path(6), 0, false},
+		{"no graph", nil, 0, false},
+		{"budget", sent.Clone(), 64, false},
+	}
+	done := func(*Ctx) Machine {
+		return machineFunc(func(*Ctx, StepIn) StepStatus { return StepDone })
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resolve := func(string, *graph.Graph, int64) (ShardProgram, error) {
-				return ShardProgram{Graph: tc.built, Factory: func(*Ctx) Machine {
-					return machineFunc(func(*Ctx, StepIn) StepStatus { return StepDone })
-				}}, nil
+			var want []string
+			switch {
+			case tc.built == nil:
+				want = []string{"resolved without a graph"}
+			case tc.budget != 0:
+				want = []string{"program budget 64 bits, setup's 0"}
+			case !tc.accept:
+				want = []string{fmt.Sprintf("%016x", tc.built.Fingerprint()), fmt.Sprintf("%016x", sent.Fingerprint())}
+			}
+			names := func(err error) bool {
+				for _, w := range want {
+					if err == nil || !strings.Contains(err.Error(), w) {
+						return false
+					}
+				}
+				return true
+			}
+			resolve := func(string, int64) (ShardProgram, error) {
+				return ShardProgram{Graph: tc.built, Bandwidth: tc.budget, Factory: done}, nil
 			}
 			ct, wts := NewChanCluster(2)
 			werrs := make(chan error, len(wts))
 			for _, wt := range wts {
 				go func(wt WorkerTransport) { werrs <- ServeShard(wt, resolve) }(wt)
 			}
-			_, err := Coordinate(ct, CoordConfig{Graph: sent, Seed: 1})
+			_, err := Coordinate(ct, ShardProgram{Graph: sent}, CoordConfig{Seed: 1})
 			ct.Close()
 			for range wts {
-				if werr := <-werrs; (werr == nil) != (tc.want == "") || (werr != nil && !strings.Contains(werr.Error(), tc.want)) {
-					t.Errorf("worker: err = %v, want %q", werr, tc.want)
+				if werr := <-werrs; (werr == nil) != tc.accept || !names(werr) {
+					t.Errorf("worker: err = %v, want one naming %q", werr, want)
 				}
 			}
 			var se *ShardError
 			switch {
-			case tc.want == "" && err != nil:
+			case tc.accept && err != nil:
 				t.Fatalf("identical rebuild: %v", err)
-			case tc.want != "" && (!errors.As(err, &se) || !strings.Contains(se.Msg, tc.want)):
-				t.Fatalf("coordinator: err = %v, want a ShardError naming %q", err, tc.want)
+			case !tc.accept && (!errors.As(err, &se) || !names(se)):
+				t.Fatalf("coordinator: err = %v, want a ShardError naming %q", err, want)
 			}
 		})
 	}

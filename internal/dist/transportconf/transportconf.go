@@ -96,28 +96,28 @@ type outcome struct {
 // runLocal executes prog in-process under cfg (from
 // scenario.Distributed, possibly with extra hooks set): the reference.
 func runLocal(prog dist.ShardProgram, cfg dist.CoordConfig) outcome {
-	rec := trace.NewRecorder(cfg.Graph.N())
+	rec := trace.NewRecorder(prog.Graph.N())
 	stats, err := dist.RunLocal(prog, dist.Config{
-		Graph: cfg.Graph, Seed: cfg.Seed, MaxRounds: cfg.MaxRounds,
+		Seed: cfg.Seed, MaxRounds: cfg.MaxRounds,
 		CutSide: cfg.CutSide, OnRound: cfg.OnRound, Cancel: cfg.Cancel, Tracer: rec,
 	})
 	if err != nil {
 		return outcome{err: err}
 	}
-	outs := make([][]int, cfg.Graph.N())
+	outs := make([][]int, prog.Graph.N())
 	for v := range outs {
 		outs[v] = prog.Output(v)
 	}
 	return outcome{stats: *stats, outputs: outs, digest: rec.Digest(), phases: rec.Phases()}
 }
 
-// runDistributed executes cfg over ct, collecting the replayed
-// transcript.
-func runDistributed(ct dist.CoordTransport, cfg dist.CoordConfig) outcome {
-	rec := trace.NewRecorder(cfg.Graph.N())
+// runDistributed executes prog under cfg over ct, collecting the
+// replayed transcript.
+func runDistributed(ct dist.CoordTransport, prog dist.ShardProgram, cfg dist.CoordConfig) outcome {
+	rec := trace.NewRecorder(prog.Graph.N())
 	cfg.Tracer = rec
 	cfg.Collect = true
-	res, err := dist.Coordinate(ct, cfg)
+	res, err := dist.Coordinate(ct, prog, cfg)
 	if err != nil {
 		return outcome{err: err}
 	}
@@ -197,7 +197,7 @@ func equivalence(t *testing.T, newCluster Factory) {
 					}
 					ct, wait := newCluster(t, 2)
 					defer joinClean(t, wait)
-					compare(t, ref, runDistributed(ct, cfg))
+					compare(t, ref, runDistributed(ct, prog, cfg))
 				})
 			}
 		}
@@ -216,7 +216,7 @@ func workerCounts(t *testing.T, newCluster Factory) {
 		t.Run(itoa(int64(w)), func(t *testing.T) {
 			ct, wait := newCluster(t, w)
 			defer joinClean(t, wait)
-			compare(t, ref, runDistributed(ct, cfg))
+			compare(t, ref, runDistributed(ct, prog, cfg))
 		})
 	}
 }
@@ -225,7 +225,7 @@ func workerCounts(t *testing.T, newCluster Factory) {
 // assignment reaches the workers and their metering folds back.
 func cutMetering(t *testing.T, newCluster Factory) {
 	prog, cfg := distributed(t, "twospanner", grid6, 1)
-	n := cfg.Graph.N()
+	n := prog.Graph.N()
 	cut := make([]bool, n)
 	for v := n / 2; v < n; v++ {
 		cut[v] = true
@@ -240,7 +240,7 @@ func cutMetering(t *testing.T, newCluster Factory) {
 	}
 	ct, wait := newCluster(t, 3)
 	defer joinClean(t, wait)
-	compare(t, ref, runDistributed(ct, cfg))
+	compare(t, ref, runDistributed(ct, prog, cfg))
 }
 
 // idleQuiescence pins the quiescence protocol with mostly idle
@@ -256,7 +256,7 @@ func idleQuiescence(t *testing.T, newCluster Factory) {
 	ct, wait := newCluster(t, 3)
 	defer joinClean(t, wait)
 	done := make(chan outcome, 1)
-	go func() { done <- runDistributed(ct, cfg) }()
+	go func() { done <- runDistributed(ct, prog, cfg) }()
 	select {
 	case got := <-done:
 		compare(t, ref, got)
@@ -281,11 +281,11 @@ func cancellation(t *testing.T, newCluster Factory) {
 
 	ct, wait := newCluster(t, 2)
 	defer joinClean(t, wait)
-	rec := trace.NewRecorder(cfg.Graph.N())
+	rec := trace.NewRecorder(prog.Graph.N())
 	cfg.Tracer = rec
 	done := make(chan error, 1)
 	go func() {
-		_, err := dist.Coordinate(ct, cfg)
+		_, err := dist.Coordinate(ct, prog, cfg)
 		done <- err
 	}()
 	var err error
@@ -317,7 +317,7 @@ func roundLimit(t *testing.T, newCluster Factory) {
 	}
 	ct, wait := newCluster(t, 2)
 	defer joinClean(t, wait)
-	got := runDistributed(ct, cfg)
+	got := runDistributed(ct, prog, cfg)
 	if !errors.Is(got.err, dist.ErrRoundLimit) {
 		t.Fatalf("distributed round-limit error = %v", got.err)
 	}
@@ -333,7 +333,7 @@ func unknownAlgo(t *testing.T, newCluster Factory) {
 	sc, _ := scenario.Get("twospanner")
 	unknown := *sc
 	unknown.Name = "no-such-scenario"
-	_, cfg, err := scenario.Distributed(&unknown, clique12, 1)
+	prog, cfg, err := scenario.Distributed(&unknown, clique12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func unknownAlgo(t *testing.T, newCluster Factory) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := dist.Coordinate(ct, cfg)
+		_, err := dist.Coordinate(ct, prog, cfg)
 		done <- err
 	}()
 	select {

@@ -84,7 +84,7 @@ func TestSuiteDetectsBrokenTransport(t *testing.T) {
 			ct, cleanup := ChanFactory(t, 2)
 			defer cleanup()
 			cc := &corruptCoord{CoordTransport: ct, mode: mode}
-			got := runDistributed(cc, cfg)
+			got := runDistributed(cc, prog, cfg)
 			if !cc.fired {
 				t.Fatal("corruption fixture never found an eligible batch")
 			}

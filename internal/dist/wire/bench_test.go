@@ -40,10 +40,12 @@ func (m *benchBusy) Step(c *dist.Ctx, in dist.StepIn) dist.StepStatus {
 	return dist.StepYield
 }
 
-func benchResolver(algo string, g *graph.Graph, seed int64) (dist.ShardProgram, error) {
+// benchProgram is the busy broadcast over g.
+func benchProgram(g *graph.Graph) dist.ShardProgram {
 	return dist.ShardProgram{
+		Graph:   g,
 		Factory: func(*dist.Ctx) dist.Machine { return &benchBusy{} },
-	}, nil
+	}
 }
 
 // benchRing mirrors the dist package's bench graph: a ring with chords,
@@ -73,6 +75,8 @@ func benchTCPRun(b *testing.B, g *graph.Graph, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	prog := benchProgram(g)
+	resolve := func(string, int64) (dist.ShardProgram, error) { return prog, nil }
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -83,7 +87,7 @@ func benchTCPRun(b *testing.B, g *graph.Graph, workers int) {
 				b.Error(err)
 				return
 			}
-			if err := dist.ServeShard(wt, benchResolver); err != nil {
+			if err := dist.ServeShard(wt, resolve); err != nil {
 				b.Error(err)
 			}
 		}()
@@ -93,7 +97,7 @@ func benchTCPRun(b *testing.B, g *graph.Graph, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := dist.Coordinate(ct, dist.CoordConfig{Graph: g, Seed: 1})
+	res, err := dist.Coordinate(ct, prog, dist.CoordConfig{Seed: 1})
 	ct.Close()
 	wg.Wait()
 	if err != nil {

@@ -66,13 +66,21 @@ func (r *recorder) Event(ev dist.TraceEvent)   { r.events[ev.V] = append(r.event
 func (r *recorder) Phase(a dist.RoundActivity) { r.phases = append(r.phases, a) }
 func (r *recorder) RoundTime(dist.RoundTiming) {}
 
+// gossipProgram is the gossip protocol over g; out collects each
+// vertex's final sum.
+func gossipProgram(g *graph.Graph, rounds int) dist.ShardProgram {
+	out := make([]int64, g.N())
+	return dist.ShardProgram{
+		Graph:   g,
+		Factory: func(c *dist.Ctx) dist.Machine { return &gossip{out: out, rounds: rounds} },
+		Output:  func(v int) []int { return []int{int(out[v])} },
+	}
+}
+
+// gossipResolver rebuilds gossipProgram(testGraph(), rounds) on a worker.
 func gossipResolver(rounds int) dist.ProgramResolver {
-	return func(algo string, g *graph.Graph, seed int64) (dist.ShardProgram, error) {
-		out := make([]int64, g.N())
-		return dist.ShardProgram{
-			Factory: func(c *dist.Ctx) dist.Machine { return &gossip{out: out, rounds: rounds} },
-			Output:  func(v int) []int { return []int{int(out[v])} },
-		}, nil
+	return func(string, int64) (dist.ShardProgram, error) {
+		return gossipProgram(testGraph(), rounds), nil
 	}
 }
 
@@ -137,8 +145,8 @@ func TestTCPClusterMatchesInProcess(t *testing.T) {
 
 				ct, wait := startCluster(t, workers, 9)
 				rec := newRecorder(g.N())
-				res, err := dist.Coordinate(ct, dist.CoordConfig{
-					Graph: g, Seed: seed, Tracer: rec, Collect: true,
+				res, err := dist.Coordinate(ct, gossipProgram(g, 9), dist.CoordConfig{
+					Seed: seed, Tracer: rec, Collect: true,
 				})
 				ct.Close()
 				for i, werr := range wait() {
@@ -216,7 +224,7 @@ func TestTCPWorkerDropMidRound(t *testing.T) {
 	rec := newRecorder(g.N())
 	done := make(chan error, 1)
 	go func() {
-		_, err := dist.Coordinate(ct, dist.CoordConfig{Graph: g, Seed: 1, Tracer: rec})
+		_, err := dist.Coordinate(ct, gossipProgram(g, 50), dist.CoordConfig{Seed: 1, Tracer: rec})
 		done <- err
 	}()
 	select {
@@ -267,7 +275,7 @@ func TestTCPCoordinatorVanishes(t *testing.T) {
 	g := testGraph()
 	// Hand the worker a valid setup, then vanish.
 	if err := ct.Send(0, &dist.Frame{Type: dist.FrameSetup, Setup: &dist.SetupFrame{
-		Shard: 0, Workers: 1, Cuts: []int{0, g.N()}, Graph: g, Seed: 1,
+		Shard: 0, Workers: 1, Cuts: []int{0, g.N()}, Seed: 1, Fingerprint: g.Fingerprint(),
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +299,7 @@ func TestTCPShardErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	resolve := func(algo string, g *graph.Graph, seed int64) (dist.ShardProgram, error) {
+	resolve := func(string, int64) (dist.ShardProgram, error) {
 		return dist.ShardProgram{}, errors.New("no such program")
 	}
 	var wg sync.WaitGroup
@@ -312,7 +320,7 @@ func TestTCPShardErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ct.Close()
-	_, err = dist.Coordinate(ct, dist.CoordConfig{Graph: testGraph(), Seed: 1})
+	_, err = dist.Coordinate(ct, gossipProgram(testGraph(), 9), dist.CoordConfig{Seed: 1})
 	var se *dist.ShardError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want ShardError", err)

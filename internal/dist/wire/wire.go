@@ -14,20 +14,14 @@ import (
 	"math"
 
 	"distspanner/internal/dist"
-	"distspanner/internal/graph"
 )
 
 // MaxFrameBytes bounds a single frame's payload; ReadFrame rejects
 // longer length prefixes before allocating.
 const MaxFrameBytes = 1 << 28
 
-// maxGraphVertices bounds the vertex count a SetupFrame may declare: a
-// graph's vertex count is not bounded by its encoded size (vertices
-// carry no bytes), so the decoder caps it instead of trusting garbage.
-const maxGraphVertices = 1 << 26
-
 // frameVersion is the codec version; a mismatch is a decode error.
-const frameVersion = 2
+const frameVersion = 3
 
 // writer is an append-only little-endian encoder.
 type writer struct {
@@ -157,72 +151,6 @@ func (r *reader) i32() int32 {
 	return int32(v)
 }
 
-func putGraph(w *writer, g *graph.Graph) {
-	if g == nil {
-		w.bool_(false)
-		return
-	}
-	w.bool_(true)
-	n, m := g.N(), g.M()
-	w.int_(n)
-	w.int_(m)
-	for i := 0; i < m; i++ {
-		e := g.Edge(i)
-		w.int_(e.U)
-		w.int_(e.V)
-	}
-	w.bool_(g.Weighted())
-	if g.Weighted() {
-		for i := 0; i < m; i++ {
-			w.f64(g.Weight(i))
-		}
-	}
-}
-
-func getGraph(r *reader) *graph.Graph {
-	if !r.bool_() || r.err != nil {
-		return nil
-	}
-	n := r.int_()
-	m := r.count(16)
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > maxGraphVertices {
-		r.fail("implausible vertex count %d", n)
-		return nil
-	}
-	g := graph.New(n)
-	for i := 0; i < m; i++ {
-		u, v := r.int_(), r.int_()
-		if r.err != nil {
-			return nil
-		}
-		if u < 0 || u >= n || v < 0 || v >= n || u == v || g.HasEdge(u, v) {
-			r.fail("invalid edge (%d,%d) in %d-vertex graph", u, v, n)
-			return nil
-		}
-		g.AddEdge(u, v)
-	}
-	if r.bool_() {
-		for i := 0; i < m; i++ {
-			wt := r.f64()
-			if r.err != nil {
-				return nil
-			}
-			if wt < 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
-				r.fail("invalid edge weight %v", wt)
-				return nil
-			}
-			g.SetWeight(i, wt)
-		}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return g
-}
-
 func putBools(w *writer, v []bool) {
 	w.int_(len(v))
 	for _, b := range v {
@@ -329,7 +257,6 @@ func putMeter(w *writer, m *dist.MeterReport) {
 	w.i64(m.CutBits)
 	w.int_(m.MaxMsg)
 	w.int_(m.MaxEdge)
-	w.i64(m.Violations)
 	w.int_(m.ViolSender)
 	w.int_(m.ViolTo)
 	w.int_(m.ViolBits)
@@ -339,7 +266,6 @@ func getMeter(r *reader) dist.MeterReport {
 	return dist.MeterReport{
 		Msgs: r.i64(), Bits: r.i64(), CutBits: r.i64(),
 		MaxMsg: r.int_(), MaxEdge: r.int_(),
-		Violations: r.i64(),
 		ViolSender: r.int_(), ViolTo: r.int_(), ViolBits: r.int_(),
 	}
 }
@@ -428,9 +354,9 @@ func EncodeFrame(f *dist.Frame) ([]byte, error) {
 		w.int_(s.Shard)
 		w.int_(s.Workers)
 		w.ints(s.Cuts)
-		putGraph(w, s.Graph)
 		w.str(s.Algo)
 		w.i64(s.Seed)
+		w.u64(s.Fingerprint)
 		w.int_(s.Bandwidth)
 		putBools(w, s.Cut)
 		w.bool_(s.Trace)
@@ -501,9 +427,9 @@ func DecodeFrame(p []byte) (*dist.Frame, error) {
 		s.Shard = r.int_()
 		s.Workers = r.int_()
 		s.Cuts = r.ints()
-		s.Graph = getGraph(r)
 		s.Algo = r.str()
 		s.Seed = r.i64()
+		s.Fingerprint = r.u64()
 		s.Bandwidth = r.int_()
 		s.Cut = getBools(r)
 		s.Trace = r.bool_()

@@ -7,36 +7,27 @@ import (
 	"testing"
 
 	"distspanner/internal/dist"
-	"distspanner/internal/graph"
 )
 
 // sampleFrames covers every frame type with representative payloads:
-// weighted and unweighted graphs, cut sides, negative sentinel fields,
-// record batches with shared tails, buffered trace events.
+// graph fingerprints with the top bit set and clear, cut sides, negative
+// sentinel fields, record batches with shared tails, buffered trace
+// events.
 func sampleFrames() []*dist.Frame {
-	wg := graph.New(4)
-	wg.AddEdge(0, 1)
-	wg.AddEdge(1, 2)
-	wg.AddEdge(2, 3)
-	wg.SetWeight(0, 1.5)
-	wg.SetWeight(1, 7)
-	wg.SetWeight(2, 0.25)
-	ug := graph.New(3)
-	ug.AddEdge(0, 2)
 	return []*dist.Frame{
 		{Type: dist.FrameSetup, Setup: &dist.SetupFrame{
-			Shard: 1, Workers: 3, Cuts: []int{0, 2, 3, 4}, Graph: wg,
-			Algo: "twospanner", Seed: -42, Bandwidth: 96,
+			Shard: 1, Workers: 3, Cuts: []int{0, 2, 3, 4},
+			Algo: "twospanner", Seed: -42, Fingerprint: 0xcbf29ce484222325, Bandwidth: 96,
 			Cut: []bool{true, false, false, true}, Trace: true, Collect: true,
 		}},
 		{Type: dist.FrameSetup, Setup: &dist.SetupFrame{
-			Shard: 0, Workers: 1, Cuts: []int{0, 3}, Graph: ug, Seed: 7,
+			Shard: 0, Workers: 1, Cuts: []int{0, 3}, Seed: 7, Fingerprint: 0x0123456789abcdef,
 		}},
 		{Type: dist.FrameRound, Round: &dist.RoundFrame{
 			Stepped: 5, Yielded: 3, ParkedNow: 1, DoneTotal: 1, Senders: 2,
 			Meter: dist.MeterReport{
 				Msgs: 9, Bits: 512, CutBits: 64, MaxMsg: 4, MaxEdge: 128,
-				Violations: 2, ViolSender: 3, ViolTo: 0, ViolBits: 640,
+				ViolSender: 3, ViolTo: 0, ViolBits: 640,
 			},
 			Out: []dist.RecBatch{
 				{},
@@ -85,7 +76,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: decode: %v", i, err)
 		}
 		// Encoding is canonical: re-encoding the decoded frame must
-		// reproduce the bytes (graphs rebuild with identical edge order).
+		// reproduce the bytes.
 		p2, err := EncodeFrame(g)
 		if err != nil {
 			t.Fatalf("frame %d: re-encode: %v", i, err)
@@ -100,12 +91,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRoundTripFields(t *testing.T) {
-	// Spot-check structural equality on the non-graph frames (graphs
-	// compare via canonical bytes above).
 	for i, f := range sampleFrames() {
-		if f.Type == dist.FrameSetup {
-			continue
-		}
 		p, _ := EncodeFrame(f)
 		g, err := DecodeFrame(p)
 		if err != nil {
@@ -178,19 +164,6 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	w.int_(1) // one batch
 	putBatch(w, &dist.RecBatch{Recs: []dist.BatchRec{{Off: 5, N: 3}}, Ints: []int{1}})
 	cases["tail outside arena"] = w.b
-	// Graph with an out-of-range endpoint.
-	w = &writer{}
-	w.u8(frameVersion)
-	w.u8(byte(dist.FrameSetup))
-	w.int_(0) // shard
-	w.int_(1) // workers
-	w.ints([]int{0, 2})
-	w.bool_(true) // graph present
-	w.int_(2)     // n
-	w.int_(1)     // m
-	w.int_(0)
-	w.int_(5) // v out of range
-	cases["bad edge"] = w.b
 	for name, p := range cases {
 		if _, err := DecodeFrame(p); err == nil {
 			t.Errorf("%s: decode accepted garbage", name)

@@ -8,7 +8,10 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sort"
 )
 
@@ -188,6 +191,29 @@ func (g *Graph) TotalWeight(s *EdgeSet) float64 {
 		total += g.Weight(i)
 	})
 	return total
+}
+
+// Fingerprint returns a 64-bit FNV-1a hash of g as built: the vertex and
+// edge counts, whether g is weighted, and every edge in index order with
+// its weight's bits. Unlike a canonical content hash, it changes when the
+// edges are reordered, because a protocol run depends on edge indices.
+func (g *Graph) Fingerprint() uint64 {
+	h := fnv.New64a()
+	b := binary.LittleEndian.AppendUint64(nil, uint64(g.n))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.edges)))
+	if g.w != nil {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	h.Write(b)
+	for i, e := range g.edges {
+		b = binary.LittleEndian.AppendUint64(b[:0], uint64(e.U))
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.V))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(g.Weight(i)))
+		h.Write(b)
+	}
+	return h.Sum64()
 }
 
 // Clone returns a deep copy of g.

@@ -201,6 +201,43 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestFingerprint pins what the fingerprint tells apart: the graph as
+// built, edge order and weightedness included, since a protocol run
+// depends on both.
+func TestFingerprint(t *testing.T) {
+	build := func(n int, edges [][2]int) *Graph {
+		g := New(n)
+		for _, e := range edges {
+			g.AddEdge(e[0], e[1])
+		}
+		return g
+	}
+	base := build(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+	ones := base.Clone()
+	for i := 0; i < ones.M(); i++ {
+		ones.SetWeight(i, 1)
+	}
+	ulp := ones.Clone()
+	ulp.SetWeight(1, math.Nextafter(1, 2))
+	if base.Fingerprint() != base.Clone().Fingerprint() {
+		t.Fatal("a clone has another fingerprint")
+	}
+	for name, g := range map[string]*Graph{
+		"edges reordered":     build(4, [][2]int{{1, 2}, {0, 1}, {2, 3}}),
+		"isolated vertex":     build(5, [][2]int{{0, 1}, {1, 2}, {2, 3}}),
+		"weighted, all ones":  ones,
+		"one weight one ulp":  ulp,
+		"last edge different": build(4, [][2]int{{0, 1}, {1, 2}, {1, 3}}),
+	} {
+		if g.Fingerprint() == base.Fingerprint() {
+			t.Errorf("%s: same fingerprint as the base graph", name)
+		}
+	}
+	if ones.Fingerprint() == ulp.Fingerprint() {
+		t.Error("a one-ulp weight change kept the fingerprint")
+	}
+}
+
 func TestNeighborsSorted(t *testing.T) {
 	g := New(5)
 	g.AddEdge(2, 4)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"distspanner/internal/dist"
-	"distspanner/internal/graph"
 )
 
 // programCell is what a distributed run's setup frame carries as its
@@ -18,11 +17,11 @@ type programCell struct {
 
 // Distributed returns sc's shard program on the cell and seed, and the
 // coordinator configuration that runs the same program over a
-// transport: Algo carries the scenario and the cell's InstanceParams
-// (Resolver rebuilds the program from them on every worker), Graph,
-// Bandwidth and Enforce come from the program, and outputs are
-// collected. The cell is used as given; callers layer it over
-// sc.Defaults as they do for Run. A malformed value is a *ParamError.
+// transport (dist.Coordinate takes both): Algo carries the scenario and
+// the cell's InstanceParams, from which Resolver rebuilds the program on
+// every worker, and outputs are collected. The cell is used as given;
+// callers layer it over sc.Defaults as they do for Run. A malformed
+// value is a *ParamError.
 func Distributed(sc *Scenario, cell Params, seed int64) (dist.ShardProgram, dist.CoordConfig, error) {
 	prog, err := program(sc, cell, seed)
 	if err != nil {
@@ -32,11 +31,7 @@ func Distributed(sc *Scenario, cell Params, seed int64) (dist.ShardProgram, dist
 	if err != nil {
 		return prog, dist.CoordConfig{}, err
 	}
-	return prog, dist.CoordConfig{
-		Graph: prog.Graph, Seed: seed, Algo: string(algo),
-		Bandwidth: prog.Bandwidth, Enforce: prog.Bandwidth > 0,
-		Collect: true,
-	}, nil
+	return prog, dist.CoordConfig{Seed: seed, Algo: string(algo), Collect: true}, nil
 }
 
 // Resolver is the dist.ProgramResolver shard workers serve: it decodes
@@ -46,7 +41,7 @@ func Distributed(sc *Scenario, cell Params, seed int64) (dist.ShardProgram, dist
 // scenario with no program and a malformed value (a *ParamError) are
 // errors, never panics.
 func Resolver() dist.ProgramResolver {
-	return func(algo string, _ *graph.Graph, seed int64) (dist.ShardProgram, error) {
+	return func(algo string, seed int64) (dist.ShardProgram, error) {
 		var pc programCell
 		if err := json.Unmarshal([]byte(algo), &pc); err != nil {
 			return dist.ShardProgram{}, fmt.Errorf("scenario: setup names no scenario cell: %v", err)

@@ -32,7 +32,7 @@ func TestResolverErrors(t *testing.T) {
 		{"undecodable", "twospanner", "names no scenario cell"},
 		{"non-string value", `{"scenario":"twospanner","params":{"n":48}}`, "names no scenario cell"},
 	} {
-		if _, err := resolve(tc.algo, nil, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := resolve(tc.algo, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
@@ -50,7 +50,7 @@ func TestResolverErrors(t *testing.T) {
 		{"mds", "bandwidth"},
 	} {
 		cell := Params{tc.key: "abc"}
-		_, err := resolve(encodeCell(t, tc.scenario, cell), nil, 1)
+		_, err := resolve(encodeCell(t, tc.scenario, cell), 1)
 		var perr *ParamError
 		if !errors.As(err, &perr) || perr.Key != tc.key {
 			t.Errorf("%s %s=abc: resolver err = %v, want a *ParamError for %s", tc.scenario, tc.key, err, tc.key)
@@ -75,7 +75,7 @@ func TestDistributedInlineCell(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ref := trace.NewRecorder(cfg.Graph.N())
+		ref := trace.NewRecorder(prog.Graph.N())
 		if _, err := dist.RunLocal(prog, dist.Config{Seed: seed, Tracer: ref}); err != nil {
 			t.Fatalf("%s: in-process run: %v", name, err)
 		}
@@ -90,9 +90,9 @@ func TestDistributedInlineCell(t *testing.T) {
 				errs[i] = dist.ServeShard(wt, Resolver())
 			}()
 		}
-		rec := trace.NewRecorder(cfg.Graph.N())
+		rec := trace.NewRecorder(prog.Graph.N())
 		cfg.Tracer = rec
-		_, err = dist.Coordinate(ct, cfg)
+		_, err = dist.Coordinate(ct, prog, cfg)
 		ct.Close()
 		wg.Wait()
 		if err != nil {

@@ -9,7 +9,10 @@ import (
 // Ctx is the per-vertex surface of the engine: identity, topology access,
 // draws from a private deterministic random stream (Int63n, Intn), and
 // the send primitives (SendRec, BroadcastRec). Only the vertex's own
-// machine uses its Ctx, from inside Step.
+// machine uses its Ctx, from inside Step. A Ctx holds only the vertex's
+// own state (neighbors, stream position, out arenas): the scratch that
+// meters its sends belongs to the engine's metering parts, and the source
+// its draws come from to the engine's steppers.
 type Ctx struct {
 	eng  *engine
 	id   int
@@ -20,9 +23,6 @@ type Ctx struct {
 	// stream has consumed, which is all a vertex keeps of it.
 	rs    *stepRand
 	steps uint64
-
-	edgeBits []int // metering scratch, parallel to nbrs
-	touched  []int // edgeBits indices written this round (metering scratch)
 
 	// Flat-buffer out arenas (see rec.go): one header per sent record,
 	// the records' runs of destination neighbor positions, their packed
@@ -37,10 +37,9 @@ type Ctx struct {
 }
 
 func newCtx(e *engine, id int) *Ctx {
-	// The metering scratch is built lazily on first send, and a vertex
-	// keeps no random source (see stepRand): a vertex costs O(degree) to
-	// set up, which is what keeps a run's fixed cost low on huge,
-	// mostly-quiet networks.
+	// With no metering scratch and no random source of its own (see Ctx),
+	// a vertex costs O(degree) to set up, which is what keeps a run's
+	// fixed cost low on huge, mostly-quiet networks.
 	return &Ctx{
 		eng:  e,
 		id:   id,
@@ -151,14 +150,6 @@ func (s *stepRand) Uint64() uint64 {
 // Seed implements rand.Source. Nothing calls it: at seeds the wrapped
 // source.
 func (s *stepRand) Seed(int64) { panic("dist: a vertex stream is not re-seeded") }
-
-// ensureScratch lazily builds the per-edge metering scratch the first
-// time this vertex sends anything.
-func (c *Ctx) ensureScratch() {
-	if c.edgeBits == nil {
-		c.edgeBits = make([]int, len(c.nbrs))
-	}
-}
 
 // nbrIndex returns to's position in the sorted neighbor list, panicking
 // when to is not a neighbor.

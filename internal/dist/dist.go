@@ -172,6 +172,9 @@ type engine struct {
 	// part p of a parallel stepMachines, and rands[0] the serial steps
 	// and the quiescence epilogue.
 	rands []stepRand
+	// meters holds one metering scratch per part of a parallel meter;
+	// meters[0] serves a serial one.
+	meters []meterScratch
 	// status is each vertex's scheduling state: what its last step
 	// returned, flipped from StepPark to StepYield by the delivery that
 	// wakes it. StepPark marks a parked vertex and StepDone a retired one.
@@ -244,6 +247,7 @@ func newEngine(cfg Config) *engine {
 func (e *engine) start(seed int64, factory func(*Ctx) Machine) {
 	e.seed = seed
 	e.rands = make([]stepRand, max(e.stepPar, 1))
+	e.meters = make([]meterScratch, max(e.routePar, 1))
 	e.ctxs = make([]*Ctx, e.n)
 	e.machines = make([]Machine, e.n)
 	e.status = make([]StepStatus, e.n)
@@ -335,17 +339,28 @@ func vertexPanicError(id int, r any) error {
 	return &VertexPanicError{Vertex: id, Value: r, Stack: debug.Stack()}
 }
 
+// meterScratch is one metering part's per-edge accumulator: the bits the
+// sender being metered sends over each of its edges, indexed by neighbor
+// position, and the positions it has written. It is all zero between
+// senders, and sized by meterRange to the part's largest sender degree,
+// so a run holds one degree-sized array per part instead of one per
+// vertex that ever sends.
+type meterScratch struct {
+	edgeBits []int
+	touched  []int32
+}
+
 // meterSender sizes one sender's round of records: global aggregates plus
 // the per-directed-edge accumulation behind MaxEdgeRoundBits and the
-// bandwidth check. Every destination counts as one message of its
-// record's size. It touches only the sender's own state and does not
-// depend on the round number, so a round can be metered before it is
-// decided. Records carry their size and destination neighbor positions
-// from SendRec, and only the edge slots actually written this round are
-// revisited (and re-zeroed), so the cost is O(#destinations) rather than
-// O(degree) — a vertex of degree Δ that pings one neighbor does not pay a
-// Δ-wide scan.
-func (e *engine) meterSender(c *Ctx) MeterReport {
+// bandwidth check, summed in the part's scratch s. Every destination
+// counts as one message of its record's size. It touches only the
+// sender's own state and s, and does not depend on the round number, so a
+// round can be metered before it is decided. Records carry their size
+// and destination neighbor positions from SendRec, and only the edge
+// slots actually written this round are revisited (and re-zeroed), so
+// the cost is O(#destinations) rather than O(degree) — a vertex of degree
+// Δ that pings one neighbor does not pay a Δ-wide scan.
+func (e *engine) meterSender(c *Ctx, s *meterScratch) MeterReport {
 	r := MeterReport{ViolSender: -1}
 	for hi := range c.outHdrs {
 		b := int(max(c.outHdrs[hi].bits, 0))
@@ -357,20 +372,20 @@ func (e *engine) meterSender(c *Ctx) MeterReport {
 			if e.cut != nil && e.cut[c.id] != e.cut[c.nbrs[p]] {
 				r.CutBits += int64(b)
 			}
-			if b > 0 && c.edgeBits[p] == 0 {
-				c.touched = append(c.touched, int(p))
+			if b > 0 && s.edgeBits[p] == 0 {
+				s.touched = append(s.touched, p)
 			}
-			c.edgeBits[p] += b
+			s.edgeBits[p] += b
 		}
 	}
-	for _, i := range c.touched {
-		eb := c.edgeBits[i]
-		c.edgeBits[i] = 0
+	for _, p := range s.touched {
+		eb := s.edgeBits[p]
+		s.edgeBits[p] = 0
 		r.MaxEdge = max(r.MaxEdge, eb)
 		if e.bandwidth > 0 && eb > e.bandwidth && r.ViolSender < 0 {
-			r.ViolSender, r.ViolTo, r.ViolBits = c.id, c.nbrs[i], eb
+			r.ViolSender, r.ViolTo, r.ViolBits = c.id, c.nbrs[p], eb
 		}
 	}
-	c.touched = c.touched[:0]
+	s.touched = s.touched[:0]
 	return r
 }

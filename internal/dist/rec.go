@@ -47,8 +47,9 @@ import (
 // time, computed by the protocol's Bits method for that message under
 // CONGEST accounting (AuditPayloadFields and spanlint's bitsacct check
 // that every transmitted field is billed), and every destination is
-// metered on its own. The determinism contract (ARCHITECTURE.md) covers
-// records end to end.
+// metered on its own: meterSender sums a sender's bits per edge in the
+// metering part's scratch, not in the sender's Ctx. The determinism
+// contract (ARCHITECTURE.md) covers records end to end.
 
 // Rec is one flat typed record: the unit of the flat-buffer inbox path.
 // Tag identifies the record type (protocol-defined; zero is fine), Flag
@@ -109,7 +110,6 @@ type outHdr struct {
 // edges.
 func (c *Ctx) SendRec(to int, rec Rec, bits int) {
 	i := c.nbrIndex(to) // validates
-	c.ensureScratch()
 	off, n := c.stageInts(rec.Ints)
 	k := recKey{
 		tag: rec.Tag, flag: rec.Flag, off: off, n: n, bits: int64(bits),

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"distspanner/internal/graph"
@@ -91,6 +92,82 @@ func TestRecBandwidthEnforced(t *testing.T) {
 	}))
 	if err == nil {
 		t.Fatal("accumulated record traffic not enforced")
+	}
+}
+
+// TestRecMeterScratchAcrossSenders meters, in one metering part (fewer
+// senders than parallelThreshold), senders of very different degrees,
+// the largest last, each sending several records to one neighbor and one
+// to another. The part's scratch must fit every sender and be clean for
+// each: MaxEdgeRoundBits and the first violation must equal a per-sender
+// recount.
+func TestRecMeterScratchAcrossSenders(t *testing.T) {
+	const n, rounds = 24, 4
+	hub := n - 1
+	g := graph.New(n)
+	for v := 0; v < hub; v++ {
+		g.AddEdge(v, hub)
+		if v+1 < hub {
+			g.AddEdge(v, v+1)
+		}
+	}
+	for v := 8; v < 16; v++ {
+		g.AddEdge(3, v)
+	}
+	// plan is what vertex v sends in step r: 1+(v+r)%3 records to the
+	// neighbor at position (5v+r) mod degree, then a 3-bit record to the
+	// first neighbor, as (to, bits) pairs.
+	plan := func(v, r int, nbrs []int) [][2]int {
+		var sends [][2]int
+		to := nbrs[(5*v+r)%len(nbrs)]
+		for i := 0; i <= (v+r)%3; i++ {
+			sends = append(sends, [2]int{to, 4 + (3*v+r+i)%11})
+		}
+		return append(sends, [2]int{nbrs[0], 3})
+	}
+	factory := fourRounds(func(ctx *Ctx, r int) {
+		for _, s := range plan(ctx.ID(), r, ctx.Neighbors()) {
+			ctx.SendRec(s[0], Rec{Tag: uint8(s[1])}, s[1])
+		}
+	})
+	// The recount: each sender's bits per neighbor in first-send order,
+	// the largest, and the first sender and neighbor over budget.
+	maxEdge := 0
+	violation := func(budget int) string {
+		for r := 0; r < rounds; r++ {
+			for v := 0; v < n; v++ {
+				sum := map[int]int{}
+				var order []int
+				for _, s := range plan(v, r, g.Neighbors(v)) {
+					if _, ok := sum[s[0]]; !ok {
+						order = append(order, s[0])
+					}
+					sum[s[0]] += s[1]
+				}
+				for _, to := range order {
+					maxEdge = max(maxEdge, sum[to])
+					if budget > 0 && sum[to] > budget {
+						return fmt.Sprintf("vertex %d sent %d bits to %d in round %d (budget %d)", v, sum[to], to, r+1, budget)
+					}
+				}
+			}
+		}
+		return ""
+	}
+	violation(0)
+	stats, err := RunMachines(Config{Graph: g, Seed: 1}, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MaxEdgeRoundBits != maxEdge {
+		t.Fatalf("MaxEdgeRoundBits = %d, recount %d", stats.MaxEdgeRoundBits, maxEdge)
+	}
+	for _, budget := range []int{maxEdge - 1, maxEdge / 2, 20, 12} {
+		want := violation(budget)
+		_, err := RunMachines(Config{Graph: g, Seed: 1, Bandwidth: budget}, factory)
+		if err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("budget %d: err = %v, want the violation %q", budget, err, want)
+		}
 	}
 }
 

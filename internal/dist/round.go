@@ -162,13 +162,13 @@ func (e *engine) classify() {
 }
 
 // meter sizes the iteration's pending sends. Each sender is metered on
-// its own (in parallel for large rounds) and the reports merge in
-// ascending sender order, so the first violation is the lowest-id
-// violator's.
+// its own (in parallel for large rounds, each part of the senders with
+// its own scratch) and the reports merge in ascending sender order, so
+// the first violation is the lowest-id violator's.
 func (e *engine) meter() MeterReport {
 	m := MeterReport{ViolSender: -1}
 	if e.routePar <= 1 || len(e.dirty) < parallelThreshold {
-		e.meterRange(&m, e.dirty)
+		e.meterRange(&m, &e.meters[0], e.dirty)
 		return m
 	}
 	parts := make([]MeterReport, e.routePar)
@@ -176,7 +176,7 @@ func (e *engine) meter() MeterReport {
 		parts[p].ViolSender = -1
 	}
 	inParallel(len(e.dirty), e.routePar, func(p, lo, hi int) {
-		e.meterRange(&parts[p], e.dirty[lo:hi])
+		e.meterRange(&parts[p], &e.meters[p], e.dirty[lo:hi])
 	})
 	for p := range parts {
 		m.merge(&parts[p])
@@ -184,10 +184,18 @@ func (e *engine) meter() MeterReport {
 	return m
 }
 
-// meterRange merges the metering of senders, in order, into m.
-func (e *engine) meterRange(m *MeterReport, senders []*Ctx) {
+// meterRange merges the metering of senders, in order, into m, first
+// sizing the scratch s to the largest sender's degree.
+func (e *engine) meterRange(m *MeterReport, s *meterScratch, senders []*Ctx) {
+	deg := 0
 	for _, c := range senders {
-		r := e.meterSender(c)
+		deg = max(deg, len(c.nbrs))
+	}
+	if len(s.edgeBits) < deg {
+		s.edgeBits = make([]int, deg)
+	}
+	for _, c := range senders {
+		r := e.meterSender(c, s)
 		m.merge(&r)
 	}
 }

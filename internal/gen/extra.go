@@ -3,7 +3,7 @@ package gen
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"distspanner/internal/graph"
 )
@@ -41,46 +41,44 @@ func PreferentialAttachment(n, m int, seed int64) *graph.Graph {
 	if m < 1 {
 		panic("gen: attachment degree must be >= 1")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(n)
-	if n == 0 {
-		return g
+	if n <= 0 {
+		return graph.New(n) // panics on a negative n
 	}
+	rng := rand.New(rand.NewSource(seed))
+	// Vertex v attaches to min(v, m) targets.
+	total := 0
+	for v := 1; v < n; v++ {
+		total += min(v, m)
+	}
+	edges := make([]graph.Edge, 0, total)
 	// Repeated-endpoint list: each vertex appears once per incident edge
 	// endpoint plus once for smoothing.
-	var pool []int
-	pool = append(pool, 0)
+	pool := make([]int, 1, 1+2*total)
+	// seen[u] == v marks u as drawn for v already; the zeroed array marks
+	// nothing, since only vertices from 1 on draw.
+	seen := make([]int, n)
+	chosen := make([]int, 0, min(m, n))
 	for v := 1; v < n; v++ {
-		targets := make(map[int]bool)
-		want := m
-		if v < m {
-			want = v
+		want := min(v, m)
+		chosen = chosen[:0]
+		for len(chosen) < want {
+			if u := pool[rng.Intn(len(pool))]; seen[u] != v {
+				seen[u] = v
+				chosen = append(chosen, u)
+			}
 		}
-		for len(targets) < want {
-			targets[pool[rng.Intn(len(pool))]] = true
-		}
-		// Attach in sorted target order: ranging the map directly made
-		// edge-insertion order — and, through the endpoint pool, every
-		// later attachment choice — depend on map iteration order, so
-		// the same (n, m, seed) generated structurally different graphs
-		// run to run (caught by spanlint's detmap).
-		chosen := make([]int, 0, len(targets))
-		for u := range targets {
-			chosen = append(chosen, u)
-		}
-		sort.Ints(chosen)
+		// Attach in ascending target order, which fixes the edge indices
+		// and, through the endpoint pool, every later draw.
+		slices.Sort(chosen)
 		for _, u := range chosen {
-			g.AddEdge(v, u)
+			edges = append(edges, graph.Edge{U: v, V: u})
 			pool = append(pool, u)
 		}
 		for i := 0; i < want; i++ {
 			pool = append(pool, v)
 		}
-		if want == 0 {
-			pool = append(pool, v)
-		}
 	}
-	return g
+	return graph.FromEdges(n, edges)
 }
 
 // Caterpillar returns a path of length spineLen with legs leaves attached

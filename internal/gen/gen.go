@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"distspanner/internal/graph"
 )
@@ -33,23 +34,45 @@ func GNP(n int, p float64, seed int64) *graph.Graph {
 // added independently with probability p. Useful because spanner problems
 // are defined on connected graphs.
 func ConnectedGNP(n int, p float64, seed int64) *graph.Graph {
+	if n <= 0 {
+		return graph.New(n) // panics on a negative n
+	}
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(n)
 	perm := rng.Perm(n)
+	// Presize for the backbone plus the expected number of other edges
+	// and four standard deviations, so the list is rarely regrown. q is
+	// p clamped to [0, 1], and 0 for a NaN p, which adds no edge.
+	q := 0.0
+	if p > 0 {
+		q = min(p, 1)
+	}
+	rest := float64(n-1) * float64(n-2) / 2 // pairs off the backbone
+	edges := make([]graph.Edge, 0, n-1+int(q*rest+4*math.Sqrt(q*(1-q)*rest)))
+	// tree holds the backbone's pairs {u < v} as keys u*n+v, which sort in
+	// the order the pair loop below visits them.
+	tree := make([]int, 0, n-1)
 	for i := 1; i < n; i++ {
 		// Attach each vertex to a random earlier vertex in the permutation:
 		// a uniform random recursive tree on the permuted labels.
 		j := rng.Intn(i)
-		g.AddEdge(perm[i], perm[j])
+		e := graph.Edge{U: perm[i], V: perm[j]}.Canon()
+		edges = append(edges, e)
+		tree = append(tree, e.U*n+e.V)
 	}
+	slices.Sort(tree)
+	next := 0 // cursor into tree: the first backbone pair not yet passed
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(u, v) && rng.Float64() < p {
-				g.AddEdge(u, v)
+			if next < len(tree) && tree[next] == u*n+v {
+				next++
+				continue
+			}
+			if rng.Float64() < p {
+				edges = append(edges, graph.Edge{U: u, V: v})
 			}
 		}
 	}
-	return g
+	return graph.FromEdges(n, edges)
 }
 
 // CompleteBipartite returns K_{a,b}: side A is vertices [0,a), side B is

@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Edge is an edge between two vertices. For undirected graphs the endpoints
@@ -57,6 +58,12 @@ type Graph struct {
 	edges []Edge
 	adj   [][]Arc
 	w     []float64 // nil when unweighted
+
+	// fp caches Fingerprint, 0 when not cached (a graph whose fingerprint
+	// is 0 is hashed on every call). It is atomic because the shard
+	// workers of one in-process run fingerprint the same graph
+	// concurrently; AddEdge and SetWeight clear it.
+	fp atomic.Uint64
 }
 
 // New returns an empty undirected graph on n vertices.
@@ -65,6 +72,57 @@ func New(n int) *Graph {
 		panic("graph: negative vertex count")
 	}
 	return &Graph{n: n, adj: make([][]Arc, n)}
+}
+
+// FromEdges returns the graph that New(n) followed by AddEdge(e.U, e.V)
+// for every e in edges, in order, would build: the same edge indices and
+// the same per-vertex adjacency order. It takes ownership of edges,
+// storing each in canonical form in place, and carves every adjacency
+// list from one array, with its capacity capped at the vertex's degree so
+// that a later AddEdge reallocates that list alone. It panics on an
+// out-of-range endpoint, a self-loop or a repeated pair, where AddEdge
+// would panic or return the existing index.
+func FromEdges(n int, edges []Edge) *Graph {
+	g := New(n)
+	start := make([]int, n+1) // degrees, then each list's start
+	for i, e := range edges {
+		g.checkVertex(e.U)
+		g.checkVertex(e.V)
+		if e.U == e.V {
+			panic(fmt.Sprintf("graph: self-loop at vertex %d", e.U))
+		}
+		edges[i] = e.Canon()
+		start[e.U+1]++
+		start[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	arcs := make([]Arc, start[n])
+	for v := 0; v < n; v++ {
+		if start[v] < start[v+1] { // an isolated vertex keeps a nil list, as under AddEdge
+			g.adj[v] = arcs[start[v]:start[v]:start[v+1]]
+		}
+	}
+	for i, e := range edges {
+		g.adj[e.U] = append(g.adj[e.U], Arc{To: e.V, Edge: i})
+		g.adj[e.V] = append(g.adj[e.V], Arc{To: e.U, Edge: i})
+	}
+	// A repeated pair puts the same neighbor in one list twice: stamp
+	// each list's neighbors with its vertex (reusing start, which is no
+	// longer needed; v+1 so that the zeroed array matches no vertex).
+	stamp := start[:n]
+	clear(stamp)
+	for v, list := range g.adj {
+		for _, a := range list {
+			if stamp[a.To] == v+1 {
+				panic(fmt.Sprintf("graph: edge {%d, %d} repeated", min(v, a.To), max(v, a.To)))
+			}
+			stamp[a.To] = v + 1
+		}
+	}
+	g.edges = edges
+	return g
 }
 
 // N returns the number of vertices.
@@ -86,6 +144,7 @@ func (g *Graph) AddEdge(u, v int) int {
 	if idx, ok := g.EdgeIndex(u, v); ok {
 		return idx
 	}
+	g.fp.Store(0)
 	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v}.Canon())
 	g.adj[u] = append(g.adj[u], Arc{To: v, Edge: idx})
@@ -175,6 +234,7 @@ func (g *Graph) SetWeight(i int, w float64) {
 	if w < 0 {
 		panic("graph: negative edge weight")
 	}
+	g.fp.Store(0)
 	if g.w == nil {
 		g.w = make([]float64, len(g.edges))
 		for j := range g.w {
@@ -197,7 +257,12 @@ func (g *Graph) TotalWeight(s *EdgeSet) float64 {
 // edge counts, whether g is weighted, and every edge in index order with
 // its weight's bits. Unlike a canonical content hash, it changes when the
 // edges are reordered, because a protocol run depends on edge indices.
+// The value is computed once and cached until g changes; concurrent calls
+// are safe.
 func (g *Graph) Fingerprint() uint64 {
+	if fp := g.fp.Load(); fp != 0 {
+		return fp
+	}
 	h := fnv.New64a()
 	b := binary.LittleEndian.AppendUint64(nil, uint64(g.n))
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(g.edges)))
@@ -213,7 +278,9 @@ func (g *Graph) Fingerprint() uint64 {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(g.Weight(i)))
 		h.Write(b)
 	}
-	return h.Sum64()
+	fp := h.Sum64()
+	g.fp.Store(fp)
+	return fp
 }
 
 // Clone returns a deep copy of g.

@@ -39,3 +39,33 @@ PASS
 		}
 	}
 }
+
+// With -benchmem, go test appends B/op and allocs/op after the custom
+// metrics; the gated metric is still found by its unit, and the extra
+// columns are ignored.
+func TestParseBenchIgnoresBenchmemColumns(t *testing.T) {
+	out := `BenchmarkTwoSpannerBusy/n=2048-2   	       1	 912345678 ns/op	       812.0 meanActive	         0 meanParked	        22.50 rounds/sec	48211696 B/op	  163018 allocs/op
+BenchmarkTwoSpannerBusy/n=2048-2   	       1	 912345678 ns/op	       812.0 meanActive	         0 meanParked	        24.50 rounds/sec	48211712 B/op	  163019 allocs/op
+BenchmarkMDSTail/n=4096-2          	       1	 112345678 ns/op	        35.00 rounds/sec	 9011712 B/op	   41021 allocs/op
+`
+	path := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := parseBench(path, "rounds/sec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"BenchmarkTwoSpannerBusy/n=2048": 23.5,
+		"BenchmarkMDSTail/n=4096":        35,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %v, want %v", got, want)
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Fatalf("%s = %v, want %v", name, got[name], w)
+		}
+	}
+}

@@ -143,7 +143,7 @@ func TestDirectedTwoSpanUseCase(t *testing.T) {
 // neighbor id to its number of arcs to the center (its star cost), and h
 // lists the H_v arcs (u, w) between neighbors. Each arc is one entry in
 // the row of its lower endpoint, as undirectedNode.directedView lays them
-// out.
+// out. It is nil when h is empty: such a view offers no profit.
 func dirViewOf(cnt map[int]int, h [][2]int) *localView {
 	ids := slices.Sorted(maps.Keys(cnt))
 	up := make([][]int32, len(ids))
@@ -154,8 +154,9 @@ func dirViewOf(cnt map[int]int, h [][2]int) *localView {
 	for _, row := range up {
 		slices.Sort(row)
 	}
-	return newLocalView(ids, func(i int) float64 { return float64(cnt[ids[i]]) },
+	v, _ := newLocalView(ids, func(i int) float64 { return float64(cnt[ids[i]]) },
 		func(i int) []int32 { return up[i] }, true)
+	return v
 }
 
 func TestDirViewDensity(t *testing.T) {
@@ -236,7 +237,7 @@ func TestDirViewChooseStarShrinkPath(t *testing.T) {
 }
 
 func TestDirViewMaskFromIDs(t *testing.T) {
-	dv := dirViewOf(map[int]int{5: 1, 9: 2}, nil)
+	dv := dirViewOf(map[int]int{5: 1, 9: 2}, [][2]int{{9, 5}})
 	mask := dv.maskFromIDs([]int{9})
 	if mask[dv.position(5)] || !mask[dv.position(9)] {
 		t.Fatal("maskFromIDs wrong")
@@ -352,8 +353,9 @@ func TestDirectedFreshStarsSkipsContinuation(t *testing.T) {
 
 // refDirView is the map-based directed view that the directed localView
 // replaced, kept as its reference: the undirected reduction with unit
-// costs over distinct pairs, each pair's arc count in a map, and its own
-// copies of the Section 4.1 rule at threshold ρ/8.
+// costs over distinct pairs (built by refLocalView, so it exists for a
+// profitless neighborhood too), each pair's arc count in a map, and its
+// own copies of the Section 4.1 rule at threshold ρ/8.
 type refDirView struct {
 	uv     *localView
 	dirCnt []float64
@@ -374,12 +376,16 @@ func newRefDirView(nbrs map[int]int, hDir [][2]int) *refDirView {
 		}
 		return a[1] - b[1]
 	})
-	upper := make([][]int32, len(ids))
+	upper := make([][]int, len(ids))
+	star, unit := make([]bool, len(ids)), make([]float64, len(ids))
+	for i := range ids {
+		star[i], unit[i] = true, 1
+	}
 	for _, p := range pairs {
 		i := posOf(ids, p[0])
-		upper[i] = append(upper[i], int32(posOf(ids, p[1])))
+		upper[i] = append(upper[i], p[1])
 	}
-	uv := newLocalView(ids, func(int) float64 { return 1 }, func(i int) []int32 { return upper[i] }, false)
+	uv := refLocalView(ids, star, unit, upper)
 	dv := &refDirView{uv: uv, dirCnt: make([]float64, len(ids)), mult: make(map[[2]int]int)}
 	for p, id := range ids {
 		dv.dirCnt[p] = float64(nbrs[id])
@@ -502,7 +508,9 @@ func (dv *refDirView) extend(sel []bool, threshold float64, within []bool) {
 // built from the arcs (u, w) with u -> center -> w: the same directed
 // value for random stars, the same densest star to the bit, and the same
 // Section 4.1 choice, fallback flag included, fresh and continuing from
-// random previous stars at several rounded densities.
+// random previous stars at several rounded densities. With no H_v arc the
+// node must build no view; either way it must return the first
+// neighbor's arc count as the first selectable cost.
 func TestDirectedViewMatchesMapReference(t *testing.T) {
 	const instances = 600
 	rng := rand.New(rand.NewSource(23))
@@ -551,7 +559,7 @@ func TestDirectedViewMatchesMapReference(t *testing.T) {
 		}
 		nd.process(phUncov, full)
 		nd.process(phUncov, dels)
-		got := nd.directedView()
+		got, c0 := nd.directedView()
 
 		cnt := make(map[int]int, len(nbrs))
 		var hDir [][2]int
@@ -580,6 +588,19 @@ func TestDirectedViewMatchesMapReference(t *testing.T) {
 				twoWay++
 				break
 			}
+		}
+		wantC0 := 0.0
+		if len(nbrs) > 0 {
+			wantC0 = want.dirCnt[0]
+		}
+		if c0 != wantC0 {
+			t.Fatalf("instance %d: first selectable cost %v, reference %v", inst, c0, wantC0)
+		}
+		if got == nil {
+			if len(hDir) > 0 {
+				t.Fatalf("instance %d: no view built for %d H_v arcs", inst, len(hDir))
+			}
+			continue
 		}
 
 		k := len(nbrs)

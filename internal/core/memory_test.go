@@ -174,7 +174,7 @@ func TestLiveBytesPerVertexPinned(t *testing.T) {
 
 // The pinned peaks, in KB per vertex, and their relative tolerance.
 const (
-	twoSpannerLiveKBPerVertex = 2.272
+	twoSpannerLiveKBPerVertex = 2.257
 	mdsLiveKBPerVertex        = 1.222
 	liveTolerance             = 0.01
 )

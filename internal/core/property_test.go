@@ -138,6 +138,9 @@ func TestChooseStarDensityInvariantProperty(t *testing.T) {
 			}
 		}
 		v := viewOf(sel, nil, h)
+		if v == nil {
+			return true // no H_v edge: no view, never a candidate
+		}
 		dsel, raw := v.densestStar(nil)
 		if dsel == nil || raw == 0 {
 			return true

@@ -861,6 +861,20 @@ func (nd *undirectedNode) myEntry(entries []int) int {
 	return 0
 }
 
+// reserveCands sizes cands, empty at the star inbox, for every star
+// record in the inbox: at most that many candidates join it.
+func (nd *undirectedNode) reserveCands(inbox []dist.InRec) {
+	stars := 0
+	for i := range inbox {
+		if t := inbox[i].Tag; t == tagStar || t == tagDirStar {
+			stars++
+		}
+	}
+	if cap(nd.cands) < stars {
+		nd.cands = make([]candRec, 0, stars)
+	}
+}
+
 // addCand appends the candidate of the kept star record r to cands and
 // returns its index.
 func (nd *undirectedNode) addCand(r *dist.InRec) int {
@@ -1019,6 +1033,7 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 			}
 		}
 	case phStar:
+		nd.reserveCands(inbox)
 		for i := range inbox {
 			r := &inbox[i]
 			j = seekPos(nd.nbrs, j, r.From)
@@ -1163,26 +1178,35 @@ func (nd *undirectedNode) updateCoverage() {
 
 // rebuildView reassembles the localView from the H_v rows and recomputes
 // the densest-star density (the expensive flow-oracle step — now run only
-// when an input actually changed).
+// when an input actually changed). It reads the solved star in place. A
+// profitless H_v builds no view and runs no oracle (see newLocalView):
+// the vertex gets noView and the value of the oracle's answer there, its
+// first selectable neighbor alone, spanning nothing at cost c0.
 func (nd *undirectedNode) rebuildView() {
 	nd.viewDirty = false
 	first := nd.view == nil
+	var view *localView
+	var c0 float64
 	if nd.run.d != nil {
-		nd.view = nd.directedView()
+		view, c0 = nd.directedView()
 	} else {
-		nd.view = newLocalView(nd.nbrs, nd.starCost, nd.above, false)
+		view, c0 = newLocalView(nd.nbrs, nd.starCost, nd.above, false)
 	}
-	sel, _ := nd.view.densestStar(nil)
+	s, c := 0.0, c0
+	if view == nil {
+		view = noView
+	} else {
+		sel, _ := view.solved()
+		s, c = view.starValue(sel)
+	}
+	nd.view = view
 	raw, num, den := 0.0, 0, 1
-	if sel != nil {
-		if s, c := nd.view.starValue(sel); c > 0 {
-			// The canonical raw density is this division; in the
-			// unweighted case (s, c) are exact integers, which the
-			// CONGEST adapter ships verbatim so every vertex computes
-			// bit-identical values.
-			raw = s / c
-			num, den = int(s+0.5), int(c+0.5)
-		}
+	if c > 0 {
+		// The canonical raw density is this division; in the unweighted
+		// case (s, c) are exact integers, which the CONGEST adapter ships
+		// verbatim so every vertex computes bit-identical values.
+		raw = s / c
+		num, den = int(s+0.5), int(c+0.5)
 	}
 	if nd.run.d != nil {
 		// Footnote 7: the 2-approximate density may rise again, so a
@@ -1261,15 +1285,20 @@ func (nd *undirectedNode) above(i int) []int32 { return nd.nb[i].above }
 // directedView builds a directed run's view (Section 4.3.1): every
 // neighbor is selectable at the cost of its arcs to me, and H_v holds
 // each uncovered arc u -> w with u -> me and me -> w, so a two-way pair
-// counts twice. Rows list each pair at its lower endpoint, ascending.
-func (nd *undirectedNode) directedView() *localView {
-	up := make([][]int32, len(nd.nb))
+// counts twice. Rows list each pair at its lower endpoint, ascending. The
+// rows are allocated at the first such arc, so a profitless H_v, which
+// has none, allocates nothing here either.
+func (nd *undirectedNode) directedView() (*localView, float64) {
+	var up [][]int32
 	for i := range nd.nb {
 		if nd.nb[i].arcs&dirIn == 0 {
 			continue
 		}
 		for _, q := range nd.nb[i].above {
 			if nd.nb[q].arcs&dirOut != 0 {
+				if up == nil {
+					up = make([][]int32, len(nd.nb))
+				}
 				lo := min(int32(i), q)
 				up[lo] = append(up[lo], max(int32(i), q))
 			}
@@ -1279,7 +1308,13 @@ func (nd *undirectedNode) directedView() *localView {
 		slices.Sort(row)
 	}
 	arcCount := func(i int) float64 { return float64(bits.OnesCount8(nd.nb[i].arcs & (dirIn | dirOut))) }
-	return newLocalView(nd.nbrs, arcCount, func(i int) []int32 { return up[i] }, true)
+	rows := func(i int) []int32 {
+		if up == nil {
+			return nil
+		}
+		return up[i]
+	}
+	return newLocalView(nd.nbrs, arcCount, rows, true)
 }
 
 func (nd *undirectedNode) emitOutput() {

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"distspanner/internal/flow"
 )
@@ -55,12 +56,26 @@ const (
 // adjacency row and so every densest-star instance. Two passes over the
 // rows in that order build it: the first counts each row and the bonuses,
 // the second fills the rows.
-func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int32, directed bool) *localView {
-	at := make([]int32, len(nbrs)) // selectable position, viewFree or viewUnusable
+//
+// The count pass, into pooled scratch, also decides whether the view
+// offers any profit. With no H_v pair between selectable positions and no
+// bonus, every star spans nothing, so the view could never make its
+// center a candidate: newLocalView then allocates nothing and returns a
+// nil view. Either way c0 is the cost of the first selectable neighbor (0
+// when there is none): the oracle's answer on a profitless view is that
+// neighbor alone, at density 0.
+func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int32, directed bool) (v *localView, c0 float64) {
+	sc := viewScratches.Get().(*viewScratch)
+	defer viewScratches.Put(sc)
+	at := slices.Grow(sc.at[:0], len(nbrs))[:len(nbrs)] // selectable position, viewFree or viewUnusable
+	sc.at = at
 	k := 0
 	for i := range nbrs {
 		switch c := cost(i); {
 		case c > 0:
+			if k == 0 {
+				c0 = c
+			}
 			at[i] = int32(k)
 			k++
 		case c == 0:
@@ -69,22 +84,12 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 			at[i] = viewUnusable
 		}
 	}
-	v := &localView{
-		nbrs:     make([]int, k),
-		cost:     make([]float64, k),
-		bonus:    make([]float64, k),
-		off:      make([]int32, k+1),
-		directed: directed,
-	}
-	for i, id := range nbrs {
-		switch p := at[i]; {
-		case p >= 0:
-			v.nbrs[p], v.cost[p] = id, cost(i)
-		case p == viewFree:
-			v.free = append(v.free, id)
-		}
-	}
 	// Count: off[p+1] is row p's length.
+	off, bonus := slices.Grow(sc.off[:0], k+1)[:k+1], slices.Grow(sc.bonus[:0], k)[:k]
+	sc.off, sc.bonus = off, bonus
+	clear(off)
+	clear(bonus)
+	hPairs, bonuses := 0, 0
 	for i := range nbrs {
 		a := at[i]
 		if a == viewUnusable {
@@ -93,17 +98,40 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 		for _, q := range above(i) {
 			switch b := at[q]; {
 			case a >= 0 && b >= 0:
-				v.off[a+1]++
-				v.off[b+1]++
-				v.hPairs++
+				off[a+1]++
+				off[b+1]++
+				hPairs++
 			case a >= 0 && b == viewFree:
-				v.bonus[a]++
+				bonus[a]++
+				bonuses++
 			case b >= 0 && a == viewFree:
-				v.bonus[b]++
+				bonus[b]++
+				bonuses++
 			}
 			// Otherwise both endpoints are free (the edge is covered by
 			// the free star edges added at start-up and never appears in
 			// H_v), or the star cannot use the edge to nbrs[q].
+		}
+	}
+	if hPairs == 0 && bonuses == 0 {
+		return nil, c0
+	}
+	v = &localView{
+		nbrs:     make([]int, k),
+		cost:     make([]float64, k),
+		bonus:    make([]float64, k),
+		off:      make([]int32, k+1),
+		hPairs:   hPairs,
+		directed: directed,
+	}
+	copy(v.bonus, bonus)
+	copy(v.off, off)
+	for i, id := range nbrs {
+		switch p := at[i]; {
+		case p >= 0:
+			v.nbrs[p], v.cost[p] = id, cost(i)
+		case p == viewFree:
+			v.free = append(v.free, id)
 		}
 	}
 	// off[p+1] becomes row p's end; filling then advances off[p], row p's
@@ -128,8 +156,30 @@ func newLocalView(nbrs []int, cost func(i int) float64, above func(i int) []int3
 	}
 	copy(v.off[1:], v.off[:k])
 	v.off[0] = 0
-	return v
+	return v, c0
 }
+
+// noView is the view of every vertex whose H_v offers no profit (see
+// newLocalView). It has no positions and is shared: such a vertex is
+// never a candidate, so nothing reads it. It is not nil because a
+// directed run's running minimum reads a nil view as "never built".
+var noView = &localView{}
+
+// viewScratch holds the buffers that newLocalView and solveStar use only
+// while they run: newLocalView's class of each neighbor and its row
+// counts and bonuses, and solveStar's position map and oracle
+// sub-instance. Scratch is pooled, as flow pools its solvers, so each
+// worker reuses one across rebuilds and concurrent vertices never share
+// one.
+type viewScratch struct {
+	at    []int32
+	off   []int32
+	bonus []float64
+	item  []int
+	in    flow.DensestInstance
+}
+
+var viewScratches = sync.Pool{New: func() any { return new(viewScratch) }}
 
 // row returns H_v's adjacency row of selectable position p, ascending.
 func (v *localView) row(p int) []int32 { return v.adj[v.off[p]:v.off[p+1]] }
@@ -217,28 +267,45 @@ func (v *localView) density(sel []bool) float64 {
 // positions (nil means all) using the flow-based densest-selection oracle.
 // It returns the selection as a position-indexed mask, which the caller
 // owns, and its density. When no positions are allowed it returns (nil,
-// 0). The unrestricted star is solved once per view and copied out on
-// every call.
+// 0). The unrestricted star is solved once per view (see solved) and
+// copied out on every call.
 func (v *localView) densestStar(allowed []bool) ([]bool, float64) {
 	if allowed != nil {
 		return v.solveStar(allowed)
 	}
+	star, d := v.solved()
+	if star == nil {
+		return nil, 0
+	}
+	return copyMask(star), d
+}
+
+// solved returns the unrestricted densest star and its density, solving
+// it on first use. The mask is the view's own: callers only read it.
+func (v *localView) solved() ([]bool, float64) {
 	if v.star == nil {
 		v.star, v.starD = v.solveStar(nil)
-		if v.star == nil {
-			return nil, 0
-		}
 	}
-	return copyMask(v.star), v.starD
+	return v.star, v.starD
 }
 
 // solveStar runs the oracle on the sub-instance over the allowed positions
 // (nil means all). A directed view solves the undirected reduction and
-// returns the directed density of its answer.
+// returns the directed density of its answer. The sub-instance is built
+// in pooled scratch, so a call allocates only the mask it returns and the
+// oracle's copy of its answer.
 func (v *localView) solveStar(allowed []bool) ([]bool, float64) {
+	sc := viewScratches.Get().(*viewScratch)
+	defer viewScratches.Put(sc)
+	return sc.solve(v, allowed)
+}
+
+// solve is solveStar in the scratch sc.
+func (sc *viewScratch) solve(v *localView, allowed []bool) ([]bool, float64) {
 	// item maps a position to its index in the sub-instance, -1 when the
 	// position is not allowed.
-	item := make([]int, len(v.nbrs))
+	item := slices.Grow(sc.item[:0], len(v.nbrs))[:len(v.nbrs)]
+	sc.item = item
 	k := 0
 	for p := range item {
 		item[p] = -1
@@ -250,12 +317,11 @@ func (v *localView) solveStar(allowed []bool) ([]bool, float64) {
 	if k == 0 {
 		return nil, 0
 	}
-	in := &flow.DensestInstance{
-		NumItems: k,
-		Cost:     make([]float64, k),
-		Bonus:    make([]float64, k),
-		Pairs:    make([][2]int, 0, v.hPairs),
-	}
+	in := &sc.in
+	in.NumItems = k
+	in.Cost = slices.Grow(in.Cost[:0], k)[:k]
+	in.Bonus = slices.Grow(in.Bonus[:0], k)[:k]
+	in.Pairs = slices.Grow(in.Pairs[:0], v.hPairs)
 	for p, i := range item {
 		if i < 0 {
 			continue

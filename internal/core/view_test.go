@@ -201,7 +201,8 @@ func TestDensestStarMemoCopiesOut(t *testing.T) {
 func inRec(from int, r dist.Rec) dist.InRec { return dist.InRec{From: from, Rec: &r} }
 
 // viewOf builds a view through newLocalView from the selectable
-// neighbors' costs, the free neighbor ids, and the H_v edges as id pairs.
+// neighbors' costs, the free neighbor ids, and the H_v edges as id pairs;
+// nil when they offer no profit.
 func viewOf(sel map[int]float64, free []int, h [][2]int) *localView {
 	cost := make(map[int]float64, len(sel)+len(free))
 	ids := make([]int, 0, len(sel)+len(free))
@@ -225,7 +226,8 @@ func viewOf(sel map[int]float64, free []int, h [][2]int) *localView {
 		sort.Ints(l)
 		rows[i].announce(ids, i+1, l)
 	}
-	return newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, rowsAbove(rows), false)
+	v, _ := newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, rowsAbove(rows), false)
+	return v
 }
 
 // rowsAbove is newLocalView's H_v row accessor over a slice of rows.
@@ -336,7 +338,9 @@ func removeSorted(dst, del []int) []int {
 // view built from the rows by newLocalView must equal the map-based
 // reference built from the ids field by field (row order included), with
 // the same densest star to the bit, and each row must keep its list's
-// length.
+// length. Where the reference offers no profit (no pair, no bonus),
+// newLocalView must build no view; either way it must return the
+// reference's first selectable cost.
 func TestLocalViewMatchesMapReference(t *testing.T) {
 	const instances = 1200
 	rng := rand.New(rand.NewSource(17))
@@ -414,8 +418,21 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 			}
 			return weight[i]
 		}
-		got := newLocalView(nbrs, cost, rowsAbove(rows), false)
+		got, c0 := newLocalView(nbrs, cost, rowsAbove(rows), false)
 		want := refLocalView(nbrs, star, weight, uncov)
+		wantC0 := 0.0
+		if len(want.cost) > 0 {
+			wantC0 = want.cost[0]
+		}
+		if c0 != wantC0 {
+			t.Fatalf("instance %d: first selectable cost %v, reference %v", inst, c0, wantC0)
+		}
+		if got == nil {
+			if want.hPairs > 0 || slices.ContainsFunc(want.bonus, func(b float64) bool { return b > 0 }) {
+				t.Fatalf("instance %d: no view built, but the reference has %d H_v pairs and bonuses %v", inst, want.hPairs, want.bonus)
+			}
+			continue
+		}
 		if !slices.Equal(got.nbrs, want.nbrs) || !slices.Equal(got.cost, want.cost) ||
 			!slices.Equal(got.bonus, want.bonus) || !slices.Equal(got.free, want.free) ||
 			got.hPairs != want.hPairs || !slices.Equal(got.adj, want.adj) || !slices.Equal(got.off, want.off) {

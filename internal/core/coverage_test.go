@@ -80,12 +80,17 @@ func (r *refCoverage) update(directed bool) (paths, inPaths int) {
 // are not neighbors; neighbors die between rounds and keep sending, which
 // must be ignored; and edges join the spanner late, so lists received
 // earlier must still cover. Directed centers mix out-arcs, in-arcs and
-// two-way pairs.
+// two-way pairs. The center keeps only facts that can still cover: after
+// every round each kept fact (x, p) must be one that live neighbor x
+// announced, and p's edge must be open or, in a directed run, x's in-arc
+// open with an arc p -> me that may yet join the spanner; once every edge
+// and in-arc is covered, no fact may be left.
 func TestCoverageMatchesSpanListRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	const universe, centers, rounds = 28, 300, 5
-	// How often each case the inboxes must exercise decided coverage.
-	var paths, inPaths, foreign, ignoredDead, lateSpans int
+	// How often each case the inboxes must exercise decided coverage, and
+	// how often the facts were checked non-trivially.
+	var paths, inPaths, foreign, ignoredDead, lateSpans, keptFacts, allCovered int
 	for trial := 0; trial < centers; trial++ {
 		directed := trial%2 == 1
 		me := rng.Intn(universe)
@@ -128,7 +133,7 @@ func TestCoverageMatchesSpanListRule(t *testing.T) {
 		join := func(i int) {
 			nb := &nd.nb[i]
 			if !directed || nb.arcs&dirOut != 0 {
-				nb.inSpan = true
+				nb.flags |= edgeInSpan
 			}
 			if nb.arcs&dirIn != 0 {
 				nb.arcs |= inSpanned
@@ -136,7 +141,7 @@ func TestCoverageMatchesSpanListRule(t *testing.T) {
 		}
 		for i := range nbrs {
 			if rng.Float64() < 0.15 {
-				nd.nb[i].covered = true
+				nd.nb[i].flags |= edgeCovered
 			}
 			if directed && nd.nb[i].arcs&dirIn != 0 && rng.Float64() < 0.15 {
 				nd.nb[i].arcs |= inCovered
@@ -159,16 +164,16 @@ func TestCoverageMatchesSpanListRule(t *testing.T) {
 						}
 						nd.process(phStar, []dist.InRec{inRec(nbrs[i], rec)})
 						ref.alive[i], ref.ids[i] = false, nil
-					case x < 0.25 && !nd.nb[i].inSpan:
+					case x < 0.25 && !nd.nb[i].has(edgeInSpan):
 						join(i)
-						if nd.nb[i].inSpan && ref.alive[i] && len(ref.ids[i]) > 0 {
+						if nd.nb[i].has(edgeInSpan) && ref.alive[i] && len(ref.ids[i]) > 0 {
 							lateSpans++
 						}
 					}
 				}
 			}
 			for i := range nbrs {
-				ref.covered[i], ref.inSpan[i], ref.arcs[i] = nd.nb[i].covered, nd.nb[i].inSpan, nd.nb[i].arcs
+				ref.covered[i], ref.inSpan[i], ref.arcs[i] = nd.nb[i].has(edgeCovered), nd.nb[i].has(edgeInSpan), nd.nb[i].arcs
 				if round == 0 {
 					ref.alive[i] = true
 				}
@@ -208,18 +213,38 @@ func TestCoverageMatchesSpanListRule(t *testing.T) {
 			nd.process(phSpan, inbox)
 			pc, ic := ref.update(directed)
 			paths, inPaths = paths+pc, inPaths+ic
+			open := false
 			for i := range nbrs {
-				if nd.nb[i].covered != ref.covered[i] || nd.nb[i].arcs != ref.arcs[i] {
+				if nd.nb[i].has(edgeCovered) != ref.covered[i] || nd.nb[i].arcs != ref.arcs[i] {
 					t.Fatalf("center %d (directed %v), round %d, neighbor %d: covered %v arcs %04b, reference %v %04b",
-						me, directed, round, nbrs[i], nd.nb[i].covered, nd.nb[i].arcs, ref.covered[i], ref.arcs[i])
+						me, directed, round, nbrs[i], nd.nb[i].has(edgeCovered), nd.nb[i].arcs, ref.covered[i], ref.arcs[i])
+				}
+				open = open || !ref.covered[i] || ref.arcs[i]&(dirIn|inCovered) == dirIn
+			}
+			for _, f := range nd.facts {
+				x, p := int(f.x), int(f.p)
+				inOpen := ref.arcs[x]&(dirIn|inCovered) == dirIn
+				if !ref.alive[x] || !slices.Contains(ref.ids[x], nbrs[p]) ||
+					(ref.covered[p] && !(inOpen && ref.arcs[p]&dirIn != 0)) {
+					t.Fatalf("center %d (directed %v), round %d: kept fact %d -> %d (alive %v, announced %v, covered %v, in-arcs %04b %04b)",
+						me, directed, round, nbrs[x], nbrs[p], ref.alive[x], slices.Contains(ref.ids[x], nbrs[p]),
+						ref.covered[p], ref.arcs[x], ref.arcs[p])
+				}
+			}
+			keptFacts += len(nd.facts)
+			if !open {
+				allCovered++
+				if len(nd.facts) > 0 {
+					t.Fatalf("center %d (directed %v), round %d: every edge and in-arc is covered, %d facts kept",
+						me, directed, round, len(nd.facts))
 				}
 			}
 		}
 	}
-	t.Logf("%d path covers, %d in-arc path covers, %d foreign ids, %d ignored dead deltas, %d late spanner joins",
-		paths, inPaths, foreign, ignoredDead, lateSpans)
-	if paths < 500 || inPaths < 200 || foreign < 1000 || ignoredDead < 100 || lateSpans < 200 {
-		t.Fatalf("degenerate inboxes: %d path covers, %d in-arc path covers, %d foreign ids, %d ignored dead deltas, %d late spanner joins",
-			paths, inPaths, foreign, ignoredDead, lateSpans)
+	t.Logf("%d path covers, %d in-arc path covers, %d foreign ids, %d ignored dead deltas, %d late spanner joins, %d kept facts, %d rounds all covered",
+		paths, inPaths, foreign, ignoredDead, lateSpans, keptFacts, allCovered)
+	if paths < 500 || inPaths < 200 || foreign < 1000 || ignoredDead < 100 || lateSpans < 200 || keptFacts < 1000 || allCovered < 50 {
+		t.Fatalf("degenerate inboxes: %d path covers, %d in-arc path covers, %d foreign ids, %d ignored dead deltas, %d late spanner joins, %d kept facts, %d rounds all covered",
+			paths, inPaths, foreign, ignoredDead, lateSpans, keptFacts, allCovered)
 	}
 }

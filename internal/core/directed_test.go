@@ -329,17 +329,17 @@ func TestDirectedFreshStarsSkipsContinuation(t *testing.T) {
 				}
 				nd.process(ph, inbox)
 			}
-			if !nd.isCand || nd.rho != 2 {
-				t.Fatalf("fresh=%v: candidate %v at rounded density %v, want a candidate at 2", fresh, nd.isCand, nd.rho)
+			if !nd.isCand || nd.rho() != 2 {
+				t.Fatalf("fresh=%v: candidate %v at rounded density %v, want a candidate at 2", fresh, nd.isCand, nd.rho())
 			}
 		}
 		iteration(first)
-		if want := 24; len(nd.myStar) != want {
-			t.Fatalf("fresh=%v: first star has %d members, want %d", fresh, len(nd.myStar), want)
+		if want := 24; len(nd.prevStar) != want {
+			t.Fatalf("fresh=%v: first star has %d members, want %d", fresh, len(nd.prevStar), want)
 		}
 		iteration(second)
-		if !slices.Contains(nd.myStar, deg) {
-			t.Fatalf("fresh=%v: second star %v misses the new K4", fresh, nd.myStar)
+		if !slices.Contains(nd.prevStar, deg) {
+			t.Fatalf("fresh=%v: second star %v misses the new K4", fresh, nd.prevStar)
 		}
 		want := int64(1)
 		if fresh {

@@ -187,9 +187,9 @@ func TestProfitlessRebuildMatchesOracle(t *testing.T) {
 					first, lastRaw = false, raw
 					rho := RoundUpPow2(raw)
 					if math.Float64bits(nd.raw) != math.Float64bits(raw) || nd.num != num || nd.den != den ||
-						math.Float64bits(nd.rho) != math.Float64bits(rho) {
+						math.Float64bits(nd.rho()) != math.Float64bits(rho) {
 						t.Fatalf("instance %d rebuild %d: (raw, num, den, rho) = (%v, %d, %d, %v), reference (%v, %d, %d, %v)",
-							inst, rebuild, nd.raw, nd.num, nd.den, nd.rho, raw, num, den, rho)
+							inst, rebuild, nd.raw, nd.num, nd.den, nd.rho(), raw, num, den, rho)
 					}
 					if (nd.view == noView) != none {
 						t.Fatalf("instance %d rebuild %d: view is noView: %v, reference profitless: %v", inst, rebuild, nd.view == noView, none)
@@ -259,7 +259,7 @@ func TestProfitlessRebuildAllocatesNothing(t *testing.T) {
 		if nd.view != noView {
 			t.Fatalf("%s: a profitless H_v built a view", name)
 		}
-		if got := testing.AllocsPerRun(100, nd.rebuildView); got != 0 {
+		if got := testing.AllocsPerRun(100, func() { nd.rebuildView() }); got != 0 {
 			t.Errorf("%s: a profitless rebuild allocates %.0f objects, want 0", name, got)
 		}
 	}

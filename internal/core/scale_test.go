@@ -87,10 +87,10 @@ const scaleTestMemory = 7 << 30
 
 // scaleTestPeakKBPerVertex is the run's peak-RSS budget in KB (10^3
 // bytes) per vertex. On Go 1.24, 2 cores, 7.8 GiB, the test binary's
-// VmHWM was 2.46-2.51 GB over three runs alone and 2.47 GB inside
-// go test ./..., at most 2.51 KB per vertex; the budget is that plus
+// VmHWM was 2.11-2.24 GB over four runs alone and 2.12-2.13 GB inside
+// go test ./..., at most 2.24 KB per vertex; the budget is that plus
 // 14%, rounded to a tenth.
-const scaleTestPeakKBPerVertex = 2.9
+const scaleTestPeakKBPerVertex = 2.6
 
 // usableMemory returns the memory this process may use and where that
 // figure came from: the cgroup v2 limit in memory.max when one is set,

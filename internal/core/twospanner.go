@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/bits"
 	"slices"
 	"sort"
@@ -402,23 +403,26 @@ func containsSorted(s []int, x int) bool {
 	return i < len(s) && s[i] == x
 }
 
-// appendPositions appends to dst the positions, from q on, of the sorted
-// neighbor list nbrs whose ids the sorted list ids names: one merge scan.
+// positions yields the positions, from q on, of the sorted neighbor list
+// nbrs whose ids the sorted list ids names, ascending: one merge scan.
 // Ids that are not neighbors there are skipped.
-func appendPositions(dst []int32, nbrs []int, q int, ids []int) []int32 {
-	for _, w := range ids {
-		for q < len(nbrs) && nbrs[q] < w {
-			q++
-		}
-		if q == len(nbrs) {
-			break
-		}
-		if nbrs[q] == w {
-			dst = append(dst, int32(q))
-			q++
+func positions(nbrs []int, q int, ids []int) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		for _, w := range ids {
+			for q < len(nbrs) && nbrs[q] < w {
+				q++
+			}
+			if q == len(nbrs) {
+				return
+			}
+			if nbrs[q] == w {
+				if !yield(int32(q)) {
+					return
+				}
+				q++
+			}
 		}
 	}
-	return dst
 }
 
 // densVal is a neighbor's last announced density or 1-hop maximum: the
@@ -432,31 +436,29 @@ type densVal struct {
 }
 
 // candRec is one announced star this iteration that holds the receiving
-// vertex: the candidate's id, its random rank, and the vote pairs this
-// vertex casts for it. The star itself is not kept: decoding it marks the
-// edges it 2-spans (nbrState.mark).
+// vertex: the candidate's id, its random rank, and where the vote pairs
+// this vertex casts for it lie (emitVotes). The star itself is not kept:
+// decoding it marks the edges it 2-spans (nbrState.mark).
 type candRec struct {
 	from  int
 	r     int64
-	votes []int
+	votes int
 }
 
 // nbrState is a vertex's state for one neighbor, kept at the neighbor's
 // position in the sorted neighbor list. A live neighbor's entry always
 // equals what the classic all-broadcast execution would have received
-// from it this iteration, kept in sync by deltas.
+// from it this iteration, kept in sync by deltas. Its two variable-length
+// lists live in per-vertex arenas: its H_v row in undirectedNode.rows,
+// its usable spanner edges in undirectedNode.facts.
 type nbrState struct {
 	dens densVal // its last announced density
 	// Its last announced 1-hop maximum: the 2-hop fold reads only the
 	// density and the weight maximum of a maxMsg.
 	hopRaw, hopWmax float64
-	// spanOf holds its announced spanner edges that end at my neighbors:
-	// the far endpoints' positions in my neighbor list, in arrival order.
-	// Coverage asks about no other endpoint.
-	spanOf   []int32
-	uncovRow // what H_v keeps of its uncovered edges
+	uncovRow        // what H_v keeps of its uncovered edges
 	// edgeIdx is the index of the incident edge to it. An int32 holds
-	// it: 2^31 edges would need 2^32 of these 120-byte entries.
+	// it: 2^31 edges would need 2^32 of these 72-byte entries.
 	edgeIdx int32
 	// mark is 1 + the index in cands of the first candidate, by (r, id),
 	// whose star 2-spans the incident edge, or 0. The star inbox sets it
@@ -464,14 +466,7 @@ type nbrState struct {
 	// step reads and clears it.
 	mark int32
 
-	covered   bool // the incident edge is covered
-	inSpan    bool // the incident edge is in the spanner
-	alive     bool // it has not announced termination
-	densKnown bool // dens holds an announcement
-	hopKnown  bool // hopRaw and hopWmax hold an announcement
-	// announcedUncov: the incident edge was announced uncovered, so a
-	// removal is owed once it is covered.
-	announcedUncov bool
+	flags uint8 // edgeCovered, edgeInSpan, nbrAlive, densKnown, hopKnown, uncovOwed
 	// arcs is zero in an undirected run. In a directed run it holds the
 	// arcs to the neighbor (dirOut: me -> it, dirIn: it -> me) and the
 	// in-arc's state (inCovered, inSpanned); the edge fields above then
@@ -479,11 +474,37 @@ type nbrState struct {
 	arcs uint8
 }
 
+// The bits of nbrState.flags.
+const (
+	edgeCovered uint8 = 1 << iota // the incident edge is covered
+	edgeInSpan                    // the incident edge is in the spanner
+	nbrAlive                      // it has not announced termination
+	densKnown                     // dens holds an announcement
+	hopKnown                      // hopRaw and hopWmax hold an announcement
+	// uncovOwed: the incident edge was announced uncovered, so a removal
+	// is owed once it is covered.
+	uncovOwed
+)
+
+// has reports whether every bit of f is set in nb.flags.
+func (nb *nbrState) has(f uint8) bool { return nb.flags&f == f }
+
 // The in-arc's state bits of nbrState.arcs, beside dirOut and dirIn.
 const (
 	inCovered = 4 << iota // the in-arc is covered
 	inSpanned             // the in-arc is in the spanner
 )
+
+// inOpen reports whether the neighbor's arc to me exists and is not yet
+// covered; always false in an undirected run.
+func (nb *nbrState) inOpen() bool { return nb.arcs&(dirIn|inCovered) == dirIn }
+
+// spanFact is one announced spanner edge that can still cover something:
+// the neighbor at position x announced a spanner edge to my neighbor at
+// position p (in a directed run, the arc x -> p). It covers my edge to p
+// once my edge to x is in the spanner (me -> x -> p), and in a directed
+// run my in-arc from x once p's arc to me is (x -> p -> me).
+type spanFact struct{ x, p int32 }
 
 // undirectedNode is the per-vertex state of the protocol, for every
 // variant: undirected, weighted, client-server, CONGEST and directed. The
@@ -502,33 +523,35 @@ type undirectedNode struct {
 	nbrs   []int      // sorted neighbor ids
 	nb     []nbrState // per neighbor position
 	myWmax float64
+	// rows is the arena of the H_v rows: nb[i].uncovRow indexes it.
+	rows []int32
+	// facts are the live neighbors' announced spanner edges that can
+	// still cover an open edge or in-arc, in arrival order.
+	facts []spanFact
 
-	// Monotone star-choice state (Section 4.1).
+	// Monotone star-choice state (Section 4.1). prevStar is also this
+	// iteration's star while the vertex is a candidate.
 	lastRho  float64
 	prevStar []int // neighbor ids of last chosen star (selectable + free)
 
-	// Own derived quantities and the change-tracking behind the deltas.
+	// Own derived quantities: the density and the 1-hop and 2-hop maxima.
+	// Their rounded values are derived when read (rounded).
 	pendingSpan    []int // inSpan additions not yet announced (round 1)
 	view           *localView
 	raw            float64
 	num, den       int
-	rho            float64
-	lastDens       densVal
 	hopRaw         float64
 	hopNum, hopDen int
 	hopW           float64
-	lastHop        densVal
-	m2Raw, m2Rho   float64
-	m2W            float64
+	m2Raw, m2W     float64
+	cands          []candRec // this iteration's candidates holding me
 
-	// Per-iteration scratch.
-	iter        int
-	myStar      []int
-	mySpanCount int
-	cands       []candRec
-	myVotes     int
+	// Per-iteration counters, beside the flags so that the node fills a
+	// 320-byte size class (TestUndirectedNodeSize).
+	iter        int32
+	mySpanCount int32
+	myVotes     int32
 
-	// Flags, kept together so they pack into one word.
 	wasCand       bool // monotone star choice: a candidate last iteration
 	sentUncovInit bool
 	viewDirty     bool // an uncovered row changed since the view was built
@@ -559,10 +582,10 @@ func newUndirectedNode(ctx roundCtx, run *uRun) *undirectedNode {
 		}
 		nb := &nd.nb[i]
 		nb.edgeIdx = int32(idx)
-		nb.alive = true
+		nb.flags = nbrAlive
 		if !v.target(idx) {
 			// Non-target edges never need covering.
-			nb.covered = true
+			nb.flags |= edgeCovered
 		}
 		if g.Weighted() && g.Weight(idx) == 0 && v.starEdge(idx) {
 			// Weighted pre-pass: all zero-weight edges join the spanner.
@@ -581,11 +604,12 @@ func newUndirectedNode(ctx roundCtx, run *uRun) *undirectedNode {
 // does.
 func (nd *undirectedNode) orient() {
 	for i := range nd.nb {
-		nd.nb[i].covered = true
+		nd.nb[i].flags |= edgeCovered
 	}
 	for _, a := range nd.run.d.Out(nd.me) {
 		nb := &nd.nb[posOf(nd.nbrs, a.To)]
-		nb.edgeIdx, nb.covered, nb.arcs = int32(a.Edge), false, dirOut
+		nb.edgeIdx, nb.arcs = int32(a.Edge), dirOut
+		nb.flags &^= edgeCovered
 	}
 	for _, a := range nd.run.d.In(nd.me) {
 		nd.nb[posOf(nd.nbrs, a.To)].arcs |= dirIn
@@ -595,8 +619,8 @@ func (nd *undirectedNode) orient() {
 // setInSpan records the edge to the neighbor at position i as a spanner
 // member and queues the round-1 delta announcing it.
 func (nd *undirectedNode) setInSpan(i int) {
-	if !nd.nb[i].inSpan {
-		nd.nb[i].inSpan = true
+	if nb := &nd.nb[i]; !nb.has(edgeInSpan) {
+		nb.flags |= edgeInSpan
 		nd.pendingSpan = append(nd.pendingSpan, nd.nbrs[i])
 	}
 }
@@ -606,10 +630,30 @@ func (nd *undirectedNode) setInSpan(i int) {
 // the sender's arena and shared across the fan-out.
 func (nd *undirectedNode) bcast(r dist.Rec, bits int) {
 	for i, u := range nd.nbrs {
-		if nd.nb[i].alive {
+		if nd.nb[i].has(nbrAlive) {
 			nd.ctx.SendRec(u, r, bits)
 		}
 	}
+}
+
+// rounded is ρ̃ of the density x: its power-of-two rounding, or x itself
+// under the NoRounding ablation.
+func (nd *undirectedNode) rounded(x float64) float64 {
+	if nd.run.opts.NoRounding {
+		return x
+	}
+	return RoundUpPow2(x)
+}
+
+// rho is the vertex's rounded density.
+func (nd *undirectedNode) rho() float64 { return nd.rounded(nd.raw) }
+
+// candidate reports whether the vertex is a candidate: its rounded density
+// is positive and maximal in its 2-neighborhood, and its raw density
+// passes the variant's threshold. It is a pure function of the folds.
+func (nd *undirectedNode) candidate() bool {
+	rho := nd.rho()
+	return rho > 0 && rho >= nd.rounded(nd.m2Raw) && nd.run.v.candidateOK(nd.raw)
 }
 
 // parkable reports whether this vertex owes the network nothing in the
@@ -621,12 +665,11 @@ func (nd *undirectedNode) parkable() bool {
 		return false
 	}
 	for i := range nd.nb {
-		if nd.nb[i].announcedUncov && nd.nb[i].covered {
+		if nd.nb[i].has(uncovOwed | edgeCovered) {
 			return false // owes an uncovered-list removal
 		}
 	}
-	// Candidacy is a pure function of the clean folds.
-	return !(nd.rho > 0 && nd.rho >= nd.m2Rho && nd.run.v.candidateOK(nd.raw))
+	return !nd.candidate()
 }
 
 // The node implements dist.PhasedProgram: the engine (via
@@ -641,10 +684,9 @@ func (nd *undirectedNode) Phases() (int, int) { return int(phSpan), int(phAccept
 // Begin implements dist.PhasedProgram: record and bump the iteration
 // count, reset the per-iteration scratch.
 func (nd *undirectedNode) Begin() {
-	nd.run.iters[nd.me] = nd.iter
+	nd.run.iters[nd.me] = int(nd.iter)
 	nd.iter++
 	nd.isCand = false
-	nd.myStar = nil
 	nd.mySpanCount = 0
 	nd.cands = nd.cands[:0]
 	nd.myVotes = 0
@@ -690,7 +732,7 @@ func (nd *undirectedNode) Quiesce() { nd.finalizeQuiesced() }
 // itself becomes terminal, so runs normally end by explicit termination.
 func (nd *undirectedNode) finalizeQuiesced() {
 	nd.addUncovered()
-	it := nd.iter
+	it := int(nd.iter)
 	if it > 0 {
 		it--
 	}
@@ -714,24 +756,20 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 	case phUncov:
 		nd.emitUncov()
 	case phDens:
-		if nd.viewDirty {
-			nd.rebuildView()
-		}
-		dv := densVal{raw: nd.raw, num: nd.num, den: nd.den, wmax: nd.myWmax}
-		if !nd.densSent || dv != nd.lastDens {
-			m := densMsg{rho: nd.rho, raw: nd.raw, wmax: nd.myWmax, num: nd.num, den: nd.den}
+		// rebuildView is the only writer of the announced density, and it
+		// runs only here: a change since the last announcement is a change
+		// in this rebuild.
+		if changed := nd.viewDirty && nd.rebuildView(); changed || !nd.densSent {
+			m := densMsg{rho: nd.rho(), raw: nd.raw, wmax: nd.myWmax, num: nd.num, den: nd.den}
 			nd.bcast(m.rec(), m.Bits())
-			nd.densSent, nd.lastDens = true, dv
+			nd.densSent = true
 		}
 	case phMax:
-		if nd.hopDirty {
-			nd.refoldHop()
-		}
-		hv := densVal{raw: nd.hopRaw, num: nd.hopNum, den: nd.hopDen, wmax: nd.hopW}
-		if !nd.hopSent || hv != nd.lastHop {
+		// Likewise refoldHop for the announced 1-hop maximum.
+		if changed := nd.hopDirty && nd.refoldHop(); changed || !nd.hopSent {
 			m := maxMsg{rho: RoundUpPow2(nd.hopRaw), raw: nd.hopRaw, wmax: nd.hopW, num: nd.hopNum, den: nd.hopDen}
 			nd.bcast(m.rec(), m.Bits())
-			nd.hopSent, nd.lastHop = true, hv
+			nd.hopSent = true
 		}
 	case phStar:
 		if nd.m2Dirty {
@@ -743,7 +781,7 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 		// termMsg doubles as the death notice that prunes this vertex
 		// from its peers' broadcasts.
 		if run.v.terminal(nd.m2Raw, nd.m2W) {
-			run.tele.bump(run.tele.term, nd.iter-1)
+			run.tele.bump(run.tele.term, int(nd.iter)-1)
 			added := nd.addUncovered()
 			// The phased machine spends the flush round committing this
 			// announcement, then calls Terminal to output.
@@ -757,57 +795,33 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 			return true
 		}
 		// Candidacy and star choice (Section 4.1).
-		nd.isCand = nd.rho > 0 && nd.rho >= nd.m2Rho && run.v.candidateOK(nd.raw)
+		nd.isCand = nd.candidate()
 		if nd.isCand {
-			run.tele.bump(run.tele.cand, nd.iter-1)
+			run.tele.bump(run.tele.cand, int(nd.iter)-1)
+			rho := nd.rho()
 			var prev []bool
-			if !run.opts.FreshStars && nd.wasCand && nd.lastRho == nd.rho && nd.prevStar != nil {
+			if !run.opts.FreshStars && nd.wasCand && nd.lastRho == rho && nd.prevStar != nil {
 				prev = nd.view.maskFromIDs(nd.prevStar)
 			}
-			sel, fb := nd.view.chooseStar(nd.rho, prev)
+			sel, fb := nd.view.chooseStar(rho, prev)
 			if fb {
 				run.fallbacks.Add(1)
 			}
-			nd.myStar = nd.view.starNeighborIDs(sel)
+			nd.prevStar = nd.view.starNeighborIDs(sel)
 			spanned, _ := nd.view.starValue(sel)
-			nd.mySpanCount = int(spanned + 0.5)
+			nd.mySpanCount = int32(spanned + 0.5)
 			nd.bcast(nd.starRec(1 + nd.ctx.Int63n(1<<62)))
-			nd.wasCand, nd.lastRho = true, nd.rho
-			nd.prevStar = nd.myStar
+			nd.wasCand, nd.lastRho = true, rho
 		} else {
 			nd.wasCand = false
 			nd.prevStar = nil
 		}
 	case phVote:
-		// Each owned uncovered edge votes for the first candidate (by
-		// (r, id)) that 2-spans it: the one the star inbox marked there.
-		// A termination later in that inbox may have covered the edge.
-		if len(nd.cands) == 0 {
-			break
-		}
-		for i := range nd.nb {
-			nb := &nd.nb[i]
-			if nb.mark == 0 {
-				continue
-			}
-			c := &nd.cands[nb.mark-1]
-			nb.mark = 0
-			if !nb.covered {
-				c.votes = append(c.votes, nd.me, nd.nbrs[i])
-			}
-		}
-		// One record per voted-for candidate, in cands order: the phase-D
-		// inbox's ascending sender order.
-		for ci := range nd.cands {
-			if c := &nd.cands[ci]; len(c.votes) > 0 {
-				m := voteMsg{pairs: c.votes, n: nd.ctx.N()}
-				nd.ctx.SendRec(c.from, m.rec(), m.Bits())
-			}
-		}
+		nd.emitVotes()
 	case phAccept:
-		if nd.isCand && run.opts.voteDenominator()*nd.myVotes >= nd.mySpanCount && nd.mySpanCount > 0 {
-			run.tele.bump(run.tele.accept, nd.iter-1)
-			for _, u := range nd.myStar {
+		if nd.isCand && run.opts.voteDenominator()*int(nd.myVotes) >= int(nd.mySpanCount) && nd.mySpanCount > 0 {
+			run.tele.bump(run.tele.accept, int(nd.iter)-1)
+			for _, u := range nd.prevStar {
 				nd.addStarEdge(posOf(nd.nbrs, u))
 			}
 			nd.bcast(nd.starRec(-1))
@@ -816,26 +830,76 @@ func (nd *undirectedNode) emit(ph uPhase) bool {
 	return false
 }
 
-// starRec encodes the announcement of myStar with rank r, or with r = -1
-// its acceptance: a starMsg or acceptMsg, or in a directed run a
-// dirStarMsg whose entries pack each member's arcs to me.
+// emitVotes casts this iteration's votes: each owned uncovered edge votes
+// for the first candidate (by (r, id)) that 2-spans it, the one the star
+// inbox marked there. A termination later in that inbox may have covered
+// the edge. A first pass counts each candidate's votes, so every
+// candidate's pairs are carved from one array sized once; the array is
+// fresh each time, as a tail handed to SendRec must be.
+func (nd *undirectedNode) emitVotes() {
+	if len(nd.cands) == 0 {
+		return
+	}
+	total := 0
+	for i := range nd.nb {
+		if nb := &nd.nb[i]; nb.mark != 0 && !nb.has(edgeCovered) {
+			nd.cands[nb.mark-1].votes += 2
+			total += 2
+		}
+	}
+	// The candidates' pairs lie in cands order: each votes field turns
+	// from its length into its start, the fill's cursor, and so ends as
+	// its end.
+	pairs := make([]int, total)
+	for ci, k := 0, 0; ci < len(nd.cands); ci++ {
+		c := &nd.cands[ci]
+		c.votes, k = k, k+c.votes
+	}
+	for i := range nd.nb {
+		nb := &nd.nb[i]
+		if nb.mark == 0 {
+			continue
+		}
+		c := &nd.cands[nb.mark-1]
+		nb.mark = 0
+		if !nb.has(edgeCovered) {
+			pairs[c.votes], pairs[c.votes+1] = nd.me, nd.nbrs[i]
+			c.votes += 2
+		}
+	}
+	// One record per voted-for candidate, in cands order: the phase-D
+	// inbox's ascending sender order.
+	for ci, lo := 0, 0; ci < len(nd.cands); ci++ {
+		if c := &nd.cands[ci]; c.votes > lo {
+			m := voteMsg{pairs: pairs[lo:c.votes], n: nd.ctx.N()}
+			nd.ctx.SendRec(c.from, m.rec(), m.Bits())
+			lo = c.votes
+		}
+	}
+}
+
+// starRec encodes the announcement of this iteration's star (prevStar)
+// with rank r, or with r = -1 its acceptance: a starMsg or acceptMsg, or
+// in a directed run a dirStarMsg whose entries pack each member's arcs to
+// me.
 func (nd *undirectedNode) starRec(r int64) (dist.Rec, int) {
 	n := nd.ctx.N()
+	star := nd.prevStar
 	switch {
 	case nd.run.d != nil:
-		entries := make([]int, len(nd.myStar))
+		entries := make([]int, len(star))
 		j := 0
-		for k, u := range nd.myStar {
+		for k, u := range star {
 			j = seekPos(nd.nbrs, j, u)
 			entries[k] = u<<2 | int(nd.nb[j].arcs&(dirIn|dirOut))
 		}
 		m := dirStarMsg{entries: entries, r: r, n: n}
 		return m.rec(), m.Bits()
 	case r < 0:
-		m := acceptMsg{star: nd.myStar, n: n}
+		m := acceptMsg{star: star, n: n}
 		return m.rec(), m.Bits()
 	}
-	m := starMsg{star: nd.myStar, r: r, n: n}
+	m := starMsg{star: star, r: r, n: n}
 	return m.rec(), m.Bits()
 }
 
@@ -899,7 +963,7 @@ func (nd *undirectedNode) markEdge(q, u, c int) int {
 	if q == len(nd.nbrs) || nd.nbrs[q] != u {
 		return q
 	}
-	if nb := &nd.nb[q]; !nb.covered && (nb.mark == 0 || nd.cands[c].before(&nd.cands[nb.mark-1])) {
+	if nb := &nd.nb[q]; !nb.has(edgeCovered) && (nb.mark == 0 || nd.cands[c].before(&nd.cands[nb.mark-1])) {
 		nb.mark = int32(c + 1)
 	}
 	return q + 1
@@ -913,20 +977,35 @@ func (c *candRec) before(o *candRec) bool {
 // addUncovered adds the uncovered incident target edges to the spanner —
 // the direct add of the paper's termination step — and returns what the
 // termination record lists: the far endpoints, or in a directed run the
-// (tail, head) pairs of the added arcs.
+// (tail, head) pairs of the added arcs. A first pass sizes the list.
 func (nd *undirectedNode) addUncovered() []int {
+	perEdge := 1
+	if nd.run.d != nil {
+		perEdge = 2
+	}
+	k := 0
+	for i := range nd.nb {
+		if nb := &nd.nb[i]; !nb.has(edgeCovered) && nd.run.v.directAdd(int(nb.edgeIdx)) {
+			k += perEdge
+		}
+		if nd.nb[i].inOpen() {
+			k += 2
+		}
+	}
 	var added []int
+	if k > 0 {
+		added = make([]int, 0, k)
+	}
 	for i, u := range nd.nbrs {
 		nb := &nd.nb[i]
-		if !nb.covered && nd.run.v.directAdd(int(nb.edgeIdx)) {
-			nb.inSpan = true
-			nb.covered = true
+		if !nb.has(edgeCovered) && nd.run.v.directAdd(int(nb.edgeIdx)) {
+			nb.flags |= edgeInSpan | edgeCovered
 			if nd.run.d != nil {
 				added = append(added, nd.me)
 			}
 			added = append(added, u)
 		}
-		if nb.arcs&(dirIn|inCovered) == dirIn {
+		if nb.inOpen() {
 			nb.arcs |= inCovered | inSpanned
 			added = append(added, u, nd.me)
 		}
@@ -943,9 +1022,9 @@ func (nd *undirectedNode) emitUncov() {
 		nd.sentUncovInit = true
 		full := make([]int, 0, len(nd.nbrs))
 		for i, u := range nd.nbrs {
-			if !nd.nb[i].covered {
+			if nb := &nd.nb[i]; !nb.has(edgeCovered) {
 				full = append(full, u)
-				nd.nb[i].announcedUncov = true
+				nb.flags |= uncovOwed
 			}
 		}
 		m := uncovMsg{nbrs: full, full: true, n: nd.ctx.N()}
@@ -954,9 +1033,9 @@ func (nd *undirectedNode) emitUncov() {
 	}
 	var dels []int
 	for i, u := range nd.nbrs {
-		if nb := &nd.nb[i]; nb.announcedUncov && nb.covered {
+		if nb := &nd.nb[i]; nb.has(uncovOwed | edgeCovered) {
 			dels = append(dels, u)
-			nb.announcedUncov = false
+			nb.flags &^= uncovOwed
 		}
 	}
 	if len(dels) == 0 {
@@ -979,8 +1058,8 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
-			if nb := &nd.nb[j]; nb.alive {
-				nb.spanOf = appendPositions(nb.spanOf, nd.nbrs, 0, r.Ints)
+			if nd.nb[j].has(nbrAlive) {
+				nd.learnSpans(j, r.Ints)
 			}
 		}
 		nd.updateCoverage()
@@ -992,7 +1071,7 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 			}
 			j = seekPos(nd.nbrs, j, r.From)
 			nb := &nd.nb[j]
-			if !nb.alive {
+			if !nb.has(nbrAlive) {
 				continue
 			}
 			if r.Flag != 0 {
@@ -1000,9 +1079,9 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				if nd.run.d != nil {
 					lo = 0 // a directed H_v arc may point below its tail
 				}
-				nb.announce(nd.nbrs, lo, r.Ints)
+				nd.rows = nb.announce(nd.rows, nd.nbrs, lo, r.Ints)
 			} else {
-				nb.remove(nd.nbrs, r.Ints)
+				nb.remove(nd.rows, nd.nbrs, r.Ints)
 			}
 			nd.viewDirty = true
 		}
@@ -1013,9 +1092,9 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
-			if nb := &nd.nb[j]; nb.alive {
+			if nb := &nd.nb[j]; nb.has(nbrAlive) {
 				nb.dens = densVal{raw: r.F1, num: int(r.A), den: int(r.B), wmax: r.F2}
-				nb.densKnown = true
+				nb.flags |= densKnown
 				nd.hopDirty = true
 			}
 		}
@@ -1026,9 +1105,9 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 				continue
 			}
 			j = seekPos(nd.nbrs, j, r.From)
-			if nb := &nd.nb[j]; nb.alive {
+			if nb := &nd.nb[j]; nb.has(nbrAlive) {
 				nb.hopRaw, nb.hopWmax = r.F1, r.F2
-				nb.hopKnown = true
+				nb.flags |= hopKnown
 				nd.m2Dirty = true
 			}
 		}
@@ -1076,7 +1155,7 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 		for i := range inbox {
 			r := &inbox[i]
 			if r.Tag == tagVote {
-				nd.myVotes += len(r.Ints) / 2
+				nd.myVotes += int32(len(r.Ints) / 2)
 			}
 		}
 	case phAccept:
@@ -1096,16 +1175,17 @@ func (nd *undirectedNode) process(ph uPhase, inbox []dist.InRec) {
 // position i: record the direct-added edges naming this vertex (in a
 // directed run, (tail, head) pairs), then prune the sender from every
 // accumulated fold — exactly the information the classic execution loses
-// when a terminated vertex stops broadcasting. The view changes exactly
-// when the sender's announced uncovered list was non-empty, whether or
-// not H_v kept any of it.
+// when a terminated vertex stops broadcasting. Its facts are dropped by
+// the next updateCoverage, which never applies a dead neighbor's facts.
+// The view changes exactly when the sender's announced uncovered list was
+// non-empty, whether or not H_v kept any of it.
 func (nd *undirectedNode) processDeath(i int, r *dist.InRec) {
 	nb := &nd.nb[i]
 	if r.Tag == tagDirTerm {
 		for k := 0; k+1 < len(r.Ints); k += 2 {
 			if r.Ints[k] == nd.me { // me -> sender
 				nd.setInSpan(i)
-				nb.covered = true
+				nb.flags |= edgeCovered
 			}
 			if r.Ints[k+1] == nd.me { // sender -> me
 				nb.arcs |= inSpanned | inCovered
@@ -1113,12 +1193,9 @@ func (nd *undirectedNode) processDeath(i int, r *dist.InRec) {
 		}
 	} else if containsSorted(r.Ints, nd.me) {
 		nd.setInSpan(i)
-		nb.covered = true
+		nb.flags |= edgeCovered
 	}
-	nb.alive = false
-	nb.densKnown = false
-	nb.hopKnown = false
-	nb.spanOf = nil
+	nb.flags &^= nbrAlive | densKnown | hopKnown
 	if nb.uncovLen > 0 {
 		nd.viewDirty = true
 	}
@@ -1127,53 +1204,66 @@ func (nd *undirectedNode) processDeath(i int, r *dist.InRec) {
 	nd.m2Dirty = true
 }
 
+// learnSpans takes the spanner edges that the live neighbor at position x
+// announced, the sorted ids: an edge ending at my neighbor p is the fact
+// (x, p), and the others cover nothing here. Each fact is applied at
+// once, and kept only while it can still cover something.
+func (nd *undirectedNode) learnSpans(x int, ids []int) {
+	for p := range positions(nd.nbrs, 0, ids) {
+		f := spanFact{x: int32(x), p: p}
+		nd.apply(f)
+		if nd.usable(f) {
+			nd.facts = append(nd.facts, f)
+		}
+	}
+}
+
+// apply covers what the live neighbor's fact f proves now.
+func (nd *undirectedNode) apply(f spanFact) {
+	x, p := &nd.nb[f.x], &nd.nb[f.p]
+	if x.has(edgeInSpan) {
+		p.flags |= edgeCovered // me - x - p
+	}
+	if x.inOpen() && p.arcs&inSpanned != 0 {
+		x.arcs |= inCovered // x -> p -> me
+	}
+}
+
+// usable reports whether the fact f can still cover something: my edge
+// to p while that is open, or in a directed run my in-arc from x while
+// that is open and p has an arc to me, which may yet join the spanner.
+func (nd *undirectedNode) usable(f spanFact) bool {
+	x, p := &nd.nb[f.x], &nd.nb[f.p]
+	return !p.has(edgeCovered) || (x.inOpen() && p.arcs&dirIn != 0)
+}
+
 // updateCoverage marks incident target edges covered when the spanner
 // contains them or a 2-path around them through a live neighbor's
-// announced spanner edges: each live neighbor whose edge is in the
-// spanner covers the edges to the positions its list names, until no
-// incident edge is open. In a directed run these are the out-arcs
-// me -> u, bridged by me -> x -> u; the in-arcs u -> me follow, bridged by
-// u -> x (from u's announced out-arcs) and x -> me (my in-arc state).
+// announced spanner edges, the facts: each live neighbor whose edge is in
+// the spanner covers the edges to the positions its facts name. In a
+// directed run these are the out-arcs me -> p, bridged by me -> x -> p;
+// the in-arcs x -> me are bridged by x -> p (x's announced out-arcs) and
+// p -> me (my in-arc state). Coverage is a union, so the order of the
+// facts does not matter. A second pass drops the facts of dead neighbors
+// and those spent, so only facts that can still cover stay.
 func (nd *undirectedNode) updateCoverage() {
-	open := 0
 	for i := range nd.nb {
 		nb := &nd.nb[i]
-		if nb.inSpan {
-			nb.covered = true
+		if nb.has(edgeInSpan) {
+			nb.flags |= edgeCovered
 		}
-		if !nb.covered {
-			open++
-		}
-	}
-	for x := 0; x < len(nd.nb) && open > 0; x++ {
-		if w := &nd.nb[x]; w.inSpan && w.alive {
-			for _, p := range w.spanOf {
-				if nb := &nd.nb[p]; !nb.covered {
-					nb.covered = true
-					open--
-				}
-			}
-		}
-	}
-	if nd.run.d == nil {
-		return
-	}
-	for i := range nd.nb {
-		nb := &nd.nb[i]
-		if nb.arcs&(dirIn|inCovered) != dirIn {
-			continue
-		}
-		if nb.arcs&inSpanned != 0 {
+		if nb.inOpen() && nb.arcs&inSpanned != 0 {
 			nb.arcs |= inCovered
-			continue
-		}
-		for _, p := range nb.spanOf {
-			if nd.nb[p].arcs&inSpanned != 0 {
-				nb.arcs |= inCovered
-				break
-			}
 		}
 	}
+	for _, f := range nd.facts {
+		if nd.nb[f.x].has(nbrAlive) {
+			nd.apply(f)
+		}
+	}
+	nd.facts = slices.DeleteFunc(nd.facts, func(f spanFact) bool {
+		return !nd.nb[f.x].has(nbrAlive) || !nd.usable(f)
+	})
 }
 
 // rebuildView reassembles the localView from the H_v rows and recomputes
@@ -1181,8 +1271,9 @@ func (nd *undirectedNode) updateCoverage() {
 // when an input actually changed). It reads the solved star in place. A
 // profitless H_v builds no view and runs no oracle (see newLocalView):
 // the vertex gets noView and the value of the oracle's answer there, its
-// first selectable neighbor alone, spanning nothing at cost c0.
-func (nd *undirectedNode) rebuildView() {
+// first selectable neighbor alone, spanning nothing at cost c0. It
+// reports whether the density it announces, (raw, num, den), changed.
+func (nd *undirectedNode) rebuildView() bool {
 	nd.viewDirty = false
 	first := nd.view == nil
 	var view *localView
@@ -1217,27 +1308,25 @@ func (nd *undirectedNode) rebuildView() {
 		}
 		num, den = 0, 0
 	}
-	if raw != nd.raw || num != nd.num || den != nd.den {
+	changed := raw != nd.raw || num != nd.num || den != nd.den
+	if changed {
 		nd.hopDirty = true
 	}
 	nd.raw, nd.num, nd.den = raw, num, den
-	nd.rho = RoundUpPow2(raw)
-	if nd.run.opts.NoRounding {
-		nd.rho = raw
-	}
+	return changed
 }
 
 // refoldHop recomputes the 1-hop maxima (own values first, then live
 // neighbors in id order — the fold the classic execution performs on its
-// round-3 inbox).
-func (nd *undirectedNode) refoldHop() {
+// round-3 inbox). It reports whether the maxima changed.
+func (nd *undirectedNode) refoldHop() bool {
 	nd.hopDirty = false
 	oldHop := densVal{raw: nd.hopRaw, num: nd.hopNum, den: nd.hopDen, wmax: nd.hopW}
 	nd.hopRaw, nd.hopNum, nd.hopDen = nd.raw, nd.num, nd.den
 	nd.hopW = nd.myWmax
 	for i := range nd.nb {
 		nb := &nd.nb[i]
-		if !nb.alive || !nb.densKnown {
+		if !nb.has(nbrAlive | densKnown) {
 			continue
 		}
 		d := nb.dens
@@ -1246,9 +1335,11 @@ func (nd *undirectedNode) refoldHop() {
 		}
 		nd.hopW = maxf(nd.hopW, d.wmax)
 	}
-	if (densVal{raw: nd.hopRaw, num: nd.hopNum, den: nd.hopDen, wmax: nd.hopW}) != oldHop {
+	changed := densVal{raw: nd.hopRaw, num: nd.hopNum, den: nd.hopDen, wmax: nd.hopW} != oldHop
+	if changed {
 		nd.m2Dirty = true
 	}
+	return changed
 }
 
 // refoldM2 recomputes the 2-hop maxima from the accumulated 1-hop maxima.
@@ -1257,15 +1348,11 @@ func (nd *undirectedNode) refoldM2() {
 	nd.m2Raw, nd.m2W = nd.hopRaw, nd.hopW
 	for i := range nd.nb {
 		nb := &nd.nb[i]
-		if !nb.alive || !nb.hopKnown {
+		if !nb.has(nbrAlive | hopKnown) {
 			continue
 		}
 		nd.m2Raw = maxf(nd.m2Raw, nb.hopRaw)
 		nd.m2W = maxf(nd.m2W, nb.hopWmax)
-	}
-	nd.m2Rho = RoundUpPow2(nd.m2Raw)
-	if nd.run.opts.NoRounding {
-		nd.m2Rho = nd.m2Raw
 	}
 }
 
@@ -1279,8 +1366,8 @@ func (nd *undirectedNode) starCost(i int) float64 {
 	return nd.run.g.Weight(idx)
 }
 
-// above is the view's H_v row of nbrs[i].
-func (nd *undirectedNode) above(i int) []int32 { return nd.nb[i].above }
+// above is the view's H_v row of nbrs[i], capacity-capped in the arena.
+func (nd *undirectedNode) above(i int) []int32 { return nd.nb[i].above(nd.rows) }
 
 // directedView builds a directed run's view (Section 4.3.1): every
 // neighbor is selectable at the cost of its arcs to me, and H_v holds
@@ -1294,7 +1381,7 @@ func (nd *undirectedNode) directedView() (*localView, float64) {
 		if nd.nb[i].arcs&dirIn == 0 {
 			continue
 		}
-		for _, q := range nd.nb[i].above {
+		for _, q := range nd.above(i) {
 			if nd.nb[q].arcs&dirOut != 0 {
 				if up == nil {
 					up = make([][]int32, len(nd.nb))
@@ -1320,7 +1407,7 @@ func (nd *undirectedNode) directedView() (*localView, float64) {
 func (nd *undirectedNode) emitOutput() {
 	k := 0
 	for i := range nd.nb {
-		if nd.nb[i].inSpan {
+		if nd.nb[i].has(edgeInSpan) {
 			k++
 		}
 		if nd.nb[i].arcs&inSpanned != 0 {
@@ -1329,7 +1416,7 @@ func (nd *undirectedNode) emitOutput() {
 	}
 	out := make([]int, 0, k)
 	for i := range nd.nb {
-		if nd.nb[i].inSpan {
+		if nd.nb[i].has(edgeInSpan) {
 			out = append(out, int(nd.nb[i].edgeIdx))
 		}
 		if nd.nb[i].arcs&inSpanned != 0 {

@@ -462,11 +462,22 @@ func TestTwoSpannerLargeScaleSmoke(t *testing.T) {
 	}
 }
 
-// The directed run's per-neighbor arc bits fit in nbrState's padding, and
-// the vote mark shares a word with the narrowed edge index, so neither
-// costs an entry any memory.
+// nbrState is kept per neighbor, 2m entries a run: its two lists live in
+// the node's arenas, its six flags and the directed run's arc bits take
+// two bytes, and the vote mark shares a word with the narrowed edge
+// index.
 func TestNbrStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(nbrState{}); got > 120 {
-		t.Fatalf("nbrState is %d bytes, want at most 120", got)
+	if got := unsafe.Sizeof(nbrState{}); got > 72 {
+		t.Fatalf("nbrState is %d bytes, want at most 72", got)
+	}
+}
+
+// undirectedNode is allocated once per vertex, so its size is rounded up
+// to a malloc size class: 320 bytes is one (the next below is 288, the
+// next above 352), and a field that pushes the struct past it costs 32
+// bytes per vertex.
+func TestUndirectedNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(undirectedNode{}); got > 320 {
+		t.Fatalf("undirectedNode is %d bytes, want at most 320", got)
 	}
 }

@@ -51,7 +51,8 @@ const (
 // selectable neighbor, zero for a free one, negative when no star may use
 // the edge. above(i) lists, ascending, the positions q > i of the
 // neighbors nbrs[q] that nbrs[i]'s uncovered edges reach — its row of
-// H_v (see uncovRow); a directed view's rows repeat q for a two-way pair.
+// H_v (see uncovRow), which newLocalView only reads; a directed view's
+// rows repeat q for a two-way pair.
 // Reading the rows in (lower endpoint, upper endpoint) order fixes each
 // adjacency row and so every densest-star instance. Two passes over the
 // rows in that order build it: the first counts each row and the bonuses,
@@ -191,26 +192,45 @@ func (v *localView) row(p int) []int32 { return v.adj[v.off[p]:v.off[p+1]] }
 // the center and the non-neighbors in the list are only counted. A
 // directed run's arcs have no lower endpoint to keep them, so its rows
 // hold every position the list names.
+//
+// The positions are the n entries from off on in the center's row arena,
+// one []int32 for all its rows. A neighbor announces its full list once,
+// so its row is appended to the arena once; removals compact it in place,
+// and a dead neighbor's row is zeroed, its entries left unused. An int32
+// holds every field: the arena holds at most one entry per H_v edge or
+// arc, each an edge of the graph (see nbrState.edgeIdx).
 type uncovRow struct {
-	above    []int32
-	uncovLen int
+	off, n   int32
+	uncovLen int32
 }
 
-// announce replaces the row with the full uncovered list ids (sorted) of
-// its neighbor, keeping the positions from lo on: one merge scan against
-// the neighbors there.
-func (h *uncovRow) announce(nbrs []int, lo int, ids []int) {
-	h.uncovLen = len(ids)
-	h.above = appendPositions(h.above[:0], nbrs, lo, ids)
+// announce appends to arena the row of the full uncovered list ids
+// (sorted) of its neighbor, keeping the positions from lo on: one merge
+// scan against the neighbors there. It returns the grown arena.
+func (h *uncovRow) announce(arena []int32, nbrs []int, lo int, ids []int) []int32 {
+	off := len(arena)
+	for q := range positions(nbrs, lo, ids) {
+		arena = append(arena, q)
+	}
+	*h = uncovRow{off: int32(off), n: int32(len(arena) - off), uncovLen: int32(len(ids))}
+	return arena
+}
+
+// above returns the row's positions in arena. Its capacity ends with the
+// row, so an append cannot write into the next one.
+func (h *uncovRow) above(arena []int32) []int32 {
+	return arena[h.off : h.off+h.n : h.off+h.n]
 }
 
 // remove deletes the sorted ids, a subset of the announced list, from the
-// row. Ids the row does not hold are skipped.
-func (h *uncovRow) remove(nbrs []int, ids []int) {
-	h.uncovLen -= len(ids)
-	out := h.above[:0]
+// row in arena, compacting it in place. Ids the row does not hold are
+// skipped.
+func (h *uncovRow) remove(arena []int32, nbrs []int, ids []int) {
+	h.uncovLen -= int32(len(ids))
+	row := h.above(arena)
+	out := row[:0]
 	k := 0
-	for _, q := range h.above {
+	for _, q := range row {
 		id := nbrs[q]
 		for k < len(ids) && ids[k] < id {
 			k++
@@ -221,7 +241,7 @@ func (h *uncovRow) remove(nbrs []int, ids []int) {
 		}
 		out = append(out, q)
 	}
-	h.above = out
+	h.n = int32(len(out))
 }
 
 // position returns the position of the selectable neighbor id, -1 when id

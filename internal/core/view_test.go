@@ -221,19 +221,31 @@ func viewOf(sel map[int]float64, free []int, h [][2]int) *localView {
 		i := posOf(ids, a)
 		uncov[i] = append(uncov[i], b)
 	}
-	rows := make([]uncovRow, len(ids))
+	rows := newRowSet(len(ids))
 	for i, l := range uncov {
 		sort.Ints(l)
-		rows[i].announce(ids, i+1, l)
+		rows.announce(i, ids, i+1, l)
 	}
-	v, _ := newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, rowsAbove(rows), false)
+	v, _ := newLocalView(ids, func(i int) float64 { return cost[ids[i]] }, rows.above, false)
 	return v
 }
 
-// rowsAbove is newLocalView's H_v row accessor over a slice of rows.
-func rowsAbove(rows []uncovRow) func(int) []int32 {
-	return func(i int) []int32 { return rows[i].above }
+// rowSet is a center's H_v rows as the node keeps them: one uncovRow per
+// neighbor position, all in one shared arena.
+type rowSet struct {
+	arena []int32
+	rows  []uncovRow
 }
+
+func newRowSet(n int) *rowSet { return &rowSet{rows: make([]uncovRow, n)} }
+
+// announce appends row i, the full list ids cut from position lo on.
+func (s *rowSet) announce(i int, nbrs []int, lo int, ids []int) {
+	s.arena = s.rows[i].announce(s.arena, nbrs, lo, ids)
+}
+
+// above is newLocalView's H_v row accessor.
+func (s *rowSet) above(i int) []int32 { return s.rows[i].above(s.arena) }
 
 // refLocalView is the map-based view construction newLocalView replaced,
 // kept as its reference: the selectable map and free list the undirected
@@ -334,7 +346,9 @@ func removeSorted(dst, del []int) []int {
 // mix neighbors above and below, non-neighbors, and the center. Each
 // list is announced in full and then thinned by one to four removal
 // batches (sorted subsets of what is left), applied to the reference id
-// lists by removeSorted and to the H_v rows by the receipt code. The
+// lists by removeSorted and to the H_v rows by the receipt code. All
+// rows share one arena, appended in a shuffled order, so a removal's
+// in-place compaction must stay inside its own row. The
 // view built from the rows by newLocalView must equal the map-based
 // reference built from the ids field by field (row order included), with
 // the same densest star to the bit, and each row must keep its list's
@@ -344,6 +358,7 @@ func removeSorted(dst, del []int) []int {
 func TestLocalViewMatchesMapReference(t *testing.T) {
 	const instances = 1200
 	rng := rand.New(rand.NewSource(17))
+	order := rand.New(rand.NewSource(18)) // the rows' arena order
 	var withPairs, withBonus, withStar, dropsHeld, skipsUnheld int
 	for inst := 0; inst < instances; inst++ {
 		universe := 8 + rng.Intn(56)
@@ -370,7 +385,7 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 			}
 		}
 		uncov := make([][]int, len(nbrs))
-		rows := make([]uncovRow, len(nbrs))
+		rows := newRowSet(len(nbrs))
 		p := rng.Float64()
 		for i := range nbrs {
 			if rng.Float64() < 0.1 {
@@ -381,7 +396,11 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 					uncov[i] = append(uncov[i], id)
 				}
 			}
-			rows[i].announce(nbrs, i+1, uncov[i])
+		}
+		for _, i := range order.Perm(len(nbrs)) {
+			if uncov[i] != nil {
+				rows.announce(i, nbrs, i+1, uncov[i])
+			}
 		}
 		for batch := 1 + rng.Intn(4); batch > 0; batch-- {
 			q := 0.4 * rng.Float64()
@@ -395,10 +414,10 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 				if len(del) == 0 {
 					continue
 				}
-				held := len(rows[i].above)
+				held := len(rows.above(i))
 				uncov[i] = removeSorted(uncov[i], del)
-				rows[i].remove(nbrs, del)
-				dropped := held - len(rows[i].above)
+				rows.rows[i].remove(rows.arena, nbrs, del)
+				dropped := held - len(rows.above(i))
 				if dropped > 0 {
 					dropsHeld++
 				}
@@ -407,9 +426,9 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 				}
 			}
 		}
-		for i := range rows {
-			if rows[i].uncovLen != len(uncov[i]) {
-				t.Fatalf("instance %d: row %d keeps length %d, list has %d", inst, i, rows[i].uncovLen, len(uncov[i]))
+		for i, h := range rows.rows {
+			if int(h.uncovLen) != len(uncov[i]) {
+				t.Fatalf("instance %d: row %d keeps length %d, list has %d", inst, i, h.uncovLen, len(uncov[i]))
 			}
 		}
 		cost := func(i int) float64 {
@@ -418,7 +437,7 @@ func TestLocalViewMatchesMapReference(t *testing.T) {
 			}
 			return weight[i]
 		}
-		got, c0 := newLocalView(nbrs, cost, rowsAbove(rows), false)
+		got, c0 := newLocalView(nbrs, cost, rows.above, false)
 		want := refLocalView(nbrs, star, weight, uncov)
 		wantC0 := 0.0
 		if len(want.cost) > 0 {
@@ -529,7 +548,7 @@ func TestDeathDirtiesViewIffListAnnounced(t *testing.T) {
 			for _, del := range c.removes {
 				nd.process(phUncov, []dist.InRec{inRec(c.from, uncovMsg{nbrs: del, n: g.N()}.rec(tagUncov))})
 			}
-			if got := len(nd.nb[i].above); got != c.above {
+			if got := len(nd.above(i)); got != c.above {
 				t.Fatalf("row keeps %d positions, want %d", got, c.above)
 			}
 			nd.viewDirty = false
@@ -537,8 +556,8 @@ func TestDeathDirtiesViewIffListAnnounced(t *testing.T) {
 			if nd.viewDirty != c.dirty {
 				t.Fatalf("death of %d: viewDirty = %v, want %v", c.from, nd.viewDirty, c.dirty)
 			}
-			if nb := nd.nb[i]; nb.alive || nb.uncovLen != 0 || nb.above != nil {
-				t.Fatalf("death of %d left alive=%v, row %+v", c.from, nb.alive, nb.uncovRow)
+			if nb := nd.nb[i]; nb.has(nbrAlive) || nb.uncovRow != (uncovRow{}) {
+				t.Fatalf("death of %d left alive=%v, row %+v", c.from, nb.has(nbrAlive), nb.uncovRow)
 			}
 		})
 	}

@@ -99,9 +99,9 @@ func TestVoteMatchesProbeRule(t *testing.T) {
 		alive := make([]bool, len(nbrs))
 		for i := range nbrs {
 			if rng.Float64() < 0.2 {
-				nd.nb[i].covered = true
+				nd.nb[i].flags |= edgeCovered
 			}
-			covered[i], alive[i] = nd.nb[i].covered, true
+			covered[i], alive[i] = nd.nb[i].has(edgeCovered), true
 		}
 		// owned reports whether the center votes with the edge at
 		// position i: it owns the edge, and no record so far covered it.
